@@ -79,11 +79,11 @@ def walk_degenerate_fiber() -> None:
         raise SystemExit("inversion accepted a degenerate fiber")
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=11)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     survey(args.samples, args.seed)
     walk_degenerate_fiber()
 

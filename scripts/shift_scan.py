@@ -15,27 +15,19 @@ Run as: python3 scripts/shift_scan.py [--span K] [--order M]
 """
 
 import argparse
-import math
 from fractions import Fraction
 
 from fanocount.d3 import (
-    build_pencil,
     eisenstein_weight2,
+    factorial_transform,
+    first_mismatch,
     frobenius_solve,
-    left_divide_by_D,
-    right_determinant,
+    pencil_operator,
 )
-from fanocount.exactmath import PowerSeries, exp_linear
+from fanocount.exactmath import exp_linear
 from fanocount.pipeline import CATALOG, run_pipeline
 
 F = Fraction
-
-
-def first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
-    for m in range(min(a.order, b.order)):
-        if a[m] != b[m]:
-            return m
-    return None
 
 
 def scan(name: str, span: int, order: int) -> None:
@@ -50,13 +42,8 @@ def scan(name: str, span: int, order: int) -> None:
     print(f"{name}: deg = {matrix.deg}, alpha = {alpha}, level N = {level}")
     print(f"  {'lambda':>7}  {'twist':>12}  {'eisenstein':>12}")
     for lam in shifts:
-        operator = left_divide_by_D(right_determinant(build_pencil(matrix, lam)))
-        solution = frobenius_solve(operator, order)
-        twisted = c0 * exp_linear(lam, order)
-        candidate = PowerSeries(
-            tuple(F(math.factorial(m)) * twisted[m] for m in range(order))
-        )
-        twist_m = first_mismatch(solution, candidate)
+        solution = frobenius_solve(pencil_operator(matrix, lam), order)
+        twist_m = first_mismatch(solution, factorial_transform(c0 * exp_linear(lam, order)))
         eis_m = first_mismatch(solution, eisenstein)
         fmt = lambda m: "agrees" if m is None else f"differs@{m}"
         marker = "  <- alpha" if lam == alpha else ""
@@ -64,11 +51,11 @@ def scan(name: str, span: int, order: int) -> None:
     print()
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--span", type=int, default=7, help="scan lambda in [-span, span]")
     parser.add_argument("--order", type=int, default=8, help="series truncation order")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     for name in sorted(CATALOG):
         scan(name, args.span, args.order)
 

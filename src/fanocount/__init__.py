@@ -2,7 +2,6 @@
 
 from .exactmath import (
     ChernPolynomial,
-    DivisionByZero,
     EntryPolynomial,
     NonExactDivision,
     PowerSeries,
@@ -73,7 +72,7 @@ from .d3 import (
 from .pipeline import (
     CATALOG,
     ConfigError,
-    PipelineReport,
+    PipelineRun,
     StageError,
     VarietyConfig,
     load_config,

@@ -1,11 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing and the exit-code mapping.
 
-Subcommands walk successively further down the pipeline: `iseries` prints
-the ambient series, `lefschetz` the twisted variety series, `matrix` the
-counting matrix, `periods` and `invert` the period map in both directions,
-`d3` the third-order operator and its normalized solution, `modularity`
-the candidate table, `report` the full assembled report, and `verify`
-recomputes everything and diffs it against the embedded golden values.
+Each variety subcommand prints one projection of a `PipelineRun`, which
+computes only the stages that projection reads: `iseries` the ambient
+series, `lefschetz` the twisted variety series, `matrix` the counting
+matrix, `periods` and `invert` the period map in both directions, `d3` the
+third-order operator and its normalized solution, `modularity` the
+candidate table, and `report` every stage.  `verify` recomputes everything
+and diffs it against the embedded golden values.  The run's warnings go to
+stderr as `warning:` lines.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 internal math error.  All numeric output is exact: integers bare,
@@ -15,11 +17,32 @@ other rationals as p/q.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from .d3 import (
+from .pipeline import (
+    CATALOG,
+    ConfigError,
+    PipelineRun,
+    StageError,
+    d3_view,
+    invert_view,
+    iseries_view,
+    lefschetz_view,
+    load_config,
+    matrix_view,
+    modularity_view,
+    periods_view,
+    render,
+    serialize_report,
+    serialize_verify,
+    verify_golden,
+)
+from .solver import PeriodVector
+
+# Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
+# patch them at this site; the subcommands reach them through the pipeline.
+from .d3 import (  # noqa: F401
     apply_operator,
     build_pencil,
     frobenius_solve,
@@ -27,26 +50,9 @@ from .d3 import (
     modularity_report,
     right_determinant,
 )
-from .pipeline import (
-    CATALOG,
-    ConfigError,
-    StageError,
-    ambient_series,
-    load_config,
-    rational_str,
-    render_verify_table,
-    run_pipeline,
-    serialize_report,
-    verify_golden,
-)
-from .lefschetz import ci_geometry, lefschetz_shift, quantum_lefschetz
-from .solver import (
-    PeriodVector,
-    discriminant,
-    forward_periods,
-    invert_periods,
-    recover_matrix,
-)
+from .lefschetz import ci_geometry, lefschetz_shift, quantum_lefschetz  # noqa: F401
+from .pipeline import ambient_series, render_verify_table, run_pipeline  # noqa: F401
+from .solver import discriminant, forward_periods, invert_periods, recover_matrix  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,24 +62,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, variety: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, view=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        if variety:
-            p.add_argument(
-                "--variety",
-                required=True,
-                help=f"catalog name ({', '.join(sorted(CATALOG))}) or JSON config path",
-            )
+        p.set_defaults(view=view)
+        p.add_argument(
+            "--variety",
+            required=True,
+            help=f"catalog name ({', '.join(sorted(CATALOG))}) or JSON config path",
+        )
         p.add_argument("--order", type=int, default=7, help="series length (default 7)")
         p.add_argument(
             "--format", choices=("json", "text"), default="text", help="output format"
         )
         return p
 
-    add("iseries", "ambient-space hyperplane I-series")
-    add("lefschetz", "variety I-series after the Euler twist")
-    add("matrix", "counting matrix recovered from the series")
-    add("periods", "period vector and discriminant of the counting matrix")
+    add("iseries", "ambient-space hyperplane I-series", iseries_view)
+    add("lefschetz", "variety I-series after the Euler twist", lefschetz_view)
+    add("matrix", "counting matrix recovered from the series", matrix_view)
+    add("periods", "period vector and discriminant of the counting matrix", periods_view)
     inv = add("invert", "counting matrix recovered from a period vector")
     inv.add_argument(
         "--periods",
@@ -84,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d3p.add_argument(
         "--lambda", dest="lam", default="0", help="pencil shift, a rational P/Q"
     )
-    add("modularity", "candidate identification table for the D3 solutions")
+    add("modularity", "candidate identification table for the D3 solutions", modularity_view)
     add("report", "full pipeline report")
     ver = sub.add_parser("verify", help="recompute and diff all golden values")
     ver.add_argument("--variety", default="all", help="V10, V14 or all (default all)")
@@ -94,27 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="negative control: corrupt one golden entry, e.g. V10:matrix.a01",
     )
     return parser
-
-
-def _emit(data: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
-
-
-def _matrix_dict(matrix) -> dict:
-    return {
-        "deg": matrix.deg,
-        "entries": {k: rational_str(v) for k, v in matrix.entries().items()},
-        "rows": [[rational_str(x) for x in row] for row in matrix.rows()],
-    }
-
-
-def _matrix_lines(matrix) -> list[str]:
-    rows = [[rational_str(x) for x in row] for row in matrix.rows()]
-    width = max(len(x) for row in rows for x in row)
-    return ["  ".join(x.rjust(width) for x in row) for row in rows]
 
 
 def _parse_periods(text: str) -> PeriodVector:
@@ -128,177 +113,39 @@ def _parse_periods(text: str) -> PeriodVector:
     return PeriodVector(*values)
 
 
+def _parse_lambda(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad --lambda: {exc}") from exc
+
+
 def _run_command(args: argparse.Namespace) -> int:
     cmd = args.command
-
     if cmd == "verify":
         status, rows = verify_golden(args.variety, corrupt=args.corrupt)
-        if args.format == "json":
-            data = {
-                "status": status,
-                "rows": [
-                    {
-                        "label": r.label,
-                        "derived": r.derived,
-                        "expected": r.expected,
-                        "status": r.status,
-                        "note": r.note,
-                    }
-                    for r in rows
-                ],
-            }
-            sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(render_verify_table(rows))
+        sys.stdout.write(serialize_verify(status, rows, args.format))
         return status
 
     config = load_config(args.variety)
     if args.order < 1:
         raise ConfigError("--order must be positive")
-
-    def guard(stage: str, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
-
-    if cmd == "iseries":
-        pair = guard("grassmann", lambda: ambient_series(config.ambient, args.order))
-        data = {
-            "ambient": {"r": config.ambient.r, "n": config.ambient.n},
-            "c0": [rational_str(c) for c in pair.c0.coeffs],
-            "c1": [rational_str(c) for c in pair.c1.coeffs],
-        }
-        _emit(data, args.format, [
-            f"ambient G({config.ambient.r},{config.ambient.n})",
-            "c0: " + " ".join(data["c0"]),
-            "c1: " + " ".join(data["c1"]),
-        ])
-        return 0
-
-    if cmd == "report":
-        report = run_pipeline(config, order=args.order)
-        sys.stdout.write(serialize_report(report, args.format))
-        return 0
-
-    pair_x = guard("grassmann", lambda: ambient_series(config.ambient, max(args.order, 5)))
-    spec = config.spec
-    alpha = guard("lefschetz", lambda: lefschetz_shift(spec, pair_x.c0))
-    pair_v = guard("lefschetz", lambda: quantum_lefschetz(pair_x, spec))
-
-    if cmd == "lefschetz":
-        data = {
-            "alpha": rational_str(alpha),
-            "c0": [rational_str(c) for c in pair_v.c0.coeffs[: args.order]],
-            "c1": [rational_str(c) for c in pair_v.c1.coeffs[: args.order]],
-        }
-        _emit(data, args.format, [
-            f"shift alpha = {data['alpha']}",
-            "c0: " + " ".join(data["c0"]),
-            "c1: " + " ".join(data["c1"]),
-        ])
-        return 0
-
-    geometry = guard("lefschetz", lambda: ci_geometry(spec))
-    deg = geometry.anticanonical_degree
-    deg_int = int(deg) if deg == int(deg) else 0
-    matrix = guard("solver", lambda: recover_matrix(pair_v, deg_int))
-
-    if cmd == "matrix":
-        data = _matrix_dict(matrix)
-        _emit(data, args.format, [f"deg = {matrix.deg}"] + _matrix_lines(matrix))
-        return 0
-
-    if cmd == "periods":
-        periods = guard("solver", lambda: forward_periods(matrix))
-        disc = discriminant(periods)
-        data = {
-            "periods": [rational_str(x) for x in periods.as_tuple()],
-            "discriminant": rational_str(disc),
-        }
-        _emit(data, args.format, [
-            "d2..d6: " + " ".join(data["periods"]),
-            f"discriminant: {data['discriminant']}",
-        ])
-        return 0
-
-    if cmd == "invert":
-        if args.periods is not None:
-            vector = _parse_periods(args.periods)
+    run = PipelineRun(config, args.order)
+    try:
+        if cmd == "report":
+            out = serialize_report(run.complete(), args.format)
+        elif cmd == "d3":
+            out = render(*d3_view(run, _parse_lambda(args.lam)), args.format)
+        elif cmd == "invert":
+            periods = None if args.periods is None else _parse_periods(args.periods)
+            out = render(*invert_view(run, periods, args.deg), args.format)
         else:
-            vector = guard("solver", lambda: forward_periods(matrix))
-        deg_out = args.deg if args.deg is not None else matrix.deg
-        recovered = guard("solver", lambda: invert_periods(vector, deg_out))
-        data = _matrix_dict(recovered)
-        data["periods"] = [rational_str(x) for x in vector.as_tuple()]
-        if args.periods is None:
-            data["roundtrip_ok"] = recovered == matrix
-        lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg_out}"]
-        lines += _matrix_lines(recovered)
-        if args.periods is None:
-            lines.append(f"roundtrip ok: {data['roundtrip_ok']}")
-        _emit(data, args.format, lines)
+            out = render(*args.view(run), args.format)
+        sys.stdout.write(out)
         return 0
-
-    if cmd == "d3":
-        try:
-            lam = Fraction(args.lam)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad --lambda: {exc}") from exc
-        operator = guard(
-            "d3", lambda: left_divide_by_D(right_determinant(build_pencil(matrix, lam)))
-        )
-        solution = guard("d3", lambda: frobenius_solve(operator, args.order))
-        residue = apply_operator(operator, solution)
-        data = {
-            "lambda": rational_str(lam),
-            "operator": str(operator),
-            "order": operator.order,
-            "indicial": [rational_str(c) for c in operator.indicial()],
-            "solution": [rational_str(c) for c in solution.coeffs],
-            "residue_vanishes": all(c == 0 for c in residue.coeffs),
-        }
-        _emit(data, args.format, [
-            f"lambda = {data['lambda']}",
-            f"operator = {data['operator']}",
-            f"indicial = {' '.join(data['indicial'])}",
-            "solution: " + " ".join(data["solution"]),
-            f"residue vanishes mod t^{args.order}: {data['residue_vanishes']}",
-        ])
-        return 0
-
-    if cmd == "modularity":
-        alpha_val = alpha
-        rep = guard("d3", lambda: modularity_report(matrix, alpha_val, order=args.order))
-        data = {
-            "level": rep.level,
-            "alpha": rational_str(rep.alpha),
-            "order": rep.order,
-            "rows": [
-                {
-                    "lambda": rational_str(r.lam),
-                    "candidate": r.candidate,
-                    "first_mismatch": r.first_mismatch,
-                    "error": r.error,
-                }
-                for r in rep.rows
-            ],
-        }
-        lines = [f"level N = {rep.level}, alpha = {data['alpha']}, order = {rep.order}"]
-        for r in data["rows"]:
-            miss = (
-                "agrees to order"
-                if r["first_mismatch"] is None
-                else f"differs at {r['first_mismatch']}"
-            )
-            tail = f" [{r['error']}]" if r["error"] else ""
-            lines.append(f"lambda {r['lambda']:>4}  {r['candidate']:<32} {miss}{tail}")
-        _emit(data, args.format, lines)
-        return 0
-
-    raise ConfigError(f"unknown command {cmd!r}")
+    finally:
+        for warning in run.warnings:
+            sys.stderr.write(f"warning: {warning}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

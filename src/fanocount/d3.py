@@ -20,12 +20,14 @@ the variety's constant-term series.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 from .exactmath import PowerSeries, Rational, exp_linear
-from .relations import RelationEngine
+from .solver import constant_terms
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,9 +108,6 @@ class DifferentialOperator:
     def __mul__(self, other):
         if isinstance(other, DifferentialOperator):
             return weyl_multiply(self, other)
-        return self.scale(Fraction(other))
-
-    def __rmul__(self, other) -> "DifferentialOperator":
         return self.scale(Fraction(other))
 
     def t_coefficients(self, b: int) -> list[Fraction]:
@@ -212,6 +211,11 @@ def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
             term = -term
         total = total + term
     return total
+
+
+def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:
+    """The third-order operator D^(-1) * det(D*E - M) of the pencil at shift lam."""
+    return left_divide_by_D(right_determinant(build_pencil(matrix, lam)))
 
 
 def left_divide_by_D(op: DifferentialOperator) -> DifferentialOperator:
@@ -335,29 +339,26 @@ class ModularityReport:
         raise KeyError((lam, candidate))
 
 
-def _first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
+def first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
+    """The first index where two series differ, or None through the shorter order."""
     for m in range(min(a.order, b.order)):
         if a[m] != b[m]:
             return m
     return None
 
 
-def _constant_terms(matrix, order: int, engine: RelationEngine) -> PowerSeries:
-    values = matrix.entries()
-    coeffs = [_ONE, _ZERO]
-    for d in range(2, order):
-        coeffs.append(engine.one_point_relation(d - 2, d).evaluate(values))
-    return PowerSeries(tuple(coeffs[:order]))
-
-
-def _factorial_transform(series: PowerSeries) -> PowerSeries:
+def factorial_transform(series: PowerSeries) -> PowerSeries:
+    """The series sum_m m! c_m q^m."""
     return PowerSeries(
         tuple(factorial(m) * series[m] for m in range(series.order))
     )
 
 
 def modularity_report(
-    matrix, alpha: Rational, order: int = 8, engine: RelationEngine | None = None
+    matrix,
+    alpha: Rational,
+    order: int = 8,
+    operator_at: Callable[[Fraction], DifferentialOperator] | None = None,
 ) -> ModularityReport:
     """Tabulate, for each pencil shift, where the normalized solution of the
     third-order operator first differs from each candidate q-expansion.
@@ -365,25 +366,26 @@ def modularity_report(
     Candidates: the weight-2 Eisenstein series at level deg/2, and the
     factorial transform of the matrix's constant-term series, bare and
     multiplied by e^(+alpha q) or e^(-alpha q).  The report records indices,
-    never a verdict.
+    never a verdict.  `operator_at(lam)` supplies the pencil operators, so a
+    caller that already built one passes it in instead of building it twice.
     """
     alpha = Fraction(alpha)
     if matrix.deg % 2 != 0:
         raise InvalidLevel(f"degree {matrix.deg} has no integer half")
     level = matrix.deg // 2
-    engine = engine or RelationEngine()
+    operator_at = operator_at or partial(pencil_operator, matrix)
 
     candidates: list[tuple[str, PowerSeries | None, str | None]] = []
     try:
         candidates.append(("eisenstein", eisenstein_weight2(level, order), None))
     except InvalidLevel as exc:
         candidates.append(("eisenstein", None, str(exc)))
-    base = _constant_terms(matrix, order, engine)
-    candidates.append(("factorial_transform", _factorial_transform(base), None))
+    base = constant_terms(matrix, order)
+    candidates.append(("factorial_transform", factorial_transform(base), None))
     for tag, sign in (("plus", 1), ("minus", -1)):
         twisted = base * exp_linear(sign * alpha, order)
         candidates.append(
-            (f"factorial_transform_twist_{tag}", _factorial_transform(twisted), None)
+            (f"factorial_transform_twist_{tag}", factorial_transform(twisted), None)
         )
 
     rows = []
@@ -391,16 +393,14 @@ def modularity_report(
         solution = None
         lam_error = None
         try:
-            pencil = build_pencil(matrix, lam)
-            operator = left_divide_by_D(right_determinant(pencil))
-            solution = frobenius_solve(operator, order)
+            solution = frobenius_solve(operator_at(lam), order)
         except (ArithmeticError, ValueError) as exc:
             lam_error = f"{type(exc).__name__}: {exc}"
         for name, series, cand_error in candidates:
             error = lam_error or cand_error
             mismatch = None
             if error is None and solution is not None and series is not None:
-                mismatch = _first_mismatch(solution, series)
+                mismatch = first_mismatch(solution, series)
             rows.append(ReportRow(lam, name, mismatch, error))
     return ModularityReport(
         deg=matrix.deg, level=level, alpha=alpha, order=order, rows=tuple(rows)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -27,28 +26,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Rational division with a zero divisor."""
-
-
 class NonExactDivision(ArithmeticError):
     """Exact polynomial division hit a nonzero remainder."""
-
-
-def rational_arith(op: str, x: Rational, y: Rational) -> Rational:
-    """Dispatch exact rational arithmetic.  Results are always canonical."""
-    x, y = Fraction(x), Fraction(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if y == 0:
-            raise DivisionByZero("division by zero")
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +50,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable, order: int | None = None) -> "PowerSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            cs = cs[:order] + [_ZERO] * (order - len(cs))
-        return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls((_ZERO,) * order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls((_ONE,) + (_ZERO,) * (order - 1))
-
     def __getitem__(self, d: int) -> Fraction:
         if not 0 <= d < self.order:
             raise IndexError(
@@ -101,13 +65,6 @@ class PowerSeries:
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(tuple(self.coeffs[d] + other.coeffs[d] for d in range(n)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[d] - other.coeffs[d] for d in range(n)))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -129,17 +86,6 @@ class PowerSeries:
     def scale(self, c: Rational) -> "PowerSeries":
         c = Fraction(c)
         return PowerSeries(tuple(c * a for a in self.coeffs))
-
-
-def series_combine(op: str, a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Combine two series; the result carries the smaller truncation order."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def exp_linear(c: Rational, order: int) -> PowerSeries:
@@ -214,11 +160,6 @@ class ChernPolynomial:
         e = tuple(1 if k == i else 0 for k in range(self.nvars))
         return self.coefficient(e)
 
-    def truncate(self, bound: int) -> "ChernPolynomial":
-        if bound > self.degree_bound:
-            raise ValueError("cannot extend a truncated polynomial")
-        return ChernPolynomial(self.nvars, bound, dict(self.terms))
-
     def homogeneous_component(self, k: int) -> dict[Exponent, Fraction]:
         return {e: c for e, c in self.terms.items() if sum(e) == k}
 
@@ -232,9 +173,6 @@ class ChernPolynomial:
 
     def __sub__(self, other: "ChernPolynomial") -> "ChernPolynomial":
         return self + other.scale(-_ONE)
-
-    def __neg__(self) -> "ChernPolynomial":
-        return self.scale(-_ONE)
 
     def __mul__(self, other):
         if not isinstance(other, ChernPolynomial):
@@ -260,32 +198,9 @@ class ChernPolynomial:
             self.nvars, self.degree_bound, {e: c * v for e, v in self.terms.items()}
         )
 
-    def is_symmetric(self) -> bool:
-        """True when every permutation of the variables fixes the polynomial."""
-        for perm in permutations(range(self.nvars)):
-            for e, c in self.terms.items():
-                pe = tuple(e[perm[k]] for k in range(self.nvars))
-                if self.terms.get(pe, _ZERO) != c:
-                    return False
-        return True
-
     def _check(self, other: "ChernPolynomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda ex: (sum(ex), ex)):
-            c = self.terms[e]
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e)
-                if p > 0
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
 
 
 def univariate_factor(nvars: int, bound: int, i: int, coeffs: Iterable[Rational]) -> ChernPolynomial:
@@ -300,17 +215,6 @@ def univariate_factor(nvars: int, bound: int, i: int, coeffs: Iterable[Rational]
         e = tuple(m if k == i else 0 for k in range(nvars))
         terms[e] = c
     return ChernPolynomial(nvars, bound, terms)
-
-
-def vandermonde(nvars: int, bound: int) -> ChernPolynomial:
-    """prod_{i<j} (x_i - x_j)."""
-    out = ChernPolynomial.constant(nvars, bound, _ONE)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            xi = ChernPolynomial.variable(nvars, bound, i)
-            xj = ChernPolynomial.variable(nvars, bound, j)
-            out = out * (xi - xj)
-    return out
 
 
 def _divide_linear_difference(
@@ -431,9 +335,6 @@ class EntryPolynomial:
 
     def __sub__(self, other: "EntryPolynomial") -> "EntryPolynomial":
         return self + other.scale(-_ONE)
-
-    def __neg__(self) -> "EntryPolynomial":
-        return self.scale(-_ONE)
 
     def __mul__(self, other):
         if not isinstance(other, EntryPolynomial):

@@ -1,6 +1,8 @@
 """End-to-end pipeline: ambient series, Euler twist, counting matrix,
-periods, third-order operator, and the candidate-identification table,
-assembled into one reproducible report.
+periods, third-order operator, and the candidate-identification table, as
+one stage chain (`PipelineRun`) whose stages are computed once, on first
+access.  `run_pipeline` computes them all for the full report; the `*_view`
+projections print the stages each subcommand reads.
 
 The built-in catalog holds the two section varieties the library is
 checked against; any other configuration runs through the same stages but
@@ -16,18 +18,18 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .d3 import (
     DifferentialOperator,
     ModularityReport,
-    build_pencil,
+    apply_operator,
     frobenius_solve,
-    left_divide_by_D,
     modularity_report,
-    right_determinant,
+    pencil_operator,
 )
 from .exactmath import PowerSeries, Rational
 from .grassmann import (
@@ -44,7 +46,13 @@ from .lefschetz import (
     lefschetz_shift,
     quantum_lefschetz,
 )
-from .solver import CountingMatrix, PeriodVector, discriminant, forward_periods, recover_matrix
+from .solver import (
+    CountingMatrix, PeriodVector, discriminant, forward_periods, invert_periods, recover_matrix,
+)
+
+# Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
+# patch them at this site; the stages reach them through `pencil_operator`.
+from .d3 import build_pencil, left_divide_by_D, right_determinant  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -134,202 +142,318 @@ def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
     return extract_h_pair(hv_iseries(ambient, order - 1))
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    config: VarietyConfig
-    verified: bool
-    geometry: FanoModel
-    alpha: Fraction
-    ambient_pair: HSeriesPair
-    variety_pair: HSeriesPair
-    matrix: CountingMatrix
-    periods: PeriodVector
-    disc: Fraction
-    operator: DifferentialOperator
-    solution: PowerSeries
-    modularity: ModularityReport | None
-    notes: tuple[str, ...]
-    order: int
-
-
-def run_pipeline(config: VarietyConfig, order: int = 7) -> PipelineReport:
-    """Chain every stage for one variety and assemble the report."""
-    if order < 5:
-        raise ConfigError("the pipeline needs order >= 5 to recover the matrix")
-    notes: list[str] = []
-    if not config.in_catalog:
-        notes.append("configuration is not in the verified catalog; unverified output")
-
-    def guard(stage: str, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(stage, exc) from exc
-
-    pair_x = guard("grassmann", lambda: ambient_series(config.ambient, order))
-    spec = config.spec
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        geometry = guard("lefschetz", lambda: ci_geometry(spec))
-        alpha = guard("lefschetz", lambda: lefschetz_shift(spec, pair_x.c0))
-        pair_v = guard("lefschetz", lambda: quantum_lefschetz(pair_x, spec))
-    for w in caught:
-        notes.append(f"{w.category.__name__}: {w.message}")
-
-    deg = geometry.anticanonical_degree
-    deg_int = int(deg) if deg == int(deg) else 0
-    matrix = guard("solver", lambda: recover_matrix(pair_v, deg_int))
-    periods = guard("solver", lambda: forward_periods(matrix))
-    disc = guard("solver", lambda: discriminant(periods))
-
-    operator = guard(
-        "d3", lambda: left_divide_by_D(right_determinant(build_pencil(matrix, 0)))
-    )
-    solution = guard("d3", lambda: frobenius_solve(operator, order))
-    modularity = None
+def _guarded(stage: str, fn, *args):
+    """Call fn(*args), raising any failure as a StageError of the stage."""
     try:
-        modularity = modularity_report(matrix, alpha, order=order)
-    except (ArithmeticError, ValueError) as exc:
-        notes.append(f"modularity report unavailable: {type(exc).__name__}: {exc}")
-
-    if config.in_catalog and config.name == "V14":
-        notes.append(
-            "q^3 constant term: derived 52; a published table prints 2; "
-            "52 is the matrix-consistent value (5*64/18 + 924/27 = 52)"
-        )
-    return PipelineReport(
-        config=config,
-        verified=config.in_catalog,
-        geometry=geometry,
-        alpha=alpha,
-        ambient_pair=pair_x,
-        variety_pair=pair_v,
-        matrix=matrix,
-        periods=periods,
-        disc=disc,
-        operator=operator,
-        solution=solution,
-        modularity=modularity,
-        notes=tuple(notes),
-        order=order,
-    )
+        return fn(*args)
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
 
 
-# -- serialization -------------------------------------------------------------
+def _stage(name: str):
+    """A run attribute computed once, on first access, inside the stage guard."""
+    return lambda compute: cached_property(lambda run: _guarded(name, compute, run))
+
+
+class PipelineRun:
+    """The stage chain for one variety at one order, stages in chain order.
+
+    `warnings` collects what the Lefschetz stages warned, in order.
+    """
+
+    def __init__(self, config: VarietyConfig, order: int = 7):
+        self.config = config
+        self.order = order
+        self.verified = config.in_catalog
+        self.warnings: list[str] = []
+        self.modularity_error: Exception | None = None
+        self._operators: dict[Fraction, DifferentialOperator] = {}
+
+    def _recording_warnings(self, fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return fn(*args)
+            finally:
+                self.warnings += [f"{w.category.__name__}: {w.message}" for w in caught]
+
+    @_stage("grassmann")
+    def ambient_pair(self) -> HSeriesPair:
+        # matrix recovery reads the series through q^4 whatever the order
+        return ambient_series(self.config.ambient, max(self.order, 5))
+
+    @_stage("lefschetz")
+    def geometry(self) -> FanoModel:
+        return self._recording_warnings(ci_geometry, self.config.spec)
+
+    @_stage("lefschetz")
+    def alpha(self) -> Fraction:
+        return lefschetz_shift(self.config.spec, self.ambient_pair.c0)
+
+    @_stage("lefschetz")
+    def variety_pair(self) -> HSeriesPair:
+        self.geometry  # validates the intersection and records its warnings first
+        return self._recording_warnings(quantum_lefschetz, self.ambient_pair, self.config.spec)
+
+    @_stage("solver")
+    def matrix(self) -> CountingMatrix:
+        return recover_matrix(self.variety_pair, self.geometry.anticanonical_degree)
+
+    @_stage("solver")
+    def periods(self) -> PeriodVector:
+        return forward_periods(self.matrix)
+
+    @_stage("solver")
+    def disc(self) -> Fraction:
+        return discriminant(self.periods)
+
+    def operator_at(self, lam: Rational) -> DifferentialOperator:
+        """The pencil operator at shift lam, built at most once per run."""
+        lam = Fraction(lam)
+        if lam not in self._operators:
+            self._operators[lam] = pencil_operator(self.matrix, lam)
+        return self._operators[lam]
+
+    @_stage("d3")
+    def operator(self) -> DifferentialOperator:
+        return self.operator_at(0)
+
+    @_stage("d3")
+    def solution(self) -> PowerSeries:
+        return frobenius_solve(self.operator, self.order)
+
+    @_stage("d3")
+    def modularity(self) -> ModularityReport | None:
+        try:
+            return modularity_report(self.matrix, self.alpha, self.order, self.operator_at)
+        except (ArithmeticError, ValueError) as exc:
+            self.modularity_error = exc
+            return None
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        notes = [] if self.verified else [
+            "configuration is not in the verified catalog; unverified output"
+        ]
+        notes += self.warnings
+        if self.modularity_error is not None:
+            exc = self.modularity_error
+            notes.append(f"modularity report unavailable: {type(exc).__name__}: {exc}")
+        if self.verified and self.config.name == "V14":
+            notes.append(
+                "q^3 constant term: derived 52; a published table prints 2; "
+                "52 is the matrix-consistent value (5*64/18 + 924/27 = 52)"
+            )
+        return tuple(notes)
+
+    def complete(self) -> "PipelineRun":
+        """Compute every stage, as the full report needs."""
+        if self.order < 5:
+            raise ConfigError("the pipeline needs order >= 5 to recover the matrix")
+        for name, attr in vars(PipelineRun).items():
+            if isinstance(attr, cached_property):
+                getattr(self, name)
+        return self
+
+
+def run_pipeline(config: VarietyConfig, order: int = 7) -> PipelineRun:
+    """Chain every stage for one variety."""
+    return PipelineRun(config, order).complete()
+
+
+# -- projections: each view returns one subcommand's JSON dict and text lines --
+
+
+View = tuple[dict, list[str]]
 
 
 def rational_str(x: Rational) -> str:
     return str(Fraction(x))
 
 
-def _series_strs(s: PowerSeries) -> list[str]:
-    return [rational_str(c) for c in s.coeffs]
+def _strs(values) -> list[str]:
+    return [rational_str(x) for x in values]
 
 
-def report_dict(report: PipelineReport) -> dict:
-    """Plain-dict form of a report with every rational as an exact string."""
-    cfg = report.config
-    out = {
+def render(data: dict, lines: list[str], format: str) -> str:
+    """Deterministic JSON or text; identical inputs, identical bytes."""
+    if format == "json":
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if format != "text":
+        raise ConfigError(f"unknown format {format!r}")
+    return "\n".join(lines) + "\n"
+
+
+def matrix_dict(matrix: CountingMatrix) -> dict:
+    return {
+        "deg": matrix.deg,
+        "entries": {k: rational_str(v) for k, v in matrix.entries().items()},
+        "rows": [_strs(row) for row in matrix.rows()],
+    }
+
+
+def matrix_lines(matrix: CountingMatrix) -> list[str]:
+    rows = [_strs(row) for row in matrix.rows()]
+    width = max(len(x) for row in rows for x in row)
+    return ["  ".join(x.rjust(width) for x in row) for row in rows]
+
+
+def modularity_dict(rep: ModularityReport) -> dict:
+    return {
+        "level": rep.level,
+        "alpha": rational_str(rep.alpha),
+        "order": rep.order,
+        "rows": [
+            {
+                "lambda": rational_str(r.lam),
+                "candidate": r.candidate,
+                "first_mismatch": r.first_mismatch,
+                "error": r.error,
+            }
+            for r in rep.rows
+        ],
+    }
+
+
+def modularity_lines(data: dict) -> list[str]:
+    lines = []
+    for r in data["rows"]:
+        miss = "agrees to order" if r["first_mismatch"] is None else f"differs at {r['first_mismatch']}"
+        tail = f" [{r['error']}]" if r["error"] else ""
+        lines.append(f"lambda {r['lambda']:>4}  {r['candidate']:<32} {miss}{tail}")
+    return lines
+
+
+def _pair_view(pair: HSeriesPair, order: int) -> View:
+    c0, c1 = _strs(pair.c0.truncate(order).coeffs), _strs(pair.c1.truncate(order).coeffs)
+    return {"c0": c0, "c1": c1}, ["c0: " + " ".join(c0), "c1: " + " ".join(c1)]
+
+
+def iseries_view(run: PipelineRun) -> View:
+    ambient = run.config.ambient
+    data, lines = _pair_view(run.ambient_pair, run.order)
+    data["ambient"] = {"r": ambient.r, "n": ambient.n}
+    return data, [f"ambient G({ambient.r},{ambient.n})"] + lines
+
+
+def lefschetz_view(run: PipelineRun) -> View:
+    alpha = rational_str(run.alpha)
+    data, lines = _pair_view(run.variety_pair, run.order)
+    data["alpha"] = alpha
+    return data, [f"shift alpha = {alpha}"] + lines
+
+
+def matrix_view(run: PipelineRun) -> View:
+    return matrix_dict(run.matrix), [f"deg = {run.matrix.deg}"] + matrix_lines(run.matrix)
+
+
+def periods_view(run: PipelineRun) -> View:
+    data = {"periods": _strs(run.periods.as_tuple()), "discriminant": rational_str(run.disc)}
+    return data, [
+        "d2..d6: " + " ".join(data["periods"]),
+        f"discriminant: {data['discriminant']}",
+    ]
+
+
+def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int | None = None) -> View:
+    """Invert the given periods, or the variety's own with a roundtrip check;
+    the output degree defaults to the variety's."""
+    vector = run.periods if periods is None else periods
+    deg = run.matrix.deg if deg is None else deg
+    recovered = _guarded("solver", invert_periods, vector, deg)
+    data = matrix_dict(recovered)
+    data["periods"] = _strs(vector.as_tuple())
+    lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg}"] + matrix_lines(recovered)
+    if periods is None:
+        data["roundtrip_ok"] = recovered == run.matrix
+        lines.append(f"roundtrip ok: {data['roundtrip_ok']}")
+    return data, lines
+
+
+def d3_view(run: PipelineRun, lam: Fraction) -> View:
+    operator = _guarded("d3", run.operator_at, lam)
+    solution = _guarded("d3", frobenius_solve, operator, run.order)
+    residue = apply_operator(operator, solution)
+    data = {
+        "lambda": rational_str(lam),
+        "operator": str(operator),
+        "order": operator.order,
+        "indicial": _strs(operator.indicial()),
+        "solution": _strs(solution.coeffs),
+        "residue_vanishes": all(c == 0 for c in residue.coeffs),
+    }
+    return data, [
+        f"lambda = {data['lambda']}",
+        f"operator = {data['operator']}",
+        f"indicial = {' '.join(data['indicial'])}",
+        "solution: " + " ".join(data["solution"]),
+        f"residue vanishes mod t^{run.order}: {data['residue_vanishes']}",
+    ]
+
+
+def modularity_view(run: PipelineRun) -> View:
+    if run.modularity is None:
+        raise StageError("d3", run.modularity_error)
+    data = modularity_dict(run.modularity)
+    header = f"level N = {data['level']}, alpha = {data['alpha']}, order = {data['order']}"
+    return data, [header] + modularity_lines(data)
+
+
+def report_view(report: PipelineRun) -> View:
+    """Every stage of a completed run, with every rational as an exact string."""
+    cfg, g = report.config, report.geometry
+    ambient, ambient_lines = _pair_view(report.ambient_pair, report.order)
+    variety, variety_lines = _pair_view(report.variety_pair, report.order)
+    periods, periods_lines = periods_view(report)
+    data = {
         "name": cfg.name,
         "verified": report.verified,
         "ambient": {"r": cfg.ambient.r, "n": cfg.ambient.n},
         "degrees": list(cfg.degrees),
         "order": report.order,
         "geometry": {
-            "dimension": report.geometry.dimension,
-            "fano_index": report.geometry.fano_index,
-            "ambient_plucker_degree": rational_str(report.geometry.plucker_degree),
-            "anticanonical_degree": rational_str(report.geometry.anticanonical_degree),
+            "dimension": g.dimension,
+            "fano_index": g.fano_index,
+            "ambient_plucker_degree": rational_str(g.plucker_degree),
+            "anticanonical_degree": rational_str(g.anticanonical_degree),
         },
         "alpha": rational_str(report.alpha),
-        "ambient_series": {
-            "c0": _series_strs(report.ambient_pair.c0),
-            "c1": _series_strs(report.ambient_pair.c1),
-        },
-        "variety_series": {
-            "c0": _series_strs(report.variety_pair.c0),
-            "c1": _series_strs(report.variety_pair.c1),
-        },
-        "matrix": {
-            "deg": report.matrix.deg,
-            "entries": {k: rational_str(v) for k, v in report.matrix.entries().items()},
-            "rows": [[rational_str(x) for x in row] for row in report.matrix.rows()],
-        },
-        "periods": [rational_str(x) for x in report.periods.as_tuple()],
-        "discriminant": rational_str(report.disc),
-        "d3": {
-            "operator": str(report.operator),
-            "solution": _series_strs(report.solution),
-        },
-        "modularity": None,
+        "ambient_series": ambient,
+        "variety_series": variety,
+        "matrix": matrix_dict(report.matrix),
+        **periods,
+        "d3": {"operator": str(report.operator), "solution": _strs(report.solution.coeffs)},
+        "modularity": None if report.modularity is None else modularity_dict(report.modularity),
         "notes": list(report.notes),
     }
-    if report.modularity is not None:
-        out["modularity"] = {
-            "level": report.modularity.level,
-            "alpha": rational_str(report.modularity.alpha),
-            "order": report.modularity.order,
-            "rows": [
-                {
-                    "lambda": rational_str(r.lam),
-                    "candidate": r.candidate,
-                    "first_mismatch": r.first_mismatch,
-                    "error": r.error,
-                }
-                for r in report.modularity.rows
-            ],
-        }
-    return out
-
-
-def serialize_report(report: PipelineReport, format: str = "text") -> str:
-    """Deterministic JSON or aligned text; identical inputs, identical bytes."""
-    data = report_dict(report)
-    if format == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if format != "text":
-        raise ConfigError(f"unknown format {format!r}")
-    lines = []
-    name = data["name"] or "(unnamed)"
-    tag = "verified catalog entry" if data["verified"] else "unverified"
-    lines.append(f"variety {name} [{tag}]")
-    g = data["geometry"]
-    lines.append(
-        f"  ambient G({data['ambient']['r']},{data['ambient']['n']}), "
-        f"degrees {tuple(data['degrees'])}"
-    )
-    lines.append(
-        f"  dimension {g['dimension']}, index {g['fano_index']}, "
-        f"ambient degree {g['ambient_plucker_degree']}, "
-        f"anticanonical degree {g['anticanonical_degree']}"
-    )
-    lines.append(f"  shift alpha = {data['alpha']}")
-    lines.append(f"  ambient c0: {' '.join(data['ambient_series']['c0'])}")
-    lines.append(f"  ambient c1: {' '.join(data['ambient_series']['c1'])}")
-    lines.append(f"  variety c0: {' '.join(data['variety_series']['c0'])}")
-    lines.append(f"  variety c1: {' '.join(data['variety_series']['c1'])}")
-    lines.append("  counting matrix:")
-    width = max(len(x) for row in data["matrix"]["rows"] for x in row)
-    for row in data["matrix"]["rows"]:
-        lines.append("    " + "  ".join(x.rjust(width) for x in row))
-    lines.append(f"  periods d2..d6: {' '.join(data['periods'])}")
-    lines.append(f"  discriminant: {data['discriminant']}")
-    lines.append(f"  operator (shift 0): {data['d3']['operator']}")
-    lines.append(f"  solution: {' '.join(data['d3']['solution'])}")
+    tag = "verified catalog entry" if report.verified else "unverified"
+    lines = [
+        f"variety {cfg.name or '(unnamed)'} [{tag}]",
+        f"  ambient G({cfg.ambient.r},{cfg.ambient.n}), degrees {tuple(cfg.degrees)}",
+        f"  dimension {g.dimension}, index {g.fano_index}, "
+        f"ambient degree {g.plucker_degree}, anticanonical degree {g.anticanonical_degree}",
+        f"  shift alpha = {data['alpha']}",
+        *("  ambient " + line for line in ambient_lines),
+        *("  variety " + line for line in variety_lines),
+        "  counting matrix:",
+        *("    " + row for row in matrix_lines(report.matrix)),
+        "  periods " + periods_lines[0],
+        "  " + periods_lines[1],
+        f"  operator (shift 0): {data['d3']['operator']}",
+        f"  solution: {' '.join(data['d3']['solution'])}",
+    ]
     if data["modularity"] is not None:
         m = data["modularity"]
         lines.append(f"  modularity level {m['level']}, order {m['order']}:")
-        for r in m["rows"]:
-            miss = "agrees to order" if r["first_mismatch"] is None else f"differs at {r['first_mismatch']}"
-            tailnote = f" [{r['error']}]" if r["error"] else ""
-            lines.append(
-                f"    lambda {r['lambda']:>4}  {r['candidate']:<32} {miss}{tailnote}"
-            )
-    for note in data["notes"]:
-        lines.append(f"  note: {note}")
-    return "\n".join(lines) + "\n"
+        lines += ["    " + line for line in modularity_lines(m)]
+    lines += [f"  note: {note}" for note in data["notes"]]
+    return data, lines
+
+
+def serialize_report(report: PipelineRun, format: str = "text") -> str:
+    return render(*report_view(report), format)
 
 
 # -- golden verification -------------------------------------------------------
@@ -391,7 +515,7 @@ class VerifyRow:
     note: str | None = None
 
 
-def _derived_value(report: PipelineReport, key: str) -> Fraction:
+def _derived_value(report: PipelineRun, key: str) -> Fraction:
     if key.startswith("matrix."):
         return getattr(report.matrix, key.split(".", 1)[1])
     if key == "alpha":
@@ -433,16 +557,12 @@ def verify_golden(
             derived = _derived_value(report, key)
             note = _FLAGGED.get(label)
             if derived == expected:
-                rows.append(
-                    VerifyRow(label, rational_str(derived), rational_str(expected),
-                              "flagged" if note else "ok", note)
-                )
+                verdict = "flagged" if note else "ok"
             else:
-                status = 1
-                rows.append(
-                    VerifyRow(label, rational_str(derived), rational_str(expected),
-                              "mismatch", note)
-                )
+                verdict, status = "mismatch", 1
+            rows.append(
+                VerifyRow(label, rational_str(derived), rational_str(expected), verdict, note)
+            )
     if corrupt is not None and not corrupted_hit:
         raise ConfigError(f"no golden entry labelled {corrupt!r}")
     return status, rows
@@ -471,3 +591,9 @@ def render_verify_table(rows: list[VerifyRow]) -> str:
         f"{counts['mismatch']} mismatched"
     )
     return "\n".join(lines) + "\n"
+
+
+def serialize_verify(status: int, rows: list[VerifyRow], format: str = "text") -> str:
+    if format == "text":
+        return render_verify_table(rows)
+    return render({"status": status, "rows": [asdict(r) for r in rows]}, [], format)

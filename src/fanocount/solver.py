@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
 
-from .exactmath import ENTRY_VARS, EntryPolynomial
+from .exactmath import ENTRY_VARS, EntryPolynomial, PowerSeries
 from .grassmann import HSeriesPair
-from .relations import RelationEngine
+from .relations import one_point_relation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -106,17 +106,6 @@ class PeriodVector:
         return (self.d2, self.d3, self.d4, self.d5, self.d6)
 
 
-_ENGINE = RelationEngine()
-
-
-def _constant_relation(d: int) -> EntryPolynomial:
-    return _ENGINE.one_point_relation(d - 2, d)
-
-
-def _h1_relation(d: int) -> EntryPolynomial:
-    return _ENGINE.one_point_relation(d - 1, d)
-
-
 def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     """Read the five entries off a hyperplane series known through q^4.
 
@@ -138,7 +127,7 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     matrix = CountingMatrix(deg=deg, a01=a01, a11=a11, a02=a02, a12=a12, a03=a03)
     values = matrix.entries()
     for d, expected in ((3, c1[3]), (4, c1[4])):
-        got = _h1_relation(d).evaluate(values)
+        got = one_point_relation(d - 1, d).evaluate(values)
         if got != expected:
             raise ConsistencyCheckFailed(
                 f"redundant H^1 relation at q^{d}: series gives {expected}, "
@@ -151,13 +140,19 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     return matrix
 
 
+def constant_terms(matrix: CountingMatrix, order: int) -> PowerSeries:
+    """Constant terms 1, 0, d_2, d_3, ... of the I-series the matrix determines,
+    through q^(order-1)."""
+    values = matrix.entries()
+    coeffs = [_ONE, _ZERO]
+    for d in range(2, order):
+        coeffs.append(one_point_relation(d - 2, d).evaluate(values))
+    return PowerSeries(tuple(coeffs[:order]))
+
+
 def forward_periods(matrix: CountingMatrix) -> PeriodVector:
     """Constant terms d_2..d_6 of the I-series determined by the matrix."""
-    values = matrix.entries()
-    d2, d3, d4, d5, d6 = (
-        _constant_relation(d).evaluate(values) for d in range(2, 7)
-    )
-    return PeriodVector(d2, d3, d4, d5, d6)
+    return PeriodVector(*constant_terms(matrix, 7).coeffs[2:])
 
 
 def discriminant(v: PeriodVector) -> Fraction:
@@ -350,7 +345,7 @@ def _substituted_system(v: PeriodVector) -> tuple[EntryPolynomial, ...]:
     a01 = EntryPolynomial.const(4 * v.d2)
 
     def staged(d: int) -> EntryPolynomial:
-        return _constant_relation(d).substitute("a01", a01)
+        return one_point_relation(d - 2, d).substitute("a01", a01)
 
     a02 = _solve_linear(staged(3), "a02", v.d3)
     a03 = _solve_linear(staged(4).substitute("a02", a02), "a03", v.d4)
@@ -401,7 +396,7 @@ def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
         candidates = rational_roots(u)
 
     solutions: list[CountingMatrix] = []
-    relations = {d: _constant_relation(d) for d in range(2, 7)}
+    relations = {d: one_point_relation(d - 2, d) for d in range(2, 7)}
     targets = dict(zip(range(2, 7), v.as_tuple()))
     for r in candidates:
         a12_values: list[Fraction] = []

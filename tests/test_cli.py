@@ -207,3 +207,26 @@ def test_index_one_quartic_runs_end_to_end(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["entries"]["a01"] == "3888"
     assert payload["deg"] == 4
+
+
+def test_invert_explicit_periods_and_degree_skip_the_matrix(capsys, tmp_path):
+    # the index-2 cubic has no counting matrix, and none is needed here
+    cubic = write_config(
+        tmp_path, {"ambient": {"type": "projective", "n": 4}, "degrees": [3]}
+    )
+    explicit = ("--periods", "1,1,1,1,1", "--deg", "1", "--format", "json")
+    code, out, _ = run(capsys, "invert", "--variety", cubic, *explicit)
+    assert code == 0
+    assert out == run(capsys, "invert", "--variety", "V10", *explicit)[1]
+
+
+@pytest.mark.parametrize(
+    "cmd", ["lefschetz", "matrix", "periods", "invert", "d3", "modularity", "report"]
+)
+def test_fourfold_warning_reaches_stderr(capsys, tmp_path, cmd):
+    config = write_config(
+        tmp_path, {"ambient": {"type": "projective", "n": 5}, "degrees": [5]}
+    )
+    code, _, err = run(capsys, cmd, "--variety", config, "--order", "5")
+    assert code == (0 if cmd == "lefschetz" else 3)
+    assert "warning: NotThreefoldWarning: complete intersection has dimension 4, not 3\n" in err

@@ -8,10 +8,13 @@ from fanocount.grassmann import GrassmannianSpec
 from fanocount.pipeline import (
     CATALOG,
     ConfigError,
+    PipelineRun,
     StageError,
     VarietyConfig,
     ambient_series,
+    iseries_view,
     load_config,
+    matrix_view,
     parse_config,
     rational_str,
     render_verify_table,
@@ -212,3 +215,38 @@ def test_render_verify_table_summary_line():
 def test_rational_str():
     assert rational_str(F(3, 4)) == "3/4"
     assert rational_str(F(5)) == "5"
+
+
+def test_subcommand_views_compute_only_the_stages_they_print():
+    run = PipelineRun(CATALOG["V10"], order=3)
+    data, lines = iseries_view(run)
+    assert data["c0"] == ["1", "3", "19/32"]
+    assert lines[0] == "ambient G(2,5)"
+    assert "ambient_pair" in vars(run)
+    assert "geometry" not in vars(run) and "matrix" not in vars(run)
+    matrix_view(run)
+    assert "matrix" in vars(run) and "operator" not in vars(run)
+
+
+def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
+    import fanocount.d3 as d3
+    import fanocount.pipeline as pipeline
+
+    original = d3.right_determinant
+    depth, outer = 0, 0
+
+    def counting(m):
+        nonlocal depth, outer
+        outer += depth == 0
+        depth += 1
+        try:
+            return original(m)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(d3, "right_determinant", counting)
+    monkeypatch.setattr(pipeline, "right_determinant", counting)
+    report = run_pipeline(CATALOG["V10"])
+    # shift 0 for the operator stage, then +alpha and -alpha for modularity
+    assert outer == 3
+    assert report.modularity.row(0, "factorial_transform").first_mismatch is None
