@@ -74,10 +74,6 @@ class DifferentialOperator:
         """The operator D = t d/dt."""
         return cls({(0, 1): _ONE})
 
-    @classmethod
-    def t(cls) -> "DifferentialOperator":
-        return cls({(1, 0): _ONE})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -330,13 +326,6 @@ class ModularityReport:
     alpha: Fraction
     order: int
     rows: tuple[ReportRow, ...]
-
-    def row(self, lam: Rational, candidate: str) -> ReportRow:
-        lam = Fraction(lam)
-        for r in self.rows:
-            if r.lam == lam and r.candidate == candidate:
-                return r
-        raise KeyError((lam, candidate))
 
 
 def first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 Rational = Fraction
 
@@ -201,20 +201,6 @@ class ChernPolynomial:
     def _check(self, other: "ChernPolynomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-
-
-def univariate_factor(nvars: int, bound: int, i: int, coeffs: Iterable[Rational]) -> ChernPolynomial:
-    """Build sum_m c_m x_i^m as a ChernPolynomial (a series in one Chern root)."""
-    terms: dict[Exponent, Fraction] = {}
-    for m, c in enumerate(coeffs):
-        if m > bound:
-            break
-        c = Fraction(c)
-        if c == 0:
-            continue
-        e = tuple(m if k == i else 0 for k in range(nvars))
-        terms[e] = c
-    return ChernPolynomial(nvars, bound, terms)
 
 
 def _divide_linear_difference(

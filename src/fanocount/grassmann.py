@@ -3,29 +3,36 @@
 The degree-d part of the series is
 
     (-1)^((r-1)d) * sum_{d_1+..+d_r=d}
-        prod_{i<j} (x_i + d_i - x_j - d_j)
-        / ( prod_{i<j} (x_i - x_j) * prod_i prod_{l=1}^{d_i} (x_i + l)^n )
+        prod_{i<j} (x_i + d_i - x_j - d_j) / prod_{i<j} (x_i - x_j)
+        * S_(d_1)(x_1) * .. * S_(d_r)(x_r),
+
+    S_k(x) = prod_{l=1}^{k} (x + l)^(-n),
 
 expanded as a truncated polynomial in the Chern roots x_1..x_r.  Each factor
-(x_i + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x_i/l)^(-n),
-so the whole degree part is exact; the Vandermonde division is performed last
-and must be exact as well.  The cohomology of the ambient space is only needed
-modulo H^2 downstream, where H = x_1 + .. + x_r, so `extract_h_pair` collapses
-each degree part to the pair (constant term, coefficient of any single x_i).
+(x + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x/l)^(-n),
+so the whole degree part is exact.  The kernel never multiplies two
+multivariate series: S_k is a univariate series in one root, built once per
+k from S_(k-1) and memoized for the whole `hv_iseries` call, and each
+composition contributes the tensor product S_(d_1)(x_1)..S_(d_r)(x_r) times
+the small shifted-Vandermonde numerator.  Every coefficient is an integer
+numerator over one denominator per degree, (d!)^n * lcm(1..d)^(r*bound), in
+the manner of FLINT's `fmpq_poly`.  The Vandermonde division runs once per
+degree, on the sum, and is exact over the integers (the divisor's
+coefficients are +-1); a `Fraction` is built once per surviving monomial.
+
+The cohomology of the ambient space is only needed modulo H^2 downstream,
+where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
+the pair (constant term, coefficient of any single x_i), and the pipeline
+truncates the degree parts at total degree 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
-from .exactmath import (
-    ChernPolynomial,
-    PowerSeries,
-    divide_by_vandermonde,
-    univariate_factor,
-)
+from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -96,43 +103,106 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _inverse_power_factor(nvars: int, bound: int, i: int, l: int, n: int) -> ChernPolynomial:
-    """(x_i + l)^(-n) for l >= 1 as a series in x_i, truncated at degree bound."""
-    base = Fraction(1, l**n)
-    coeffs = [base * comb(n + m - 1, m) * Fraction((-1) ** m, l**m) for m in range(bound + 1)]
-    return univariate_factor(nvars, bound, i, coeffs)
+# Root series T_k keyed by (n, k, bound); one memo serves one hv_iseries call.
+_SeriesMemo = dict[tuple[int, int, int], tuple[int, ...]]
 
 
-def hv_degree_part(spec: GrassmannianSpec, d: int, target_degree: int) -> ChernPolynomial:
-    """Degree-d part of the G(r, n) I-series, truncated at total degree target_degree."""
+def _root_series(n: int, k: int, bound: int, memo: _SeriesMemo) -> tuple[int, ...]:
+    """Integer numerators T_k of S_k(x) = prod_{l=1}^{k} (x + l)^(-n) through x^bound.
+
+    The coefficient of x^m is T_k[m] / ((k!)^n * L_k^m) with L_k = lcm(1..k).
+    S_k = S_(k-1) * (x + k)^(-n), and (x + k)^(-n) has x^b coefficient
+    (-1)^b C(n+b-1, b) / k^(n+b), so
+
+        T_k[m] = sum_{a+b=m} T_(k-1)[a] (L_k/L_(k-1))^a (-1)^b C(n+b-1, b) (L_k/k)^b.
+    """
+    series = (1,) + (0,) * bound
+    for j in range(1, k + 1):
+        key = (n, j, bound)
+        if key not in memo:
+            big, step = lcm(*range(1, j + 1)), lcm(*range(1, j))
+            lift = [(big // step) ** a for a in range(bound + 1)]
+            factor = [(-1) ** b * comb(n + b - 1, b) * (big // j) ** b for b in range(bound + 1)]
+            memo[key] = tuple(
+                sum(series[a] * lift[a] * factor[m - a] for a in range(m + 1))
+                for m in range(bound + 1)
+            )
+        series = memo[key]
+    return series
+
+
+def _degree_part(
+    spec: GrassmannianSpec, d: int, target_degree: int, memo: _SeriesMemo
+) -> ChernPolynomial:
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
-    v = r * (r - 1) // 2
-    bound = target_degree + v
-    total = ChernPolynomial.zero(r, bound)
+    bound = target_degree + r * (r - 1) // 2
+    big = lcm(*range(1, d + 1))
+    # S_k over the degree's shared denominator: T_k[m] * (L_d/L_k)^m * L_d^(bound-m)
+    # is the x^m numerator over (k!)^n * L_d^bound.
+    lifted = []
+    for k in range(d + 1):
+        ratio = big // lcm(*range(1, k + 1))
+        lifted.append(
+            [t * ratio**m * big ** (bound - m) for m, t in enumerate(_root_series(n, k, bound, memo))]
+        )
+    total: dict[tuple[int, ...], int] = {}
     for comp in _compositions(d, r):
-        part = ChernPolynomial.constant(r, bound, _ONE)
+        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
+        terms = {(): (factorial(d) // prod(factorial(k) for k in comp)) ** n}
+        for k in comp:
+            series = lifted[k]
+            terms = {
+                e + (m,): c * series[m]
+                for e, c in terms.items()
+                for m in range(bound + 1 - sum(e))
+                if series[m]
+            }
         for i in range(r):
             for j in range(i + 1, r):
-                xi = ChernPolynomial.variable(r, bound, i)
-                xj = ChernPolynomial.variable(r, bound, j)
-                shift = ChernPolynomial.constant(r, bound, Fraction(comp[i] - comp[j]))
-                part = part * (xi - xj + shift)
-        for i in range(r):
-            for l in range(1, comp[i] + 1):
-                part = part * _inverse_power_factor(r, bound, i, l, n)
-        total = total + part
-    quotient = divide_by_vandermonde(total)
-    sign = Fraction((-1) ** ((r - 1) * d))
-    return quotient.scale(sign)
+                terms = _times_shifted_difference(terms, i, j, comp[i] - comp[j], bound)
+        for e, c in terms.items():
+            total[e] = total.get(e, 0) + c
+    quotient = divide_by_vandermonde(ChernPolynomial(r, bound, total))
+    den = factorial(d) ** n * big ** (r * bound)
+    sign = (-1) ** ((r - 1) * d)
+    return ChernPolynomial(
+        r, quotient.degree_bound, {e: Fraction(sign * c, den) for e, c in quotient.terms.items()}
+    )
+
+
+def _times_shifted_difference(
+    terms: dict[tuple[int, ...], int], i: int, j: int, shift: int, bound: int
+) -> dict[tuple[int, ...], int]:
+    """terms * (x_i - x_j + shift), truncated at total degree bound."""
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        if shift:
+            out[e] = out.get(e, 0) + shift * c
+        if sum(e) < bound:
+            up = list(e)
+            up[i] += 1
+            ei = tuple(up)
+            out[ei] = out.get(ei, 0) + c
+            up[i] -= 1
+            up[j] += 1
+            ej = tuple(up)
+            out[ej] = out.get(ej, 0) - c
+    return out
+
+
+def hv_degree_part(spec: GrassmannianSpec, d: int, target_degree: int) -> ChernPolynomial:
+    """Degree-d part of the G(r, n) I-series, truncated at total degree target_degree."""
+    return _degree_part(spec, d, target_degree, {})
 
 
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int = 2) -> list[ChernPolynomial]:
-    """Degree parts d = 0..d_max of the G(r, n) I-series."""
-    return [hv_degree_part(spec, d, target_degree) for d in range(d_max + 1)]
+    """Degree parts d = 0..d_max of the G(r, n) I-series, sharing one root-series memo."""
+    memo: _SeriesMemo = {}
+    return [_degree_part(spec, d, target_degree, memo) for d in range(d_max + 1)]
 
 
 def closed_form_constant(n: int, d: int) -> Fraction:

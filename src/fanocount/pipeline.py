@@ -112,26 +112,61 @@ def load_config(source: str) -> VarietyConfig:
     return parse_config(raw)
 
 
+_CONFIG_FIELDS = frozenset({"name", "ambient", "degrees"})
+_AMBIENT_FIELDS = {
+    "grassmannian": frozenset({"type", "r", "n"}),
+    "projective": frozenset({"type", "n"}),
+}
+
+
+def _integer(value: object, field: str) -> int:
+    """A config integer: a JSON integer, never a bool, float or string."""
+    if type(value) is not int:
+        raise ConfigError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _required(raw: dict, key: str, prefix: str = "") -> object:
+    if key not in raw:
+        raise ConfigError(f"missing field {prefix + key!r}")
+    return raw[key]
+
+
+def _known_fields(raw: dict, allowed: frozenset, prefix: str) -> None:
+    unknown = sorted(str(key) for key in raw if key not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown field {prefix + unknown[0]!r}")
+
+
 def parse_config(raw: object) -> VarietyConfig:
+    """A VarietyConfig from a decoded JSON object, accepting nothing but the schema."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known_fields(raw, _CONFIG_FIELDS, "")
+    ambient_raw = _required(raw, "ambient")
+    if not isinstance(ambient_raw, dict):
+        raise ConfigError("field 'ambient' must be a JSON object")
+    kind = _required(ambient_raw, "type", "ambient.")
+    if not isinstance(kind, str) or kind not in _AMBIENT_FIELDS:
+        raise ConfigError(
+            f"field 'ambient.type' must be 'grassmannian' or 'projective', got {kind!r}"
+        )
+    _known_fields(ambient_raw, _AMBIENT_FIELDS[kind], "ambient.")
+    n = _integer(_required(ambient_raw, "n", "ambient."), "ambient.n")
+    if kind == "grassmannian":
+        r = _integer(_required(ambient_raw, "r", "ambient."), "ambient.r")
+    else:
+        r, n = 1, n + 1
+    degrees_raw = _required(raw, "degrees")
+    if not isinstance(degrees_raw, list):
+        raise ConfigError("field 'degrees' must be a list of integers")
+    degrees = tuple(_integer(d, f"degrees[{i}]") for i, d in enumerate(degrees_raw))
+    name = raw.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError("field 'name' must be a string")
     try:
-        ambient_raw = raw["ambient"]
-        kind = ambient_raw["type"]
-        if kind == "grassmannian":
-            ambient = GrassmannianSpec(int(ambient_raw["r"]), int(ambient_raw["n"]))
-        elif kind == "projective":
-            ambient = GrassmannianSpec(1, int(ambient_raw["n"]) + 1)
-        else:
-            raise ConfigError(f"unknown ambient type {kind!r}")
-        degrees = tuple(int(d) for d in raw["degrees"])
-        name = raw.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ConfigError("name must be a string")
-        return VarietyConfig(name, ambient, degrees)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        return VarietyConfig(name, GrassmannianSpec(r, n), degrees)
+    except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
@@ -139,7 +174,7 @@ def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
     """Hyperplane-class I-series of the ambient space through q^(order-1)."""
     if ambient.r == 1:
         return projective_iseries(ambient.n, order - 1)
-    return extract_h_pair(hv_iseries(ambient, order - 1))
+    return extract_h_pair(hv_iseries(ambient, order - 1, 1))
 
 
 def _guarded(stage: str, fn, *args):

@@ -81,13 +81,6 @@ class InvariantKey:
     exponents: tuple[int, ...]
     degree: int
 
-    def gate_ok(self) -> bool:
-        if self.arity == 1:
-            return self.level + self.exponents[0] == self.degree + 1
-        if self.arity == 2:
-            return self.level + sum(self.exponents) == self.degree + 2
-        raise ValueError("only one- and two-pointed keys are supported")
-
 
 class RelationEngine:
     """Memoized rewriting of descendant invariants into entry polynomials."""

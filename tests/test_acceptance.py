@@ -162,7 +162,7 @@ def test_period_map_roundtrip():
 
 def test_d3_structural_suite():
     D = DifferentialOperator.euler()
-    T = DifferentialOperator.t()
+    T = DifferentialOperator({(1, 0): F(1)})
     # descendant ladder in closed form
     for m in range(7):
         expected = DifferentialOperator.const(F(1))

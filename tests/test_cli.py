@@ -180,6 +180,18 @@ def test_unknown_variety_is_input_error(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_non_integer_config_field_is_input_error(capsys, tmp_path):
+    path = write_config(
+        tmp_path, {"ambient": {"type": "grassmannian", "r": True, "n": 5}, "degrees": [1, 1, 2]}
+    )
+    code, out, err = run(capsys, "matrix", "--variety", path)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: stage config: ConfigError: field 'ambient.r' must be an integer, got True\n"
+    )
+
+
 def test_index_two_model_fails_in_solver(capsys, tmp_path):
     config = write_config(
         tmp_path, {"ambient": {"type": "projective", "n": 4}, "degrees": [3]}

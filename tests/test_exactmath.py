@@ -11,7 +11,6 @@ from fanocount.exactmath import (
     PowerSeries,
     divide_by_vandermonde,
     exp_linear,
-    univariate_factor,
 )
 
 F = Fraction
@@ -119,13 +118,6 @@ def test_chern_polynomial_components_and_symmetry():
     assert sym.homogeneous_component(2) == {(1, 1): F(1)}
     assert sym.constant_term() == 0
     assert sym.linear_coefficient(0) == sym.linear_coefficient(1) == 1
-
-
-def test_univariate_factor_embeds_series():
-    p = univariate_factor(2, 3, 1, [F(1), F(2), F(3), F(4), F(99)])
-    assert p.coefficient((0, 2)) == 3
-    assert p.coefficient((0, 3)) == 4
-    assert p.coefficient((0, 4)) == 0
 
 
 def test_vandermonde_two_variables():

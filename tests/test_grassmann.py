@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fanocount.exactmath import ChernPolynomial
+from fanocount.exactmath import ChernPolynomial, divide_by_vandermonde
 from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
@@ -15,8 +16,40 @@ from fanocount.grassmann import (
     hv_iseries,
     projective_iseries,
 )
+from fanocount.pipeline import ambient_series
 
 F = Fraction
+
+
+def reference_degree_part(spec, d, target_degree):
+    """The residue sum as one multivariate product of Fraction series per composition.
+
+    The reference for the integer kernel: every factor
+    (x_i - x_j + d_i - d_j) and (x_i + l)^(-n) is a full ChernPolynomial.
+    """
+    r, n = spec.r, spec.n
+    bound = target_degree + r * (r - 1) // 2
+    total = ChernPolynomial.zero(r, bound)
+    for comp in product(range(d + 1), repeat=r):
+        if sum(comp) != d:
+            continue
+        part = ChernPolynomial.constant(r, bound, F(1))
+        for i in range(r):
+            for j in range(i + 1, r):
+                xi = ChernPolynomial.variable(r, bound, i)
+                xj = ChernPolynomial.variable(r, bound, j)
+                part = part * (xi - xj + ChernPolynomial.constant(r, bound, F(comp[i] - comp[j])))
+        for i in range(r):
+            for l in range(1, comp[i] + 1):
+                # (x_i + l)^(-n) = sum_m C(n+m-1, m) (-1)^m x_i^m / l^(n+m)
+                factor = {
+                    tuple(m if k == i else 0 for k in range(r)):
+                    F((-1) ** m * math.comb(n + m - 1, m), l ** (n + m))
+                    for m in range(bound + 1)
+                }
+                part = part * ChernPolynomial(r, bound, factor)
+        total = total + part
+    return divide_by_vandermonde(total).scale(F((-1) ** ((r - 1) * d)))
 
 
 def test_spec_validation():
@@ -52,10 +85,28 @@ def test_hv_degree_part_requires_two_rows():
 def test_hv_constant_terms_match_closed_form():
     # the residue sum collapses to a known rational for each degree
     for n in (5, 6):
-        spec = GrassmannianSpec(2, n)
-        for d in range(1, 5):
-            part = hv_degree_part(spec, d, 0)
-            assert part.constant_term() == closed_form_constant(n, d)
+        parts = hv_iseries(GrassmannianSpec(2, n), 12, 0)
+        for d in range(1, 13):
+            assert parts[d].constant_term() == closed_form_constant(n, d)
+
+
+@pytest.mark.parametrize("r, n, d_max", [(2, 5, 6), (3, 6, 3)])
+def test_kernel_matches_multivariate_product(r, n, d_max):
+    spec = GrassmannianSpec(r, n)
+    expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
+    assert hv_iseries(spec, d_max, 2) == expected
+    assert hv_degree_part(spec, d_max, 2) == expected[-1]
+    assert all(part.degree_bound == 2 for part in expected)
+
+
+def test_grassmannian_duality():
+    # G(3, 5) and G(2, 5) are the same variety
+    assert ambient_series(GrassmannianSpec(3, 5), 7) == ambient_series(GrassmannianSpec(2, 5), 7)
+
+
+def test_g34_is_projective_space():
+    # G(3, 4) is P^3, whose I-series has a closed form
+    assert ambient_series(GrassmannianSpec(3, 4), 6) == projective_iseries(4, 5)
 
 
 def test_hv_iseries_published_constants_g25():

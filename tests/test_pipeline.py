@@ -93,6 +93,43 @@ def test_parse_config_rejections(raw):
         parse_config(raw)
 
 
+G25 = {"type": "grassmannian", "r": 2, "n": 5}
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"ambient": {**G25, "r": True}, "degrees": [1, 1, 2]}, "'ambient.r'"),
+        ({"ambient": {**G25, "r": 2.0}, "degrees": [1, 1, 2]}, "'ambient.r'"),
+        ({"ambient": {**G25, "n": 5.9}, "degrees": [1, 1, 2]}, "'ambient.n'"),
+        ({"ambient": {**G25, "n": "5"}, "degrees": [1, 1, 2]}, "'ambient.n'"),
+        ({"ambient": {"type": "projective", "n": False}, "degrees": [4]}, "'ambient.n'"),
+        ({"ambient": G25, "degrees": [1.7, 1, 2]}, "'degrees[0]'"),
+        ({"ambient": G25, "degrees": [1, "1", 2]}, "'degrees[1]'"),
+        ({"ambient": G25, "degrees": [1, 1, True]}, "'degrees[2]'"),
+        ({"ambient": G25, "degrees": "112"}, "'degrees'"),
+        ({"ambient": G25, "degrees": [1, 1, 2], "bogus": 1}, "'bogus'"),
+        ({"ambient": {**G25, "m": 3}, "degrees": [1, 1, 2]}, "'ambient.m'"),
+        ({"ambient": {"type": "projective", "n": 4, "r": 1}, "degrees": [4]}, "'ambient.r'"),
+        ({"ambient": {"n": 4}, "degrees": [4]}, "'ambient.type'"),
+        ({"ambient": {"type": ["projective"], "n": 4}, "degrees": [4]}, "'ambient.type'"),
+        ({"ambient": [G25], "degrees": [1, 1, 2]}, "'ambient'"),
+        ({"ambient": G25, "degrees": [1, 1, 2], "name": 7}, "'name'"),
+        ({"ambient": G25}, "'degrees'"),
+        ({"degrees": [4]}, "'ambient'"),
+        # every field wrong at once: unknown keys are reported first
+        (
+            {"ambient": {**G25, "r": True, "n": 5.9}, "degrees": [1.7, "1", 2], "bogus": 1},
+            "'bogus'",
+        ),
+    ],
+)
+def test_parse_config_is_strict(raw, field):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(raw)
+    assert field in str(excinfo.value)
+
+
 def test_variety_config_validates_degrees():
     with pytest.raises(ValueError):
         VarietyConfig("x", GrassmannianSpec(2, 5), (0,))
@@ -249,4 +286,8 @@ def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
     report = run_pipeline(CATALOG["V10"])
     # shift 0 for the operator stage, then +alpha and -alpha for modularity
     assert outer == 3
-    assert report.modularity.row(0, "factorial_transform").first_mismatch is None
+    assert [
+        r.first_mismatch
+        for r in report.modularity.rows
+        if (r.lam, r.candidate) == (0, "factorial_transform")
+    ] == [None]

@@ -6,7 +6,6 @@ import golden
 from fanocount.exactmath import EntryPolynomial
 from fanocount.relations import (
     GateViolation,
-    InvariantKey,
     RelationEngine,
     one_point_relation,
     symbolic_iseries,
@@ -60,12 +59,16 @@ def test_entry_classical_and_vanishing():
 
 
 def test_invariant_key_gates():
-    assert InvariantKey(1, 2, (2,), 3).gate_ok()
-    assert not InvariantKey(1, 2, (2,), 4).gate_ok()
-    assert InvariantKey(2, 1, (1, 3), 3).gate_ok()
-    assert not InvariantKey(2, 1, (1, 3), 2).gate_ok()
-    with pytest.raises(ValueError):
-        InvariantKey(3, 0, (1, 1, 1), 1).gate_ok()
+    # <H^p, H^m>_d needs p + m = d + 2; a violating key is the zero invariant
+    assert not two_point_symbol(1, 3, 2).is_zero()
+    assert two_point_symbol(1, 3, 3).is_zero()
+    assert two_point_symbol(1, 3, 1).is_zero()
+    # <tau_k H^m>_d forces m = d + 1 - k, which must lie in 0..3
+    assert not one_point_relation(2, 3).is_zero()
+    with pytest.raises(GateViolation):
+        one_point_relation(0, 3)
+    with pytest.raises(GateViolation):
+        one_point_relation(5, 3)
 
 
 def test_two_point_symbol_values():
