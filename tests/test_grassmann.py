@@ -96,7 +96,6 @@ def test_kernel_matches_multivariate_product(r, n, d_max):
     expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
     assert hv_iseries(spec, d_max, 2) == expected
     assert hv_degree_part(spec, d_max, 2) == expected[-1]
-    assert all(part.degree_bound == 2 for part in expected)
 
 
 def test_grassmannian_duality():
