@@ -8,14 +8,25 @@ of t to the left of every power of D, so a term is coded by the pair
 
 From a counting matrix A and a shift lam the pencil is the 4x4 matrix
 D*E - M, where M has entries (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
-above the subdiagonal, (Dt) being multiply-by-t followed by D.  Its
-determinant is taken with respect to the rightmost column, minors expanded
-the same way and multiplied on the right by the column entry.  Dividing the
-determinant by D on the left leaves a third-order operator whose normalized
-power-series solution is produced by the Frobenius recursion and compared,
-coefficient by coefficient, with a small list of candidate q-expansions
-built from a weight-2 Eisenstein series and from the factorial transform of
-the variety's constant-term series.
+above the subdiagonal, (Dt) being multiply-by-t followed by D.  In closed
+form (Dt)^m = t^m (D+1)(D+2)...(D+m), so each entry is written directly
+from the integer coefficients of that product.  Its determinant is taken
+with respect to the rightmost column, minors expanded the same way and
+multiplied on the right by the column entry; the minor on the first k
+columns depends only on its set of rows, so each is expanded once per
+determinant.
+
+Products are computed per t power: an operator is grouped into
+t^b * P_b(D) with integer numerators over one denominator, and
+t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D+b2) Q(D) costs one integer Taylor
+shift and one integer convolution per pair; a `Fraction` is built only
+for each term of the finished operator.
+
+Dividing the determinant by D on the left leaves a third-order operator
+whose normalized power-series solution is produced by the Frobenius
+recursion and compared, coefficient by coefficient, with a small list of
+candidate q-expansions built from a weight-2 Eisenstein series and from
+the factorial transform of the variety's constant-term series.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import factorial, lcm
 
 from .exactmath import PowerSeries, Rational, exp_linear
 from .solver import constant_terms
@@ -54,7 +65,8 @@ class DifferentialOperator:
     def __post_init__(self) -> None:
         clean = {}
         for (b, i), c in self.terms.items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if b < 0 or i < 0:
                 raise ValueError("term exponents must be nonnegative")
             if c != 0:
@@ -143,28 +155,89 @@ class DifferentialOperator:
 OperatorMatrix = tuple[tuple[DifferentialOperator, ...], ...]
 
 
+# An operator grouped by t power: t^b * P_b(D) for each b, every P_b a list
+# of integer numerators (indexed by D power) over one shared denominator.
+_Grouped = tuple[int, dict[int, list[int]]]
+
+
+def _grouped(op: DifferentialOperator) -> _Grouped:
+    den = lcm(*(c.denominator for c in op.terms.values()))
+    groups: dict[int, list[int]] = {}
+    for (b, i), c in op.terms.items():
+        poly = groups.setdefault(b, [])
+        if len(poly) <= i:
+            poly.extend([0] * (i + 1 - len(poly)))
+        poly[i] = c.numerator * (den // c.denominator)
+    return den, groups
+
+
+def _ungrouped(g: _Grouped) -> DifferentialOperator:
+    den, groups = g
+    return DifferentialOperator(
+        {(b, i): Fraction(c, den) for b, poly in groups.items() for i, c in enumerate(poly) if c}
+    )
+
+
+def _taylor_shift(poly: list[int], s: int) -> list[int]:
+    """Coefficients of P(D + s) from those of P(D)."""
+    out = list(poly)
+    if s:
+        for k in range(len(out) - 1):
+            for j in range(len(out) - 2, k - 1, -1):
+                out[j] += s * out[j + 1]
+    return out
+
+
+def _accumulate(into: list[int], poly: list[int], scale: int, shift: int = 0) -> None:
+    """into += scale * D^shift * poly, padding into with zeros as needed."""
+    if len(into) < shift + len(poly):
+        into.extend([0] * (shift + len(poly) - len(into)))
+    for i, c in enumerate(poly, shift):
+        into[i] += scale * c
+
+
+def _product(x: _Grouped, y: _Grouped) -> _Grouped:
+    """t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D + b2) Q(D), pair by pair."""
+    (dx, gx), (dy, gy) = x, y
+    out: dict[int, list[int]] = {}
+    for b2, q in gy.items():
+        for b1, p in gx.items():
+            acc = out.setdefault(b1 + b2, [])
+            for i, c in enumerate(_taylor_shift(p, b2)):
+                if c:
+                    _accumulate(acc, q, c, i)
+    return dx * dy, out
+
+
+def _combine(x: _Grouped, y: _Grouped, sign: int) -> _Grouped:
+    """x + sign * y over the lcm of the two denominators."""
+    (dx, gx), (dy, gy) = x, y
+    den = lcm(dx, dy)
+    out: dict[int, list[int]] = {}
+    for groups, scale in ((gx, den // dx), (gy, sign * (den // dy))):
+        for b, poly in groups.items():
+            _accumulate(out.setdefault(b, []), poly, scale)
+    return den, out
+
+
 def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
     """Product in canonical form, using D^a * t^b = t^b * (D + b)^a."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (b1, i1), c1 in a.terms.items():
-        for (b2, i2), c2 in b.terms.items():
-            c = c1 * c2
-            for s in range(i1 + 1):
-                coeff = c * comb(i1, s) * Fraction(b2) ** (i1 - s)
-                key = (b1 + b2, s + i2)
-                out[key] = out.get(key, _ZERO) + coeff
-    return DifferentialOperator(out)
+    return _ungrouped(_product(_grouped(a), _grouped(b)))
+
+
+def _rising(m: int) -> list[int]:
+    """Coefficients of (D+1)(D+2)...(D+m), lowest D power first."""
+    out = [1]
+    for k in range(1, m + 1):
+        out = [k * c + d for c, d in zip(out + [0], [0] + out)]
+    return out
 
 
 def dt_power(m: int) -> DifferentialOperator:
-    """(Dt)^m where (Dt) means multiply by t, then apply D."""
+    """(Dt)^m = t^m (D+1)(D+2)...(D+m), where (Dt) means multiply by t, then apply D."""
     if m < 0:
         raise ValueError("negative power of (Dt)")
-    acc = DifferentialOperator.const(1)
-    step = DifferentialOperator({(1, 0): _ONE, (1, 1): _ONE})
-    for _ in range(m):
-        acc = weyl_multiply(acc, step)
-    return acc
+    return DifferentialOperator({(m, i): Fraction(c) for i, c in enumerate(_rising(m))})
 
 
 def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
@@ -176,37 +249,47 @@ def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
     for k in range(size):
         row = []
         for l in range(size):
-            entry = DifferentialOperator.euler() if k == l else DifferentialOperator.zero()
             a = rows[k][l] + (lam if k == l else 0)
             power = l - k + 1
+            terms = {}
             if a != 0 and power >= 0:
-                entry = entry - dt_power(power).scale(a)
-            row.append(entry)
+                terms = {(power, i): -a * c for i, c in enumerate(_rising(power))}
+            if k == l:
+                terms[(0, 1)] = _ONE
+            row.append(DifferentialOperator(terms))
         pencil.append(tuple(row))
     return tuple(pencil)
 
 
 def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
-    """Cofactor expansion along the rightmost column, minors on the left."""
+    """Cofactor expansion along the rightmost column, minors on the left.
+
+    The minor on the first k columns is fixed by its sorted row tuple, so
+    each one is expanded once per call and kept in a local memo.
+    """
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant needs a square matrix")
-    if size == 1:
-        return m[0][0]
-    last = size - 1
-    total = DifferentialOperator.zero()
-    for row in range(size):
-        entry = m[row][last]
-        if entry.is_zero():
-            continue
-        minor = tuple(
-            tuple(m[r][c] for c in range(last)) for r in range(size) if r != row
-        )
-        term = weyl_multiply(right_determinant(minor), entry)
-        if (row + last) % 2:
-            term = -term
-        total = total + term
-    return total
+    cells = [[_grouped(entry) for entry in row] for row in m]
+    memo: dict[tuple[int, ...], _Grouped] = {}
+
+    def minor(rows: tuple[int, ...]) -> _Grouped:
+        if rows in memo:
+            return memo[rows]
+        last = len(rows) - 1
+        if last == 0:
+            value = cells[rows[0]][0]
+        else:
+            value = (1, {})
+            for pos, row in enumerate(rows):
+                entry = cells[row][last]
+                if entry[1]:
+                    term = _product(minor(rows[:pos] + rows[pos + 1 :]), entry)
+                    value = _combine(value, term, -1 if (pos + last) % 2 else 1)
+        memo[rows] = value
+        return value
+
+    return _ungrouped(minor(tuple(range(size))))
 
 
 def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:

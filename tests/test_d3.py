@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from fanocount.d3 import (
     frobenius_solve,
     left_divide_by_D,
     modularity_report,
+    pencil_operator,
     right_determinant,
     weyl_multiply,
 )
@@ -31,6 +33,49 @@ ONE = DifferentialOperator.const(F(1))
 
 M10 = CountingMatrix(deg=10, **golden.entry_values(golden.MATRIX_V10))
 M14 = CountingMatrix(deg=14, **golden.entry_values(golden.MATRIX_V14))
+
+
+def reference_weyl_multiply(a, b):
+    """Term-by-term product, using D^i * t^b = t^b * (D + b)^i expanded binomially."""
+    out = {}
+    for (b1, i1), c1 in a.terms.items():
+        for (b2, i2), c2 in b.terms.items():
+            for s in range(i1 + 1):
+                key = (b1 + b2, s + i2)
+                out[key] = out.get(key, F(0)) + c1 * c2 * comb(i1, s) * F(b2) ** (i1 - s)
+    return DifferentialOperator(out)
+
+
+def reference_right_determinant(m):
+    """Unmemoized expansion along the rightmost column, minors on the left."""
+    size = len(m)
+    if size == 1:
+        return m[0][0]
+    last = size - 1
+    total = DifferentialOperator.zero()
+    for row in range(size):
+        minor = tuple(tuple(m[r][:last]) for r in range(size) if r != row)
+        term = reference_weyl_multiply(reference_right_determinant(minor), m[row][last])
+        total = total - term if (row + last) % 2 else total + term
+    return total
+
+
+def integer_operator(layers):
+    """The operator sum_b t^b P_b(D) from integer D-polynomials, lowest power first."""
+    return DifferentialOperator(
+        {(b, i): F(c) for b, poly in layers.items() for i, c in enumerate(poly)}
+    )
+
+
+def poly_product(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        out = prod
+    return out
 
 
 def op_power(op, m):
@@ -46,6 +91,10 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         DifferentialOperator({(0, -2): F(1)})
     assert DifferentialOperator({(1, 1): F(0)}).is_zero()
+    c = F(2, 3)
+    op = DifferentialOperator({(0, 0): c, (1, 0): 4})
+    assert op.terms[(0, 0)] is c
+    assert type(op.terms[(1, 0)]) is Fraction and op.terms[(1, 0)] == 4
 
 
 def test_weyl_commutation_rule():
@@ -93,6 +142,49 @@ def test_weyl_multiplication_is_associative_and_distributive(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert weyl_multiply(a, b) == a * b
+
+
+rational_ops = st.builds(
+    DifferentialOperator,
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=5),
+        max_size=5,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_ops, rational_ops)
+def test_weyl_multiply_matches_term_by_term_reference(a, b):
+    assert weyl_multiply(a, b) == reference_weyl_multiply(a, b)
+
+
+nonscalar_ops = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    min_size=1,
+    max_size=3,
+).filter(lambda d: any(e != (0, 0) and c != 0 for e, c in d.items())).map(DifferentialOperator)
+
+
+@st.composite
+def operator_matrices(draw):
+    size = draw(st.integers(3, 4))
+    hessenberg = draw(st.booleans())
+    return tuple(
+        tuple(
+            DifferentialOperator.zero() if hessenberg and k > l + 1 else draw(nonscalar_ops)
+            for l in range(size)
+        )
+        for k in range(size)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_matrices())
+def test_right_determinant_matches_unmemoized_reference(m):
+    assert right_determinant(m) == reference_right_determinant(m)
 
 
 def test_right_determinant_two_by_two():
@@ -201,6 +293,22 @@ def test_operator_structure(matrix, alpha):
         assert reduced.indicial() == [F(0)] * 3 + [F(1)]
         solution = frobenius_solve(reduced, 8)
         assert apply_operator(reduced, solution).coeffs == (F(0),) * 8
+
+
+def test_shifted_operators_in_factored_form():
+    # lam = alpha, with every t-layer written as an integer D-polynomial
+    v10 = integer_operator({
+        0: [0, 0, 0, 1],
+        1: [-2 * c for c in poly_product([1, 2], [3, 11, 11])],
+        2: [-4 * c for c in poly_product([1, 1], [1, 2], [3, 2])],
+    })
+    v14 = integer_operator({
+        0: [0, 0, 0, 1],
+        1: [-c for c in poly_product([1, 2], [4, 13, 13])],
+        2: [-3 * c for c in poly_product([1, 1], [2, 3], [4, 3])],
+    })
+    assert pencil_operator(M10, golden.ALPHA["V10"]) == v10
+    assert pencil_operator(M14, golden.ALPHA["V14"]) == v14
 
 
 def test_frobenius_solution_is_factorial_transform_of_series():
