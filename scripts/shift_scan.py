@@ -24,7 +24,7 @@ from fanocount.d3 import (
     frobenius_solve,
     pencil_operator,
 )
-from fanocount.exactmath import exp_linear
+from fanocount.exactmath import exp_twist
 from fanocount.pipeline import CATALOG, run_pipeline
 
 F = Fraction
@@ -43,7 +43,7 @@ def scan(name: str, span: int, order: int) -> None:
     print(f"  {'lambda':>7}  {'twist':>12}  {'eisenstein':>12}")
     for lam in shifts:
         solution = frobenius_solve(pencil_operator(matrix, lam), order)
-        twist_m = first_mismatch(solution, factorial_transform(c0 * exp_linear(lam, order)))
+        twist_m = first_mismatch(solution, factorial_transform(exp_twist(c0, lam)))
         eis_m = first_mismatch(solution, eisenstein)
         fmt = lambda m: "agrees" if m is None else f"differs@{m}"
         marker = "  <- alpha" if lam == alpha else ""

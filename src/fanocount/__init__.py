@@ -8,6 +8,7 @@ from .exactmath import (
     Rational,
     divide_by_vandermonde,
     exp_linear,
+    exp_twist,
 )
 from .grassmann import (
     AsymmetricSeries,

@@ -24,9 +24,14 @@ for each term of the finished operator.
 
 Dividing the determinant by D on the left leaves a third-order operator
 whose normalized power-series solution is produced by the Frobenius
-recursion and compared, coefficient by coefficient, with a small list of
-candidate q-expansions built from a weight-2 Eisenstein series and from
-the factorial transform of the variety's constant-term series.
+recursion.  Both steps run on the same grouped integer layers: the
+division peels each layer's numerators over the operator's denominator,
+and the recursion, which is homogeneous, drops that denominator, so with
+P the indicial polynomial it carries integers N_m = c_m P(1)...P(m) and
+builds one `Fraction` per coefficient.  The solution is compared,
+coefficient by coefficient, with a small list of candidate q-expansions
+built from a weight-2 Eisenstein series and from the factorial transform
+of the variety's constant-term series, twisted by exp(+-alpha q).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial, lcm
 
-from .exactmath import PowerSeries, Rational, exp_linear
+from .exactmath import PowerSeries, Rational, exp_twist
 from .solver import constant_terms
 
 _ZERO = Fraction(0)
@@ -302,27 +307,25 @@ def left_divide_by_D(op: DifferentialOperator) -> DifferentialOperator:
 
     For each t power b, D * (t^b D^i) = t^b D^(i+1) + b t^b D^i, so the
     coefficients of the quotient peel off from the highest D power downward
-    and the b = 0 layer must carry no constant term.
+    and the b = 0 layer must carry no constant term.  The peel runs on the
+    integer numerators of each layer, over the operator's one denominator.
     """
+    den, groups = _grouped(op)
     out: dict[tuple[int, int], Fraction] = {}
-    for b in range(op.t_degree + 1):
-        coeffs = op.t_coefficients(b)
-        if not coeffs:
-            continue
-        quotient = [_ZERO] * len(coeffs)
-        carry = _ZERO
+    for b in sorted(groups):
+        coeffs = groups[b]
+        quotient = [0] * len(coeffs)
+        carry = 0
         for i in range(len(coeffs) - 1, 0, -1):
-            q = coeffs[i] - b * carry
-            quotient[i - 1] = q
-            carry = q
+            carry = quotient[i - 1] = coeffs[i] - b * carry
         remainder = coeffs[0] - b * carry
-        if remainder != 0:
+        if remainder:
             raise NotLeftDivisible(
-                f"remainder {remainder}*t^{b} is not left-divisible by D"
+                f"remainder {Fraction(remainder, den)}*t^{b} is not left-divisible by D"
             )
         for i, c in enumerate(quotient):
-            if c != 0:
-                out[(b, i)] = c
+            if c:
+                out[(b, i)] = Fraction(c, den)
     return DifferentialOperator(out)
 
 
@@ -338,6 +341,13 @@ def apply_operator(op: DifferentialOperator, series: PowerSeries) -> PowerSeries
     return PowerSeries(tuple(out))
 
 
+def _horner(poly: list[int], s: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * s + c
+    return acc
+
+
 def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     """The unique series 1 + O(t) annihilated by the operator mod t^order.
 
@@ -346,28 +356,38 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     polynomial; P(0) must vanish for the normalization c_0 = 1 and P(m)
     must not vanish for 0 < m < order, otherwise the recursion
     P(m) c_m = -sum_b R_b(m - b) c_(m - b) cannot be carried out.
+
+    The recursion is homogeneous, so the layers' shared denominator
+    cancels and each R_b is an integer polynomial.  With
+    Q_m = P(1)...P(m), the numerators N_m = c_m Q_m are integers:
+    N_m = -sum_b R_b(m - b) N_(m - b) P(m - b + 1)...P(m - 1).
     """
     if order < 1:
         raise ValueError("order must be positive")
-    layers = {b: op.t_coefficients(b) for b in range(op.t_degree + 1)}
-
-    def layer_at(b: int, s: int) -> Fraction:
-        acc = _ZERO
-        for c in reversed(layers.get(b, [])):
-            acc = acc * s + c
-        return acc
-
-    if layer_at(0, 0) != 0:
+    _, layers = _grouped(op)
+    indicial = layers.get(0, [])
+    if _horner(indicial, 0) != 0:
         raise ObstructedRecursion("the indicial polynomial does not vanish at 0")
+    top = max(layers, default=0)
+    p_at = [1]
+    numerators = [1]
     coeffs = [_ONE]
+    q = 1
     for m in range(1, order):
-        p = layer_at(0, m)
+        p = _horner(indicial, m)
         if p == 0:
             raise ObstructedRecursion(f"the indicial polynomial vanishes at {m}")
-        rhs = _ZERO
-        for b in range(1, min(m, op.t_degree) + 1):
-            rhs -= layer_at(b, m - b) * coeffs[m - b]
-        coeffs.append(rhs / p)
+        acc = 0
+        gap = 1
+        for b in range(1, min(m, top) + 1):
+            if b > 1:
+                gap *= p_at[m - b + 1]
+            if b in layers:
+                acc -= _horner(layers[b], m - b) * numerators[m - b] * gap
+        p_at.append(p)
+        numerators.append(acc)
+        q *= p
+        coeffs.append(Fraction(acc, q))
     return PowerSeries(tuple(coeffs))
 
 
@@ -455,7 +475,7 @@ def modularity_report(
     base = constant_terms(matrix, order)
     candidates.append(("factorial_transform", factorial_transform(base), None))
     for tag, sign in (("plus", 1), ("minus", -1)):
-        twisted = base * exp_linear(sign * alpha, order)
+        twisted = exp_twist(base, sign * alpha)
         candidates.append(
             (f"factorial_transform_twist_{tag}", factorial_transform(twisted), None)
         )

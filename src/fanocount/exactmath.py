@@ -1,6 +1,6 @@
 """Exact arithmetic kernel: rationals, truncated power series, sparse polynomials.
 
-Every scalar in this package is a `fractions.Fraction`; nothing here ever
+Every scalar this package hands out is a `fractions.Fraction`; nothing here ever
 touches floating point.  Three containers cover all downstream needs:
 
 * ``PowerSeries`` -- a q-series truncated at an explicit order,
@@ -11,13 +11,17 @@ touches floating point.  Three containers cover all downstream needs:
 
 Truncation orders are explicit everywhere: arithmetic never reports a
 coefficient at or beyond the truncation bound of its inputs.
+
+The hot kernels ``exp_twist`` and ``EntryPolynomial.evaluate`` compute in
+integers over shared denominators, as FLINT's ``fmpq_poly`` does;
+``Fraction`` appears only at their boundaries, one per output value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Mapping
 
 Rational = Fraction
@@ -92,6 +96,33 @@ def exp_linear(c: Rational, order: int) -> PowerSeries:
     """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
     c = Fraction(c)
     return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
+
+
+def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
+    """series * exp(c*q) at the series' own order, summed in integers.
+
+    m! [q^m] = sum_j j! f_j C(m, j) c^(m-j).  With f_j = a_j / den and
+    c = u / v that is [q^m] = sum_j a_j u^(m-j) v^j m!/(m-j)! / (den v^m m!),
+    so one `Fraction` is built per coefficient.
+    """
+    c = Fraction(c)
+    u, v = c.numerator, c.denominator
+    den = lcm(*(f.denominator for f in series.coeffs))
+    nums = [f.numerator * (den // f.denominator) for f in series.coeffs]
+    upow, vpow = [1], [1]
+    for _ in range(series.order):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    coeffs = []
+    for m in range(series.order):
+        total = 0
+        falling = 1
+        for j in range(m + 1):
+            if nums[j]:
+                total += nums[j] * upow[m - j] * vpow[j] * falling
+            falling *= m - j
+        coeffs.append(Fraction(total, den * vpow[m] * factorial(m)))
+    return PowerSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +374,25 @@ class EntryPolynomial:
         return self.terms.get(tuple(exps), _ZERO)
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
+        """The value at a rational point, summed in integers.
+
+        With the values over one denominator v and the coefficients over
+        another, d, a monomial of total degree k is padded by v^(top - k),
+        so the whole sum sits over d * v^top and one `Fraction` is built.
+        """
         vals = [Fraction(values[name]) for name in ENTRY_VARS]
-        total = _ZERO
+        vden = lcm(*(v.denominator for v in vals))
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        nums = [v.numerator * (vden // v.denominator) for v in vals]
+        top = max(map(sum, self.terms), default=0)
+        total = 0
         for e, c in self.terms.items():
-            prod = c
+            prod = c.numerator * (cden // c.denominator) * vden ** (top - sum(e))
             for k, p in enumerate(e):
                 if p:
-                    prod *= vals[k] ** p
+                    prod *= nums[k] ** p
             total += prod
-        return total
+        return Fraction(total, cden * vden**top)
 
     def variables(self) -> set[str]:
         present: set[str] = set()

@@ -90,8 +90,9 @@ def grassmannian_geometry(spec: GrassmannianSpec) -> GeometryInfo:
 
 
 def harmonic(m: int) -> Fraction:
-    """m-th harmonic number, with harmonic(0) = 0."""
-    return sum((Fraction(1, i) for i in range(1, m + 1)), _ZERO)
+    """m-th harmonic number, with harmonic(0) = 0, summed over lcm(1..m)."""
+    den = lcm(*range(1, m + 1))
+    return Fraction(sum(den // i for i in range(1, m + 1)), den)
 
 
 def _compositions(total: int, parts: int):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .exactmath import PowerSeries, exp_linear
+from .exactmath import PowerSeries, exp_twist
 from .grassmann import GrassmannianSpec, HSeriesPair, grassmannian_geometry, harmonic
 
 _ZERO = Fraction(0)
@@ -144,5 +144,4 @@ def quantum_lefschetz(
     alpha = lefschetz_shift(spec, pair_x.c0)
     if alpha == 0:
         return corrected
-    twist = exp_linear(-alpha, d_max + 1)
-    return HSeriesPair(corrected.c0 * twist, corrected.c1 * twist)
+    return HSeriesPair(exp_twist(corrected.c0, -alpha), exp_twist(corrected.c1, -alpha))

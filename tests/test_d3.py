@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -58,6 +58,64 @@ def reference_right_determinant(m):
         term = reference_weyl_multiply(reference_right_determinant(minor), m[row][last])
         total = total - term if (row + last) % 2 else total + term
     return total
+
+
+def reference_left_divide_by_D(op):
+    """Peel each t-layer from the highest D power down, in `Fraction`s."""
+    out = {}
+    for b in range(op.t_degree + 1):
+        coeffs = op.t_coefficients(b)
+        if not coeffs:
+            continue
+        quotient = [F(0)] * len(coeffs)
+        carry = F(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            q = coeffs[i] - b * carry
+            quotient[i - 1] = q
+            carry = q
+        remainder = coeffs[0] - b * carry
+        if remainder != 0:
+            raise NotLeftDivisible(
+                f"remainder {remainder}*t^{b} is not left-divisible by D"
+            )
+        for i, c in enumerate(quotient):
+            if c != 0:
+                out[(b, i)] = c
+    return DifferentialOperator(out)
+
+
+def reference_frobenius_solve(op, order):
+    """P(m) c_m = -sum_b R_b(m - b) c_(m - b), one `Fraction` division per m."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    layers = {b: op.t_coefficients(b) for b in range(op.t_degree + 1)}
+
+    def layer_at(b, s):
+        acc = F(0)
+        for c in reversed(layers.get(b, [])):
+            acc = acc * s + c
+        return acc
+
+    if layer_at(0, 0) != 0:
+        raise ObstructedRecursion("the indicial polynomial does not vanish at 0")
+    coeffs = [F(1)]
+    for m in range(1, order):
+        p = layer_at(0, m)
+        if p == 0:
+            raise ObstructedRecursion(f"the indicial polynomial vanishes at {m}")
+        rhs = F(0)
+        for b in range(1, min(m, op.t_degree) + 1):
+            rhs -= layer_at(b, m - b) * coeffs[m - b]
+        coeffs.append(rhs / p)
+    return PowerSeries(tuple(coeffs))
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def integer_operator(layers):
@@ -181,7 +239,11 @@ def operator_matrices(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
+# Shrinking 4x4 operator matrices through the Fraction reference takes
+# minutes; a failing example is reported unshrunk instead.
+@settings(
+    max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
 @given(operator_matrices())
 def test_right_determinant_matches_unmemoized_reference(m):
     assert right_determinant(m) == reference_right_determinant(m)
@@ -244,6 +306,76 @@ def test_pencil_shift_sits_on_diagonal():
                 assert shifted[k][l] == plain[k][l] - dt_power(1).scale(lam)
             else:
                 assert shifted[k][l] == plain[k][l]
+
+
+@st.composite
+def left_divisible_candidates(draw):
+    """A random operator, D*L for a random L, or D*L plus a random operator."""
+    kind = draw(st.sampled_from(("random", "divisible", "perturbed")))
+    op = draw(rational_ops)
+    if kind == "random":
+        return op
+    product = D * op
+    return product if kind == "divisible" else product + draw(small_ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(left_divisible_candidates())
+def test_left_divide_matches_fraction_reference(op):
+    assert outcome(left_divide_by_D, op) == outcome(reference_left_divide_by_D, op)
+
+
+d_polys = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=5), min_size=1, max_size=4
+)
+
+
+@st.composite
+def recursion_operators(draw):
+    """A random operator, or c * D^2 * (D - k) - sum_b t^b P_b(D) over b = 1..3.
+
+    k = 0 gives D^3, whose recursion always runs; k > 0 obstructs it at k.
+    """
+    if draw(st.booleans()):
+        return draw(rational_ops)
+    k = draw(st.integers(0, 6))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    terms = {(0, 3): scale, (0, 2): -k * scale}
+    for b in draw(st.sets(st.integers(1, 3), min_size=1)):
+        for i, c in enumerate(draw(d_polys)):
+            terms[(b, i)] = -c
+    return DifferentialOperator(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recursion_operators(), st.integers(1, 9))
+def test_frobenius_solve_matches_fraction_reference(op, order):
+    assert outcome(frobenius_solve, op, order) == outcome(reference_frobenius_solve, op, order)
+
+
+@pytest.mark.parametrize(
+    "layer,term",
+    [
+        (
+            [4 * c for c in poly_product([1, 4], [2, 4], [3, 4])],
+            lambda d: F(factorial(4 * d), factorial(d) ** 4),
+        ),
+        (
+            [6 * c for c in poly_product([1, 2], [1, 3], [2, 3])],
+            lambda d: F(factorial(2 * d) * factorial(3 * d), factorial(d) ** 5),
+        ),
+        (
+            [8 * c for c in poly_product([1, 2], [1, 2], [1, 2])],
+            lambda d: F(factorial(2 * d) ** 3, factorial(d) ** 6),
+        ),
+    ],
+    ids=["V4", "V6", "V8"],
+)
+def test_frobenius_matches_hypergeometric_closed_forms(layer, term):
+    # D^3 - t R(D) for the index-1 quartic, (2,3) and (2,2,2) threefolds,
+    # whose regularized quantum periods are known in closed form
+    op = integer_operator({0: [0, 0, 0, 1], 1: [-c for c in layer]})
+    assert frobenius_solve(op, 13).coeffs == tuple(term(d) for d in range(13))
 
 
 def test_left_divide_roundtrip():

@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fanocount.exactmath import (
+    ENTRY_VARS,
     ChernPolynomial,
     EntryPolynomial,
     NonExactDivision,
     PowerSeries,
     divide_by_vandermonde,
     exp_linear,
+    exp_twist,
 )
 
 F = Fraction
@@ -86,6 +88,16 @@ def test_exp_linear_is_group_homomorphism():
     order = 6
     a, b = F(3, 2), F(-5, 3)
     assert exp_linear(a, order) * exp_linear(b, order) == exp_linear(a + b, order)
+
+
+@given(
+    st.lists(st.one_of(st.just(F(0)), small_fractions), min_size=1, max_size=9).map(
+        lambda cs: PowerSeries(tuple(cs))
+    ),
+    st.one_of(st.just(F(0)), small_fractions),
+)
+def test_exp_twist_matches_product_with_exp_linear(f, c):
+    assert exp_twist(f, c) == f * exp_linear(c, f.order)
 
 
 @given(series(), series(), series())
@@ -189,6 +201,24 @@ def entry_polys(draw):
         e = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(5))
         terms[e] = draw(small_fractions)
     return EntryPolynomial(terms)
+
+
+def reference_evaluate(p, values):
+    """Term by term in `Fraction`s."""
+    total = F(0)
+    for e, c in p.terms.items():
+        prod = c
+        for name, k in zip(ENTRY_VARS, e):
+            prod *= F(values[name]) ** k
+        total += prod
+    return total
+
+
+@given(entry_polys(), entry_values)
+def test_entry_polynomial_evaluate_matches_fraction_reference(p, values):
+    assert p.evaluate(values) == reference_evaluate(p, values)
+    for const in (EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3))):
+        assert const.evaluate(values) == reference_evaluate(const, values)
 
 
 @given(entry_polys(), entry_polys(), entry_values)

@@ -75,6 +75,8 @@ def test_harmonic_numbers():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
     assert harmonic(4) == F(25, 12)
+    for m in range(41):
+        assert harmonic(m) == sum((F(1, i) for i in range(1, m + 1)), F(0))
 
 
 def test_hv_degree_part_requires_two_rows():
