@@ -7,7 +7,6 @@ from .exactmath import (
     PowerSeries,
     Rational,
     divide_by_vandermonde,
-    exp_linear,
     exp_twist,
 )
 from .grassmann import (
@@ -15,7 +14,6 @@ from .grassmann import (
     GeometryInfo,
     GrassmannianSpec,
     HSeriesPair,
-    closed_form_constant,
     extract_h_pair,
     grassmannian_geometry,
     hv_degree_part,
@@ -37,7 +35,6 @@ from .relations import (
     InvariantKey,
     RelationEngine,
     one_point_relation,
-    symbolic_iseries,
     two_point_symbol,
 )
 from .solver import (

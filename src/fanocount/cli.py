@@ -9,6 +9,9 @@ candidate table, and `report` every stage.  `verify` recomputes everything
 and diffs it against the embedded golden values.  The run's warnings go to
 stderr as `warning:` lines.
 
+The argument parser is built once per process, on the first `main` call,
+and reused by every later call; no pipeline result outlives its call.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 internal math error.  All numeric output is exact: integers bare,
 other rationals as p/q.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .pipeline import (
     CATALOG,
@@ -55,6 +59,7 @@ from .pipeline import ambient_series, render_verify_table, run_pipeline  # noqa:
 from .solver import discriminant, forward_periods, invert_periods, recover_matrix  # noqa: F401
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanocount",
@@ -149,8 +154,7 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _run_command(args)
     except StageError as exc:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial, lcm
 
 from .exactmath import PowerSeries, Rational, exp_twist
@@ -230,12 +230,13 @@ def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> Different
     return _ungrouped(_product(_grouped(a), _grouped(b)))
 
 
-def _rising(m: int) -> list[int]:
+@cache
+def _rising(m: int) -> tuple[int, ...]:
     """Coefficients of (D+1)(D+2)...(D+m), lowest D power first."""
     out = [1]
     for k in range(1, m + 1):
         out = [k * c + d for c, d in zip(out + [0], [0] + out)]
-    return out
+    return tuple(out)
 
 
 def dt_power(m: int) -> DifferentialOperator:
@@ -246,7 +247,11 @@ def dt_power(m: int) -> DifferentialOperator:
 
 
 def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
-    """The 4x4 operator matrix D*E - M for the shifted counting matrix."""
+    """The 4x4 operator matrix D*E - M for the shifted counting matrix.
+
+    With a = u/v the entry -a*(Dt)^m has coefficients -u*c/v for the
+    integer coefficients c of (D+1)...(D+m), so each is one `Fraction`.
+    """
     lam = Fraction(lam)
     rows = matrix.rows()
     size = len(rows)
@@ -254,11 +259,16 @@ def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
     for k in range(size):
         row = []
         for l in range(size):
-            a = rows[k][l] + (lam if k == l else 0)
+            a = rows[k][l] + lam if k == l else rows[k][l]
             power = l - k + 1
             terms = {}
-            if a != 0 and power >= 0:
-                terms = {(power, i): -a * c for i, c in enumerate(_rising(power))}
+            if a and power >= 0:
+                u, v = a.numerator, a.denominator
+                rising = enumerate(_rising(power))
+                if v == 1:
+                    terms = {(power, i): Fraction(-u * c) for i, c in rising}
+                else:
+                    terms = {(power, i): Fraction(-u * c, v) for i, c in rising}
             if k == l:
                 terms[(0, 1)] = _ONE
             row.append(DifferentialOperator(terms))

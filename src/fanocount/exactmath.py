@@ -46,7 +46,8 @@ class PowerSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         if not self.coeffs:
             raise ValueError("a power series needs at least one coefficient")
 
@@ -90,12 +91,6 @@ class PowerSeries:
     def scale(self, c: Rational) -> "PowerSeries":
         c = Fraction(c)
         return PowerSeries(tuple(c * a for a in self.coeffs))
-
-
-def exp_linear(c: Rational, order: int) -> PowerSeries:
-    """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
-    c = Fraction(c)
-    return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
 
 
 def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:

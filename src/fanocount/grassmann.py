@@ -34,9 +34,6 @@ from math import comb, factorial, lcm, prod
 
 from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class AsymmetricSeries(ArithmeticError):
     """A degree part failed the x_1..x_r symmetry check."""
@@ -204,24 +201,6 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int = 2) -> li
     """Degree parts d = 0..d_max of the G(r, n) I-series, sharing one root-series memo."""
     memo: _SeriesMemo = {}
     return [_degree_part(spec, d, target_degree, memo) for d in range(d_max + 1)]
-
-
-def closed_form_constant(n: int, d: int) -> Fraction:
-    """Constant term of the degree-d part for G(2, n), in closed form.
-
-    (1/(d!)^n) * ((-1)^d / 2) * sum_{m=0}^{d} C(d,m)^n
-        * ( n*(d-2m)*(harmonic(m) - harmonic(d-m)) + 2 )
-    """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return _ONE
-    acc = _ZERO
-    for m in range(d + 1):
-        acc += Fraction(comb(d, m)) ** n * (
-            n * (d - 2 * m) * (harmonic(m) - harmonic(d - m)) + 2
-        )
-    return Fraction((-1) ** d, 2) * acc / Fraction(factorial(d)) ** n
 
 
 def projective_iseries(n: int, d_max: int) -> HSeriesPair:

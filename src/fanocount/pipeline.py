@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -631,4 +631,5 @@ def render_verify_table(rows: list[VerifyRow]) -> str:
 def serialize_verify(status: int, rows: list[VerifyRow], format: str = "text") -> str:
     if format == "text":
         return render_verify_table(rows)
-    return render({"status": status, "rows": [asdict(r) for r in rows]}, [], format)
+    # vars() is the row's own field dict; json.dumps only reads it
+    return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)

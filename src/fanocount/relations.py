@@ -135,20 +135,6 @@ class RelationEngine:
             )
         return self._one_point(k, m, d)
 
-    def symbolic_iseries(self, d_max: int) -> list[tuple[EntryPolynomial, EntryPolynomial]]:
-        """Pairs (constant, H^1 coefficient) of the I-series degree parts.
-
-        The coefficient of H^j in the degree-d part equals
-        <tau_(d+j-2) H^(3-j)>_d / deg.
-        """
-        out: list[tuple[EntryPolynomial, EntryPolynomial]] = []
-        for d in range(d_max + 1):
-            if d == 0:
-                out.append((EntryPolynomial.const(_ONE), EntryPolynomial.zero()))
-                continue
-            out.append((self._one_point(d - 2, 3, d), self._one_point(d - 1, 2, d)))
-        return out
-
     # -- reduction rules ----------------------------------------------------
 
     def _one_point(self, k: int, m: int, d: int) -> EntryPolynomial:
@@ -211,7 +197,3 @@ def two_point_symbol(p: int, m: int, d: int) -> EntryPolynomial:
 
 def one_point_relation(k: int, d: int) -> EntryPolynomial:
     return _DEFAULT.one_point_relation(k, d)
-
-
-def symbolic_iseries(d_max: int) -> list[tuple[EntryPolynomial, EntryPolynomial]]:
-    return _DEFAULT.symbolic_iseries(d_max)

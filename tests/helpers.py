@@ -1,0 +1,49 @@
+"""Closed forms and symbolic expansions that only the tests use."""
+
+from fractions import Fraction
+from math import comb, factorial
+
+from fanocount.exactmath import EntryPolynomial, PowerSeries
+from fanocount.grassmann import harmonic
+from fanocount.relations import RelationEngine
+
+
+def exp_linear(c: Fraction, order: int) -> PowerSeries:
+    """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
+    c = Fraction(c)
+    return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
+
+
+def closed_form_constant(n: int, d: int) -> Fraction:
+    """Constant term of the degree-d part for G(2, n), in closed form.
+
+    (1/(d!)^n) * ((-1)^d / 2) * sum_{m=0}^{d} C(d,m)^n
+        * ( n*(d-2m)*(harmonic(m) - harmonic(d-m)) + 2 )
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for m in range(d + 1):
+        acc += Fraction(comb(d, m)) ** n * (
+            n * (d - 2 * m) * (harmonic(m) - harmonic(d - m)) + 2
+        )
+    return Fraction((-1) ** d, 2) * acc / Fraction(factorial(d)) ** n
+
+
+_ENGINE = RelationEngine()
+
+
+def symbolic_iseries(
+    d_max: int, engine: RelationEngine = _ENGINE
+) -> list[tuple[EntryPolynomial, EntryPolynomial]]:
+    """Pairs (constant, H^1 coefficient) of the I-series degree parts.
+
+    The coefficient of H^j in the degree-d part equals
+    <tau_(d+j-2) H^(3-j)>_d / deg, read from the engine's reductions.
+    """
+    out = [(EntryPolynomial.const(Fraction(1)), EntryPolynomial.zero())]
+    for d in range(1, d_max + 1):
+        out.append((engine._one_point(d - 2, 3, d), engine._one_point(d - 1, 2, d)))
+    return out

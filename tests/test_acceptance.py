@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import golden
+from helpers import closed_form_constant, symbolic_iseries
 from fanocount.d3 import (
     DifferentialOperator,
     apply_operator,
@@ -24,7 +25,6 @@ from fanocount.d3 import (
 )
 from fanocount.grassmann import (
     GrassmannianSpec,
-    closed_form_constant,
     extract_h_pair,
     hv_degree_part,
     hv_iseries,
@@ -32,7 +32,6 @@ from fanocount.grassmann import (
 from fanocount.exactmath import EntryPolynomial
 from fanocount.lefschetz import CompleteIntersectionSpec, quantum_lefschetz
 from fanocount.pipeline import CATALOG, run_pipeline, verify_golden
-from fanocount.relations import symbolic_iseries
 from fanocount.solver import (
     CountingMatrix,
     discriminant,

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fanocount.cli import main
+from fanocount.cli import _build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -15,6 +21,41 @@ def write_config(tmp_path, payload):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def outcome(capsys, argv):
+    """Exit code and stdout bytes of one in-process call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out.encode()
+
+
+def alone(argv):
+    """Exit code and stdout bytes of the same call in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "fanocount.cli", *argv], capture_output=True, env=env
+    )
+    return done.returncode, done.stdout
+
+
+def test_calls_in_one_process_match_calls_alone(capsys):
+    sequence = [
+        ["verify", "--format", "json"],
+        ["matrix"],
+        ["invert", "--variety", "V10", "--periods", "1,2"],
+        ["d3", "--variety", "V14", "--lambda", "1/2"],
+        ["verify", "--format", "json"],
+    ]
+    results = [outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _ in results] == [0, 2, 2, 0, 0]
+    assert results == [alone(argv) for argv in sequence]
 
 
 def test_verify_all_green(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -108,6 +109,34 @@ def reference_frobenius_solve(op, order):
             rhs -= layer_at(b, m - b) * coeffs[m - b]
         coeffs.append(rhs / p)
     return PowerSeries(tuple(coeffs))
+
+
+def reference_build_pencil(matrix, lam):
+    """D*E - M with each entry -a*(Dt)^m formed by `Fraction` products."""
+
+    def rising(m):
+        out = [1]
+        for k in range(1, m + 1):
+            out = [k * c + d for c, d in zip(out + [0], [0] + out)]
+        return out
+
+    lam = Fraction(lam)
+    rows = matrix.rows()
+    size = len(rows)
+    pencil = []
+    for k in range(size):
+        row = []
+        for l in range(size):
+            a = rows[k][l] + (lam if k == l else 0)
+            power = l - k + 1
+            terms = {}
+            if a != 0 and power >= 0:
+                terms = {(power, i): -a * c for i, c in enumerate(rising(power))}
+            if k == l:
+                terms[(0, 1)] = F(1)
+            row.append(DifferentialOperator(terms))
+        pencil.append(tuple(row))
+    return tuple(pencil)
 
 
 def outcome(f, *args):
@@ -308,6 +337,31 @@ def test_pencil_shift_sits_on_diagonal():
                 assert shifted[k][l] == plain[k][l]
 
 
+pencil_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-200, max_value=200, max_denominator=9)
+)
+
+
+@st.composite
+def pencil_inputs(draw):
+    """A random rational matrix and a shift, which may cancel a diagonal entry."""
+    size = draw(st.integers(1, 5))
+    rows = tuple(
+        tuple(draw(st.lists(pencil_entries, min_size=size, max_size=size)))
+        for _ in range(size)
+    )
+    k = draw(st.integers(0, size))
+    lam = -rows[k][k] if k < size else draw(pencil_entries)
+    return SimpleNamespace(rows=lambda: rows), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencil_inputs())
+def test_build_pencil_matches_fraction_reference(inputs):
+    matrix, lam = inputs
+    assert build_pencil(matrix, lam) == reference_build_pencil(matrix, lam)
+
+
 @st.composite
 def left_divisible_candidates(draw):
     """A random operator, D*L for a random L, or D*L plus a random operator."""
@@ -376,6 +430,48 @@ def test_frobenius_matches_hypergeometric_closed_forms(layer, term):
     # whose regularized quantum periods are known in closed form
     op = integer_operator({0: [0, 0, 0, 1], 1: [-c for c in layer]})
     assert frobenius_solve(op, 13).coeffs == tuple(term(d) for d in range(13))
+
+
+def apery_v10(n):
+    """C(2n,n) times the Apery numbers for zeta(2) (Beukers 1987)."""
+    return comb(2 * n, n) * sum(comb(n, k) ** 2 * comb(n + k, k) for k in range(n + 1))
+
+
+def cooper_v14(n):
+    """Cooper's level-7 sporadic sequence (Ramanujan J. 2012)."""
+    return sum(comb(n, k) ** 2 * comb(n + k, k) * comb(2 * k, n) for k in range(n + 1))
+
+
+def untwisted_series(terms, alpha, order):
+    """exp(-alpha q) * sum_n terms[n]/n! q^n through q^(order-1)."""
+    return tuple(
+        sum(
+            F(terms[j], factorial(j)) * (-alpha) ** (m - j) / factorial(m - j)
+            for j in range(m + 1)
+        )
+        for m in range(order)
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix,alpha,sequence,series",
+    [
+        (M10, golden.ALPHA["V10"], apery_v10, golden.SERIES_V10_C0),
+        (M14, golden.ALPHA["V14"], cooper_v14, golden.SERIES_V14_C0),
+    ],
+    ids=["V10", "V14"],
+)
+def test_golden_series_follow_from_apery_like_sequences(matrix, alpha, sequence, series):
+    # the sequences are closed forms that share nothing with the pipeline
+    terms = [sequence(n) for n in range(13)]
+    assert untwisted_series(terms, alpha, 7) == series
+    assert frobenius_solve(pencil_operator(matrix, alpha), 13).coeffs == tuple(terms)
+
+
+def test_flagged_v14_constant_is_52():
+    # verify flags this golden value: a published table prints 2 at q^3
+    terms = [cooper_v14(n) for n in range(4)]
+    assert untwisted_series(terms, golden.ALPHA["V14"], 4)[3] == 52
 
 
 def test_left_divide_roundtrip():

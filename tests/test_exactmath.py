@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import exp_linear
 from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
@@ -11,7 +12,6 @@ from fanocount.exactmath import (
     NonExactDivision,
     PowerSeries,
     divide_by_vandermonde,
-    exp_linear,
     exp_twist,
 )
 
@@ -76,6 +76,13 @@ def test_powerseries_scalar_multiplication():
     s = PowerSeries((F(1), F(2)))
     assert (3 * s).coeffs == (F(3), F(6))
     assert s.scale(F(1, 2)).coeffs == (F(1, 2), F(1))
+
+
+def test_power_series_keeps_fraction_coefficients():
+    third = F(1, 3)
+    s = PowerSeries((third, 2))
+    assert s.coeffs[0] is third
+    assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
 
 
 def test_exp_linear_matches_factorials():

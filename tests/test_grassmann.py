@@ -4,11 +4,11 @@ from itertools import product
 
 import pytest
 
+from helpers import closed_form_constant
 from fanocount.exactmath import ChernPolynomial, divide_by_vandermonde
 from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
-    closed_form_constant,
     extract_h_pair,
     grassmannian_geometry,
     harmonic,
