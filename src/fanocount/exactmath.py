@@ -12,9 +12,11 @@ touches floating point.  Three containers cover all downstream needs:
 Truncation orders are explicit everywhere: arithmetic never reports a
 coefficient at or beyond the truncation bound of its inputs.
 
-The hot kernels ``exp_twist`` and ``EntryPolynomial.evaluate`` compute in
-integers over shared denominators, as FLINT's ``fmpq_poly`` does;
-``Fraction`` appears only at their boundaries, one per output value.
+The hot kernels ``exp_twist``, ``divide_by_vandermonde`` and
+``EntryPolynomial.evaluate`` compute in integers over shared denominators, as
+FLINT's ``fmpq_poly`` does; ``Fraction`` appears only at their boundaries,
+one per output value.  ``ChernPolynomial`` and ``PowerSeries`` keep a
+coefficient that already is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ Exponent = tuple[int, ...]
 def _clean_terms(terms: Mapping[Exponent, Fraction], bound: int) -> dict[Exponent, Fraction]:
     out: dict[Exponent, Fraction] = {}
     for e, c in terms.items():
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0 or sum(e) > bound:
             continue
         out[tuple(e)] = c
@@ -186,9 +189,6 @@ class ChernPolynomial:
         e = tuple(1 if k == i else 0 for k in range(self.nvars))
         return self.coefficient(e)
 
-    def homogeneous_component(self, k: int) -> dict[Exponent, Fraction]:
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
-
     def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
         self._check(other)
         bound = min(self.degree_bound, other.degree_bound)
@@ -230,16 +230,16 @@ class ChernPolynomial:
 
 
 def _divide_linear_difference(
-    terms: dict[Exponent, Fraction], i: int, j: int
-) -> tuple[dict[Exponent, Fraction], dict[Exponent, Fraction]]:
-    """Divide sum c_e x^e by (x_i - x_j); return (quotient, remainder).
+    terms: dict[Exponent, int], i: int, j: int
+) -> tuple[dict[Exponent, int], dict[Exponent, int]]:
+    """Divide sum c_e x^e by (x_i - x_j) in integers; return (quotient, remainder).
 
     Standard division with leading monomial x_i: each step cancels the term
     of highest x_i-exponent, so the loop terminates because the total
     x_i-weight of the working polynomial strictly decreases.
     """
     work = dict(terms)
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, int] = {}
     while True:
         cand = [e for e in work if e[i] > 0]
         if not cand:
@@ -249,11 +249,11 @@ def _divide_linear_difference(
         qe = list(e)
         qe[i] -= 1
         qe_t = tuple(qe)
-        quotient[qe_t] = quotient.get(qe_t, _ZERO) + c
+        quotient[qe_t] = quotient.get(qe_t, 0) + c
         je = list(qe)
         je[j] += 1
         je_t = tuple(je)
-        new = work.get(je_t, _ZERO) + c
+        new = work.get(je_t, 0) + c
         if new == 0:
             work.pop(je_t, None)
         else:
@@ -267,8 +267,11 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
     The divisor is homogeneous of degree v = nvars*(nvars-1)/2, so the
     quotient is reliable only through total degree degree_bound - v; division
     is performed per homogeneous component, which must each divide exactly.
-    Raises NonExactDivision when any remainder survives (in particular for
-    any input that is not antisymmetric).
+    The divisor's coefficients are +-1, so the division runs on integer
+    numerators over the input's one common denominator, and a `Fraction` is
+    built once per quotient coefficient.  Raises NonExactDivision when any
+    remainder survives (in particular for any input that is not
+    antisymmetric).
     """
     r = poly.nvars
     v = r * (r - 1) // 2
@@ -276,10 +279,11 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
         raise NonExactDivision(
             f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
         )
-    out_bound = poly.degree_bound - v
-    out: dict[Exponent, Fraction] = {}
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    nums = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    out: dict[Exponent, int] = {}
     for k in range(poly.degree_bound + 1):
-        comp = poly.homogeneous_component(k)
+        comp = {e: c for e, c in nums.items() if sum(e) == k}
         if not comp:
             continue
         if k < v:
@@ -294,7 +298,7 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
                         f"nonzero remainder dividing degree-{k} component by (x{i + 1} - x{j + 1})"
                     )
         out.update(comp)
-    return ChernPolynomial(r, out_bound, out)
+    return ChernPolynomial(r, poly.degree_bound - v, {e: Fraction(c, den) for e, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ The degree-d part of the series is
 
 expanded as a truncated polynomial in the Chern roots x_1..x_r.  Each factor
 (x + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x/l)^(-n),
-so the whole degree part is exact.  The kernel never multiplies two
-multivariate series: S_k is a univariate series in one root, built once per
-k from S_(k-1) and memoized for the whole `hv_iseries` call, and each
-composition contributes the tensor product S_(d_1)(x_1)..S_(d_r)(x_r) times
-the small shifted-Vandermonde numerator.  Every coefficient is an integer
-numerator over one denominator per degree, (d!)^n * lcm(1..d)^(r*bound), in
-the manner of FLINT's `fmpq_poly`.  The Vandermonde division runs once per
-degree, on the sum, and is exact over the integers (the divisor's
-coefficients are +-1); a `Fraction` is built once per surviving monomial.
+so the whole degree part is exact.  S_k is a univariate series in one root,
+built once per k from S_(k-1) and memoized for one `hv_iseries` call.  As
+prod_{i<j} (x_i - x_j + d_i - d_j) = sum_S prod_S (x_i - x_j) prod_(not S) (d_i - d_j)
+over the sets S of pairs, each composition adds its dense tensor product
+S_(d_1)(x_1)..S_(d_r)(x_r), weighted by its shifts outside S, into one
+integer accumulator per S, and the fixed x-parts are applied once per degree
+from a plan cached per (r, bound).  Coefficients are integers over one
+denominator per degree, (d!)^n * lcm(1..d)^(r*bound), as in FLINT's
+`fmpq_poly`.  The full numerator, summed over every composition, goes to
+`divide_by_vandermonde` once per degree, which divides it exactly in integers
+(the divisor's coefficients are +-1).
 
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm, prod
 
 from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
@@ -114,19 +117,58 @@ def _root_series(n: int, k: int, bound: int, memo: _SeriesMemo) -> tuple[int, ..
 
         T_k[m] = sum_{a+b=m} T_(k-1)[a] (L_k/L_(k-1))^a (-1)^b C(n+b-1, b) (L_k/k)^b.
     """
-    series = (1,) + (0,) * bound
-    for j in range(1, k + 1):
-        key = (n, j, bound)
-        if key not in memo:
-            big, step = lcm(*range(1, j + 1)), lcm(*range(1, j))
-            lift = [(big // step) ** a for a in range(bound + 1)]
-            factor = [(-1) ** b * comb(n + b - 1, b) * (big // j) ** b for b in range(bound + 1)]
-            memo[key] = tuple(
-                sum(series[a] * lift[a] * factor[m - a] for a in range(m + 1))
-                for m in range(bound + 1)
-            )
-        series = memo[key]
-    return series
+    if k == 0:
+        return (1,) + (0,) * bound
+    key = (n, k, bound)
+    if key not in memo:
+        prev = _root_series(n, k - 1, bound, memo)
+        big, step = lcm(*range(1, k + 1)), lcm(*range(1, k))
+        lift = [(big // step) ** a for a in range(bound + 1)]
+        factor = [(-1) ** b * comb(n + b - 1, b) * (big // k) ** b for b in range(bound + 1)]
+        memo[key] = tuple(
+            sum(prev[a] * lift[a] * factor[m - a] for a in range(m + 1))
+            for m in range(bound + 1)
+        )
+    return memo[key]
+
+
+@cache
+def _plan(r: int, bound: int):
+    """Index tables of the residue sum in r roots through total degree bound.
+
+    Returns (levels, monomials, subsets).  `levels[i]` lists (parent index,
+    exponent of x_(i+1)) per monomial in the first i+1 roots, so a tensor
+    product of root series is one list comprehension per root.  The last
+    level is sorted by total degree, so the monomials of degree <= b are a
+    prefix of `monomials`.  `subsets` holds, per set S of pairs i<j, the
+    pairs outside S, the prefix length for degree <= bound - |S|, and
+    prod_{(i,j) in S} (x_i - x_j) as (source, target, coefficient) triples
+    into `monomials`.
+    """
+    exps: list[tuple[int, ...]] = [()]
+    levels = []
+    for root in range(r):
+        level = [(p, m) for p, e in enumerate(exps) for m in range(bound + 1 - sum(e))]
+        if root == r - 1:
+            level.sort(key=lambda pm: sum(exps[pm[0]]) + pm[1])
+        exps = [exps[p] + (m,) for p, m in level]
+        levels.append(tuple(level))
+    index = {e: k for k, e in enumerate(exps)}
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    subsets = []
+    for mask in range(1 << len(pairs)):
+        inside = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+        factor = ChernPolynomial.constant(r, bound, 1)
+        for i, j in inside:
+            factor *= ChernPolynomial.variable(r, bound, i) - ChernPolynomial.variable(r, bound, j)
+        size = sum(1 for e in exps if sum(e) <= bound - len(inside))
+        scatter = tuple(
+            (src, index[tuple(a + b for a, b in zip(exps[src], f))], int(c))
+            for src in range(size)
+            for f, c in factor.terms.items()
+        )
+        subsets.append((tuple(p for p in pairs if p not in inside), size, scatter))
+    return tuple(levels), tuple(exps), tuple(subsets)
 
 
 def _degree_part(
@@ -138,6 +180,7 @@ def _degree_part(
     if d < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
     bound = target_degree + r * (r - 1) // 2
+    levels, monomials, subsets = _plan(r, bound)
     big = lcm(*range(1, d + 1))
     # S_k over the degree's shared denominator: T_k[m] * (L_d/L_k)^m * L_d^(bound-m)
     # is the x^m numerator over (k!)^n * L_d^bound.
@@ -147,49 +190,31 @@ def _degree_part(
         lifted.append(
             [t * ratio**m * big ** (bound - m) for m, t in enumerate(_root_series(n, k, bound, memo))]
         )
-    total: dict[tuple[int, ...], int] = {}
+    # prod_{i<j} (x_i - x_j + d_i - d_j) = sum_S prod_{(i,j) in S} (x_i - x_j)
+    # * prod_{(i,j) not in S} (d_i - d_j): one accumulator per S.
+    accs = [[0] * size for _, size, _ in subsets]
     for comp in _compositions(d, r):
-        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
-        terms = {(): (factorial(d) // prod(factorial(k) for k in comp)) ** n}
-        for k in comp:
+        vals = [1]
+        for level, k in zip(levels, comp):
             series = lifted[k]
-            terms = {
-                e + (m,): c * series[m]
-                for e, c in terms.items()
-                for m in range(bound + 1 - sum(e))
-                if series[m]
-            }
-        for i in range(r):
-            for j in range(i + 1, r):
-                terms = _times_shifted_difference(terms, i, j, comp[i] - comp[j], bound)
-        for e, c in terms.items():
-            total[e] = total.get(e, 0) + c
-    quotient = divide_by_vandermonde(ChernPolynomial(r, bound, total))
+            vals = [vals[p] * series[m] for p, m in level]
+        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
+        mult = (factorial(d) // prod(factorial(k) for k in comp)) ** n
+        for s, (outside, _, _) in enumerate(subsets):
+            w = mult * prod(comp[i] - comp[j] for i, j in outside)
+            if w:
+                accs[s] = [a + w * v for a, v in zip(accs[s], vals)]
+    numer = [0] * len(monomials)
+    for acc, (_, _, scatter) in zip(accs, subsets):
+        for src, dst, c in scatter:
+            numer[dst] += c * acc[src]
     den = factorial(d) ** n * big ** (r * bound)
     sign = (-1) ** ((r - 1) * d)
-    return ChernPolynomial(
-        r, quotient.degree_bound, {e: Fraction(sign * c, den) for e, c in quotient.terms.items()}
+    return divide_by_vandermonde(
+        ChernPolynomial(
+            r, bound, {e: Fraction(sign * c, den) for e, c in zip(monomials, numer) if c}
+        )
     )
-
-
-def _times_shifted_difference(
-    terms: dict[tuple[int, ...], int], i: int, j: int, shift: int, bound: int
-) -> dict[tuple[int, ...], int]:
-    """terms * (x_i - x_j + shift), truncated at total degree bound."""
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in terms.items():
-        if shift:
-            out[e] = out.get(e, 0) + shift * c
-        if sum(e) < bound:
-            up = list(e)
-            up[i] += 1
-            ei = tuple(up)
-            out[ei] = out.get(ei, 0) + c
-            up[i] -= 1
-            up[j] += 1
-            ej = tuple(up)
-            out[ej] = out.get(ej, 0) - c
-    return out
 
 
 def hv_degree_part(spec: GrassmannianSpec, d: int, target_degree: int) -> ChernPolynomial:

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import exp_linear
@@ -85,6 +86,13 @@ def test_power_series_keeps_fraction_coefficients():
     assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
 
 
+def test_chern_polynomial_keeps_fraction_coefficients():
+    third = F(1, 3)
+    p = ChernPolynomial(2, 1, {(0, 0): third, (1, 0): 2})
+    assert p.terms[(0, 0)] is third
+    assert type(p.terms[(1, 0)]) is Fraction and p.terms[(1, 0)] == 2
+
+
 def test_exp_linear_matches_factorials():
     e = exp_linear(F(2), 5)
     assert e.coeffs == (F(1), F(2), F(2), F(4, 3), F(2, 3))
@@ -134,7 +142,7 @@ def test_chern_polynomial_components_and_symmetry():
     x1 = ChernPolynomial.variable(2, 3, 0)
     x2 = ChernPolynomial.variable(2, 3, 1)
     sym = x1 * x2 + x1 + x2
-    assert sym.homogeneous_component(2) == {(1, 1): F(1)}
+    assert {e: c for e, c in sym.terms.items() if sum(e) == 2} == {(1, 1): F(1)}
     assert sym.constant_term() == 0
     assert sym.linear_coefficient(0) == sym.linear_coefficient(1) == 1
 
@@ -156,6 +164,24 @@ def test_divide_by_vandermonde_roundtrip():
     for e, c in f.terms.items():
         if sum(e) <= q.degree_bound:
             assert q.coefficient(e) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(0, 2),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), min_size=10, max_size=10),
+)
+def test_divide_by_vandermonde_roundtrip_mixed_denominators(nvars, extra, coeffs):
+    # f has coefficients over unrelated denominators, so the integer
+    # division runs over their lcm and must return each one exactly
+    bound = nvars * (nvars - 1) // 2 + extra
+    monomials = [e for e in product(range(extra + 1), repeat=nvars) if sum(e) <= extra]
+    f = ChernPolynomial(nvars, bound, dict(zip(monomials, coeffs)))
+    q = divide_by_vandermonde(vandermonde(nvars, bound) * f)
+    assert q.degree_bound == extra
+    assert q == ChernPolynomial(nvars, extra, f.terms)
+    assert all(type(c) is Fraction for c in q.terms.values())
 
 
 def test_divide_by_vandermonde_rejects_nondivisible():

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import closed_form_constant
-from fanocount.exactmath import ChernPolynomial, divide_by_vandermonde
+from fanocount import grassmann
+from fanocount.exactmath import ChernPolynomial, NonExactDivision, divide_by_vandermonde
 from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
@@ -98,6 +101,61 @@ def test_kernel_matches_multivariate_product(r, n, d_max):
     expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
     assert hv_iseries(spec, d_max, 2) == expected
     assert hv_degree_part(spec, d_max, 2) == expected[-1]
+
+
+@st.composite
+def residue_sums(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r + 1, r + 4))
+    d = draw(st.integers(0, {2: 6, 3: 3, 4: 2}[r]))
+    return GrassmannianSpec(r, n), d, draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_sums())
+def test_kernel_matches_reference_property(case):
+    spec, d, target = case
+    expected = [reference_degree_part(spec, k, target) for k in range(d + 1)]
+    assert hv_iseries(spec, d, target) == expected
+    assert hv_degree_part(spec, d, target) == expected[-1]
+
+
+def _without(monkeypatch, dropped):
+    """Make the residue sum skip one composition."""
+    compositions = grassmann._compositions
+    monkeypatch.setattr(
+        grassmann,
+        "_compositions",
+        lambda total, parts: (c for c in compositions(total, parts) if c != dropped),
+    )
+
+
+@pytest.mark.parametrize(
+    "r, n, dropped, message",
+    [
+        (2, 5, (2, 0), "component of degree 0 cannot be divisible by degree-1 Vandermonde"),
+        (3, 6, (3, 0, 0), "component of degree 1 cannot be divisible by degree-3 Vandermonde"),
+    ],
+)
+def test_dropped_composition_breaks_exact_division(monkeypatch, r, n, dropped, message):
+    # every composition is summed, so a missing one leaves a numerator that
+    # is not antisymmetric and the Vandermonde division refuses it
+    _without(monkeypatch, dropped)
+    with pytest.raises(NonExactDivision) as err:
+        hv_degree_part(GrassmannianSpec(r, n), sum(dropped), 1)
+    assert str(err.value) == message
+
+
+def test_dropped_self_paired_composition_is_only_caught_by_reference(monkeypatch):
+    # (1, 1) is its own transpose: its term is antisymmetric on its own, so
+    # the sum without it still divides exactly and passes the symmetry check
+    # of extract_h_pair.  Only the comparison with the reference sees it.
+    spec = GrassmannianSpec(2, 5)
+    expected = reference_degree_part(spec, 2, 1)
+    _without(monkeypatch, (1, 1))
+    parts = hv_iseries(spec, 2, 1)
+    extract_h_pair(parts)
+    assert parts[2] != expected
 
 
 def test_grassmannian_duality():
