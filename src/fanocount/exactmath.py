@@ -189,6 +189,9 @@ class ChernPolynomial:
         e = tuple(1 if k == i else 0 for k in range(self.nvars))
         return self.coefficient(e)
 
+    def homogeneous_component(self, k: int) -> dict[Exponent, Fraction]:
+        return {e: c for e, c in self.terms.items() if sum(e) == k}
+
     def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
         self._check(other)
         bound = min(self.degree_bound, other.degree_bound)
@@ -280,10 +283,12 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
             f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
         )
     den = lcm(*(c.denominator for c in poly.terms.values()))
-    nums = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
     out: dict[Exponent, int] = {}
     for k in range(poly.degree_bound + 1):
-        comp = {e: c for e, c in nums.items() if sum(e) == k}
+        comp = {
+            e: c.numerator * (den // c.denominator)
+            for e, c in poly.homogeneous_component(k).items()
+        }
         if not comp:
             continue
         if k < v:

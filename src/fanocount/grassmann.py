@@ -11,14 +11,14 @@ The degree-d part of the series is
 expanded as a truncated polynomial in the Chern roots x_1..x_r.  Each factor
 (x + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x/l)^(-n),
 so the whole degree part is exact.  S_k is a univariate series in one root,
-built once per k from S_(k-1) and memoized for one `hv_iseries` call.  As
-prod_{i<j} (x_i - x_j + d_i - d_j) = sum_S prod_S (x_i - x_j) prod_(not S) (d_i - d_j)
-over the sets S of pairs, each composition adds its dense tensor product
-S_(d_1)(x_1)..S_(d_r)(x_r), weighted by its shifts outside S, into one
-integer accumulator per S, and the fixed x-parts are applied once per degree
-from a plan cached per (r, bound).  Coefficients are integers over one
-denominator per degree, (d!)^n * lcm(1..d)^(r*bound), as in FLINT's
-`fmpq_poly`.  The full numerator, summed over every composition, goes to
+built once per k from S_(k-1) and memoized for one `hv_iseries` call.  Each
+composition builds the dense tensor product S_(d_1)(x_1)..S_(d_r)(x_r) over
+the monomials of total degree <= bound, multiplies it by
+(x_i - x_j + d_i - d_j) one pair at a time, and adds it to one integer
+numerator, so the work per composition is polynomial in r.  The monomial
+lists and index tables are a plan cached per (r, bound).  Coefficients are
+integers over one denominator per degree, (d!)^n * lcm(1..d)^(r*bound), as
+in FLINT's `fmpq_poly`.  The full numerator, summed over every composition, goes to
 `divide_by_vandermonde` once per degree, which divides it exactly in integers
 (the divisor's coefficients are +-1).
 
@@ -136,39 +136,30 @@ def _root_series(n: int, k: int, bound: int, memo: _SeriesMemo) -> tuple[int, ..
 def _plan(r: int, bound: int):
     """Index tables of the residue sum in r roots through total degree bound.
 
-    Returns (levels, monomials, subsets).  `levels[i]` lists (parent index,
+    Returns (levels, monomials, pairs).  `levels[i]` lists (parent index,
     exponent of x_(i+1)) per monomial in the first i+1 roots, so a tensor
-    product of root series is one list comprehension per root.  The last
-    level is sorted by total degree, so the monomials of degree <= b are a
-    prefix of `monomials`.  `subsets` holds, per set S of pairs i<j, the
-    pairs outside S, the prefix length for degree <= bound - |S|, and
-    prod_{(i,j) in S} (x_i - x_j) as (source, target, coefficient) triples
-    into `monomials`.
+    product of root series is one list comprehension per root.  `pairs`
+    holds, per pair i<j, the index of x^e / x_i and of x^e / x_j for each
+    monomial x^e, or -1 where that exponent is 0, so multiplying by
+    (x_i - x_j + c) is one list comprehension over a list ending in a 0.
     """
     exps: list[tuple[int, ...]] = [()]
     levels = []
-    for root in range(r):
+    for _ in range(r):
         level = [(p, m) for p, e in enumerate(exps) for m in range(bound + 1 - sum(e))]
-        if root == r - 1:
-            level.sort(key=lambda pm: sum(exps[pm[0]]) + pm[1])
         exps = [exps[p] + (m,) for p, m in level]
         levels.append(tuple(level))
     index = {e: k for k, e in enumerate(exps)}
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    subsets = []
-    for mask in range(1 << len(pairs)):
-        inside = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
-        factor = ChernPolynomial.constant(r, bound, 1)
-        for i, j in inside:
-            factor *= ChernPolynomial.variable(r, bound, i) - ChernPolynomial.variable(r, bound, j)
-        size = sum(1 for e in exps if sum(e) <= bound - len(inside))
-        scatter = tuple(
-            (src, index[tuple(a + b for a, b in zip(exps[src], f))], int(c))
-            for src in range(size)
-            for f, c in factor.terms.items()
-        )
-        subsets.append((tuple(p for p in pairs if p not in inside), size, scatter))
-    return tuple(levels), tuple(exps), tuple(subsets)
+
+    def below(e: tuple[int, ...], i: int) -> int:
+        return index[e[:i] + (e[i] - 1,) + e[i + 1 :]] if e[i] else -1
+
+    pairs = tuple(
+        (i, j, tuple(below(e, i) for e in exps), tuple(below(e, j) for e in exps))
+        for i in range(r)
+        for j in range(i + 1, r)
+    )
+    return tuple(levels), tuple(exps), pairs
 
 
 def _degree_part(
@@ -180,7 +171,7 @@ def _degree_part(
     if d < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
     bound = target_degree + r * (r - 1) // 2
-    levels, monomials, subsets = _plan(r, bound)
+    levels, monomials, pairs = _plan(r, bound)
     big = lcm(*range(1, d + 1))
     # S_k over the degree's shared denominator: T_k[m] * (L_d/L_k)^m * L_d^(bound-m)
     # is the x^m numerator over (k!)^n * L_d^bound.
@@ -190,24 +181,20 @@ def _degree_part(
         lifted.append(
             [t * ratio**m * big ** (bound - m) for m, t in enumerate(_root_series(n, k, bound, memo))]
         )
-    # prod_{i<j} (x_i - x_j + d_i - d_j) = sum_S prod_{(i,j) in S} (x_i - x_j)
-    # * prod_{(i,j) not in S} (d_i - d_j): one accumulator per S.
-    accs = [[0] * size for _, size, _ in subsets]
+    numer = [0] * len(monomials)
     for comp in _compositions(d, r):
-        vals = [1]
+        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
+        vals = [(factorial(d) // prod(factorial(k) for k in comp)) ** n]
         for level, k in zip(levels, comp):
             series = lifted[k]
             vals = [vals[p] * series[m] for p, m in level]
-        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
-        mult = (factorial(d) // prod(factorial(k) for k in comp)) ** n
-        for s, (outside, _, _) in enumerate(subsets):
-            w = mult * prod(comp[i] - comp[j] for i, j in outside)
-            if w:
-                accs[s] = [a + w * v for a, v in zip(accs[s], vals)]
-    numer = [0] * len(monomials)
-    for acc, (_, _, scatter) in zip(accs, subsets):
-        for src, dst, c in scatter:
-            numer[dst] += c * acc[src]
+        # times prod_{i<j} (x_i - x_j + d_i - d_j); the appended 0 is what a
+        # monomial without x_i (index -1) reads for x^e / x_i.
+        for i, j, below_i, below_j in pairs:
+            shift = comp[i] - comp[j]
+            vals.append(0)
+            vals = [shift * v + vals[a] - vals[b] for v, a, b in zip(vals, below_i, below_j)]
+        numer = [t + v for t, v in zip(numer, vals)]
     den = factorial(d) ** n * big ** (r * bound)
     sign = (-1) ** ((r - 1) * d)
     return divide_by_vandermonde(

@@ -95,7 +95,7 @@ def test_hv_constant_terms_match_closed_form():
             assert parts[d].constant_term() == closed_form_constant(n, d)
 
 
-@pytest.mark.parametrize("r, n, d_max", [(2, 5, 6), (3, 6, 3)])
+@pytest.mark.parametrize("r, n, d_max", [(2, 5, 6), (3, 6, 3), (5, 7, 2)])
 def test_kernel_matches_multivariate_product(r, n, d_max):
     spec = GrassmannianSpec(r, n)
     expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
