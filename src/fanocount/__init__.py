@@ -16,7 +16,6 @@ from .grassmann import (
     HSeriesPair,
     extract_h_pair,
     grassmannian_geometry,
-    hv_degree_part,
     hv_iseries,
     projective_iseries,
 )
@@ -35,7 +34,6 @@ from .relations import (
     InvariantKey,
     RelationEngine,
     one_point_relation,
-    two_point_symbol,
 )
 from .solver import (
     AmbiguousSolution,
@@ -58,7 +56,6 @@ from .d3 import (
     ObstructedRecursion,
     apply_operator,
     build_pencil,
-    dt_power,
     eisenstein_e2,
     eisenstein_weight2,
     frobenius_solve,

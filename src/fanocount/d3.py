@@ -78,50 +78,9 @@ class DifferentialOperator:
                 clean[(int(b), int(i))] = c
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def zero(cls) -> "DifferentialOperator":
-        return cls({})
-
-    @classmethod
-    def const(cls, c: Rational) -> "DifferentialOperator":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def euler(cls) -> "DifferentialOperator":
-        """The operator D = t d/dt."""
-        return cls({(0, 1): _ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def order(self) -> int:
         return max((i for _, i in self.terms), default=0)
-
-    @property
-    def t_degree(self) -> int:
-        return max((b for b, _ in self.terms), default=0)
-
-    def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return DifferentialOperator(out)
-
-    def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "DifferentialOperator":
-        return self.scale(-1)
-
-    def scale(self, c: Rational) -> "DifferentialOperator":
-        c = Fraction(c)
-        return DifferentialOperator({e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, DifferentialOperator):
-            return weyl_multiply(self, other)
-        return self.scale(Fraction(other))
 
     def t_coefficients(self, b: int) -> list[Fraction]:
         """D-power coefficient list of the t^b part."""
@@ -237,13 +196,6 @@ def _rising(m: int) -> tuple[int, ...]:
     for k in range(1, m + 1):
         out = [k * c + d for c, d in zip(out + [0], [0] + out)]
     return tuple(out)
-
-
-def dt_power(m: int) -> DifferentialOperator:
-    """(Dt)^m = t^m (D+1)(D+2)...(D+m), where (Dt) means multiply by t, then apply D."""
-    if m < 0:
-        raise ValueError("negative power of (Dt)")
-    return DifferentialOperator({(m, i): Fraction(c) for i, c in enumerate(_rising(m))})
 
 
 def build_pencil(matrix, lam: Rational) -> OperatorMatrix:

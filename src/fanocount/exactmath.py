@@ -3,20 +3,24 @@
 Every scalar this package hands out is a `fractions.Fraction`; nothing here ever
 touches floating point.  Three containers cover all downstream needs:
 
-* ``PowerSeries`` -- a q-series truncated at an explicit order,
+* ``PowerSeries`` -- a q-series truncated at an explicit order; it is read,
+  truncated and twisted by ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
-  used for expansions in Chern roots x_1..x_r,
+  carrying a degree part of the residue sum in Chern roots x_1..x_r into and
+  out of ``divide_by_vandermonde``; it is only read after that,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
-  counting-matrix entries a01, a11, a02, a12, a03.
+  counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
+  substitution and evaluation that the relation engine and the period
+  inversion use.
 
-Truncation orders are explicit everywhere: arithmetic never reports a
-coefficient at or beyond the truncation bound of its inputs.
+Truncation orders are explicit everywhere: no coefficient at or beyond a
+container's truncation bound is ever reported.
 
 The hot kernels ``exp_twist``, ``divide_by_vandermonde`` and
 ``EntryPolynomial.evaluate`` compute in integers over shared denominators, as
 FLINT's ``fmpq_poly`` does; ``Fraction`` appears only at their boundaries,
-one per output value.  ``ChernPolynomial`` and ``PowerSeries`` keep a
-coefficient that already is a ``Fraction``.
+one per output value.  All three containers keep a coefficient that already
+is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator, Mapping
+from typing import Mapping
 
 Rational = Fraction
 
@@ -69,31 +73,6 @@ class PowerSeries:
             raise ValueError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[:order])
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[d] + other.coeffs[d] for d in range(n)))
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            out = [_ZERO] * n
-            for i, a in enumerate(self.coeffs[:n]):
-                if a == 0:
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return PowerSeries(tuple(out))
-        return self.scale(Fraction(other))
-
-    def __rmul__(self, other) -> "PowerSeries":
-        return self.scale(Fraction(other))
-
-    def scale(self, c: Rational) -> "PowerSeries":
-        c = Fraction(c)
-        return PowerSeries(tuple(c * a for a in self.coeffs))
-
 
 def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
     """series * exp(c*q) at the series' own order, summed in integers.
@@ -129,23 +108,12 @@ def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
 Exponent = tuple[int, ...]
 
 
-def _clean_terms(terms: Mapping[Exponent, Fraction], bound: int) -> dict[Exponent, Fraction]:
-    out: dict[Exponent, Fraction] = {}
-    for e, c in terms.items():
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        if c == 0 or sum(e) > bound:
-            continue
-        out[tuple(e)] = c
-    return out
-
-
 @dataclass
 class ChernPolynomial:
     """Sparse polynomial in x_1..x_nvars, truncated at total degree degree_bound.
 
     Terms of total degree above the bound are unknown, not zero; they are
-    dropped on construction and never produced by arithmetic.
+    dropped on construction.
     """
 
     nvars: int
@@ -157,27 +125,15 @@ class ChernPolynomial:
             raise ValueError("need at least one variable")
         if self.degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        for e in self.terms:
+        terms: dict[Exponent, Fraction] = {}
+        for e, c in self.terms.items():
             if len(e) != self.nvars:
                 raise ValueError("exponent arity mismatch")
-        self.terms = _clean_terms(self.terms, self.degree_bound)
-
-    @classmethod
-    def constant(cls, nvars: int, bound: int, value: Rational) -> "ChernPolynomial":
-        e = (0,) * nvars
-        return cls(nvars, bound, {e: Fraction(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, bound: int, i: int) -> "ChernPolynomial":
-        e = tuple(1 if k == i else 0 for k in range(nvars))
-        return cls(nvars, bound, {e: _ONE})
-
-    @classmethod
-    def zero(cls, nvars: int, bound: int) -> "ChernPolynomial":
-        return cls(nvars, bound, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c != 0 and sum(e) <= self.degree_bound:
+                terms[tuple(e)] = c
+        self.terms = terms
 
     def coefficient(self, exps: Exponent) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
@@ -191,45 +147,6 @@ class ChernPolynomial:
 
     def homogeneous_component(self, k: int) -> dict[Exponent, Fraction]:
         return {e: c for e, c in self.terms.items() if sum(e) == k}
-
-    def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        self._check(other)
-        bound = min(self.degree_bound, other.degree_bound)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return ChernPolynomial(self.nvars, bound, out)
-
-    def __sub__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        return self + other.scale(-_ONE)
-
-    def __mul__(self, other):
-        if not isinstance(other, ChernPolynomial):
-            return self.scale(Fraction(other))
-        self._check(other)
-        bound = min(self.degree_bound, other.degree_bound)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > bound:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return ChernPolynomial(self.nvars, bound, out)
-
-    def __rmul__(self, other) -> "ChernPolynomial":
-        return self.scale(Fraction(other))
-
-    def scale(self, c: Rational) -> "ChernPolynomial":
-        c = Fraction(c)
-        return ChernPolynomial(
-            self.nvars, self.degree_bound, {e: c * v for e, v in self.terms.items()}
-        )
-
-    def _check(self, other: "ChernPolynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
 
 
 def _divide_linear_difference(
@@ -326,7 +243,8 @@ class EntryPolynomial:
         for e, c in self.terms.items():
             if len(e) != _NV:
                 raise ValueError("exponent arity mismatch")
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c != 0:
                 out[tuple(e)] = c
         self.terms = out
@@ -357,18 +275,13 @@ class EntryPolynomial:
     def __sub__(self, other: "EntryPolynomial") -> "EntryPolynomial":
         return self + other.scale(-_ONE)
 
-    def __mul__(self, other):
-        if not isinstance(other, EntryPolynomial):
-            return self.scale(Fraction(other))
+    def __mul__(self, other: "EntryPolynomial") -> "EntryPolynomial":
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, _ZERO) + c1 * c2
         return EntryPolynomial(out)
-
-    def __rmul__(self, other) -> "EntryPolynomial":
-        return self.scale(Fraction(other))
 
     def scale(self, c: Rational) -> "EntryPolynomial":
         c = Fraction(c)
@@ -432,20 +345,3 @@ class EntryPolynomial:
             if not coeff.is_zero():
                 out = out + coeff * power
         return out
-
-    def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        for e in sorted(self.terms, key=lambda ex: (sum(ex), ex)):
-            yield e, self.terms[e]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.monomials():
-            mono = "*".join(
-                ENTRY_VARS[k] + (f"^{p}" if p > 1 else "")
-                for k, p in enumerate(e)
-                if p > 0
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)

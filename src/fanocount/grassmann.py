@@ -204,11 +204,6 @@ def _degree_part(
     )
 
 
-def hv_degree_part(spec: GrassmannianSpec, d: int, target_degree: int) -> ChernPolynomial:
-    """Degree-d part of the G(r, n) I-series, truncated at total degree target_degree."""
-    return _degree_part(spec, d, target_degree, {})
-
-
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int = 2) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series, sharing one root-series memo."""
     memo: _SeriesMemo = {}

@@ -103,21 +103,15 @@ def lefschetz_shift(spec: CompleteIntersectionSpec, c0x: PowerSeries) -> Fractio
     return Fraction(scale) * c0x[1]
 
 
-def euler_corrected_series(
-    pair: HSeriesPair, degrees: tuple[int, ...], d_max: int | None = None
-) -> HSeriesPair:
+def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeriesPair:
     """Multiply the degree-d coefficient by E_d = prod_j prod_{i=1}^{d_j d} (d_j H + i).
 
     Mod H^2 the factor collapses to
         prod_j (d_j d)! * (1 + sum_j d_j * harmonic(d_j d) * H).
     """
-    if d_max is None:
-        d_max = pair.order - 1
-    if d_max >= pair.order:
-        raise ValueError("d_max exceeds the truncation order of the input pair")
     e0 = []
     e1 = []
-    for d in range(d_max + 1):
+    for d in range(pair.order):
         f0 = Fraction(prod(factorial(dj * d) for dj in degrees))
         h1 = sum((dj * harmonic(dj * d) for dj in degrees), _ZERO)
         e0.append(f0 * pair.c0[d])
@@ -125,14 +119,10 @@ def euler_corrected_series(
     return HSeriesPair(PowerSeries(tuple(e0)), PowerSeries(tuple(e1)))
 
 
-def quantum_lefschetz(
-    pair_x: HSeriesPair, spec: CompleteIntersectionSpec, d_max: int | None = None
-) -> HSeriesPair:
+def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HSeriesPair:
     """Hyperplane series of the complete intersection, mod H^2."""
     if spec.fano_index <= 0:
         raise NotFano(f"Fano index {spec.fano_index} is not positive")
-    if d_max is None:
-        d_max = pair_x.order - 1
     if spec.fano_index != 1 or spec.dimension != 3:
         warnings.warn(
             "q-grading is by hyperplane degree, which matches the anticanonical "
@@ -140,7 +130,7 @@ def quantum_lefschetz(
             GradingMismatchWarning,
             stacklevel=2,
         )
-    corrected = euler_corrected_series(pair_x, spec.degrees, d_max)
+    corrected = euler_corrected_series(pair_x, spec.degrees)
     alpha = lefschetz_shift(spec, pair_x.c0)
     if alpha == 0:
         return corrected

@@ -171,10 +171,15 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
-    """Hyperplane-class I-series of the ambient space through q^(order-1)."""
-    if ambient.r == 1:
+    """Hyperplane-class I-series of the ambient space through q^(order-1).
+
+    G(r, n) and G(n - r, n) are the same variety, so the residue sum runs
+    over the smaller of r and n - r roots, and G(n - 1, n) is projective.
+    """
+    r = min(ambient.r, ambient.n - ambient.r)
+    if r == 1:
         return projective_iseries(ambient.n, order - 1)
-    return extract_h_pair(hv_iseries(ambient, order - 1, 1))
+    return extract_h_pair(hv_iseries(GrassmannianSpec(r, ambient.n), order - 1, 1))
 
 
 def _guarded(stage: str, fn, *args):

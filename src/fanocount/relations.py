@@ -191,9 +191,5 @@ class RelationEngine:
 _DEFAULT = RelationEngine()
 
 
-def two_point_symbol(p: int, m: int, d: int) -> EntryPolynomial:
-    return _DEFAULT.two_point_symbol(p, m, d)
-
-
 def one_point_relation(k: int, d: int) -> EntryPolynomial:
     return _DEFAULT.one_point_relation(k, d)

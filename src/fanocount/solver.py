@@ -90,9 +90,6 @@ class CountingMatrix:
             out.append(tuple(row))
         return tuple(out)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows()[i][j]
-
 
 @dataclass(frozen=True)
 class PeriodVector:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial
 
-from fanocount.exactmath import EntryPolynomial, PowerSeries
+from fanocount.exactmath import ChernPolynomial, EntryPolynomial, PowerSeries
 from fanocount.grassmann import harmonic
 from fanocount.relations import RelationEngine
 
@@ -12,6 +12,27 @@ def exp_linear(c: Fraction, order: int) -> PowerSeries:
     """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
     c = Fraction(c)
     return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
+
+
+def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial:
+    """Product of polynomials in x_1..x_nvars, each given as {exponent: coefficient},
+    term by term in `Fraction`s, dropping every term above total degree bound."""
+    terms = {(0,) * nvars: Fraction(1)}
+    for factor in factors:
+        out: dict = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if sum(e) <= bound:
+                    out[e] = out.get(e, 0) + c1 * c2
+        terms = out
+    return ChernPolynomial(nvars, bound, terms)
+
+
+def root_difference(nvars: int, i: int, j: int, shift: int = 0) -> dict:
+    """x_i - x_j + shift as {exponent: coefficient}."""
+    unit = [tuple(int(k == m) for k in range(nvars)) for m in (i, j)]
+    return {unit[0]: 1, unit[1]: -1, (0,) * nvars: shift}
 
 
 def closed_form_constant(n: int, d: int) -> Fraction:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import fanocount
+from fanocount import pipeline
 from fanocount.cli import _build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -283,3 +285,31 @@ def test_fourfold_warning_reaches_stderr(capsys, tmp_path, cmd):
     code, _, err = run(capsys, cmd, "--variety", config, "--order", "5")
     assert code == (0 if cmd == "lefschetz" else 3)
     assert "warning: NotThreefoldWarning: complete intersection has dimension 4, not 3\n" in err
+
+
+PUBLIC_ERRORS = sorted(
+    (
+        obj
+        for obj in (getattr(fanocount, name) for name in fanocount.__all__)
+        if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)
+    ),
+    key=lambda cls: cls.__name__,
+)
+STAGE_ERRORS = [cls for cls in PUBLIC_ERRORS if cls is not fanocount.StageError]
+
+
+def test_public_errors_are_input_or_math_errors():
+    # StageError only wraps the others, which each have one documented code
+    assert all(issubclass(cls, (ValueError, ArithmeticError)) for cls in STAGE_ERRORS)
+
+
+@pytest.mark.parametrize("error", STAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_public_error_in_a_stage_maps_to_its_exit_code(monkeypatch, capsys, error):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(pipeline, "ambient_series", fail)
+    code, out, err = run(capsys, "iseries", "--variety", "V10")
+    assert code == (2 if issubclass(error, ValueError) else 3)
+    assert out == ""
+    assert err == f"error: stage grassmann: {error.__name__}: injected\n"

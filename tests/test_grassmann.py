@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closed_form_constant
-from fanocount import grassmann
+from helpers import closed_form_constant, root_difference, truncated_product
+from fanocount import grassmann, pipeline
 from fanocount.exactmath import ChernPolynomial, NonExactDivision, divide_by_vandermonde
 from fanocount.grassmann import (
     AsymmetricSeries,
@@ -15,7 +15,6 @@ from fanocount.grassmann import (
     extract_h_pair,
     grassmannian_geometry,
     harmonic,
-    hv_degree_part,
     hv_iseries,
     projective_iseries,
 )
@@ -28,31 +27,29 @@ def reference_degree_part(spec, d, target_degree):
     """The residue sum as one multivariate product of Fraction series per composition.
 
     The reference for the integer kernel: every factor
-    (x_i - x_j + d_i - d_j) and (x_i + l)^(-n) is a full ChernPolynomial.
+    (x_i - x_j + d_i - d_j) and (x_i + l)^(-n) is a full polynomial.
     """
     r, n = spec.r, spec.n
     bound = target_degree + r * (r - 1) // 2
-    total = ChernPolynomial.zero(r, bound)
+    sign = (-1) ** ((r - 1) * d)
+    total = {}
     for comp in product(range(d + 1), repeat=r):
         if sum(comp) != d:
             continue
-        part = ChernPolynomial.constant(r, bound, F(1))
-        for i in range(r):
-            for j in range(i + 1, r):
-                xi = ChernPolynomial.variable(r, bound, i)
-                xj = ChernPolynomial.variable(r, bound, j)
-                part = part * (xi - xj + ChernPolynomial.constant(r, bound, F(comp[i] - comp[j])))
+        factors = [
+            root_difference(r, i, j, comp[i] - comp[j]) for i in range(r) for j in range(i + 1, r)
+        ]
         for i in range(r):
             for l in range(1, comp[i] + 1):
                 # (x_i + l)^(-n) = sum_m C(n+m-1, m) (-1)^m x_i^m / l^(n+m)
-                factor = {
+                factors.append({
                     tuple(m if k == i else 0 for k in range(r)):
                     F((-1) ** m * math.comb(n + m - 1, m), l ** (n + m))
                     for m in range(bound + 1)
-                }
-                part = part * ChernPolynomial(r, bound, factor)
-        total = total + part
-    return divide_by_vandermonde(total).scale(F((-1) ** ((r - 1) * d)))
+                })
+        for e, c in truncated_product(r, bound, *factors).terms.items():
+            total[e] = total.get(e, 0) + sign * c
+    return divide_by_vandermonde(ChernPolynomial(r, bound, total))
 
 
 def test_spec_validation():
@@ -84,7 +81,7 @@ def test_harmonic_numbers():
 
 def test_hv_degree_part_requires_two_rows():
     with pytest.raises(ValueError):
-        hv_degree_part(GrassmannianSpec(1, 5), 1, 2)
+        hv_iseries(GrassmannianSpec(1, 5), 1, 2)
 
 
 def test_hv_constant_terms_match_closed_form():
@@ -100,7 +97,6 @@ def test_kernel_matches_multivariate_product(r, n, d_max):
     spec = GrassmannianSpec(r, n)
     expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
     assert hv_iseries(spec, d_max, 2) == expected
-    assert hv_degree_part(spec, d_max, 2) == expected[-1]
 
 
 @st.composite
@@ -117,7 +113,6 @@ def test_kernel_matches_reference_property(case):
     spec, d, target = case
     expected = [reference_degree_part(spec, k, target) for k in range(d + 1)]
     assert hv_iseries(spec, d, target) == expected
-    assert hv_degree_part(spec, d, target) == expected[-1]
 
 
 def _without(monkeypatch, dropped):
@@ -142,7 +137,7 @@ def test_dropped_composition_breaks_exact_division(monkeypatch, r, n, dropped, m
     # is not antisymmetric and the Vandermonde division refuses it
     _without(monkeypatch, dropped)
     with pytest.raises(NonExactDivision) as err:
-        hv_degree_part(GrassmannianSpec(r, n), sum(dropped), 1)
+        hv_iseries(GrassmannianSpec(r, n), sum(dropped), 1)
     assert str(err.value) == message
 
 
@@ -159,13 +154,33 @@ def test_dropped_self_paired_composition_is_only_caught_by_reference(monkeypatch
 
 
 def test_grassmannian_duality():
-    # G(3, 5) and G(2, 5) are the same variety
-    assert ambient_series(GrassmannianSpec(3, 5), 7) == ambient_series(GrassmannianSpec(2, 5), 7)
+    # G(3, 5) and G(2, 5) are the same variety; the sum over three roots
+    # agrees with the sum over two
+    three_roots = extract_h_pair(hv_iseries(GrassmannianSpec(3, 5), 6, 1))
+    assert three_roots == ambient_series(GrassmannianSpec(2, 5), 7)
 
 
 def test_g34_is_projective_space():
     # G(3, 4) is P^3, whose I-series has a closed form
-    assert ambient_series(GrassmannianSpec(3, 4), 6) == projective_iseries(4, 5)
+    assert extract_h_pair(hv_iseries(GrassmannianSpec(3, 4), 5, 1)) == projective_iseries(4, 5)
+
+
+@pytest.mark.parametrize("r, n", [(4, 6), (5, 6), (5, 7)])
+def test_ambient_series_sums_over_the_smaller_dual(monkeypatch, r, n):
+    # G(r, n) and G(n - r, n) are the same variety, so the pipeline sums over
+    # min(r, n - r) roots, G(n - 1, n) through the projective closed form,
+    # and gets the series the sum over all r roots gives
+    direct = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 2, 1))
+    calls = []
+
+    def spy(spec, *args):
+        calls.append(spec)
+        return hv_iseries(spec, *args)
+
+    monkeypatch.setattr(pipeline, "hv_iseries", spy)
+    assert ambient_series(GrassmannianSpec(r, n), 3) == direct
+    dual = n - r
+    assert calls == ([] if dual == 1 else [GrassmannianSpec(dual, n)])
 
 
 def test_hv_iseries_published_constants_g25():
@@ -190,8 +205,8 @@ def test_extract_h_pair_orders_and_values():
 
 def test_extract_h_pair_rejects_asymmetric_input():
     bad = [
-        ChernPolynomial.constant(2, 2, F(1)),
-        ChernPolynomial.variable(2, 2, 0),
+        ChernPolynomial(2, 2, {(0, 0): 1}),
+        ChernPolynomial(2, 2, {(1, 0): 1}),
     ]
     with pytest.raises(AsymmetricSeries):
         extract_h_pair(bad)

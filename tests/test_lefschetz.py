@@ -81,12 +81,6 @@ def test_euler_correction_closed_form_for_quartic():
         assert corrected.c1[d] == expected * (4 * harmonic(4 * d) - 5 * harmonic(d))
 
 
-def test_euler_correction_order_guard():
-    pair = projective_iseries(5, 2)
-    with pytest.raises(ValueError):
-        euler_corrected_series(pair, (4,), d_max=3)
-
-
 def test_quantum_lefschetz_v10_series():
     pair = quantum_lefschetz(ambient_pair(V10_SPEC, 6), V10_SPEC)
     assert pair.c0.coeffs == (

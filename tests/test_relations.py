@@ -9,10 +9,10 @@ from fanocount.relations import (
     GateViolation,
     RelationEngine,
     one_point_relation,
-    two_point_symbol,
 )
 
 F = Fraction
+two_point_symbol = RelationEngine().two_point_symbol
 
 
 class TamperedEngine(RelationEngine):

@@ -52,13 +52,6 @@ def test_counting_matrix_rows_layout():
     )
 
 
-def test_counting_matrix_entry_accessor():
-    assert M10.entry(0, 1) == 156
-    assert M10.entry(2, 3) == 156
-    assert M10.entry(1, 0) == 1
-    assert M10.entry(3, 3) == 0
-
-
 def test_recover_matrix_deg10():
     pair = variety_pair(2, 5, (1, 1, 2))
     assert recover_matrix(pair, 10) == M10
