@@ -31,7 +31,6 @@ from .lefschetz import (
 )
 from .relations import (
     GateViolation,
-    InvariantKey,
     RelationEngine,
     one_point_relation,
 )

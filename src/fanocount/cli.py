@@ -20,6 +20,7 @@ other rationals as p/q.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -107,22 +108,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_periods(text: str) -> PeriodVector:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise ConfigError("--periods needs exactly five comma-separated rationals")
-    try:
-        values = [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational in --periods: {exc}") from exc
-    return PeriodVector(*values)
+# The documented forms [+-]P and [+-]P/Q; `Fraction` alone would also take
+# exponents, and "1e-6000000" would build 10^6000000 before any check ran.
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
-def _parse_lambda(text: str) -> Fraction:
+def _rational(text: str, what: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise ConfigError(f"bad {what}: {text!r} is not of the form P or P/Q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad --lambda: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _parse_periods(text: str) -> PeriodVector:
+    parts = text.split(",")
+    if len(parts) != 5:
+        raise ConfigError("--periods needs exactly five comma-separated rationals")
+    return PeriodVector(*(_rational(p, "rational in --periods") for p in parts))
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -140,8 +144,10 @@ def _run_command(args: argparse.Namespace) -> int:
         if cmd == "report":
             out = serialize_report(run.complete(), args.format)
         elif cmd == "d3":
-            out = render(*d3_view(run, _parse_lambda(args.lam)), args.format)
+            out = render(*d3_view(run, _rational(args.lam, "--lambda")), args.format)
         elif cmd == "invert":
+            if args.deg is not None and args.deg < 1:
+                raise ConfigError("--deg must be positive")
             periods = None if args.periods is None else _parse_periods(args.periods)
             out = render(*invert_view(run, periods, args.deg), args.format)
         else:

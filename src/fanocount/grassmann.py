@@ -204,7 +204,7 @@ def _degree_part(
     )
 
 
-def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int = 2) -> list[ChernPolynomial]:
+def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series, sharing one root-series memo."""
     memo: _SeriesMemo = {}
     return [_degree_part(spec, d, target_degree, memo) for d in range(d_max + 1)]

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from pathlib import Path
 
 from .d3 import (
@@ -170,6 +171,34 @@ def parse_config(raw: object) -> VarietyConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
+# Job-size limits, checked before any stage runs.  Near them a run takes about
+# 1.5 s (`report --order 30` on V14) or 2.2 s (`iseries --order 17` on G(4,8),
+# work 9.6e6) in one process on a 2-vCPU Xeon.
+MAX_ORDER = 30
+MAX_RESIDUE_WORK = 10**7
+
+
+def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
+    """Size of the residue sum behind `ambient_series(ambient, order)`, 0 for
+    projective space: with r = min(r, n - r), the C(order - 1 + r, r)
+    compositions times the C(bound + r, r) plan monomials at
+    bound = 1 + r(r-1)/2, times the r(r-1)/2 root pairs."""
+    r = min(ambient.r, ambient.n - ambient.r)
+    pairs = r * (r - 1) // 2
+    return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs
+
+
+def _check_job_size(config: VarietyConfig, order: int) -> None:
+    if order > MAX_ORDER:
+        raise ConfigError(f"order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}")
+    work = _residue_work(config.ambient, max(order, 5))
+    if work > MAX_RESIDUE_WORK:
+        raise ConfigError(
+            f"residue-sum work {work} for G({config.ambient.r},{config.ambient.n}) at "
+            f"order {order} exceeds the limit MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
+        )
+
+
 def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
     """Hyperplane-class I-series of the ambient space through q^(order-1).
 
@@ -200,10 +229,12 @@ def _stage(name: str):
 class PipelineRun:
     """The stage chain for one variety at one order, stages in chain order.
 
-    `warnings` collects what the Lefschetz stages warned, in order.
+    `warnings` collects what the Lefschetz stages warned, in order.  A job
+    past `MAX_ORDER` or `MAX_RESIDUE_WORK` is refused before any stage runs.
     """
 
     def __init__(self, config: VarietyConfig, order: int = 7):
+        _check_job_size(config, order)
         self.config = config
         self.order = order
         self.verified = config.in_catalog

@@ -46,20 +46,21 @@ tests exercise that by overriding `entry` and watching outputs move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import EntryPolynomial
 
 H_TOP = 3  # top power of the hyperplane class on a threefold
 
-_CANONICAL = {
-    (0, 1): "a01",
-    (1, 1): "a11",
-    (0, 2): "a02",
-    (1, 2): "a12",
-    (0, 3): "a03",
-}
+# a_ij for i, j in 0..3, as the rules above state it: 0, 1, or the name of
+# the independent entry it equals.  `RelationEngine.entry` and
+# `CountingMatrix.rows` both read this table.
+ENTRY_LAYOUT: tuple[tuple[int | str, ...], ...] = (
+    (0, "a01", "a02", "a03"),
+    (1, "a11", "a12", "a02"),
+    (0, 1, "a11", "a01"),
+    (0, 0, 1, 0),
+)
 _ONE = Fraction(1)
 
 
@@ -67,26 +68,12 @@ class GateViolation(ValueError):
     """A requested invariant violates its dimension gate."""
 
 
-@dataclass(frozen=True)
-class InvariantKey:
-    """Identifier of a descendant invariant: arity, level, exponents, degree.
-
-    For arity 1 the exponents tuple is (m,) for <tau_level H^m>_degree; for
-    arity 2 it is (a, b) for <H^a, tau_level H^b>_degree with the descendant
-    on the second slot.
-    """
-
-    arity: int
-    level: int
-    exponents: tuple[int, ...]
-    degree: int
-
-
 class RelationEngine:
     """Memoized rewriting of descendant invariants into entry polynomials."""
 
     def __init__(self) -> None:
-        self._memo: dict[InvariantKey, EntryPolynomial] = {}
+        # (k, m, d) for <tau_k H^m>_d, (a, k, b, d) for <H^a, tau_k H^b>_d
+        self._memo: dict[tuple[int, ...], EntryPolynomial] = {}
 
     # -- structural layer ---------------------------------------------------
 
@@ -94,20 +81,12 @@ class RelationEngine:
         """Matrix entry a_ij as a polynomial: zero, one, or a canonical variable.
 
         Indices outside 0..3 stand for insertions H^p with p outside 0..3 and
-        give the zero polynomial, as do a_00 and a_33 (fundamental-class
-        vanishing); j - i + 1 = 0 gives the classical value 1.  Entries below
-        the anti-diagonal rewrite through a_ij = a_(3-j)(3-i).
+        give the zero polynomial; the rest read `ENTRY_LAYOUT`.
         """
         if not (0 <= i <= H_TOP and 0 <= j <= H_TOP):
             return EntryPolynomial.zero()
-        if j - i + 1 < 0:
-            return EntryPolynomial.zero()
-        if j - i + 1 == 0:
-            return EntryPolynomial.const(_ONE)
-        if (i, j) in ((0, 0), (3, 3)):
-            return EntryPolynomial.zero()
-        name = _CANONICAL.get((i, j)) or _CANONICAL[(3 - j, 3 - i)]
-        return EntryPolynomial.variable(name)
+        a = ENTRY_LAYOUT[i][j]
+        return EntryPolynomial.variable(a) if isinstance(a, str) else EntryPolynomial.const(a)
 
     # -- public surface -----------------------------------------------------
 
@@ -143,7 +122,7 @@ class RelationEngine:
             return EntryPolynomial.zero()
         if k + m != d + 1:
             return EntryPolynomial.zero()
-        key = InvariantKey(1, k, (m,), d)
+        key = (k, m, d)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -163,7 +142,7 @@ class RelationEngine:
             return EntryPolynomial.zero()
         if a + k + b != d + 2:
             return EntryPolynomial.zero()
-        key = InvariantKey(2, k, (a, b), d)
+        key = (a, k, b, d)
         cached = self._memo.get(key)
         if cached is not None:
             return cached

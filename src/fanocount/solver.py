@@ -10,14 +10,18 @@ staged linear elimination:
 
     a01 from the d_2 relation; a02 linearly from the d_3 relation given a11;
     a03 linearly from the d_4 relation given a11 and a12.  The remaining
-    d_5, d_6 relations are both linear in a12, so eliminating a12 (a 2x2
-    resultant; a plain gcd when both drop a12) leaves one univariate
-    polynomial in a11 whose rational roots are extracted exactly and then
-    back-substituted and verified against all five relations.
+    d_5, d_6 relations are both linear in a12, and eliminating a12 leaves an
+    eliminant that is linear in a11 with slope -discriminant/81000.
 
-Rational roots of an integer polynomial are found completely and exactly by
-modular search plus Hensel lifting plus rational reconstruction, never by
-enumerating divisors of large coefficients.
+So off the discriminant the inverse is rational, a11 = N / (2 * discriminant)
+with N = 280 d2^3 d3 - 1000 d2^2 d5 - 168 d2 d3 d4 + 729 d3^3 - 3888 d3 d6
++ 3000 d4 d5.  a12 follows from the d_5 relation (from d_6 where d_3 = 0
+drops a12 from d_5), a02 and a03 by substitution, and one exact check of
+all five relations confirms the matrix.
+
+`rational_roots` finds the rational roots of an integer polynomial
+completely and exactly by modular search plus Hensel lifting plus rational
+reconstruction, never by enumerating divisors of large coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from math import isqrt, lcm
 
 from .exactmath import ENTRY_VARS, EntryPolynomial, PowerSeries
 from .grassmann import HSeriesPair
-from .relations import one_point_relation
+from .relations import ENTRY_LAYOUT, one_point_relation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,7 +52,11 @@ class NoRationalSolution(ArithmeticError):
 
 
 class AmbiguousSolution(ArithmeticError):
-    """More than one rational counting matrix maps to the period vector."""
+    """More than one rational counting matrix maps to the period vector.
+
+    `invert_periods` no longer raises it: off the discriminant the period
+    map is birational.  The class stays public for callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -66,29 +74,9 @@ class CountingMatrix:
         return {name: getattr(self, name) for name in ENTRY_VARS}
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Full matrix, filling dependent entries by a_ij = a_(3-j)(3-i)."""
-        a = {
-            (0, 1): self.a01,
-            (1, 1): self.a11,
-            (0, 2): self.a02,
-            (1, 2): self.a12,
-            (0, 3): self.a03,
-            (2, 2): self.a11,
-            (1, 3): self.a02,
-            (2, 3): self.a01,
-        }
-        out = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                if j - i + 1 < 0 or (i, j) in ((0, 0), (3, 3)):
-                    row.append(_ZERO)
-                elif j - i + 1 == 0:
-                    row.append(_ONE)
-                else:
-                    row.append(a[(i, j)])
-            out.append(tuple(row))
-        return tuple(out)
+        """Full matrix in the layout `relations.ENTRY_LAYOUT` states."""
+        values = {0: _ZERO, 1: _ONE, **self.entries()}
+        return tuple(tuple(values[a] for a in row) for row in ENTRY_LAYOUT)
 
 
 @dataclass(frozen=True)
@@ -368,65 +356,27 @@ def _linear_parts(p: EntryPolynomial) -> tuple[EntryPolynomial, EntryPolynomial]
 
 
 def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
-    """The unique counting matrix with the given periods, off the discriminant."""
+    """The unique counting matrix with the given periods, off the discriminant.
+
+    The inverse is rational: a11 = N(d_2..d_6) / (2 * discriminant) is the
+    root of the linear eliminant, and a12, a02, a03 follow by substitution.
+    """
     if discriminant(v) == 0:
         raise DegenerateLocus(f"discriminant vanishes at {v}")
     p5, p6, a02, a03 = _substituted_system(v)
     q5, c5 = _linear_parts(p5)
     q6, c6 = _linear_parts(p6)
-
-    if c5.is_zero() and c6.is_zero():
-        u5, u6 = _unipoly(q5, "a11"), _unipoly(q6, "a11")
-        common = _poly_gcd(u5, u6)
-        if not common:
-            raise AmbiguousSolution("periods leave the matrix underdetermined")
-        if len(common) == 1 or not rational_roots(common):
-            raise NoRationalSolution("the d_5, d_6 relations have no common root")
-        raise AmbiguousSolution("a12 is unconstrained by the periods")
-    else:
-        eliminant = c5 * q6 - c6 * q5
-        if eliminant.is_zero():
-            raise AmbiguousSolution("the d_5 and d_6 relations are proportional")
-        u = _unipoly(eliminant, "a11")
-        if len(u) == 1:
-            raise NoRationalSolution("the a11 eliminant is a nonzero constant")
-        candidates = rational_roots(u)
-
-    solutions: list[CountingMatrix] = []
-    relations = {d: one_point_relation(d - 2, d) for d in range(2, 7)}
-    targets = dict(zip(range(2, 7), v.as_tuple()))
-    for r in candidates:
-        a12_values: list[Fraction] = []
-        settled = False
-        for q_part, c_part in ((q5, c5), (q6, c6)):
-            c_at = _poly_eval(_unipoly(c_part, "a11"), r)
-            q_at = _poly_eval(_unipoly(q_part, "a11"), r)
-            if c_at != 0:
-                a12_values = [-q_at / c_at]
-                settled = True
-                break
-            if q_at != 0:
-                a12_values = []
-                settled = True
-                break
-        if not settled:
-            raise AmbiguousSolution(f"a12 is unconstrained at a11 = {r}")
-        for a12_val in a12_values:
-            full = {
-                "a01": 4 * v.d2,
-                "a11": r,
-                "a12": a12_val,
-                "a02": a02.substitute("a11", EntryPolynomial.const(r)).coefficient((0,) * 5),
-                "a03": a03.substitute("a11", EntryPolynomial.const(r))
-                .substitute("a12", EntryPolynomial.const(a12_val))
-                .coefficient((0,) * 5),
-            }
-            if all(relations[d].evaluate(full) == targets[d] for d in range(2, 7)):
-                cand = CountingMatrix(deg=deg, **{k: full[k] for k in ENTRY_VARS})
-                if cand not in solutions:
-                    solutions.append(cand)
-    if not solutions:
+    u = _unipoly(c5 * q6 - c6 * q5, "a11")
+    if len(u) != 2:
+        raise ArithmeticError(f"the a11 eliminant has degree {len(u) - 1}, not 1")
+    # a12, a02 and a03 read as 0 until solved; the parts evaluated before
+    # them do not involve them.
+    values = {"a01": 4 * v.d2, "a11": -u[0] / u[1], "a02": _ZERO, "a12": _ZERO, "a03": _ZERO}
+    q, c = (q5, c5) if c5.evaluate(values) else (q6, c6)
+    values["a12"] = -q.evaluate(values) / c.evaluate(values)
+    values["a02"] = a02.evaluate(values)
+    values["a03"] = a03.evaluate(values)
+    matrix = CountingMatrix(deg=deg, **values)
+    if constant_terms(matrix, 7).coeffs[2:] != v.as_tuple():
         raise NoRationalSolution(f"no rational matrix has periods {v}")
-    if len(solutions) > 1:
-        raise AmbiguousSolution(f"{len(solutions)} matrices share periods {v}")
-    return solutions[0]
+    return matrix

@@ -186,6 +186,73 @@ def test_d3_bad_lambda(capsys, bad):
     assert "error" in err
 
 
+NOT_PLAIN_RATIONALS = ["1e5", "1_000", "1.5", "1e-6000000"]
+
+
+@pytest.mark.parametrize("bad", NOT_PLAIN_RATIONALS)
+def test_d3_lambda_takes_only_plain_rationals(capsys, bad):
+    code, out, err = run(capsys, "d3", "--variety", "V10", "--lambda", bad)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: stage config: ConfigError: bad --lambda: {bad!r} is not of the form P or P/Q\n"
+    )
+
+
+@pytest.mark.parametrize("bad", NOT_PLAIN_RATIONALS)
+def test_periods_take_only_plain_rationals(capsys, bad):
+    code, out, err = run(capsys, "invert", "--variety", "V10", "--periods", f"1,1,{bad},1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stage config: ConfigError: bad rational in --periods: ")
+
+
+def test_rationals_may_carry_sign_and_surrounding_whitespace(capsys):
+    assert run(capsys, "d3", "--variety", "V14", "--lambda", " +4 ") == run(
+        capsys, "d3", "--variety", "V14", "--lambda", "4"
+    )
+    spaced = run(capsys, "invert", "--variety", "V10", "--periods", " 1, +1,1 ,1,2/2", "--deg", "1")
+    assert spaced == run(capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", "1")
+
+
+@pytest.mark.parametrize("deg", ["0", "-5"])
+def test_invert_degree_must_be_positive(capsys, deg):
+    code, out, err = run(
+        capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", deg
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: stage config: ConfigError: --deg must be positive\n"
+
+
+def test_oversize_residue_sum_is_refused_before_it_runs(capsys, tmp_path, monkeypatch):
+    def spy(*args):
+        raise AssertionError("hv_iseries ran for a refused job")
+
+    monkeypatch.setattr(pipeline, "hv_iseries", spy)
+    config = write_config(
+        tmp_path, {"ambient": {"type": "grassmannian", "r": 6, "n": 12}, "degrees": [1]}
+    )
+    code, out, err = run(capsys, "iseries", "--variety", config, "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: stage config: ConfigError: residue-sum work 235030950 for G(6,12) at "
+        f"order 5 exceeds the limit MAX_RESIDUE_WORK = {pipeline.MAX_RESIDUE_WORK}\n"
+    )
+
+
+def test_order_past_the_limit_is_refused(capsys):
+    order = str(pipeline.MAX_ORDER + 1)
+    code, out, err = run(capsys, "report", "--variety", "V10", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: stage config: ConfigError: order {order} exceeds the limit "
+        f"MAX_ORDER = {pipeline.MAX_ORDER}\n"
+    )
+
+
 def test_modularity_json(capsys):
     code, out, _ = run(capsys, "modularity", "--variety", "V10", "--format", "json")
     assert code == 0

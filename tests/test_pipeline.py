@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 import golden
-from fanocount.grassmann import GrassmannianSpec
+from fanocount.grassmann import GrassmannianSpec, _compositions, _plan
 from fanocount.pipeline import (
     CATALOG,
+    MAX_ORDER,
+    MAX_RESIDUE_WORK,
     ConfigError,
     PipelineRun,
     StageError,
     VarietyConfig,
+    _residue_work,
     ambient_series,
     iseries_view,
     load_config,
@@ -291,3 +294,36 @@ def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
         for r in report.modularity.rows
         if (r.lam, r.candidate) == (0, "factorial_transform")
     ] == [None]
+
+
+@pytest.mark.parametrize(
+    ("r", "n", "order", "work"),
+    [(6, 12, 5, 235030950), (5, 10, 5, 5503680), (3, 6, 7, 8820), (2, 5, 13, 546), (1, 5, 30, 0)],
+)
+def test_residue_work_figures(r, n, order, work):
+    assert _residue_work(GrassmannianSpec(r, n), order) == work
+    assert _residue_work(GrassmannianSpec(n - r, n), order) == work
+
+
+@pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5)])
+def test_residue_work_counts_the_plan_the_sum_runs(r, order):
+    # the compositions ambient_series sums, times the monomials and pairs of its plan
+    pairs = r * (r - 1) // 2
+    _, monomials, plan_pairs = _plan(r, 1 + pairs)
+    compositions = sum(1 for d in range(order) for _ in _compositions(d, r))
+    expected = compositions * len(monomials) * len(plan_pairs)
+    assert _residue_work(GrassmannianSpec(r, 2 * r + 1), order) == expected
+
+
+def test_job_limits_admit_the_benchmarked_jobs():
+    g36 = VarietyConfig(None, GrassmannianSpec(3, 6), (1,))
+    for config, order in ((CATALOG["V10"], MAX_ORDER), (CATALOG["V14"], 13), (g36, 7)):
+        PipelineRun(config, order)  # sets up only; no stage runs
+    assert _residue_work(GrassmannianSpec(5, 10), 5) <= MAX_RESIDUE_WORK
+
+
+def test_oversize_jobs_are_refused_at_set_up():
+    with pytest.raises(ConfigError, match="MAX_ORDER"):
+        PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
+    with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
+        run_pipeline(VarietyConfig(None, GrassmannianSpec(6, 12), (1,)), 5)

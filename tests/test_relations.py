@@ -10,6 +10,7 @@ from fanocount.relations import (
     RelationEngine,
     one_point_relation,
 )
+from fanocount.solver import CountingMatrix
 
 F = Fraction
 two_point_symbol = RelationEngine().two_point_symbol
@@ -56,6 +57,16 @@ def test_entry_classical_and_vanishing():
     assert e.entry(3, 3).is_zero()
     assert e.entry(4, 3).is_zero()
     assert e.entry(-1, 2).is_zero()
+
+
+@pytest.mark.parametrize("matrix", [golden.MATRIX_V10, golden.MATRIX_V14])
+def test_entry_and_rows_read_one_layout(matrix):
+    m = CountingMatrix(deg=1, **golden.entry_values(matrix))
+    rows = m.rows()
+    e = RelationEngine()
+    for i in range(4):
+        for j in range(4):
+            assert e.entry(i, j).evaluate(m.entries()) == rows[i][j]
 
 
 def test_invariant_key_gates():

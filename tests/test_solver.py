@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import golden
 from fanocount.grassmann import GrassmannianSpec, HSeriesPair, extract_h_pair, hv_iseries
-from fanocount.exactmath import PowerSeries
+from fanocount import solver
+from fanocount.exactmath import EntryPolynomial, PowerSeries
 from fanocount.lefschetz import CompleteIntersectionSpec, quantum_lefschetz
 from fanocount.solver import (
     AmbiguousSolution,
@@ -195,6 +196,61 @@ def test_eliminant_is_linear_with_discriminant_slope(v):
     u = _unipoly(c5 * q6 - c6 * q5, "a11")
     assert len(u) == 2
     assert u[1] * -81000 == discriminant(v)
+
+
+def closed_form_a11(v):
+    """a11 = N(d2..d6) / (2 * discriminant), the rational inverse's first entry."""
+    d2, d3, d4, d5, d6 = v.as_tuple()
+    n = (
+        280 * d2**3 * d3 - 1000 * d2**2 * d5 - 168 * d2 * d3 * d4
+        + 729 * d3**3 - 3888 * d3 * d6 + 3000 * d4 * d5
+    )
+    return n / (2 * discriminant(v))
+
+
+@st.composite
+def period_vectors_with_zero_d3(draw):
+    # d3 = 0 drops a12 from the d_5 relation, so a12 comes from d_6
+    d2, d4, d5, d6 = (draw(small_fractions) for _ in range(4))
+    return PeriodVector(d2, F(0), d4, d5, d6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(period_vectors(), period_vectors_with_zero_d3()))
+def test_every_vector_off_the_discriminant_inverts(v):
+    assume(discriminant(v) != 0)
+    m = invert_periods(v, 1)
+    assert forward_periods(m) == v
+    assert m.a01 == 4 * v.d2
+    assert m.a11 == closed_form_a11(v)
+
+
+def test_zero_d3_takes_a12_from_the_d6_relation():
+    v = PeriodVector(F(1), F(0), F(1), F(1), F(1))
+    assert discriminant(v) == 176
+    _, c5 = _linear_parts(_substituted_system(v)[0])
+    assert c5.is_zero()
+    m = invert_periods(v, 1)
+    assert forward_periods(m) == v
+    assert (m.a11, m.a12) == (F(125, 22), F(-54023, 1936))
+
+
+def test_eliminant_of_the_wrong_degree_is_refused(monkeypatch):
+    monkeypatch.setattr(solver, "_linear_parts", lambda p: (p, p))
+    with pytest.raises(ArithmeticError, match="eliminant has degree 0"):
+        invert_periods(forward_periods(M10), 10)
+
+
+def test_final_check_refuses_a_wrong_back_substitution(monkeypatch):
+    staged = solver._substituted_system
+
+    def off_by_one(v):
+        p5, p6, a02, a03 = staged(v)
+        return p5, p6, a02, a03 + EntryPolynomial.const(1)
+
+    monkeypatch.setattr(solver, "_substituted_system", off_by_one)
+    with pytest.raises(NoRationalSolution, match="no rational matrix has periods"):
+        invert_periods(forward_periods(M10), 10)
 
 
 def test_rational_roots_simple_cubic():
