@@ -11,17 +11,14 @@ from .exactmath import (
 )
 from .grassmann import (
     AsymmetricSeries,
-    GeometryInfo,
     GrassmannianSpec,
     HSeriesPair,
     extract_h_pair,
-    grassmannian_geometry,
     hv_iseries,
     projective_iseries,
 )
 from .lefschetz import (
     CompleteIntersectionSpec,
-    FanoModel,
     NotFano,
     NotThreefoldWarning,
     ci_geometry,

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help=f"catalog name ({', '.join(sorted(CATALOG))}) or JSON config path",
         )
-        p.add_argument("--order", type=int, default=7, help="series length (default 7)")
+        p.add_argument("--order", default="7", help="series length (default 7)")
         p.add_argument(
             "--format", choices=("json", "text"), default="text", help="output format"
         )
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--periods",
         help="comma-separated d2,d3,d4,d5,d6 (default: the variety's own periods)",
     )
-    inv.add_argument("--deg", type=int, help="anticanonical degree for the output matrix")
+    inv.add_argument("--deg", help="anticanonical degree for the output matrix")
     d3p = add("d3", "third-order operator and its normalized solution")
     d3p.add_argument(
         "--lambda", dest="lam", default="0", help="pencil shift, a rational P/Q"
@@ -108,9 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The documented forms [+-]P and [+-]P/Q; `Fraction` alone would also take
-# exponents, and "1e-6000000" would build 10^6000000 before any check ran.
+# The documented forms [+-]P and [+-]P/Q.  `Fraction` alone would also take
+# exponents ("1e-6000000" would build 10^6000000 before any check ran), and
+# `int` alone digit separators ("1_0").
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -119,6 +121,15 @@ def _rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _integer(text: str, what: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ConfigError(f"bad {what}: {text!r} is not of the form P")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the interpreter's digit limit
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
@@ -137,19 +148,21 @@ def _run_command(args: argparse.Namespace) -> int:
         return status
 
     config = load_config(args.variety)
-    if args.order < 1:
+    order = _integer(args.order, "--order")
+    if order < 1:
         raise ConfigError("--order must be positive")
-    run = PipelineRun(config, args.order)
+    run = PipelineRun(config, order)
     try:
         if cmd == "report":
             out = serialize_report(run.complete(), args.format)
         elif cmd == "d3":
             out = render(*d3_view(run, _rational(args.lam, "--lambda")), args.format)
         elif cmd == "invert":
-            if args.deg is not None and args.deg < 1:
+            deg = None if args.deg is None else _integer(args.deg, "--deg")
+            if deg is not None and deg < 1:
                 raise ConfigError("--deg must be positive")
             periods = None if args.periods is None else _parse_periods(args.periods)
-            out = render(*invert_view(run, periods, args.deg), args.format)
+            out = render(*invert_view(run, periods, deg), args.format)
         else:
             out = render(*args.view(run), args.format)
         sys.stdout.write(out)

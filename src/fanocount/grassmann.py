@@ -53,12 +53,13 @@ class GrassmannianSpec:
         if not 1 <= self.r < self.n:
             raise ValueError(f"need 1 <= r < n, got r={self.r}, n={self.n}")
 
-
-@dataclass(frozen=True)
-class GeometryInfo:
-    dimension: int
-    fano_index: int
-    plucker_degree: int
+    @property
+    def plucker_degree(self) -> int:
+        """Degree of G(r, n) in its Plucker embedding,
+        (r(n-r))! * prod_{i<r} i! / (n-r+i)!, an exact quotient."""
+        r, n = self.r, self.n
+        top = factorial(r * (n - r)) * prod(factorial(i) for i in range(r))
+        return top // prod(factorial(n - r + i) for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -75,18 +76,6 @@ class HSeriesPair:
     @property
     def order(self) -> int:
         return self.c0.order
-
-
-def grassmannian_geometry(spec: GrassmannianSpec) -> GeometryInfo:
-    """Dimension, Fano index, and Plucker degree of G(r, n)."""
-    r, n = spec.r, spec.n
-    dim = r * (n - r)
-    deg = Fraction(factorial(dim))
-    for i in range(r):
-        deg *= Fraction(factorial(i), factorial(n - r + i))
-    if deg.denominator != 1 or deg < 1:
-        raise ArithmeticError(f"degree of G({r},{n}) computed as non-integer {deg}")
-    return GeometryInfo(dimension=dim, fano_index=n, plucker_degree=int(deg))
 
 
 def harmonic(m: int) -> Fraction:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .exactmath import PowerSeries, exp_twist
-from .grassmann import GrassmannianSpec, HSeriesPair, grassmannian_geometry, harmonic
+from .grassmann import GrassmannianSpec, HSeriesPair, harmonic
 
 _ZERO = Fraction(0)
 
@@ -62,37 +62,23 @@ class CompleteIntersectionSpec:
     def dimension(self) -> int:
         return self.ambient.r * (self.ambient.n - self.ambient.r) - len(self.degrees)
 
-
-@dataclass(frozen=True)
-class FanoModel:
-    spec: CompleteIntersectionSpec
-    dimension: int
-    fano_index: int
-    plucker_degree: int
-    anticanonical_degree: int
+    @property
+    def anticanonical_degree(self) -> int:
+        """(-K)^dim = index^dim * Plucker degree of the ambient * prod(degrees)."""
+        return self.fano_index**self.dimension * self.ambient.plucker_degree * prod(self.degrees)
 
 
-def ci_geometry(spec: CompleteIntersectionSpec) -> FanoModel:
-    """Validate the intersection data and compute its anticanonical degree."""
-    index = spec.fano_index
-    if index <= 0:
-        raise NotFano(f"Fano index {index} is not positive")
-    dim = spec.dimension
-    if dim != 3:
+def ci_geometry(spec: CompleteIntersectionSpec) -> CompleteIntersectionSpec:
+    """The spec itself, once checked to be Fano; warns unless it is a threefold."""
+    if spec.fano_index <= 0:
+        raise NotFano(f"Fano index {spec.fano_index} is not positive")
+    if spec.dimension != 3:
         warnings.warn(
-            f"complete intersection has dimension {dim}, not 3",
+            f"complete intersection has dimension {spec.dimension}, not 3",
             NotThreefoldWarning,
             stacklevel=2,
         )
-    ambient = grassmannian_geometry(spec.ambient)
-    degree = index**dim * ambient.plucker_degree * prod(spec.degrees)
-    return FanoModel(
-        spec=spec,
-        dimension=dim,
-        fano_index=index,
-        plucker_degree=ambient.plucker_degree,
-        anticanonical_degree=degree,
-    )
+    return spec
 
 
 def lefschetz_shift(spec: CompleteIntersectionSpec, c0x: PowerSeries) -> Fraction:

@@ -40,13 +40,7 @@ from .grassmann import (
     hv_iseries,
     projective_iseries,
 )
-from .lefschetz import (
-    CompleteIntersectionSpec,
-    FanoModel,
-    ci_geometry,
-    lefschetz_shift,
-    quantum_lefschetz,
-)
+from .lefschetz import CompleteIntersectionSpec, ci_geometry, lefschetz_shift, quantum_lefschetz
 from .solver import (
     CountingMatrix, PeriodVector, discriminant, forward_periods, invert_periods, recover_matrix,
 )
@@ -70,33 +64,21 @@ class StageError(Exception):
 
 
 @dataclass(frozen=True)
-class VarietyConfig:
-    """Ambient Grassmannian (projective space is the rank-1 case) plus the
-    multidegree of the complete intersection."""
+class VarietyConfig(CompleteIntersectionSpec):
+    """A complete intersection in a Grassmannian (projective space is the
+    rank-1 case), under the name it is loaded by."""
 
-    name: str | None
-    ambient: GrassmannianSpec
-    degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        CompleteIntersectionSpec(self.ambient, self.degrees)
-
-    @property
-    def spec(self) -> CompleteIntersectionSpec:
-        return CompleteIntersectionSpec(self.ambient, self.degrees)
+    name: str | None = None
 
     @property
     def in_catalog(self) -> bool:
-        return (
-            self.name in CATALOG
-            and CATALOG[self.name].ambient == self.ambient
-            and CATALOG[self.name].degrees == self.degrees
-        )
+        return CATALOG.get(self.name) == self
 
 
-CATALOG: dict[str, VarietyConfig] = {}
-CATALOG["V10"] = VarietyConfig("V10", GrassmannianSpec(2, 5), (1, 1, 2))
-CATALOG["V14"] = VarietyConfig("V14", GrassmannianSpec(2, 6), (1, 1, 1, 1, 1))
+CATALOG: dict[str, VarietyConfig] = {
+    "V10": VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 2), "V10"),
+    "V14": VarietyConfig(GrassmannianSpec(2, 6), (1, 1, 1, 1, 1), "V14"),
+}
 
 
 def load_config(source: str) -> VarietyConfig:
@@ -166,7 +148,7 @@ def parse_config(raw: object) -> VarietyConfig:
     if name is not None and not isinstance(name, str):
         raise ConfigError("field 'name' must be a string")
     try:
-        return VarietyConfig(name, GrassmannianSpec(r, n), degrees)
+        return VarietyConfig(GrassmannianSpec(r, n), degrees, name)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -256,17 +238,17 @@ class PipelineRun:
         return ambient_series(self.config.ambient, max(self.order, 5))
 
     @_stage("lefschetz")
-    def geometry(self) -> FanoModel:
-        return self._recording_warnings(ci_geometry, self.config.spec)
+    def geometry(self) -> CompleteIntersectionSpec:
+        return self._recording_warnings(ci_geometry, self.config)
 
     @_stage("lefschetz")
     def alpha(self) -> Fraction:
-        return lefschetz_shift(self.config.spec, self.ambient_pair.c0)
+        return lefschetz_shift(self.config, self.ambient_pair.c0)
 
     @_stage("lefschetz")
     def variety_pair(self) -> HSeriesPair:
         self.geometry  # validates the intersection and records its warnings first
-        return self._recording_warnings(quantum_lefschetz, self.ambient_pair, self.config.spec)
+        return self._recording_warnings(quantum_lefschetz, self.ambient_pair, self.config)
 
     @_stage("solver")
     def matrix(self) -> CountingMatrix:
@@ -474,7 +456,7 @@ def modularity_view(run: PipelineRun) -> View:
 
 def report_view(report: PipelineRun) -> View:
     """Every stage of a completed run, with every rational as an exact string."""
-    cfg, g = report.config, report.geometry
+    cfg = report.config
     ambient, ambient_lines = _pair_view(report.ambient_pair, report.order)
     variety, variety_lines = _pair_view(report.variety_pair, report.order)
     periods, periods_lines = periods_view(report)
@@ -485,10 +467,10 @@ def report_view(report: PipelineRun) -> View:
         "degrees": list(cfg.degrees),
         "order": report.order,
         "geometry": {
-            "dimension": g.dimension,
-            "fano_index": g.fano_index,
-            "ambient_plucker_degree": rational_str(g.plucker_degree),
-            "anticanonical_degree": rational_str(g.anticanonical_degree),
+            "dimension": cfg.dimension,
+            "fano_index": cfg.fano_index,
+            "ambient_plucker_degree": rational_str(cfg.ambient.plucker_degree),
+            "anticanonical_degree": rational_str(cfg.anticanonical_degree),
         },
         "alpha": rational_str(report.alpha),
         "ambient_series": ambient,
@@ -503,8 +485,9 @@ def report_view(report: PipelineRun) -> View:
     lines = [
         f"variety {cfg.name or '(unnamed)'} [{tag}]",
         f"  ambient G({cfg.ambient.r},{cfg.ambient.n}), degrees {tuple(cfg.degrees)}",
-        f"  dimension {g.dimension}, index {g.fano_index}, "
-        f"ambient degree {g.plucker_degree}, anticanonical degree {g.anticanonical_degree}",
+        f"  dimension {cfg.dimension}, index {cfg.fano_index}, "
+        f"ambient degree {cfg.ambient.plucker_degree}, "
+        f"anticanonical degree {cfg.anticanonical_degree}",
         f"  shift alpha = {data['alpha']}",
         *("  ambient " + line for line in ambient_lines),
         *("  variety " + line for line in variety_lines),

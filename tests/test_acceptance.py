@@ -29,7 +29,7 @@ from fanocount.grassmann import (
     hv_iseries,
 )
 from fanocount.exactmath import EntryPolynomial
-from fanocount.lefschetz import CompleteIntersectionSpec, quantum_lefschetz
+from fanocount.lefschetz import quantum_lefschetz
 from fanocount.pipeline import CATALOG, run_pipeline, verify_golden
 from fanocount.solver import (
     CountingMatrix,
@@ -59,8 +59,7 @@ GOLDEN_ROWS = {
 
 def variety_pair(name, d_max=6):
     config = CATALOG[name]
-    spec = CompleteIntersectionSpec(config.ambient, config.degrees)
-    return quantum_lefschetz(extract_h_pair(hv_iseries(spec.ambient, d_max, 2)), spec)
+    return quantum_lefschetz(extract_h_pair(hv_iseries(config.ambient, d_max, 2)), config)
 
 
 def test_end_to_end_matrix_reproduction():

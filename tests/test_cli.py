@@ -207,11 +207,37 @@ def test_periods_take_only_plain_rationals(capsys, bad):
     assert err.startswith("error: stage config: ConfigError: bad rational in --periods: ")
 
 
+NOT_PLAIN_INTEGERS = ["1_0", " 1_0 ", "1e1", "1.0", "2/2", "0x7", "", "abc"]
+
+
+@pytest.mark.parametrize("bad", NOT_PLAIN_INTEGERS)
+def test_order_takes_only_plain_integers(capsys, bad):
+    code, out, err = run(capsys, "iseries", "--variety", "V10", "--order", bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: stage config: ConfigError: bad --order: {bad!r} is not of the form P\n"
+
+
+@pytest.mark.parametrize("bad", NOT_PLAIN_INTEGERS)
+def test_deg_takes_only_plain_integers(capsys, bad):
+    code, out, err = run(
+        capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", bad
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: stage config: ConfigError: bad --deg: {bad!r} is not of the form P\n"
+
+
 def test_rationals_may_carry_sign_and_surrounding_whitespace(capsys):
     assert run(capsys, "d3", "--variety", "V14", "--lambda", " +4 ") == run(
         capsys, "d3", "--variety", "V14", "--lambda", "4"
     )
     spaced = run(capsys, "invert", "--variety", "V10", "--periods", " 1, +1,1 ,1,2/2", "--deg", "1")
+    assert spaced == run(capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", "1")
+    assert run(capsys, "iseries", "--variety", "V10", "--order", " +3 ") == run(
+        capsys, "iseries", "--variety", "V10", "--order", "3"
+    )
+    spaced = run(capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", " +1 ")
     assert spaced == run(capsys, "invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", "1")
 
 

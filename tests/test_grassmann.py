@@ -13,11 +13,11 @@ from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
     extract_h_pair,
-    grassmannian_geometry,
     harmonic,
     hv_iseries,
     projective_iseries,
 )
+from fanocount.lefschetz import CompleteIntersectionSpec
 from fanocount.pipeline import ambient_series
 
 F = Fraction
@@ -60,15 +60,28 @@ def test_spec_validation():
 
 
 def test_geometry_of_line_grassmannians():
-    g25 = grassmannian_geometry(GrassmannianSpec(2, 5))
-    assert (g25.dimension, g25.fano_index, g25.plucker_degree) == (6, 5, 5)
-    g26 = grassmannian_geometry(GrassmannianSpec(2, 6))
-    assert (g26.dimension, g26.fano_index, g26.plucker_degree) == (8, 6, 14)
+    # an intersection of no hypersurfaces is the ambient space itself
+    g25 = CompleteIntersectionSpec(GrassmannianSpec(2, 5), ())
+    assert (g25.dimension, g25.fano_index, g25.ambient.plucker_degree) == (6, 5, 5)
+    g26 = CompleteIntersectionSpec(GrassmannianSpec(2, 6), ())
+    assert (g26.dimension, g26.fano_index, g26.ambient.plucker_degree) == (8, 6, 14)
 
 
 def test_geometry_of_projective_space():
-    g = grassmannian_geometry(GrassmannianSpec(1, 4))
-    assert (g.dimension, g.fano_index, g.plucker_degree) == (3, 4, 1)
+    g = CompleteIntersectionSpec(GrassmannianSpec(1, 4), ())
+    assert (g.dimension, g.fano_index, g.ambient.plucker_degree) == (3, 4, 1)
+
+
+def hook_length_count(rows, cols):
+    """Standard Young tableaux of the rows x cols rectangle, by the hook-length formula."""
+    hooks = math.prod(rows + cols - i - j - 1 for i in range(rows) for j in range(cols))
+    return math.factorial(rows * cols) // hooks
+
+
+def test_plucker_degree_counts_rectangular_tableaux():
+    for n in range(2, 10):
+        for r in range(1, n):
+            assert GrassmannianSpec(r, n).plucker_degree == hook_length_count(r, n - r)
 
 
 def test_harmonic_numbers():

@@ -37,10 +37,23 @@ def test_spec_rejects_nonpositive_degrees():
 
 
 def test_geometry_of_the_two_threefolds():
-    g10 = ci_geometry(V10_SPEC)
-    assert (g10.dimension, g10.fano_index, g10.anticanonical_degree) == (3, 1, 10)
-    g14 = ci_geometry(V14_SPEC)
-    assert (g14.dimension, g14.fano_index, g14.anticanonical_degree) == (3, 1, 14)
+    assert ci_geometry(V10_SPEC) is V10_SPEC
+    assert (V10_SPEC.dimension, V10_SPEC.fano_index, V10_SPEC.anticanonical_degree) == (3, 1, 10)
+    assert ci_geometry(V14_SPEC) is V14_SPEC
+    assert (V14_SPEC.dimension, V14_SPEC.fano_index, V14_SPEC.anticanonical_degree) == (3, 1, 14)
+
+
+@pytest.mark.parametrize(
+    "r,n,degrees,anticanonical_degree",
+    [(1, 5, (4,), 4), (1, 6, (2, 3), 6), (1, 7, (2, 2, 2), 8)],
+    ids=["V4", "V6", "V8"],
+)
+def test_geometry_of_the_projective_threefolds(r, n, degrees, anticanonical_degree):
+    spec = CompleteIntersectionSpec(GrassmannianSpec(r, n), degrees)
+    assert ci_geometry(spec) is spec
+    assert (spec.dimension, spec.fano_index, spec.anticanonical_degree) == (
+        3, 1, anticanonical_degree,
+    )
 
 
 def test_not_fano_rejected():

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import golden
+from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _compositions, _plan
 from fanocount.pipeline import (
     CATALOG,
@@ -37,7 +39,11 @@ def test_catalog_entries():
     assert v10.degrees == (1, 1, 2)
     v14 = load_config("V14")
     assert v14.degrees == (1,) * 5
-    assert v14.spec.fano_index == 1
+    assert v14.fano_index == 1
+    # the name and the intersection must both match a catalog entry
+    assert not VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 1), "V10").in_catalog
+    assert not VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 2), "V14").in_catalog
+    assert not VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 2)).in_catalog
 
 
 def test_load_config_from_file(tmp_path):
@@ -135,7 +141,7 @@ def test_parse_config_is_strict(raw, field):
 
 def test_variety_config_validates_degrees():
     with pytest.raises(ValueError):
-        VarietyConfig("x", GrassmannianSpec(2, 5), (0,))
+        VarietyConfig(GrassmannianSpec(2, 5), (0,), "x")
 
 
 def test_ambient_series_dispatch():
@@ -174,7 +180,7 @@ def test_run_pipeline_rejects_low_order():
 
 
 def test_run_pipeline_marks_noncatalog_unverified():
-    quartic = VarietyConfig("quartic", GrassmannianSpec(1, 5), (4,))
+    quartic = VarietyConfig(GrassmannianSpec(1, 5), (4,), "quartic")
     report = run_pipeline(quartic)
     assert not report.verified
     assert any("unverified" in note for note in report.notes)
@@ -183,11 +189,38 @@ def test_run_pipeline_marks_noncatalog_unverified():
 
 def test_run_pipeline_wraps_stage_failures():
     # index-2 model: the hyperplane series fails the closure checks
-    cubic = VarietyConfig("cubic", GrassmannianSpec(1, 5), (3,))
+    cubic = VarietyConfig(GrassmannianSpec(1, 5), (3,), "cubic")
     with pytest.raises(StageError) as info:
         run_pipeline(cubic)
     assert info.value.stage == "solver"
     assert isinstance(info.value.original, ArithmeticError)
+
+
+@pytest.mark.parametrize(
+    "config,deg,alpha,term",
+    [
+        (
+            VarietyConfig(GrassmannianSpec(1, 5), (4,), "V4"),
+            4, 24, lambda d: factorial(4 * d) // factorial(d) ** 4,
+        ),
+        (
+            VarietyConfig(GrassmannianSpec(1, 6), (2, 3), "V6"),
+            6, 12, lambda d: factorial(2 * d) * factorial(3 * d) // factorial(d) ** 5,
+        ),
+        (
+            VarietyConfig(GrassmannianSpec(1, 7), (2, 2, 2), "V8"),
+            8, 8, lambda d: factorial(2 * d) ** 3 // factorial(d) ** 6,
+        ),
+    ],
+    ids=["V4", "V6", "V8"],
+)
+def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, term):
+    # the regularized quantum periods of the quartic, the (2,3) and the (2,2,2)
+    # complete intersections are hypergeometric; the sums share nothing with the pipeline
+    run = PipelineRun(config, 13)
+    assert (run.matrix.deg, run.alpha) == (deg, alpha)
+    solution = frobenius_solve(run.operator_at(run.alpha), 13)
+    assert solution.coeffs == tuple(term(d) for d in range(13))
 
 
 def test_serialize_report_json_is_deterministic():
@@ -316,7 +349,7 @@ def test_residue_work_counts_the_plan_the_sum_runs(r, order):
 
 
 def test_job_limits_admit_the_benchmarked_jobs():
-    g36 = VarietyConfig(None, GrassmannianSpec(3, 6), (1,))
+    g36 = VarietyConfig(GrassmannianSpec(3, 6), (1,))
     for config, order in ((CATALOG["V10"], MAX_ORDER), (CATALOG["V14"], 13), (g36, 7)):
         PipelineRun(config, order)  # sets up only; no stage runs
     assert _residue_work(GrassmannianSpec(5, 10), 5) <= MAX_RESIDUE_WORK
@@ -326,4 +359,4 @@ def test_oversize_jobs_are_refused_at_set_up():
     with pytest.raises(ConfigError, match="MAX_ORDER"):
         PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
     with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
-        run_pipeline(VarietyConfig(None, GrassmannianSpec(6, 12), (1,)), 5)
+        run_pipeline(VarietyConfig(GrassmannianSpec(6, 12), (1,)), 5)
