@@ -34,7 +34,7 @@ def scan(name: str, span: int, order: int) -> None:
     report = run_pipeline(CATALOG[name], order=max(order, 5))
     matrix = report.matrix
     alpha = report.alpha
-    level = matrix.deg // 2
+    level = report.modularity.level
     eisenstein = eisenstein_weight2(level, order)
     c0 = report.variety_pair.c0
 

@@ -20,7 +20,6 @@ from .grassmann import (
 from .lefschetz import (
     CompleteIntersectionSpec,
     NotFano,
-    NotThreefoldWarning,
     ci_geometry,
     euler_corrected_series,
     lefschetz_shift,

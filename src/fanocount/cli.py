@@ -6,8 +6,9 @@ series, `lefschetz` the twisted variety series, `matrix` the counting
 matrix, `periods` and `invert` the period map in both directions, `d3` the
 third-order operator and its normalized solution, `modularity` the
 candidate table, and `report` every stage.  `verify` recomputes everything
-and diffs it against the embedded golden values.  The run's warnings go to
-stderr as `warning:` lines.
+and diffs it against the embedded golden values.  `iseries` and `lefschetz`
+run on any Fano complete intersection; every subcommand that reads the
+counting matrix refuses one that is not a threefold, with exit code 2.
 
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call; no pipeline result outlives its call.
@@ -152,24 +153,20 @@ def _run_command(args: argparse.Namespace) -> int:
     if order < 1:
         raise ConfigError("--order must be positive")
     run = PipelineRun(config, order)
-    try:
-        if cmd == "report":
-            out = serialize_report(run.complete(), args.format)
-        elif cmd == "d3":
-            out = render(*d3_view(run, _rational(args.lam, "--lambda")), args.format)
-        elif cmd == "invert":
-            deg = None if args.deg is None else _integer(args.deg, "--deg")
-            if deg is not None and deg < 1:
-                raise ConfigError("--deg must be positive")
-            periods = None if args.periods is None else _parse_periods(args.periods)
-            out = render(*invert_view(run, periods, deg), args.format)
-        else:
-            out = render(*args.view(run), args.format)
-        sys.stdout.write(out)
-        return 0
-    finally:
-        for warning in run.warnings:
-            sys.stderr.write(f"warning: {warning}\n")
+    if cmd == "report":
+        out = serialize_report(run.complete(), args.format)
+    elif cmd == "d3":
+        out = render(*d3_view(run, _rational(args.lam, "--lambda")), args.format)
+    elif cmd == "invert":
+        deg = None if args.deg is None else _integer(args.deg, "--deg")
+        if deg is not None and deg < 1:
+            raise ConfigError("--deg must be positive")
+        periods = None if args.periods is None else _parse_periods(args.periods)
+        out = render(*invert_view(run, periods, deg), args.format)
+    else:
+        out = render(*args.view(run), args.format)
+    sys.stdout.write(out)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -411,22 +411,25 @@ def factorial_transform(series: PowerSeries) -> PowerSeries:
 def modularity_report(
     matrix,
     alpha: Rational,
+    level: Rational,
     order: int = 8,
     operator_at: Callable[[Fraction], DifferentialOperator] | None = None,
 ) -> ModularityReport:
     """Tabulate, for each pencil shift, where the normalized solution of the
     third-order operator first differs from each candidate q-expansion.
 
-    Candidates: the weight-2 Eisenstein series at level deg/2, and the
+    Candidates: the weight-2 Eisenstein series at the given level, and the
     factorial transform of the matrix's constant-term series, bare and
-    multiplied by e^(+alpha q) or e^(-alpha q).  The report records indices,
-    never a verdict.  `operator_at(lam)` supplies the pencil operators, so a
-    caller that already built one passes it in instead of building it twice.
+    multiplied by e^(+alpha q) or e^(-alpha q).  Each distinct shift among
+    0, alpha and -alpha gets one row per candidate.  The report records
+    indices, never a verdict.  `operator_at(lam)` supplies the pencil
+    operators, so a caller that already built one passes it in instead of
+    building it twice.
     """
-    alpha = Fraction(alpha)
-    if matrix.deg % 2 != 0:
-        raise InvalidLevel(f"degree {matrix.deg} has no integer half")
-    level = matrix.deg // 2
+    alpha, level = Fraction(alpha), Fraction(level)
+    if level.denominator != 1:
+        raise InvalidLevel(f"level {level} is not an integer")
+    level = level.numerator
     operator_at = operator_at or partial(pencil_operator, matrix)
 
     candidates: list[tuple[str, PowerSeries | None, str | None]] = []
@@ -443,7 +446,7 @@ def modularity_report(
         )
 
     rows = []
-    for lam in (Fraction(0), alpha, -alpha):
+    for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):
         solution = None
         lam_error = None
         try:

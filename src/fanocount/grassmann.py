@@ -50,6 +50,8 @@ class GrassmannianSpec:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.r) is not int or type(self.n) is not int:
+            raise ValueError(f"r and n must be integers, got r={self.r!r}, n={self.n!r}")
         if not 1 <= self.r < self.n:
             raise ValueError(f"need 1 <= r < n, got r={self.r}, n={self.n}")
 

@@ -1,25 +1,26 @@
 """Quantum Lefschetz transform, mod H^2, for Fano complete intersections.
 
-A complete intersection Y of hypersurface degrees (d_1..d_k) inside an
-ambient space X with hyperplane series I^X = sum (c0[d] + c1[d] H) q^d is
-handled in two steps:
+A complete intersection Y of hypersurface degrees (d_1..d_k) and Fano index
+r inside an ambient space X with hyperplane series
+I^X = sum (c0[d] + c1[d] H) q^d is handled in three steps:
 
 * per-degree Euler correction, multiplying the degree-d coefficient by
-  E_d = prod_j prod_{i=1}^{d_j * d} (d_j H + i), again mod H^2, and
+  E_d = prod_j prod_{i=1}^{d_j * d} (d_j H + i), again mod H^2,
 * for Fano index 1, the exponential normalization exp(-alpha q) with
   alpha = prod_j d_j! * c0[1].  For index >= 2 the shift alpha is 0 and the
-  exponential factor is trivial.
+  exponential factor is trivial, and
+* the regrading from the hyperplane class H to -K = r H: hyperplane degree
+  d becomes anticanonical degree r d, and the H coefficient becomes the
+  -K coefficient c1[d] / r.  At index 1 this is the identity.
 
 The i = 0 factors of the textbook Euler product cancel between numerator and
 denominator of the transform and are omitted here by construction.  The
-q-grading on both sides is by the hyperplane degree; that matches the
-anticanonical grading only for index-1 threefolds, and a warning is emitted
-for any other shape.
+counting-matrix relations are stated for the -K grading, so the returned
+series feeds them for every index.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -34,14 +35,6 @@ class NotFano(ValueError):
     """The complete intersection has nonpositive Fano index."""
 
 
-class NotThreefoldWarning(UserWarning):
-    """The complete intersection is not three-dimensional."""
-
-
-class GradingMismatchWarning(UserWarning):
-    """Hyperplane q-grading differs from the anticanonical grading."""
-
-
 @dataclass(frozen=True)
 class CompleteIntersectionSpec:
     """Hypersurface degrees cutting a subvariety of a Grassmannian."""
@@ -50,7 +43,9 @@ class CompleteIntersectionSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        if any(type(d) is not int for d in self.degrees):
+            raise ValueError(f"hypersurface degrees must be integers, got {self.degrees!r}")
         if any(d < 1 for d in self.degrees):
             raise ValueError("hypersurface degrees must be positive")
 
@@ -69,15 +64,9 @@ class CompleteIntersectionSpec:
 
 
 def ci_geometry(spec: CompleteIntersectionSpec) -> CompleteIntersectionSpec:
-    """The spec itself, once checked to be Fano; warns unless it is a threefold."""
+    """The spec itself, once checked to be Fano."""
     if spec.fano_index <= 0:
         raise NotFano(f"Fano index {spec.fano_index} is not positive")
-    if spec.dimension != 3:
-        warnings.warn(
-            f"complete intersection has dimension {spec.dimension}, not 3",
-            NotThreefoldWarning,
-            stacklevel=2,
-        )
     return spec
 
 
@@ -105,19 +94,17 @@ def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeri
     return HSeriesPair(PowerSeries(tuple(e0)), PowerSeries(tuple(e1)))
 
 
+def _regraded(series: PowerSeries, index: int, scale: Fraction) -> PowerSeries:
+    """scale * series(t^index), truncated to the series' own order."""
+    coeffs = [_ZERO] * series.order
+    coeffs[::index] = [c * scale for c in series.coeffs[: len(coeffs[::index])]]
+    return PowerSeries(tuple(coeffs))
+
+
 def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HSeriesPair:
-    """Hyperplane series of the complete intersection, mod H^2."""
-    if spec.fano_index <= 0:
-        raise NotFano(f"Fano index {spec.fano_index} is not positive")
-    if spec.fano_index != 1 or spec.dimension != 3:
-        warnings.warn(
-            "q-grading is by hyperplane degree, which matches the anticanonical "
-            "grading only for index-1 threefolds",
-            GradingMismatchWarning,
-            stacklevel=2,
-        )
+    """Series of the complete intersection graded by -K, mod H^2."""
+    r = ci_geometry(spec).fano_index
     corrected = euler_corrected_series(pair_x, spec.degrees)
     alpha = lefschetz_shift(spec, pair_x.c0)
-    if alpha == 0:
-        return corrected
-    return HSeriesPair(exp_twist(corrected.c0, -alpha), exp_twist(corrected.c1, -alpha))
+    c0, c1 = exp_twist(corrected.c0, -alpha), exp_twist(corrected.c1, -alpha)
+    return HSeriesPair(_regraded(c0, r, Fraction(1)), _regraded(c1, r, Fraction(1, r)))

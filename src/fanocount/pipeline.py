@@ -17,7 +17,6 @@ the row is flagged rather than matched.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -211,8 +210,9 @@ def _stage(name: str):
 class PipelineRun:
     """The stage chain for one variety at one order, stages in chain order.
 
-    `warnings` collects what the Lefschetz stages warned, in order.  A job
-    past `MAX_ORDER` or `MAX_RESIDUE_WORK` is refused before any stage runs.
+    The series stages run on any Fano complete intersection; `matrix` and
+    every stage after it refuse one that is not a threefold.  A job past
+    `MAX_ORDER` or `MAX_RESIDUE_WORK` is refused before any stage runs.
     """
 
     def __init__(self, config: VarietyConfig, order: int = 7):
@@ -220,17 +220,8 @@ class PipelineRun:
         self.config = config
         self.order = order
         self.verified = config.in_catalog
-        self.warnings: list[str] = []
         self.modularity_error: Exception | None = None
         self._operators: dict[Fraction, DifferentialOperator] = {}
-
-    def _recording_warnings(self, fn, *args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                return fn(*args)
-            finally:
-                self.warnings += [f"{w.category.__name__}: {w.message}" for w in caught]
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
@@ -239,7 +230,7 @@ class PipelineRun:
 
     @_stage("lefschetz")
     def geometry(self) -> CompleteIntersectionSpec:
-        return self._recording_warnings(ci_geometry, self.config)
+        return ci_geometry(self.config)
 
     @_stage("lefschetz")
     def alpha(self) -> Fraction:
@@ -247,12 +238,18 @@ class PipelineRun:
 
     @_stage("lefschetz")
     def variety_pair(self) -> HSeriesPair:
-        self.geometry  # validates the intersection and records its warnings first
-        return self._recording_warnings(quantum_lefschetz, self.ambient_pair, self.config)
+        self.geometry  # refuses a non-Fano intersection before the ambient series
+        return quantum_lefschetz(self.ambient_pair, self.config)
 
     @_stage("solver")
     def matrix(self) -> CountingMatrix:
-        return recover_matrix(self.variety_pair, self.geometry.anticanonical_degree)
+        geometry = self.geometry
+        if geometry.dimension != 3:
+            raise ValueError(
+                f"complete intersection has dimension {geometry.dimension}, not 3; "
+                "a counting matrix needs a threefold"
+            )
+        return recover_matrix(self.variety_pair, geometry.anticanonical_degree)
 
     @_stage("solver")
     def periods(self) -> PeriodVector:
@@ -280,7 +277,9 @@ class PipelineRun:
     @_stage("d3")
     def modularity(self) -> ModularityReport | None:
         try:
-            return modularity_report(self.matrix, self.alpha, self.order, self.operator_at)
+            # N = (-K)^3 / (2 r^2), which is deg/2 at index 1
+            level = Fraction(self.matrix.deg, 2 * self.config.fano_index**2)
+            return modularity_report(self.matrix, self.alpha, level, self.order, self.operator_at)
         except (ArithmeticError, ValueError) as exc:
             self.modularity_error = exc
             return None
@@ -290,7 +289,6 @@ class PipelineRun:
         notes = [] if self.verified else [
             "configuration is not in the verified catalog; unverified output"
         ]
-        notes += self.warnings
         if self.modularity_error is not None:
             exc = self.modularity_error
             notes.append(f"modularity report unavailable: {type(exc).__name__}: {exc}")

@@ -1,7 +1,8 @@
 """Symbolic reduction of descendant invariants to counting-matrix entries.
 
-Everything here concerns a rank-1, index-1 Fano threefold Y with hyperplane
-class H (= -K_Y) and degree deg = H^3.  The counting matrix packages the
+Everything here concerns a rank-1 Fano threefold Y, with H = -K_Y and
+degree deg = H^3; the pipeline grades the series of a model of any index
+by -K, so these relations serve them all.  The counting matrix packages the
 prime two-pointed invariants:
 
     a_ij = (j - i + 1)/deg * <H^(3-i), H^j>_(j-i+1)

@@ -210,10 +210,10 @@ def test_modularity_report():
 
     reports = {}
     for name, alpha, level in (("V10", F(6), 5), ("V14", F(4), 7)):
-        matrix = run_pipeline(CATALOG[name]).matrix
-        report = modularity_report(matrix, alpha)
-        assert report == modularity_report(matrix, alpha)
-        assert report.level == level
+        run = run_pipeline(CATALOG[name])
+        assert run.modularity.level == level
+        report = modularity_report(run.matrix, alpha, level)
+        assert report == modularity_report(run.matrix, alpha, level)
         assert len(report.rows) == 12
         for row in report.rows:
             assert row.error is None

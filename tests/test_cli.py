@@ -315,7 +315,6 @@ def test_unknown_variety_is_input_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_non_integer_config_field_is_input_error(capsys, tmp_path):
     path = write_config(
         tmp_path, {"ambient": {"type": "grassmannian", "r": True, "n": 5}, "degrees": [1, 1, 2]}
@@ -328,13 +327,16 @@ def test_non_integer_config_field_is_input_error(capsys, tmp_path):
     )
 
 
-def test_index_two_model_fails_in_solver(capsys, tmp_path):
+def test_index_two_cubic_runs_end_to_end(capsys, tmp_path):
+    # graded by -K = 2H, so its -K degree is 2^3 * 3 = 24
     config = write_config(
         tmp_path, {"ambient": {"type": "projective", "n": 4}, "degrees": [3]}
     )
-    code, _, err = run(capsys, "matrix", "--variety", config)
-    assert code == 3
-    assert "solver" in err
+    code, out, err = run(capsys, "matrix", "--variety", config, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["deg"] == 24
+    assert payload["entries"] == {"a01": "24", "a11": "0", "a02": "0", "a12": "60", "a03": "576"}
 
 
 def test_non_fano_model_is_input_error(capsys, tmp_path):
@@ -358,33 +360,40 @@ def test_index_one_quartic_runs_end_to_end(capsys, tmp_path):
 
 
 def test_invert_explicit_periods_and_degree_skip_the_matrix(capsys, tmp_path):
-    # the index-2 cubic has no counting matrix, and none is needed here
-    cubic = write_config(
-        tmp_path, {"ambient": {"type": "projective", "n": 4}, "degrees": [3]}
+    # a fourfold has no counting matrix, and none is needed here
+    fourfold = write_config(
+        tmp_path, {"ambient": {"type": "projective", "n": 5}, "degrees": [5]}
     )
     explicit = ("--periods", "1,1,1,1,1", "--deg", "1", "--format", "json")
-    code, out, _ = run(capsys, "invert", "--variety", cubic, *explicit)
+    code, out, _ = run(capsys, "invert", "--variety", fourfold, *explicit)
     assert code == 0
     assert out == run(capsys, "invert", "--variety", "V10", *explicit)[1]
 
 
 @pytest.mark.parametrize(
-    "cmd", ["lefschetz", "matrix", "periods", "invert", "d3", "modularity", "report"]
+    "cmd", ["iseries", "lefschetz", "matrix", "periods", "invert", "d3", "modularity", "report"]
 )
-def test_fourfold_warning_reaches_stderr(capsys, tmp_path, cmd):
+def test_fourfold_runs_only_the_series_stages(capsys, tmp_path, cmd):
     config = write_config(
         tmp_path, {"ambient": {"type": "projective", "n": 5}, "degrees": [5]}
     )
-    code, _, err = run(capsys, cmd, "--variety", config, "--order", "5")
-    assert code == (0 if cmd == "lefschetz" else 3)
-    assert "warning: NotThreefoldWarning: complete intersection has dimension 4, not 3\n" in err
+    code, out, err = run(capsys, cmd, "--variety", config, "--order", "5")
+    if cmd in ("iseries", "lefschetz"):
+        assert (code, err) == (0, "")
+        assert out
+    else:
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: stage solver: ValueError: complete intersection has dimension 4, "
+            "not 3; a counting matrix needs a threefold\n"
+        )
 
 
 PUBLIC_ERRORS = sorted(
     (
         obj
         for obj in (getattr(fanocount, name) for name in fanocount.__all__)
-        if isinstance(obj, type) and issubclass(obj, Exception) and not issubclass(obj, Warning)
+        if isinstance(obj, type) and issubclass(obj, Exception)
     ),
     key=lambda cls: cls.__name__,
 )

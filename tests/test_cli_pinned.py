@@ -98,7 +98,7 @@ def test_stdout_and_exit_code_are_pinned(capsys, tmp_path, case_id, argv):
 
 
 
-CUBIC = {"ambient": {"type": "projective", "n": 4}, "degrees": [3]}
+FOURFOLD = {"ambient": {"type": "projective", "n": 5}, "degrees": [5]}
 QUINTIC = {"ambient": {"type": "projective", "n": 4}, "degrees": [5]}
 
 # case id -> (argv, the one `error:` line on stderr); a dict stands for a config file
@@ -121,10 +121,10 @@ ERROR_CASES = {
         "d2=Fraction(0, 1), d3=Fraction(0, 1), d4=Fraction(0, 1), d5=Fraction(0, 1), "
         "d6=Fraction(0, 1))",
     ),
-    "index-two-report": (
-        ["report", "--variety", CUBIC],
-        "error: stage solver: ConsistencyCheckFailed: redundant H^1 relation at q^3: "
-        "series gives -571/18, entries give 959/36",
+    "fourfold-report": (
+        ["report", "--variety", FOURFOLD],
+        "error: stage solver: ValueError: complete intersection has dimension 4, not 3; "
+        "a counting matrix needs a threefold",
     ),
     "non-fano-lefschetz": (
         ["lefschetz", "--variety", QUINTIC],

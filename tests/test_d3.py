@@ -594,7 +594,7 @@ def test_eisenstein_invalid_levels():
 
 
 def test_modularity_report_shape_and_matches():
-    rep = modularity_report(M10, golden.ALPHA["V10"])
+    rep = modularity_report(M10, golden.ALPHA["V10"], 5)
     assert (rep.deg, rep.level, rep.alpha, rep.order) == (10, 5, F(6), 8)
     assert len(rep.rows) == 12
     assert all(r.error is None for r in rep.rows)
@@ -609,18 +609,19 @@ def test_modularity_report_shape_and_matches():
 
 
 def test_modularity_report_deg14_level():
-    rep = modularity_report(M14, golden.ALPHA["V14"])
+    rep = modularity_report(M14, golden.ALPHA["V14"], 7)
     assert rep.level == 7
     assert [r.first_mismatch for r in rep.rows if (r.lam, r.candidate) == (4, "eisenstein")] == [2]
 
 
 def test_modularity_report_is_deterministic():
-    a = modularity_report(M10, golden.ALPHA["V10"])
-    b = modularity_report(M10, golden.ALPHA["V10"])
+    a = modularity_report(M10, golden.ALPHA["V10"], 5)
+    b = modularity_report(M10, golden.ALPHA["V10"], 5)
     assert a == b
 
 
 def test_modularity_report_rejects_odd_degree():
+    # at index 1 the level is deg/2, which an odd degree does not make an integer
     odd = CountingMatrix(deg=9, a01=F(1), a11=F(1), a02=F(1), a12=F(1), a03=F(1))
-    with pytest.raises(InvalidLevel):
-        modularity_report(odd, F(0))
+    with pytest.raises(InvalidLevel, match="level 9/2 is not an integer"):
+        modularity_report(odd, F(0), F(odd.deg, 2))

@@ -59,6 +59,12 @@ def test_spec_validation():
         GrassmannianSpec(4, 4)
 
 
+@pytest.mark.parametrize("r,n", [(2.5, 5), (2, 5.0), (True, 5), (2, "5")])
+def test_spec_rejects_non_integer_fields(r, n):
+    with pytest.raises(ValueError, match="must be integers"):
+        GrassmannianSpec(r, n)
+
+
 def test_geometry_of_line_grassmannians():
     # an intersection of no hypersurfaces is the ambient space itself
     g25 = CompleteIntersectionSpec(GrassmannianSpec(2, 5), ())

@@ -12,9 +12,7 @@ from fanocount.grassmann import (
 )
 from fanocount.lefschetz import (
     CompleteIntersectionSpec,
-    GradingMismatchWarning,
     NotFano,
-    NotThreefoldWarning,
     ci_geometry,
     euler_corrected_series,
     lefschetz_shift,
@@ -34,6 +32,13 @@ def ambient_pair(spec, d_max):
 def test_spec_rejects_nonpositive_degrees():
     with pytest.raises(ValueError):
         CompleteIntersectionSpec(GrassmannianSpec(2, 5), (1, 0))
+
+
+@pytest.mark.parametrize("degrees", [(1.9, 1, True), (1, 1, 2.0), (True,), ("2",)])
+def test_spec_rejects_non_integer_degrees(degrees):
+    # a bool is an int to Python, but never a hypersurface degree
+    with pytest.raises(ValueError, match="must be integers"):
+        CompleteIntersectionSpec(GrassmannianSpec(2, 5), degrees)
 
 
 def test_geometry_of_the_two_threefolds():
@@ -62,17 +67,30 @@ def test_not_fano_rejected():
         ci_geometry(quintic)
 
 
-def test_dimension_warning():
+def test_any_dimension_passes_the_fano_gate():
+    # only the counting matrix needs a threefold; the series stages do not
     hyperplane = CompleteIntersectionSpec(GrassmannianSpec(2, 5), (1,))
-    with pytest.warns(NotThreefoldWarning):
-        ci_geometry(hyperplane)
+    assert ci_geometry(hyperplane) is hyperplane
+    assert (hyperplane.dimension, hyperplane.fano_index) == (5, 4)
+    pair = quantum_lefschetz(ambient_pair(hyperplane, 8), hyperplane)
+    assert pair.c0.order == pair.c1.order == 9
 
 
-def test_grading_warning_for_higher_index():
+def test_regrade_by_anticanonical_class():
+    # the index-2 cubic: hyperplane degree d becomes -K degree 2d, and the
+    # H coefficient becomes the -K = 2H coefficient c1[d]/2
     cubic = CompleteIntersectionSpec(GrassmannianSpec(1, 5), (3,))
-    pair = projective_iseries(5, 3)
-    with pytest.warns(GradingMismatchWarning):
-        quantum_lefschetz(pair, cubic)
+    pair = projective_iseries(5, 6)
+    by_h = euler_corrected_series(pair, (3,))
+    by_k = quantum_lefschetz(pair, cubic)
+    assert by_k.c0.order == by_k.c1.order == 7
+    for m in range(7):
+        if m % 2:
+            assert by_k.c0[m] == by_k.c1[m] == 0
+        else:
+            assert by_k.c0[m] == by_h.c0[m // 2]
+            assert by_k.c1[m] == by_h.c1[m // 2] / 2
+    assert by_k.c0[2] == F(6) and by_k.c1[2] == F(3, 2)
 
 
 def test_lefschetz_shift_values():

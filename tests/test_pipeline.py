@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -188,39 +188,69 @@ def test_run_pipeline_marks_noncatalog_unverified():
 
 
 def test_run_pipeline_wraps_stage_failures():
-    # index-2 model: the hyperplane series fails the closure checks
-    cubic = VarietyConfig(GrassmannianSpec(1, 5), (3,), "cubic")
+    # a fourfold has a series but no counting matrix
+    fourfold = VarietyConfig(GrassmannianSpec(1, 6), (5,), "fourfold")
     with pytest.raises(StageError) as info:
-        run_pipeline(cubic)
+        run_pipeline(fourfold)
     assert info.value.stage == "solver"
-    assert isinstance(info.value.original, ArithmeticError)
+    assert isinstance(info.value.original, ValueError)
+    assert "dimension 4, not 3" in str(info.value.original)
+
+
+def quartic_term(d):
+    return factorial(4 * d) // factorial(d) ** 4
+
+
+def sextic_term(d):
+    return factorial(2 * d) * factorial(3 * d) // factorial(d) ** 5
+
+
+def octic_term(d):
+    return factorial(2 * d) ** 3 // factorial(d) ** 6
+
+
+def quintic_del_pezzo_term(d):
+    return comb(2 * d, d) * sum(comb(d, k) ** 2 * comb(d + k, k) for k in range(d + 1))
 
 
 @pytest.mark.parametrize(
-    "config,deg,alpha,term",
+    "config,deg,alpha,level,entries,term",
     [
+        (VarietyConfig(GrassmannianSpec(1, 5), (4,), "V4"), 4, 24, 2, None, quartic_term),
+        (VarietyConfig(GrassmannianSpec(1, 6), (2, 3), "V6"), 6, 12, 3, None, sextic_term),
+        (VarietyConfig(GrassmannianSpec(1, 7), (2, 2, 2), "V8"), 8, 8, 4, None, octic_term),
+        (VarietyConfig(GrassmannianSpec(1, 4), (), "P3"), 64, 0, 2, {"a03": 256}, quartic_term),
+        (VarietyConfig(GrassmannianSpec(1, 5), (2,), "Q"), 54, 0, 3, {"a02": 54}, sextic_term),
         (
-            VarietyConfig(GrassmannianSpec(1, 5), (4,), "V4"),
-            4, 24, lambda d: factorial(4 * d) // factorial(d) ** 4,
+            VarietyConfig(GrassmannianSpec(1, 5), (3,), "B3"), 24, 0, 3,
+            {"a01": 24, "a12": 60, "a03": 576}, sextic_term,
         ),
         (
-            VarietyConfig(GrassmannianSpec(1, 6), (2, 3), "V6"),
-            6, 12, lambda d: factorial(2 * d) * factorial(3 * d) // factorial(d) ** 5,
+            VarietyConfig(GrassmannianSpec(1, 6), (2, 2), "B4"), 32, 0, 4,
+            {"a01": 16, "a12": 32, "a03": 256}, octic_term,
         ),
         (
-            VarietyConfig(GrassmannianSpec(1, 7), (2, 2, 2), "V8"),
-            8, 8, lambda d: factorial(2 * d) ** 3 // factorial(d) ** 6,
+            VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 1), "B5"), 40, 0, 5,
+            {"a01": 12, "a12": 20, "a03": 160}, quintic_del_pezzo_term,
         ),
     ],
-    ids=["V4", "V6", "V8"],
+    ids=["V4", "V6", "V8", "P3", "Q", "B3", "B4", "B5"],
 )
-def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, term):
-    # the regularized quantum periods of the quartic, the (2,3) and the (2,2,2)
-    # complete intersections are hypergeometric; the sums share nothing with the pipeline
+def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, level, entries, term):
+    # Graded by -K = rH, the solution at lambda = alpha is sum_d A_d t^(r d) with
+    # A_d the regularized quantum period of an index-1 model: hypergeometric for
+    # the quartic, the (2,3) and the (2,2,2) complete intersections, and the
+    # Apery-like sequence of level 5 for B5.  The sums share nothing with the
+    # pipeline.  The level is N = (-K)^3 / (2 r^2).
+    r = config.fano_index
     run = PipelineRun(config, 13)
-    assert (run.matrix.deg, run.alpha) == (deg, alpha)
+    assert (run.matrix.deg, run.alpha, run.modularity.level) == (deg, alpha, level)
+    if entries is not None:  # the nonzero entries of the index-2..4 models
+        assert {k: v for k, v in run.matrix.entries().items() if v} == entries
     solution = frobenius_solve(run.operator_at(run.alpha), 13)
-    assert solution.coeffs == tuple(term(d) for d in range(13))
+    assert solution.coeffs == tuple(0 if m % r else term(m // r) for m in range(13))
+    # index >= 2 has alpha = 0, and one table row per candidate at that one shift
+    assert len(run.modularity.rows) == (12 if alpha else 4)
 
 
 def test_serialize_report_json_is_deterministic():
