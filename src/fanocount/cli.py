@@ -40,8 +40,8 @@ from .pipeline import (
     modularity_view,
     periods_view,
     render,
+    render_verify_table,
     serialize_report,
-    serialize_verify,
     verify_golden,
 )
 from .solver import PeriodVector
@@ -57,7 +57,7 @@ from .d3 import (  # noqa: F401
     right_determinant,
 )
 from .lefschetz import ci_geometry, lefschetz_shift, quantum_lefschetz  # noqa: F401
-from .pipeline import ambient_series, render_verify_table, run_pipeline  # noqa: F401
+from .pipeline import ambient_series, run_pipeline  # noqa: F401
 from .solver import discriminant, forward_periods, invert_periods, recover_matrix  # noqa: F401
 
 
@@ -145,7 +145,7 @@ def _run_command(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "verify":
         status, rows = verify_golden(args.variety, corrupt=args.corrupt)
-        sys.stdout.write(serialize_verify(status, rows, args.format))
+        sys.stdout.write(render_verify_table(rows, args.format, status))
         return status
 
     config = load_config(args.variety)

@@ -3,8 +3,10 @@ Eisenstein comparison for the resulting third-order equations.
 
 Operators live in the ring of polynomials in t and D, where D is the Euler
 operator t d/dt, subject to D*t = t*D + t.  Canonical form keeps every power
-of t to the left of every power of D, so a term is coded by the pair
-(t power, D power).
+of t to the left of every power of D, so an operator is a sum of layers
+t^b * P_b(D).  `DifferentialOperator` stores each P_b as integer
+numerators over one shared denominator, in lowest terms; a `Fraction`
+appears only when a caller reads a coefficient.
 
 From a counting matrix A and a shift lam the pencil is the 4x4 matrix
 D*E - M, where M has entries (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
@@ -14,33 +16,29 @@ from the integer coefficients of that product.  Its determinant is taken
 with respect to the rightmost column, minors expanded the same way and
 multiplied on the right by the column entry; the minor on the first k
 columns depends only on its set of rows, so each is expanded once per
-determinant.
-
-Products are computed per t power: an operator is grouped into
-t^b * P_b(D) with integer numerators over one denominator, and
+determinant.  Products run on the layers:
 t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D+b2) Q(D) costs one integer Taylor
-shift and one integer convolution per pair; a `Fraction` is built only
-for each term of the finished operator.
+shift and one integer convolution per pair, and only the finished
+operator is reduced.
 
-Dividing the determinant by D on the left leaves a third-order operator
-whose normalized power-series solution is produced by the Frobenius
-recursion.  Both steps run on the same grouped integer layers: the
-division peels each layer's numerators over the operator's denominator,
-and the recursion, which is homogeneous, drops that denominator, so with
-P the indicial polynomial it carries integers N_m = c_m P(1)...P(m) and
-builds one `Fraction` per coefficient.  The solution is compared,
-coefficient by coefficient, with a small list of candidate q-expansions
-built from a weight-2 Eisenstein series and from the factorial transform
-of the variety's constant-term series, twisted by exp(+-alpha q).
+Dividing the determinant by D on the left peels each layer's numerators
+and leaves a third-order operator whose normalized power-series solution
+is produced by the Frobenius recursion.  The recursion is homogeneous, so
+it drops the denominator: with P the indicial polynomial it carries
+integers N_m = c_m P(1)...P(m) and builds one `Fraction` per coefficient.
+The solution is compared, coefficient by coefficient, with a small list of
+candidate q-expansions built from a weight-2 Eisenstein series and from
+the factorial transform of the variety's constant-term series, twisted by
+exp(+-alpha q) when alpha is not 0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from math import factorial, lcm
+from functools import cache
+from math import factorial, gcd, lcm
 
 from .exactmath import PowerSeries, Rational, exp_twist
 from .solver import constant_terms
@@ -61,46 +59,77 @@ class InvalidLevel(ValueError):
     """Eisenstein level must be an integer of at least 2."""
 
 
-@dataclass(frozen=True)
+# t power b -> the integer numerators of P_b(D) over one den, lowest D power first
+Layers = dict[int, tuple[int, ...]]
+
+
+@dataclass(frozen=True, init=False)
 class DifferentialOperator:
-    """Sum of terms c * t^b * D^i stored as {(b, i): c}."""
+    """Sum of terms t^b * P_b(D), stored as integer layers over `den`.
 
-    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    `DifferentialOperator({(b, i): c})` is the sum of c * t^b * D^i.  The
+    stored form is in lowest terms, with no zero layer and no trailing zero
+    in any layer, so equal operators compare equal.
+    """
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for (b, i), c in self.terms.items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
+    den: int
+    layers: Layers
+
+    def __init__(self, terms: dict[tuple[int, int], Rational] | None = None) -> None:
+        terms = terms or {}
+        den = lcm(*(c.denominator for c in terms.values()))
+        layers: dict[int, list[int]] = {}
+        for (b, i), c in terms.items():
             if b < 0 or i < 0:
                 raise ValueError("term exponents must be nonnegative")
-            if c != 0:
-                clean[(int(b), int(i))] = c
-        object.__setattr__(self, "terms", clean)
+            _accumulate(layers.setdefault(b, []), [c.numerator], den // c.denominator, i)
+        self._store(den, layers)
+
+    @classmethod
+    def from_layers(cls, den: int, layers: dict[int, list[int]]) -> DifferentialOperator:
+        """The operator sum_b t^b * layers[b](D) / den, for a positive den."""
+        op = cls.__new__(cls)
+        op._store(den, layers)
+        return op
+
+    def _store(self, den: int, layers: dict[int, list[int]]) -> None:
+        clean = {}
+        for b in sorted(layers):
+            poly = layers[b]
+            top = len(poly)
+            while top and not poly[top - 1]:
+                top -= 1
+            if top:
+                clean[b] = poly[:top]
+        g = gcd(den, *(c for poly in clean.values() for c in poly))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "layers", {b: tuple(c // g for c in p) for b, p in clean.items()})
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero coefficients as {(b, i): c}, sorted by (b, i)."""
+        return {
+            (b, i): Fraction(c, self.den)
+            for b, poly in self.layers.items()
+            for i, c in enumerate(poly)
+            if c
+        }
 
     @property
     def order(self) -> int:
-        return max((i for _, i in self.terms), default=0)
+        return max(map(len, self.layers.values()), default=1) - 1
 
     def t_coefficients(self, b: int) -> list[Fraction]:
         """D-power coefficient list of the t^b part."""
-        top = max((i for bb, i in self.terms if bb == b), default=-1)
-        out = [_ZERO] * (top + 1)
-        for (bb, i), c in self.terms.items():
-            if bb == b:
-                out[i] = c
-        return out
+        return [Fraction(c, self.den) for c in self.layers.get(b, ())]
 
     def indicial(self) -> list[Fraction]:
         """The t-free part as a polynomial in the symbol of D."""
         return self.t_coefficients(0)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for (b, i) in sorted(self.terms, key=lambda e: (e[0], e[1])):
-            c = self.terms[(b, i)]
+        for (b, i), c in self.terms.items():
             word = "*".join(
                 ([f"t^{b}" if b > 1 else "t"] if b else [])
                 + ([f"D^{i}" if i > 1 else "D"] if i else [])
@@ -113,33 +142,10 @@ class DifferentialOperator:
                 parts.append(f"-{word}")
             else:
                 parts.append(f"{c}*{word}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 OperatorMatrix = tuple[tuple[DifferentialOperator, ...], ...]
-
-
-# An operator grouped by t power: t^b * P_b(D) for each b, every P_b a list
-# of integer numerators (indexed by D power) over one shared denominator.
-_Grouped = tuple[int, dict[int, list[int]]]
-
-
-def _grouped(op: DifferentialOperator) -> _Grouped:
-    den = lcm(*(c.denominator for c in op.terms.values()))
-    groups: dict[int, list[int]] = {}
-    for (b, i), c in op.terms.items():
-        poly = groups.setdefault(b, [])
-        if len(poly) <= i:
-            poly.extend([0] * (i + 1 - len(poly)))
-        poly[i] = c.numerator * (den // c.denominator)
-    return den, groups
-
-
-def _ungrouped(g: _Grouped) -> DifferentialOperator:
-    den, groups = g
-    return DifferentialOperator(
-        {(b, i): Fraction(c, den) for b, poly in groups.items() for i, c in enumerate(poly) if c}
-    )
 
 
 def _taylor_shift(poly: list[int], s: int) -> list[int]:
@@ -160,7 +166,7 @@ def _accumulate(into: list[int], poly: list[int], scale: int, shift: int = 0) ->
         into[i] += scale * c
 
 
-def _product(x: _Grouped, y: _Grouped) -> _Grouped:
+def _product(x: tuple[int, Layers], y: tuple[int, Layers]) -> tuple[int, Layers]:
     """t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D + b2) Q(D), pair by pair."""
     (dx, gx), (dy, gy) = x, y
     out: dict[int, list[int]] = {}
@@ -173,7 +179,7 @@ def _product(x: _Grouped, y: _Grouped) -> _Grouped:
     return dx * dy, out
 
 
-def _combine(x: _Grouped, y: _Grouped, sign: int) -> _Grouped:
+def _combine(x: tuple[int, Layers], y: tuple[int, Layers], sign: int) -> tuple[int, Layers]:
     """x + sign * y over the lcm of the two denominators."""
     (dx, gx), (dy, gy) = x, y
     den = lcm(dx, dy)
@@ -186,7 +192,7 @@ def _combine(x: _Grouped, y: _Grouped, sign: int) -> _Grouped:
 
 def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
     """Product in canonical form, using D^a * t^b = t^b * (D + b)^a."""
-    return _ungrouped(_product(_grouped(a), _grouped(b)))
+    return DifferentialOperator.from_layers(*_product((a.den, a.layers), (b.den, b.layers)))
 
 
 @cache
@@ -201,29 +207,25 @@ def _rising(m: int) -> tuple[int, ...]:
 def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
     """The 4x4 operator matrix D*E - M for the shifted counting matrix.
 
-    With a = u/v the entry -a*(Dt)^m has coefficients -u*c/v for the
-    integer coefficients c of (D+1)...(D+m), so each is one `Fraction`.
+    With a = u/v the entry -a*(Dt)^m is the layer t^m times -u*c over v,
+    for the integer coefficients c of (D+1)...(D+m).
     """
-    lam = Fraction(lam)
     rows = matrix.rows()
     size = len(rows)
     pencil = []
     for k in range(size):
         row = []
         for l in range(size):
-            a = rows[k][l] + lam if k == l else rows[k][l]
-            power = l - k + 1
-            terms = {}
-            if a and power >= 0:
-                u, v = a.numerator, a.denominator
-                rising = enumerate(_rising(power))
-                if v == 1:
-                    terms = {(power, i): Fraction(-u * c) for i, c in rising}
-                else:
-                    terms = {(power, i): Fraction(-u * c, v) for i, c in rising}
+            u, v = rows[k][l].numerator, rows[k][l].denominator
             if k == l:
-                terms[(0, 1)] = _ONE
-            row.append(DifferentialOperator(terms))
+                u, v = u * lam.denominator + lam.numerator * v, v * lam.denominator
+            power = l - k + 1
+            layers = {}
+            if u and power >= 0:
+                layers[power] = [-u * c for c in _rising(power)]
+            if k == l:
+                layers[0] = [0, v]
+            row.append(DifferentialOperator.from_layers(v, layers))
         pencil.append(tuple(row))
     return tuple(pencil)
 
@@ -237,10 +239,10 @@ def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant needs a square matrix")
-    cells = [[_grouped(entry) for entry in row] for row in m]
-    memo: dict[tuple[int, ...], _Grouped] = {}
+    cells = [[(entry.den, entry.layers) for entry in row] for row in m]
+    memo: dict[tuple[int, ...], tuple[int, Layers]] = {}
 
-    def minor(rows: tuple[int, ...]) -> _Grouped:
+    def minor(rows: tuple[int, ...]) -> tuple[int, Layers]:
         if rows in memo:
             return memo[rows]
         last = len(rows) - 1
@@ -256,7 +258,7 @@ def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
         memo[rows] = value
         return value
 
-    return _ungrouped(minor(tuple(range(size))))
+    return DifferentialOperator.from_layers(*minor(tuple(range(size))))
 
 
 def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:
@@ -272,10 +274,8 @@ def left_divide_by_D(op: DifferentialOperator) -> DifferentialOperator:
     and the b = 0 layer must carry no constant term.  The peel runs on the
     integer numerators of each layer, over the operator's one denominator.
     """
-    den, groups = _grouped(op)
-    out: dict[tuple[int, int], Fraction] = {}
-    for b in sorted(groups):
-        coeffs = groups[b]
+    out = {}
+    for b, coeffs in op.layers.items():
         quotient = [0] * len(coeffs)
         carry = 0
         for i in range(len(coeffs) - 1, 0, -1):
@@ -283,24 +283,10 @@ def left_divide_by_D(op: DifferentialOperator) -> DifferentialOperator:
         remainder = coeffs[0] - b * carry
         if remainder:
             raise NotLeftDivisible(
-                f"remainder {Fraction(remainder, den)}*t^{b} is not left-divisible by D"
+                f"remainder {Fraction(remainder, op.den)}*t^{b} is not left-divisible by D"
             )
-        for i, c in enumerate(quotient):
-            if c:
-                out[(b, i)] = Fraction(c, den)
-    return DifferentialOperator(out)
-
-
-def apply_operator(op: DifferentialOperator, series: PowerSeries) -> PowerSeries:
-    """Apply the operator to a series in t, truncated at the series order."""
-    n = series.order
-    out = [_ZERO] * n
-    for (b, i), c in op.terms.items():
-        for m in range(n - b):
-            v = series[m]
-            if v:
-                out[m + b] += c * v * Fraction(m) ** i
-    return PowerSeries(tuple(out))
+        out[b] = quotient
+    return DifferentialOperator.from_layers(op.den, out)
 
 
 def _horner(poly: list[int], s: int) -> int:
@@ -308,6 +294,18 @@ def _horner(poly: list[int], s: int) -> int:
     for c in reversed(poly):
         acc = acc * s + c
     return acc
+
+
+def apply_operator(op: DifferentialOperator, series: PowerSeries) -> PowerSeries:
+    """Apply the operator to a series in t, truncated at the series order."""
+    n = series.order
+    out = [_ZERO] * n
+    for b, poly in op.layers.items():
+        for m in range(n - b):
+            v = series[m]
+            if v:
+                out[m + b] += Fraction(_horner(poly, m), op.den) * v
+    return PowerSeries(tuple(out))
 
 
 def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
@@ -326,8 +324,8 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    _, layers = _grouped(op)
-    indicial = layers.get(0, [])
+    layers = op.layers
+    indicial = layers.get(0, ())
     if _horner(indicial, 0) != 0:
         raise ObstructedRecursion("the indicial polynomial does not vanish at 0")
     top = max(layers, default=0)
@@ -412,25 +410,24 @@ def modularity_report(
     matrix,
     alpha: Rational,
     level: Rational,
+    operator_at: Callable[[Fraction], DifferentialOperator],
     order: int = 8,
-    operator_at: Callable[[Fraction], DifferentialOperator] | None = None,
 ) -> ModularityReport:
     """Tabulate, for each pencil shift, where the normalized solution of the
     third-order operator first differs from each candidate q-expansion.
 
     Candidates: the weight-2 Eisenstein series at the given level, and the
     factorial transform of the matrix's constant-term series, bare and
-    multiplied by e^(+alpha q) or e^(-alpha q).  Each distinct shift among
-    0, alpha and -alpha gets one row per candidate.  The report records
-    indices, never a verdict.  `operator_at(lam)` supplies the pencil
-    operators, so a caller that already built one passes it in instead of
-    building it twice.
+    multiplied by e^(+alpha q) or e^(-alpha q) when alpha is not 0.  Each
+    distinct shift among 0, alpha and -alpha gets one row per candidate.
+    The report records indices, never a verdict.  `operator_at(lam)`
+    supplies the pencil operators, so a caller that already built one
+    passes it in instead of building it twice.
     """
     alpha, level = Fraction(alpha), Fraction(level)
     if level.denominator != 1:
         raise InvalidLevel(f"level {level} is not an integer")
     level = level.numerator
-    operator_at = operator_at or partial(pencil_operator, matrix)
 
     candidates: list[tuple[str, PowerSeries | None, str | None]] = []
     try:
@@ -439,11 +436,12 @@ def modularity_report(
         candidates.append(("eisenstein", None, str(exc)))
     base = constant_terms(matrix, order)
     candidates.append(("factorial_transform", factorial_transform(base), None))
-    for tag, sign in (("plus", 1), ("minus", -1)):
-        twisted = exp_twist(base, sign * alpha)
-        candidates.append(
-            (f"factorial_transform_twist_{tag}", factorial_transform(twisted), None)
-        )
+    if alpha:
+        for tag, sign in (("plus", 1), ("minus", -1)):
+            twisted = exp_twist(base, sign * alpha)
+            candidates.append(
+                (f"factorial_transform_twist_{tag}", factorial_transform(twisted), None)
+            )
 
     rows = []
     for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):

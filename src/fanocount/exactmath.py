@@ -69,8 +69,8 @@ class PowerSeries:
         return self.coeffs[d]
 
     def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
+        if not 1 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
         return PowerSeries(self.coeffs[:order])
 
 

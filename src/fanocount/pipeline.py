@@ -211,11 +211,13 @@ class PipelineRun:
     """The stage chain for one variety at one order, stages in chain order.
 
     The series stages run on any Fano complete intersection; `matrix` and
-    every stage after it refuse one that is not a threefold.  A job past
-    `MAX_ORDER` or `MAX_RESIDUE_WORK` is refused before any stage runs.
+    every stage after it refuse one that is not a threefold.  An order that
+    is not an `int` >= 1, or a job past a limit, is refused before any stage.
     """
 
     def __init__(self, config: VarietyConfig, order: int = 7):
+        if type(order) is not int or order < 1:
+            raise ConfigError(f"order must be an integer >= 1, got {order!r}")
         _check_job_size(config, order)
         self.config = config
         self.order = order
@@ -279,7 +281,7 @@ class PipelineRun:
         try:
             # N = (-K)^3 / (2 r^2), which is deg/2 at index 1
             level = Fraction(self.matrix.deg, 2 * self.config.fano_index**2)
-            return modularity_report(self.matrix, self.alpha, level, self.order, self.operator_at)
+            return modularity_report(self.matrix, self.alpha, level, self.operator_at, self.order)
         except (ArithmeticError, ValueError) as exc:
             self.modularity_error = exc
             return None
@@ -620,7 +622,9 @@ def verify_golden(
     return status, rows
 
 
-def render_verify_table(rows: list[VerifyRow]) -> str:
+def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int = 0) -> str:
+    """The verify table as text, or as JSON beside the exit status that
+    `verify_golden` returned with the rows."""
     label_w = max(len(r.label) for r in rows)
     val_w = max(max(len(r.derived), len(r.expected)) for r in rows)
     lines = [
@@ -642,11 +646,5 @@ def render_verify_table(rows: list[VerifyRow]) -> str:
         f"{counts['ok']} ok, {counts['flagged']} flagged, "
         f"{counts['mismatch']} mismatched"
     )
-    return "\n".join(lines) + "\n"
-
-
-def serialize_verify(status: int, rows: list[VerifyRow], format: str = "text") -> str:
-    if format == "text":
-        return render_verify_table(rows)
     # vars() is the row's own field dict; json.dumps only reads it
-    return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)
+    return render({"status": status, "rows": [vars(r) for r in rows]}, lines, format)

@@ -9,6 +9,7 @@ pipeline state.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import golden
 from helpers import closed_form_constant, symbolic_iseries
@@ -20,6 +21,7 @@ from fanocount.d3 import (
     frobenius_solve,
     left_divide_by_D,
     modularity_report,
+    pencil_operator,
     right_determinant,
     weyl_multiply,
 )
@@ -212,8 +214,9 @@ def test_modularity_report():
     for name, alpha, level in (("V10", F(6), 5), ("V14", F(4), 7)):
         run = run_pipeline(CATALOG[name])
         assert run.modularity.level == level
-        report = modularity_report(run.matrix, alpha, level)
-        assert report == modularity_report(run.matrix, alpha, level)
+        operator_at = partial(pencil_operator, run.matrix)
+        report = modularity_report(run.matrix, alpha, level, operator_at)
+        assert report == modularity_report(run.matrix, alpha, level, operator_at)
         assert len(report.rows) == 12
         for row in report.rows:
             assert row.error is None

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb, factorial
+from functools import partial
+from math import comb, factorial, gcd
 from types import SimpleNamespace
 
 import pytest
@@ -192,8 +193,45 @@ def test_operator_validation():
     assert DifferentialOperator({(1, 1): F(0)}).terms == {}
     c = F(2, 3)
     op = DifferentialOperator({(0, 0): c, (1, 0): 4})
-    assert op.terms[(0, 0)] is c
     assert type(op.terms[(1, 0)]) is Fraction and op.terms[(1, 0)] == 4
+
+
+def reference_str(terms):
+    """The operator string written from {(b, i): Fraction}, sorted by (b, i)."""
+    parts = []
+    for (b, i), c in sorted((e, c) for e, c in terms.items() if c):
+        t = "" if b == 0 else "t" if b == 1 else f"t^{b}"
+        d = "" if i == 0 else "D" if i == 1 else f"D^{i}"
+        word = "*".join(x for x in (t, d) if x)
+        if not word:
+            parts.append(str(c))
+        else:
+            parts.append(word if c == 1 else f"-{word}" if c == -1 else f"{c}*{word}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.one_of(st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts, st.integers(2, 30))
+def test_operator_layers_are_in_lowest_terms(terms, scale):
+    op = DifferentialOperator(terms)
+    assert op.terms == {e: F(c) for e, c in terms.items() if c}
+    assert DifferentialOperator(op.terms) == op
+    assert op.den >= 1
+    assert gcd(op.den, *(c for poly in op.layers.values() for c in poly)) == 1
+    assert all(poly and poly[-1] != 0 for poly in op.layers.values())
+    # the same operator over another denominator, with a zero layer and a
+    # trailing zero, reduces to the same stored form
+    padded = {b: [scale * c for c in poly] + [0] for b, poly in op.layers.items()}
+    padded[5] = [0, 0]
+    assert DifferentialOperator.from_layers(scale * op.den, padded) == op
+    assert str(op) == reference_str(terms)
 
 
 def test_weyl_commutation_rule():
@@ -594,7 +632,7 @@ def test_eisenstein_invalid_levels():
 
 
 def test_modularity_report_shape_and_matches():
-    rep = modularity_report(M10, golden.ALPHA["V10"], 5)
+    rep = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
     assert (rep.deg, rep.level, rep.alpha, rep.order) == (10, 5, F(6), 8)
     assert len(rep.rows) == 12
     assert all(r.error is None for r in rep.rows)
@@ -609,14 +647,14 @@ def test_modularity_report_shape_and_matches():
 
 
 def test_modularity_report_deg14_level():
-    rep = modularity_report(M14, golden.ALPHA["V14"], 7)
+    rep = modularity_report(M14, golden.ALPHA["V14"], 7, partial(pencil_operator, M14))
     assert rep.level == 7
     assert [r.first_mismatch for r in rep.rows if (r.lam, r.candidate) == (4, "eisenstein")] == [2]
 
 
 def test_modularity_report_is_deterministic():
-    a = modularity_report(M10, golden.ALPHA["V10"], 5)
-    b = modularity_report(M10, golden.ALPHA["V10"], 5)
+    a = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    b = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
     assert a == b
 
 
@@ -624,4 +662,4 @@ def test_modularity_report_rejects_odd_degree():
     # at index 1 the level is deg/2, which an odd degree does not make an integer
     odd = CountingMatrix(deg=9, a01=F(1), a11=F(1), a02=F(1), a12=F(1), a03=F(1))
     with pytest.raises(InvalidLevel, match="level 9/2 is not an integer"):
-        modularity_report(odd, F(0), F(odd.deg, 2))
+        modularity_report(odd, F(0), F(odd.deg, 2), partial(pencil_operator, odd))

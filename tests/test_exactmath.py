@@ -54,6 +54,13 @@ def test_powerseries_truncate():
         s.truncate(4)
 
 
+@pytest.mark.parametrize("order", [0, -1, -3])
+def test_powerseries_truncate_refuses_orders_below_one(order):
+    # a negative order used to slice from the end: truncate(-1) kept two terms
+    with pytest.raises(ValueError, match="cannot truncate"):
+        PowerSeries((F(1), F(2), F(3))).truncate(order)
+
+
 def test_powerseries_product_is_cauchy():
     # geometric series times itself: coefficient of q^d is d+1
     geo = PowerSeries((F(1),) * 6)

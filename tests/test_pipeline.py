@@ -250,7 +250,7 @@ def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, leve
     solution = frobenius_solve(run.operator_at(run.alpha), 13)
     assert solution.coeffs == tuple(0 if m % r else term(m // r) for m in range(13))
     # index >= 2 has alpha = 0, and one table row per candidate at that one shift
-    assert len(run.modularity.rows) == (12 if alpha else 4)
+    assert len(run.modularity.rows) == (12 if alpha else 2)
 
 
 def test_serialize_report_json_is_deterministic():
@@ -390,3 +390,12 @@ def test_oversize_jobs_are_refused_at_set_up():
         PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
     with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
         run_pipeline(VarietyConfig(GrassmannianSpec(6, 12), (1,)), 5)
+
+
+@pytest.mark.parametrize("order", [-3, 0, 7.5, F(7), "7", True, False, None])
+def test_orders_that_are_not_positive_ints_are_refused_at_set_up(order):
+    # -3 used to print two ambient coefficients, 7.5 failed inside a stage
+    # and True ran as order 1
+    with pytest.raises(ConfigError, match="order must be an integer >= 1"):
+        PipelineRun(CATALOG["V10"], order)
+    assert iseries_view(PipelineRun(CATALOG["V10"], 1))[0]["c0"] == ["1"]
