@@ -57,7 +57,6 @@ from .d3 import (
     left_divide_by_D,
     modularity_report,
     right_determinant,
-    weyl_multiply,
 )
 from .pipeline import (
     CATALOG,

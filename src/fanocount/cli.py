@@ -47,7 +47,8 @@ from .pipeline import (
 from .solver import PeriodVector
 
 # Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
-# patch them at this site; the subcommands reach them through the pipeline.
+# patch them at this site; the subcommands reach them through the pipeline,
+# except the reference chain of `pencil_operator`, which no stage calls.
 from .d3 import (  # noqa: F401
     apply_operator,
     build_pencil,

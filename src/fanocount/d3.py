@@ -1,5 +1,5 @@
-"""Noncommutative operator pencils, their right determinants, and the
-Eisenstein comparison for the resulting third-order equations.
+"""Noncommutative operator pencils, the third-order operators they give,
+and the Eisenstein comparison for those operators.
 
 Operators live in the ring of polynomials in t and D, where D is the Euler
 operator t d/dt, subject to D*t = t*D + t.  Canonical form keeps every power
@@ -10,22 +10,25 @@ appears only when a caller reads a coefficient.
 
 From a counting matrix A and a shift lam the pencil is the 4x4 matrix
 D*E - M, where M has entries (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
-above the subdiagonal, (Dt) being multiply-by-t followed by D.  In closed
-form (Dt)^m = t^m (D+1)(D+2)...(D+m), so each entry is written directly
-from the integer coefficients of that product.  Its determinant is taken
-with respect to the rightmost column, minors expanded the same way and
-multiplied on the right by the column entry; the minor on the first k
-columns depends only on its set of rows, so each is expanded once per
-determinant.  Products run on the layers:
-t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D+b2) Q(D) costs one integer Taylor
-shift and one integer convolution per pair, and only the finished
-operator is reduced.
+above the subdiagonal, (Dt) being multiply-by-t followed by D.  Every
+pencil has the layout `relations.ENTRY_LAYOUT`, so its operator
+D^(-1) * det(D*E - M) is one fixed formula in a01, a11, a02, a12, a03 and
+lam, which `pencil_operator` evaluates in integers:
 
-Dividing the determinant by D on the left peels each layer's numerators
-and leaves a third-order operator whose normalized power-series solution
-is produced by the Frobenius recursion.  The recursion is homogeneous, so
-it drops the denominator: with P the indicial polynomial it carries
-integers N_m = c_m P(1)...P(m) and builds one `Fraction` per coefficient.
+    D^3 - t (2D+1)(b D^2 + b D + lam) - t^2 (D+1)(c D^2 + 2c D + e)
+        + t^3 (D+1)(D+2)(2D+3) f + t^4 (D+1)(D+2)(D+3) g,
+
+with b, c, e, f and g the polynomials written out there.  The chain the
+formula comes from is the reference it is checked against: `build_pencil`
+writes each entry from (Dt)^m = t^m (D+1)...(D+m), `right_determinant`
+expands along the rightmost column (minors on the left, each expanded
+once), and `left_divide_by_D` peels each layer.  Products run on the
+layers: t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D+b2) Q(D).
+
+The normalized power-series solution of an operator is produced by the
+Frobenius recursion.  The recursion is homogeneous, so it drops the
+denominator: with P the indicial polynomial it carries integers
+N_m = c_m P(1)...P(m) and builds one `Fraction` per coefficient.
 The solution is compared, coefficient by coefficient, with a small list of
 candidate q-expansions built from a weight-2 Eisenstein series and from
 the factorial transform of the variety's constant-term series, twisted by
@@ -190,11 +193,6 @@ def _combine(x: tuple[int, Layers], y: tuple[int, Layers], sign: int) -> tuple[i
     return den, out
 
 
-def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
-    """Product in canonical form, using D^a * t^b = t^b * (D + b)^a."""
-    return DifferentialOperator.from_layers(*_product((a.den, a.layers), (b.den, b.layers)))
-
-
 @cache
 def _rising(m: int) -> tuple[int, ...]:
     """Coefficients of (D+1)(D+2)...(D+m), lowest D power first."""
@@ -262,8 +260,38 @@ def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
 
 
 def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:
-    """The third-order operator D^(-1) * det(D*E - M) of the pencil at shift lam."""
-    return left_divide_by_D(right_determinant(build_pencil(matrix, lam)))
+    """The third-order operator D^(-1) * det(D*E - M) of the pencil at shift
+    lam, written layer by layer from the closed form in the module docstring.
+
+    The scalar of t^k is weighted-homogeneous of weight k when a11 and lam
+    weigh 1, a01 and a12 weigh 2, a02 weighs 3 and a03 weighs 4.  So with d
+    the lcm of the six denominators, each input x of weight w becomes the
+    integer x * d^w, the scalar of t^k is an integer over d^k, and every
+    layer is written over d^4.
+    """
+    values = (matrix.a01, matrix.a11, matrix.a02, matrix.a12, matrix.a03, lam)
+    d = lcm(*(x.denominator for x in values))
+    a01, a11, a02, a12, a03, lam = (
+        x.numerator * (d**w // x.denominator) for x, w in zip(values, (2, 1, 3, 2, 4, 1))
+    )
+    b = a11 + 2 * lam
+    c = 2 * a01 - a11**2 - 6 * a11 * lam + a12 - 6 * lam**2
+    e = 4 * a01 - 6 * a11 * lam - 7 * lam**2
+    f = a01 * a11 + 2 * a01 * lam - a02 - a11**2 * lam - 3 * a11 * lam**2 + a12 * lam - 2 * lam**3
+    g = (
+        a01**2 - 2 * a01 * a11 * lam - 2 * a01 * lam**2 + 2 * a02 * lam - a03
+        + a11**2 * lam**2 + 2 * a11 * lam**3 - a12 * lam**2 + lam**4
+    )
+    # the scalars of t^k times d^(4-k), all over d^4
+    d2 = d * d
+    b, lam, c, e, f = d * d2 * b, d * d2 * lam, d2 * c, d2 * e, d * f
+    return DifferentialOperator.from_layers(d2 * d2, {
+        0: [0, 0, 0, d2 * d2],
+        1: [-lam, -b - 2 * lam, -3 * b, -2 * b],
+        2: [-e, -e - 2 * c, -3 * c, -c],
+        3: [6 * f, 13 * f, 9 * f, 2 * f],
+        4: [6 * g, 11 * g, 6 * g, g],
+    })
 
 
 def left_divide_by_D(op: DifferentialOperator) -> DifferentialOperator:

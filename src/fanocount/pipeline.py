@@ -45,7 +45,8 @@ from .solver import (
 )
 
 # Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
-# patch them at this site; the stages reach them through `pencil_operator`.
+# patch them at this site.  No stage calls them: `pencil_operator` writes
+# the operator in closed form, and this chain is the reference for it.
 from .d3 import build_pencil, left_divide_by_D, right_determinant  # noqa: F401
 
 

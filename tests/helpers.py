@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial
 
+from fanocount.d3 import DifferentialOperator, _product
 from fanocount.exactmath import ChernPolynomial, EntryPolynomial, PowerSeries
 from fanocount.grassmann import harmonic
 from fanocount.relations import RelationEngine
@@ -12,6 +13,11 @@ def exp_linear(c: Fraction, order: int) -> PowerSeries:
     """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
     c = Fraction(c)
     return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
+
+
+def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
+    """Product in canonical form, using D^a * t^b = t^b * (D + b)^a."""
+    return DifferentialOperator.from_layers(*_product((a.den, a.layers), (b.den, b.layers)))
 
 
 def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial
 
 import golden
-from helpers import closed_form_constant, symbolic_iseries
+from helpers import closed_form_constant, symbolic_iseries, weyl_multiply
 from fanocount.d3 import (
     DifferentialOperator,
     apply_operator,
@@ -23,7 +23,6 @@ from fanocount.d3 import (
     modularity_report,
     pencil_operator,
     right_determinant,
-    weyl_multiply,
 )
 from fanocount.grassmann import (
     GrassmannianSpec,

@@ -8,7 +8,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import golden
-from fanocount.exactmath import PowerSeries
+from helpers import weyl_multiply
+from fanocount.exactmath import ENTRY_VARS, PowerSeries
 from fanocount.d3 import (
     DifferentialOperator,
     InvalidLevel,
@@ -23,8 +24,8 @@ from fanocount.d3 import (
     modularity_report,
     pencil_operator,
     right_determinant,
-    weyl_multiply,
 )
+from fanocount.pipeline import CATALOG, run_pipeline
 from fanocount.solver import CountingMatrix
 
 F = Fraction
@@ -586,6 +587,35 @@ def test_shifted_operators_in_factored_form():
     })
     assert pencil_operator(M10, golden.ALPHA["V10"]) == v10
     assert pencil_operator(M14, golden.ALPHA["V14"]) == v14
+
+
+def reference_pencil_operator(matrix, lam):
+    return left_divide_by_D(right_determinant(build_pencil(matrix, lam)))
+
+
+# zeros, integers and fractions with numerators up to 10^12 over denominators up to 10^3
+bounded_rationals = st.one_of(
+    st.just(F(0)),
+    st.integers(-(10**12), 10**12).map(F),
+    st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({name: bounded_rationals for name in ENTRY_VARS}),
+    st.one_of(bounded_rationals, st.integers(-50, 50)),
+)
+def test_closed_form_operator_matches_pencil_chain(entries, lam):
+    matrix = CountingMatrix(deg=10, **entries)
+    assert pencil_operator(matrix, lam) == reference_pencil_operator(matrix, lam)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_closed_form_operator_matches_pencil_chain_on_catalog(name):
+    run = run_pipeline(CATALOG[name])
+    for lam in dict.fromkeys((F(0), run.alpha, -run.alpha, F(1, 2), F(-7, 3))):
+        assert pencil_operator(run.matrix, lam) == reference_pencil_operator(run.matrix, lam)
 
 
 def test_frobenius_solution_is_factorial_transform_of_series():

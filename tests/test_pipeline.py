@@ -332,23 +332,17 @@ def test_subcommand_views_compute_only_the_stages_they_print():
 
 
 def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
-    import fanocount.d3 as d3
     import fanocount.pipeline as pipeline
 
-    original = d3.right_determinant
-    depth, outer = 0, 0
+    original = pipeline.pencil_operator
+    outer = 0
 
-    def counting(m):
-        nonlocal depth, outer
-        outer += depth == 0
-        depth += 1
-        try:
-            return original(m)
-        finally:
-            depth -= 1
+    def counting(matrix, lam):
+        nonlocal outer
+        outer += 1
+        return original(matrix, lam)
 
-    monkeypatch.setattr(d3, "right_determinant", counting)
-    monkeypatch.setattr(pipeline, "right_determinant", counting)
+    monkeypatch.setattr(pipeline, "pencil_operator", counting)
     report = run_pipeline(CATALOG["V10"])
     # shift 0 for the operator stage, then +alpha and -alpha for modularity
     assert outer == 3
