@@ -31,7 +31,7 @@ F = Fraction
 
 
 def scan(name: str, span: int, order: int) -> None:
-    report = run_pipeline(CATALOG[name], order=max(order, 5))
+    report = run_pipeline(CATALOG[name], order=order)
     matrix = report.matrix
     alpha = report.alpha
     level = report.modularity.level

@@ -407,12 +407,10 @@ class ReportRow:
     lam: Fraction
     candidate: str
     first_mismatch: int | None
-    error: str | None = None
 
 
 @dataclass(frozen=True)
 class ModularityReport:
-    deg: int
     level: int
     alpha: Fraction
     order: int
@@ -450,41 +448,26 @@ def modularity_report(
     distinct shift among 0, alpha and -alpha gets one row per candidate.
     The report records indices, never a verdict.  `operator_at(lam)`
     supplies the pencil operators, so a caller that already built one
-    passes it in instead of building it twice.
+    passes it in instead of building it twice.  A level that is not an
+    integer >= 2 raises `InvalidLevel`; a failure anywhere else propagates.
     """
     alpha, level = Fraction(alpha), Fraction(level)
     if level.denominator != 1:
         raise InvalidLevel(f"level {level} is not an integer")
     level = level.numerator
 
-    candidates: list[tuple[str, PowerSeries | None, str | None]] = []
-    try:
-        candidates.append(("eisenstein", eisenstein_weight2(level, order), None))
-    except InvalidLevel as exc:
-        candidates.append(("eisenstein", None, str(exc)))
+    candidates = [("eisenstein", eisenstein_weight2(level, order))]
     base = constant_terms(matrix, order)
-    candidates.append(("factorial_transform", factorial_transform(base), None))
+    candidates.append(("factorial_transform", factorial_transform(base)))
     if alpha:
         for tag, sign in (("plus", 1), ("minus", -1)):
             twisted = exp_twist(base, sign * alpha)
-            candidates.append(
-                (f"factorial_transform_twist_{tag}", factorial_transform(twisted), None)
-            )
+            candidates.append((f"factorial_transform_twist_{tag}", factorial_transform(twisted)))
 
     rows = []
     for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):
-        solution = None
-        lam_error = None
-        try:
-            solution = frobenius_solve(operator_at(lam), order)
-        except (ArithmeticError, ValueError) as exc:
-            lam_error = f"{type(exc).__name__}: {exc}"
-        for name, series, cand_error in candidates:
-            error = lam_error or cand_error
-            mismatch = None
-            if error is None and solution is not None and series is not None:
-                mismatch = first_mismatch(solution, series)
-            rows.append(ReportRow(lam, name, mismatch, error))
-    return ModularityReport(
-        deg=matrix.deg, level=level, alpha=alpha, order=order, rows=tuple(rows)
-    )
+        solution = frobenius_solve(operator_at(lam), order)
+        rows.extend(
+            ReportRow(lam, name, first_mismatch(solution, series)) for name, series in candidates
+        )
+    return ModularityReport(level=level, alpha=alpha, order=order, rows=tuple(rows))

@@ -79,7 +79,7 @@ PINNED = {
     "modularity-V10-order9": (0, "128d4bd8f637687c720c9e777743864d9b3268c2e998b789edb1a80fa6f95c4f"),
     "invert-V10-explicit": (0, "b14bde77a20255bd98b54e07d09c60d21160eac10120368526295b33108fca24"),
     "report-V10-order5": (0, "79ae5b843e4b6321c036a6caab0acdd79ba1fdd6e510e91a9051c9c63623b329"),
-    "report-V10-order4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "report-V10-order4": (0, "7cede405c0aeb410f870e1a184cdc85d4663252aa319d58d270387cfa9e665af"),
     "matrix-quartic-text": (0, "6a9742b9440023530322abf6d75df6f714cb51cfa250f603fbd22e91e16716c9"),
     "matrix-quartic-json": (0, "980679372524446fb9e21cad7cbbbfbbfcb4c5f2bc750bcad1a3fc86f3440b6d"),
     "verify-text": (0, "55a2a250fd1e18b295314a50501644e2a431c1721977c4551e2e6cf72dc97d10"),
@@ -130,9 +130,9 @@ ERROR_CASES = {
         ["lefschetz", "--variety", QUINTIC],
         "error: stage lefschetz: NotFano: Fano index 0 is not positive",
     ),
-    "report-order-4": (
-        ["report", "--variety", "V10", "--order", "4"],
-        "error: stage config: ConfigError: the pipeline needs order >= 5 to recover the matrix",
+    "report-order-31": (
+        ["report", "--variety", "V10", "--order", "31"],
+        "error: stage config: ConfigError: order 31 exceeds the limit MAX_ORDER = 30",
     ),
     "order-0": (
         ["iseries", "--variety", "V10", "--order", "0"],

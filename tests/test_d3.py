@@ -663,9 +663,8 @@ def test_eisenstein_invalid_levels():
 
 def test_modularity_report_shape_and_matches():
     rep = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
-    assert (rep.deg, rep.level, rep.alpha, rep.order) == (10, 5, F(6), 8)
+    assert (rep.level, rep.alpha, rep.order) == (5, F(6), 8)
     assert len(rep.rows) == 12
-    assert all(r.error is None for r in rep.rows)
     mismatch = {(r.lam, r.candidate): r.first_mismatch for r in rep.rows}
     assert len(mismatch) == 12
     assert mismatch[(0, "factorial_transform")] is None
@@ -693,3 +692,9 @@ def test_modularity_report_rejects_odd_degree():
     odd = CountingMatrix(deg=9, a01=F(1), a11=F(1), a02=F(1), a12=F(1), a03=F(1))
     with pytest.raises(InvalidLevel, match="level 9/2 is not an integer"):
         modularity_report(odd, F(0), F(odd.deg, 2), partial(pencil_operator, odd))
+
+
+def test_modularity_report_raises_at_level_one():
+    # the weight-2 Eisenstein candidate needs N >= 2; the report has no error rows
+    with pytest.raises(InvalidLevel, match="level must be an integer >= 2, got 1"):
+        modularity_report(M10, golden.ALPHA["V10"], 1, partial(pencil_operator, M10))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -174,9 +175,11 @@ def test_run_pipeline_deg14_notes_flag_the_constant():
     assert any("52" in note for note in report.notes)
 
 
-def test_run_pipeline_rejects_low_order():
-    with pytest.raises(ConfigError):
-        run_pipeline(CATALOG["V10"], order=4)
+def test_run_pipeline_at_order_4_recovers_the_order_7_matrix():
+    # the ambient series runs to q^4 whatever the order, so the matrix does not shrink
+    run = run_pipeline(CATALOG["V10"], order=4)
+    assert run.matrix == run_pipeline(CATALOG["V10"]).matrix
+    assert run.modularity.order == 4
 
 
 def test_run_pipeline_marks_noncatalog_unverified():
@@ -251,6 +254,35 @@ def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, leve
     assert solution.coeffs == tuple(0 if m % r else term(m // r) for m in range(13))
     # index >= 2 has alpha = 0, and one table row per candidate at that one shift
     assert len(run.modularity.rows) == (12 if alpha else 2)
+
+
+def fano_threefolds() -> list[VarietyConfig]:
+    """Every Fano complete-intersection threefold in G(r, n) with r <= n/2.
+
+    The index n - sum(d) must be positive, and each of the r(n - r) - 3
+    hypersurfaces has Plucker degree >= 1, or >= 2 in projective space,
+    where a hyperplane section is a smaller projective space.  So r = 1
+    needs 2(n - 4) < n, that is n <= 7; r = 2 needs 2n - 7 < n, that is
+    n <= 6; and r >= 3 needs (r - 1) n - 3 < r^2, which no n >= 2r meets.
+    G(n - r, n) is G(r, n) again, so r <= n/2 leaves out only the duals.
+    """
+    return [
+        VarietyConfig(GrassmannianSpec(r, n), degrees)
+        for n in range(4, 8)
+        for r in range(1, n // 2 + 1)
+        for degrees in combinations_with_replacement(range(2 if r == 1 else 1, n), r * (n - r) - 3)
+        if sum(degrees) < n
+    ]
+
+
+@pytest.mark.parametrize("order", [1, 7])
+def test_modularity_stage_runs_on_every_fano_threefold(order):
+    configs = fano_threefolds()
+    assert len(configs) == 13
+    for config in configs:
+        report = PipelineRun(config, order).modularity
+        assert type(report.level) is int and report.level >= 2
+        assert len(report.rows) == (12 if report.alpha else 2)
 
 
 def test_serialize_report_json_is_deterministic():
