@@ -31,8 +31,8 @@ denominator: with P the indicial polynomial it carries integers
 N_m = c_m P(1)...P(m) and builds one `Fraction` per coefficient.
 The solution is compared, coefficient by coefficient, with a small list of
 candidate q-expansions built from a weight-2 Eisenstein series and from
-the factorial transform of the variety's constant-term series, twisted by
-exp(+-alpha q) when alpha is not 0.
+the factorial transform of the variety's constant-term series, which the
+caller passes in, twisted by exp(+-alpha q) when alpha is not 0.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from functools import cache
 from math import factorial, gcd, lcm
 
 from .exactmath import PowerSeries, Rational, exp_twist
-from .solver import constant_terms
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -433,19 +432,19 @@ def factorial_transform(series: PowerSeries) -> PowerSeries:
 
 
 def modularity_report(
-    matrix,
+    series: PowerSeries,
     alpha: Rational,
     level: Rational,
     operator_at: Callable[[Fraction], DifferentialOperator],
-    order: int = 8,
 ) -> ModularityReport:
     """Tabulate, for each pencil shift, where the normalized solution of the
-    third-order operator first differs from each candidate q-expansion.
+    third-order operator first differs from each candidate q-expansion
+    through the order of `series`, the variety's constant-term series.
 
     Candidates: the weight-2 Eisenstein series at the given level, and the
-    factorial transform of the matrix's constant-term series, bare and
-    multiplied by e^(+alpha q) or e^(-alpha q) when alpha is not 0.  Each
-    distinct shift among 0, alpha and -alpha gets one row per candidate.
+    factorial transform of `series`, bare and multiplied by e^(+alpha q) or
+    e^(-alpha q) when alpha is not 0.  Each distinct shift among 0, alpha
+    and -alpha gets one row per candidate.
     The report records indices, never a verdict.  `operator_at(lam)`
     supplies the pencil operators, so a caller that already built one
     passes it in instead of building it twice.  A level that is not an
@@ -455,19 +454,19 @@ def modularity_report(
     if level.denominator != 1:
         raise InvalidLevel(f"level {level} is not an integer")
     level = level.numerator
+    order = series.order
 
     candidates = [("eisenstein", eisenstein_weight2(level, order))]
-    base = constant_terms(matrix, order)
-    candidates.append(("factorial_transform", factorial_transform(base)))
+    candidates.append(("factorial_transform", factorial_transform(series)))
     if alpha:
         for tag, sign in (("plus", 1), ("minus", -1)):
-            twisted = exp_twist(base, sign * alpha)
+            twisted = exp_twist(series, sign * alpha)
             candidates.append((f"factorial_transform_twist_{tag}", factorial_transform(twisted)))
 
     rows = []
     for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):
         solution = frobenius_solve(operator_at(lam), order)
         rows.extend(
-            ReportRow(lam, name, first_mismatch(solution, series)) for name, series in candidates
+            ReportRow(lam, name, first_mismatch(solution, cand)) for name, cand in candidates
         )
     return ModularityReport(level=level, alpha=alpha, order=order, rows=tuple(rows))

@@ -17,10 +17,11 @@ the row is flagged rather than matched.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial, lcm, log10
 from pathlib import Path
 
 from .d3 import (
@@ -89,8 +90,8 @@ def load_config(source: str) -> VarietyConfig:
     if not path.is_file():
         raise ConfigError(f"{source!r} is neither a catalog name nor a config file")
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {source}: {exc}") from exc
     return parse_config(raw)
 
@@ -154,7 +155,7 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 # Job-size limits, checked before any stage runs.  Near them a run takes about
-# 1.5 s (`report --order 30` on V14) or 2.2 s (`iseries --order 17` on G(4,8),
+# 0.15 s (`report --order 30` on V14) or 3.5 s (`iseries --order 17` on G(4,8),
 # work 9.6e6) in one process on a 2-vCPU Xeon.
 MAX_ORDER = 30
 MAX_RESIDUE_WORK = 10**7
@@ -170,14 +171,36 @@ def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
     return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs
 
 
+def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> float:
+    """Estimated decimal digits of the largest integer the series of G(r, n)
+    prints through q^(order-1), with r = min(r, n - r): the coefficients of
+    q^d have denominators dividing (d!)^n lcm(1..d), and their size stays
+    below (10n)^r on every G(r, n) the tests measure."""
+    r = min(ambient.r, ambient.n - ambient.r)
+    return (
+        ambient.n * log10(factorial(order - 1))
+        + r * log10(10 * ambient.n)
+        + log10(lcm(*range(1, order)))
+    )
+
+
 def _check_job_size(config: VarietyConfig, order: int) -> None:
+    ambient = config.ambient
     if order > MAX_ORDER:
         raise ConfigError(f"order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}")
-    work = _residue_work(config.ambient, max(order, 5))
+    work = _residue_work(ambient, max(order, 5))
     if work > MAX_RESIDUE_WORK:
         raise ConfigError(
-            f"residue-sum work {work} for G({config.ambient.r},{config.ambient.n}) at "
+            f"residue-sum work {work} for G({ambient.r},{ambient.n}) at "
             f"order {order} exceeds the limit MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
+        )
+    # Python 3.10 before 3.10.7 has no limit on integer string conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _coefficient_digits(ambient, order)
+    if limit and digits > limit:
+        raise ConfigError(
+            f"coefficients of G({ambient.r},{ambient.n}) at order {order} need about "
+            f"{digits:.0f} digits, past the limit sys.get_int_max_str_digits() = {limit}"
         )
 
 
@@ -280,9 +303,11 @@ class PipelineRun:
 
     @_stage("d3")
     def modularity(self) -> ModularityReport:
-        # N = (-K)^3 / (2 r^2), which is deg/2 at index 1
+        # the matrix first, which refuses a non-threefold; N = (-K)^3 / (2 r^2),
+        # which is deg/2 at index 1
         level = Fraction(self.matrix.deg, 2 * self.config.fano_index**2)
-        return modularity_report(self.matrix, self.alpha, level, self.operator_at, self.order)
+        series = self.variety_pair.c0.truncate(self.order)
+        return modularity_report(series, self.alpha, level, self.operator_at)
 
     @property
     def notes(self) -> tuple[str, ...]:

@@ -19,9 +19,10 @@ with N = 280 d2^3 d3 - 1000 d2^2 d5 - 168 d2 d3 d4 + 729 d3^3 - 3888 d3 d6
 drops a12 from d_5), a02 and a03 by substitution, and one exact check of
 all five relations confirms the matrix.
 
-`rational_roots` finds the rational roots of an integer polynomial
-completely and exactly by modular search plus Hensel lifting plus rational
-reconstruction, never by enumerating divisors of large coefficients.
+`rational_roots` is not part of either direction: no stage calls it.  It
+stays only for its tests and for the benchmark tracer, which binds it.  It
+finds the rational roots of an integer polynomial completely and exactly by
+modular search plus Hensel lifting plus rational reconstruction.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
 
-from .exactmath import ENTRY_VARS, EntryPolynomial, PowerSeries
+from .exactmath import ENTRY_VARS, EntryPolynomial
 from .grassmann import HSeriesPair
 from .relations import ENTRY_LAYOUT, one_point_relation
 
@@ -125,19 +126,15 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     return matrix
 
 
-def constant_terms(matrix: CountingMatrix, order: int) -> PowerSeries:
-    """Constant terms 1, 0, d_2, d_3, ... of the I-series the matrix determines,
-    through q^(order-1)."""
+def _periods_of(matrix: CountingMatrix) -> tuple[Fraction, ...]:
+    """The constant-term relations at degrees 2..6, evaluated at the matrix."""
     values = matrix.entries()
-    coeffs = [_ONE, _ZERO]
-    for d in range(2, order):
-        coeffs.append(one_point_relation(d - 2, d).evaluate(values))
-    return PowerSeries(tuple(coeffs[:order]))
+    return tuple(one_point_relation(d - 2, d).evaluate(values) for d in range(2, 7))
 
 
 def forward_periods(matrix: CountingMatrix) -> PeriodVector:
     """Constant terms d_2..d_6 of the I-series determined by the matrix."""
-    return PeriodVector(*constant_terms(matrix, 7).coeffs[2:])
+    return PeriodVector(*_periods_of(matrix))
 
 
 def discriminant(v: PeriodVector) -> Fraction:
@@ -377,6 +374,6 @@ def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
     values["a02"] = a02.evaluate(values)
     values["a03"] = a03.evaluate(values)
     matrix = CountingMatrix(deg=deg, **values)
-    if constant_terms(matrix, 7).coeffs[2:] != v.as_tuple():
+    if _periods_of(matrix) != v.as_tuple():
         raise NoRationalSolution(f"no rational matrix has periods {v}")
     return matrix

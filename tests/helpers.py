@@ -62,6 +62,34 @@ def closed_form_constant(n: int, d: int) -> Fraction:
 _ENGINE = RelationEngine()
 
 
+class TamperedEngine(RelationEngine):
+    """Engine with one matrix entry replaced by a constant.
+
+    Used to confirm that entry() is the single funnel for structure
+    constants: changing one entry must propagate to the relations.
+    """
+
+    def __init__(self, where, value):
+        super().__init__()
+        self._where = where
+        self._value = Fraction(value)
+
+    def entry(self, i, j):
+        if (i, j) == self._where:
+            return EntryPolynomial.const(self._value)
+        return super().entry(i, j)
+
+
+def constant_terms(matrix, order: int, engine: RelationEngine = _ENGINE) -> PowerSeries:
+    """Constant terms 1, 0, d_2, d_3, ... of the I-series the matrix determines,
+    through q^(order-1), from the engine's constant-term relations."""
+    values = matrix.entries()
+    coeffs = [Fraction(1), Fraction(0)]
+    for d in range(2, order):
+        coeffs.append(engine.one_point_relation(d - 2, d).evaluate(values))
+    return PowerSeries(tuple(coeffs[:order]))
+
+
 def symbolic_iseries(
     d_max: int, engine: RelationEngine = _ENGINE
 ) -> list[tuple[EntryPolynomial, EntryPolynomial]]:

@@ -268,6 +268,25 @@ def test_oversize_residue_sum_is_refused_before_it_runs(capsys, tmp_path, monkey
     )
 
 
+def test_coefficients_past_the_string_limit_are_refused_before_they_run(
+    capsys, tmp_path, monkeypatch
+):
+    def spy(*args):
+        raise AssertionError("hv_iseries ran for a refused job")
+
+    monkeypatch.setattr(pipeline, "hv_iseries", spy)
+    config = write_config(
+        tmp_path, {"ambient": {"type": "grassmannian", "r": 2, "n": 30000}, "degrees": [1]}
+    )
+    code, out, err = run(capsys, "iseries", "--variety", config, "--order", "13")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        "error: stage config: ConfigError: coefficients of G(2,30000) at order 13 need "
+        f"about 260426 digits, past the limit sys.get_int_max_str_digits() = {limit}\n"
+    )
+
+
 def test_order_past_the_limit_is_refused(capsys):
     order = str(pipeline.MAX_ORDER + 1)
     code, out, err = run(capsys, "report", "--variety", "V10", "--order", order)
@@ -277,6 +296,21 @@ def test_order_past_the_limit_is_refused(capsys):
         f"error: stage config: ConfigError: order {order} exceeds the limit "
         f"MAX_ORDER = {pipeline.MAX_ORDER}\n"
     )
+
+
+@pytest.mark.parametrize("variety", ["V10", "V14"])
+def test_report_runs_at_the_order_limit(capsys, variety):
+    argv = ["report", "--variety", variety, "--order", str(pipeline.MAX_ORDER), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    table = json.loads(out)["modularity"]
+    assert table["order"] == 30
+    # the lambda = 0 solution is the factorial transform of the series through t^29
+    assert [
+        r["first_mismatch"]
+        for r in table["rows"]
+        if (r["lambda"], r["candidate"]) == ("0", "factorial_transform")
+    ] == [None]
 
 
 def test_modularity_json(capsys):
@@ -325,6 +359,24 @@ def test_non_integer_config_field_is_input_error(capsys, tmp_path):
     assert err == (
         "error: stage config: ConfigError: field 'ambient.r' must be an integer, got True\n"
     )
+
+
+def test_config_nested_past_the_recursion_limit_is_a_config_error(capsys, tmp_path):
+    # used to escape load_config as a RecursionError: a traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "matrix", "--variety", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: stage config: ConfigError: cannot read config {path}: ")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xe9"}')
+    code, out, err = run(capsys, "matrix", "--variety", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: stage config: ConfigError: cannot read config {path}: ")
+    assert "UnicodeDecodeError" not in err
 
 
 def test_index_two_cubic_runs_end_to_end(capsys, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import golden
-from helpers import weyl_multiply
+from helpers import constant_terms, weyl_multiply
 from fanocount.exactmath import ENTRY_VARS, PowerSeries
 from fanocount.d3 import (
     DifferentialOperator,
@@ -662,7 +662,8 @@ def test_eisenstein_invalid_levels():
 
 
 def test_modularity_report_shape_and_matches():
-    rep = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    series = constant_terms(M10, 8)
+    rep = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
     assert (rep.level, rep.alpha, rep.order) == (5, F(6), 8)
     assert len(rep.rows) == 12
     mismatch = {(r.lam, r.candidate): r.first_mismatch for r in rep.rows}
@@ -676,25 +677,29 @@ def test_modularity_report_shape_and_matches():
 
 
 def test_modularity_report_deg14_level():
-    rep = modularity_report(M14, golden.ALPHA["V14"], 7, partial(pencil_operator, M14))
+    series = constant_terms(M14, 8)
+    rep = modularity_report(series, golden.ALPHA["V14"], 7, partial(pencil_operator, M14))
     assert rep.level == 7
     assert [r.first_mismatch for r in rep.rows if (r.lam, r.candidate) == (4, "eisenstein")] == [2]
 
 
 def test_modularity_report_is_deterministic():
-    a = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
-    b = modularity_report(M10, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    series = constant_terms(M10, 8)
+    a = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    b = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
     assert a == b
 
 
 def test_modularity_report_rejects_odd_degree():
     # at index 1 the level is deg/2, which an odd degree does not make an integer
     odd = CountingMatrix(deg=9, a01=F(1), a11=F(1), a02=F(1), a12=F(1), a03=F(1))
+    series = constant_terms(odd, 8)
     with pytest.raises(InvalidLevel, match="level 9/2 is not an integer"):
-        modularity_report(odd, F(0), F(odd.deg, 2), partial(pencil_operator, odd))
+        modularity_report(series, F(0), F(odd.deg, 2), partial(pencil_operator, odd))
 
 
 def test_modularity_report_raises_at_level_one():
     # the weight-2 Eisenstein candidate needs N >= 2; the report has no error rows
+    series = constant_terms(M10, 8)
     with pytest.raises(InvalidLevel, match="level must be an integer >= 2, got 1"):
-        modularity_report(M10, golden.ALPHA["V10"], 1, partial(pencil_operator, M10))
+        modularity_report(series, golden.ALPHA["V10"], 1, partial(pencil_operator, M10))

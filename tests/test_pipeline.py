@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -6,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 import golden
+from helpers import TamperedEngine, constant_terms
 from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _compositions, _plan
 from fanocount.pipeline import (
@@ -16,6 +18,7 @@ from fanocount.pipeline import (
     PipelineRun,
     StageError,
     VarietyConfig,
+    _coefficient_digits,
     _residue_work,
     ambient_series,
     iseries_view,
@@ -28,6 +31,7 @@ from fanocount.pipeline import (
     serialize_report,
     verify_golden,
 )
+from fanocount.relations import RelationEngine
 from fanocount.solver import CountingMatrix
 
 F = Fraction
@@ -285,6 +289,50 @@ def test_modularity_stage_runs_on_every_fano_threefold(order):
         assert len(report.rows) == (12 if report.alpha else 2)
 
 
+def threefold_presentations() -> list[VarietyConfig]:
+    """The Fano complete-intersection threefolds in G(r, n) with r <= n/2 and
+    n <= 8, each hyperplane section of projective space kept as written."""
+    return [
+        VarietyConfig(GrassmannianSpec(r, n), degrees)
+        for n in range(4, 9)
+        for r in range(1, n // 2 + 1)
+        for degrees in combinations_with_replacement(range(1, n), r * (n - r) - 3)
+        if sum(degrees) < n
+    ]
+
+
+def test_relation_series_of_the_matrix_is_the_lefschetz_series():
+    # The modularity stage compares the D3 solution with the Lefschetz series
+    # variety_pair.c0; the constant-term relations of the recovered matrix give
+    # the same series, which is what the relation engine would have built.
+    configs = threefold_presentations()
+    assert len(configs) == 31
+    for config in configs:
+        run = PipelineRun(config, 13)
+        assert constant_terms(run.matrix, 13) == run.variety_pair.c0, config
+    runs = [PipelineRun(CATALOG[name], 30) for name in ("V10", "V14")]
+    for run in runs:
+        assert constant_terms(run.matrix, 30) == run.variety_pair.c0
+    # negative control: one tampered entry moves the relation series off it
+    for run in runs:
+        tampered = constant_terms(run.matrix, 13, TamperedEngine((0, 2), 0))
+        assert tampered != run.variety_pair.c0.truncate(13)
+
+
+def test_run_pipeline_asks_no_relation_past_the_periods(monkeypatch):
+    asked = []
+    original = RelationEngine.one_point_relation
+
+    def spy(self, k, d):
+        asked.append(d)
+        return original(self, k, d)
+
+    monkeypatch.setattr(RelationEngine, "one_point_relation", spy)
+    run_pipeline(CATALOG["V14"], 30)
+    # q^3, q^4 closure checks and the periods d_2..d_6; none for the table
+    assert sorted(set(asked)) == [2, 3, 4, 5, 6]
+
+
 def test_serialize_report_json_is_deterministic():
     a = serialize_report(run_pipeline(CATALOG["V10"]), "json")
     b = serialize_report(run_pipeline(CATALOG["V10"]), "json")
@@ -416,6 +464,44 @@ def test_oversize_jobs_are_refused_at_set_up():
         PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
     with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
         run_pipeline(VarietyConfig(GrassmannianSpec(6, 12), (1,)), 5)
+
+
+@pytest.mark.parametrize(
+    ("r", "n", "orders"),
+    [(1, 3, range(2, 16)), (1, 40, range(2, 16)), (2, 5, range(2, 14)), (2, 60, range(2, 14)),
+     (3, 6, range(2, 8)), (3, 31, range(2, 8)), (4, 20, range(2, 6))],
+)
+def test_coefficient_digits_bound_the_printed_series(r, n, orders):
+    def digits(x):
+        return max(len(str(abs(x.numerator))), len(str(x.denominator)))
+
+    for order in orders:
+        pair = ambient_series(GrassmannianSpec(r, n), order)
+        assert max(map(digits, pair.c0.coeffs + pair.c1.coeffs)) <= _coefficient_digits(
+            GrassmannianSpec(r, n), order
+        )
+
+
+def test_coefficients_past_the_string_limit_are_refused_at_set_up(monkeypatch):
+    # G(2,30000) at order 13 used to compute for 14 s and then die while
+    # printing; so did P^495.  The last admitted n on each side prints.
+    limit = sys.get_int_max_str_digits()
+    for r, n, order in ((2, 494, 13), (1, 138, 30)):
+        assert _coefficient_digits(GrassmannianSpec(r, n), order) <= limit
+        assert _coefficient_digits(GrassmannianSpec(r, n + 1), order) > limit
+        run = PipelineRun(VarietyConfig(GrassmannianSpec(r, n), (1,)), order)
+        assert len(iseries_view(run)[1]) == 3  # the series converts to text
+        with pytest.raises(ConfigError, match=f"sys.get_int_max_str_digits\\(\\) = {limit}"):
+            PipelineRun(VarietyConfig(GrassmannianSpec(r, n + 1), (1,)), order)
+    for r, n in ((2, 30000), (1, 496)):
+        with pytest.raises(ConfigError, match="digits, past the limit"):
+            PipelineRun(VarietyConfig(GrassmannianSpec(r, n), (1,)), 13)
+    # every threefold, up to MAX_ORDER, stays admitted
+    for config in threefold_presentations():
+        PipelineRun(config, MAX_ORDER)
+    # an interpreter without the limit admits them all
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    PipelineRun(VarietyConfig(GrassmannianSpec(2, 30000), (1,)), 13)
 
 
 @pytest.mark.parametrize("order", [-3, 0, 7.5, F(7), "7", True, False, None])

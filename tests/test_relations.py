@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from helpers import symbolic_iseries
+from helpers import TamperedEngine, symbolic_iseries
 from fanocount.exactmath import EntryPolynomial
 from fanocount.relations import (
     GateViolation,
@@ -14,24 +14,6 @@ from fanocount.solver import CountingMatrix
 
 F = Fraction
 two_point_symbol = RelationEngine().two_point_symbol
-
-
-class TamperedEngine(RelationEngine):
-    """Engine with one matrix entry replaced by a constant.
-
-    Used to confirm that entry() is the single funnel for structure
-    constants: changing one entry must propagate to the relations.
-    """
-
-    def __init__(self, where, value):
-        super().__init__()
-        self._where = where
-        self._value = F(value)
-
-    def entry(self, i, j):
-        if (i, j) == self._where:
-            return EntryPolynomial.const(self._value)
-        return super().entry(i, j)
 
 
 def test_entry_canonical_variables():
