@@ -15,7 +15,8 @@ and reused by every later call; no pipeline result outlives its call.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 internal math error.  All numeric output is exact: integers bare,
-other rationals as p/q.
+other rationals as p/q.  The options are parsed before any stage runs, and
+a result too long to convert to text fails as the stage `output`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .pipeline import (
     ConfigError,
     PipelineRun,
     StageError,
+    _guarded,
     d3_view,
     invert_view,
     iseries_view,
@@ -88,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("lefschetz", "variety I-series after the Euler twist", lefschetz_view)
     add("matrix", "counting matrix recovered from the series", matrix_view)
     add("periods", "period vector and discriminant of the counting matrix", periods_view)
-    inv = add("invert", "counting matrix recovered from a period vector")
+    inv = add("invert", "counting matrix recovered from a period vector", invert_view)
     inv.add_argument(
         "--periods",
         help="comma-separated d2,d3,d4,d5,d6 (default: the variety's own periods)",
     )
     inv.add_argument("--deg", help="anticanonical degree for the output matrix")
-    d3p = add("d3", "third-order operator and its normalized solution")
+    d3p = add("d3", "third-order operator and its normalized solution", d3_view)
     d3p.add_argument(
         "--lambda", dest="lam", default="0", help="pencil shift, a rational P/Q"
     )
@@ -153,19 +155,19 @@ def _run_command(args: argparse.Namespace) -> int:
     order = _integer(args.order, "--order")
     if order < 1:
         raise ConfigError("--order must be positive")
-    run = PipelineRun(config, order)
-    if cmd == "report":
-        out = serialize_report(run.complete(), args.format)
-    elif cmd == "d3":
-        out = render(*d3_view(run, _rational(args.lam, "--lambda")), args.format)
+    options = ()
+    if cmd == "d3":
+        options = (_rational(args.lam, "--lambda"),)
     elif cmd == "invert":
         deg = None if args.deg is None else _integer(args.deg, "--deg")
         if deg is not None and deg < 1:
             raise ConfigError("--deg must be positive")
-        periods = None if args.periods is None else _parse_periods(args.periods)
-        out = render(*invert_view(run, periods, deg), args.format)
+        options = (None if args.periods is None else _parse_periods(args.periods), deg)
+    run = PipelineRun(config, order)
+    if cmd == "report":
+        out = _guarded("output", lambda: serialize_report(run.complete(), args.format))
     else:
-        out = render(*args.view(run), args.format)
+        out = _guarded("output", lambda: render(*args.view(run, *options), args.format))
     sys.stdout.write(out)
     return 0
 

@@ -18,12 +18,12 @@ lam, which `pencil_operator` evaluates in integers:
     D^3 - t (2D+1)(b D^2 + b D + lam) - t^2 (D+1)(c D^2 + 2c D + e)
         + t^3 (D+1)(D+2)(2D+3) f + t^4 (D+1)(D+2)(D+3) g,
 
-with b, c, e, f and g the polynomials written out there.  The chain the
-formula comes from is the reference it is checked against: `build_pencil`
-writes each entry from (Dt)^m = t^m (D+1)...(D+m), `right_determinant`
-expands along the rightmost column (minors on the left, each expanded
-once), and `left_divide_by_D` peels each layer.  Products run on the
-layers: t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D+b2) Q(D).
+with b, c, e, f and g the polynomials written out there.  The definition
+the formula comes from is kept, in plain `Fraction` terms, as the reference
+it is checked against: `build_pencil` multiplies out the powers of Dt,
+`right_determinant` sums the column-ordered products over permutations,
+and `left_divide_by_D` peels each layer.  Every product in that chain is
+`_multiply`, the term-by-term rule D^i * t^c = t^c * (D+c)^i.
 
 The normalized power-series solution of an operator is produced by the
 Frobenius recursion.  The recursion is homogeneous, so it drops the
@@ -40,8 +40,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import factorial, gcd, lcm
+from functools import reduce
+from itertools import combinations, permutations
+from math import comb, factorial, gcd, lcm
 
 from .exactmath import PowerSeries, Rational, exp_twist
 
@@ -84,7 +85,9 @@ class DifferentialOperator:
         for (b, i), c in terms.items():
             if b < 0 or i < 0:
                 raise ValueError("term exponents must be nonnegative")
-            _accumulate(layers.setdefault(b, []), [c.numerator], den // c.denominator, i)
+            poly = layers.setdefault(b, [])
+            poly.extend([0] * (i + 1 - len(poly)))
+            poly[i] += c.numerator * (den // c.denominator)
         self._store(den, layers)
 
     @classmethod
@@ -150,112 +153,64 @@ class DifferentialOperator:
 OperatorMatrix = tuple[tuple[DifferentialOperator, ...], ...]
 
 
-def _taylor_shift(poly: list[int], s: int) -> list[int]:
-    """Coefficients of P(D + s) from those of P(D)."""
-    out = list(poly)
-    if s:
-        for k in range(len(out) - 1):
-            for j in range(len(out) - 2, k - 1, -1):
-                out[j] += s * out[j + 1]
-    return out
-
-
-def _accumulate(into: list[int], poly: list[int], scale: int, shift: int = 0) -> None:
-    """into += scale * D^shift * poly, padding into with zeros as needed."""
-    if len(into) < shift + len(poly):
-        into.extend([0] * (shift + len(poly) - len(into)))
-    for i, c in enumerate(poly, shift):
-        into[i] += scale * c
-
-
-def _product(x: tuple[int, Layers], y: tuple[int, Layers]) -> tuple[int, Layers]:
-    """t^b1 P(D) * t^b2 Q(D) = t^(b1+b2) P(D + b2) Q(D), pair by pair."""
-    (dx, gx), (dy, gy) = x, y
-    out: dict[int, list[int]] = {}
-    for b2, q in gy.items():
-        for b1, p in gx.items():
-            acc = out.setdefault(b1 + b2, [])
-            for i, c in enumerate(_taylor_shift(p, b2)):
-                if c:
-                    _accumulate(acc, q, c, i)
-    return dx * dy, out
-
-
-def _combine(x: tuple[int, Layers], y: tuple[int, Layers], sign: int) -> tuple[int, Layers]:
-    """x + sign * y over the lcm of the two denominators."""
-    (dx, gx), (dy, gy) = x, y
-    den = lcm(dx, dy)
-    out: dict[int, list[int]] = {}
-    for groups, scale in ((gx, den // dx), (gy, sign * (den // dy))):
-        for b, poly in groups.items():
-            _accumulate(out.setdefault(b, []), poly, scale)
-    return den, out
-
-
-@cache
-def _rising(m: int) -> tuple[int, ...]:
-    """Coefficients of (D+1)(D+2)...(D+m), lowest D power first."""
-    out = [1]
-    for k in range(1, m + 1):
-        out = [k * c + d for c, d in zip(out + [0], [0] + out)]
-    return tuple(out)
+def _multiply(x: DifferentialOperator, y: DifferentialOperator) -> DifferentialOperator:
+    """The product x*y, term by term: t^a D^i * t^c D^j = t^(a+c) (D+c)^i D^j,
+    with (D+c)^i expanded binomially."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a, i), u in x.terms.items():
+        for (c, j), v in y.terms.items():
+            for s in range(i + 1):
+                key = (a + c, s + j)
+                out[key] = out.get(key, _ZERO) + u * v * comb(i, s) * c ** (i - s)
+    return DifferentialOperator(out)
 
 
 def build_pencil(matrix, lam: Rational) -> OperatorMatrix:
     """The 4x4 operator matrix D*E - M for the shifted counting matrix.
 
-    With a = u/v the entry -a*(Dt)^m is the layer t^m times -u*c over v,
-    for the integer coefficients c of (D+1)...(D+m).
+    Entry (k, l) is D*delta_kl - (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
+    above the subdiagonal and zero below it; the powers of Dt are multiplied
+    out with `_multiply`.
     """
+    lam = Fraction(lam)
     rows = matrix.rows()
     size = len(rows)
+    dt = _multiply(DifferentialOperator({(0, 1): _ONE}), DifferentialOperator({(1, 0): _ONE}))
+    powers = [DifferentialOperator({(0, 0): _ONE})]
+    for _ in range(size):
+        powers.append(_multiply(powers[-1], dt))
     pencil = []
     for k in range(size):
         row = []
         for l in range(size):
-            u, v = rows[k][l].numerator, rows[k][l].denominator
+            a = rows[k][l] + (lam if k == l else 0)
+            terms = {e: -a * c for e, c in powers[l - k + 1].terms.items()} if l >= k - 1 else {}
             if k == l:
-                u, v = u * lam.denominator + lam.numerator * v, v * lam.denominator
-            power = l - k + 1
-            layers = {}
-            if u and power >= 0:
-                layers[power] = [-u * c for c in _rising(power)]
-            if k == l:
-                layers[0] = [0, v]
-            row.append(DifferentialOperator.from_layers(v, layers))
+                terms[(0, 1)] = _ONE
+            row.append(DifferentialOperator(terms))
         pencil.append(tuple(row))
     return tuple(pencil)
 
 
 def right_determinant(m: OperatorMatrix) -> DifferentialOperator:
-    """Cofactor expansion along the rightmost column, minors on the left.
+    """The column-ordered determinant: the sum over permutations s of
+    sgn(s) * m[s(0)][0] * m[s(1)][1] * ... * m[s(n-1)][n-1].
 
-    The minor on the first k columns is fixed by its sorted row tuple, so
-    each one is expanded once per call and kept in a local memo.
+    This is the cofactor expansion along the rightmost column with each
+    minor on the left of its entry, applied down to 1x1 minors.
     """
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant needs a square matrix")
-    cells = [[(entry.den, entry.layers) for entry in row] for row in m]
-    memo: dict[tuple[int, ...], tuple[int, Layers]] = {}
-
-    def minor(rows: tuple[int, ...]) -> tuple[int, Layers]:
-        if rows in memo:
-            return memo[rows]
-        last = len(rows) - 1
-        if last == 0:
-            value = cells[rows[0]][0]
-        else:
-            value = (1, {})
-            for pos, row in enumerate(rows):
-                entry = cells[row][last]
-                if entry[1]:
-                    term = _product(minor(rows[:pos] + rows[pos + 1 :]), entry)
-                    value = _combine(value, term, -1 if (pos + last) % 2 else 1)
-        memo[rows] = value
-        return value
-
-    return DifferentialOperator.from_layers(*minor(tuple(range(size))))
+    out: dict[tuple[int, int], Fraction] = {}
+    for perm in permutations(range(size)):
+        factors = [m[row][col] for col, row in enumerate(perm)]
+        if not all(f.layers for f in factors):
+            continue
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        for e, c in reduce(_multiply, factors).terms.items():
+            out[e] = out.get(e, _ZERO) + sign * c
+    return DifferentialOperator(out)
 
 
 def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm, log10
+from math import comb, factorial, lcm, lgamma, log, log10
 from pathlib import Path
 
 from .d3 import (
@@ -184,6 +184,30 @@ def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> float:
     )
 
 
+def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction) -> float:
+    """Estimated decimal digits of the largest integer the variety series
+    prints through q^(order-1), at d = order - 1: the ambient estimate, plus
+    the Euler factor prod_j (d_j d)! less the (d!)^(sum d_j) it cancels
+    from the ambient denominators, plus the twist's alpha^d, with alpha
+    counted by its height max(|numerator|, denominator)."""
+    d = order - 1
+    return (
+        _coefficient_digits(config.ambient, order)
+        + sum(lgamma(dj * d + 1) - dj * lgamma(d + 1) for dj in config.degrees) / log(10)
+        + d * log10(max(abs(alpha.numerator), alpha.denominator))
+    )
+
+
+def _check_digits(what: str, order: int, digits: float) -> None:
+    # Python 3.10 before 3.10.7 has no limit on integer string conversion
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ConfigError(
+            f"coefficients of {what} at order {order} need about "
+            f"{digits:.0f} digits, past the limit sys.get_int_max_str_digits() = {limit}"
+        )
+
+
 def _check_job_size(config: VarietyConfig, order: int) -> None:
     ambient = config.ambient
     if order > MAX_ORDER:
@@ -194,14 +218,7 @@ def _check_job_size(config: VarietyConfig, order: int) -> None:
             f"residue-sum work {work} for G({ambient.r},{ambient.n}) at "
             f"order {order} exceeds the limit MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
         )
-    # Python 3.10 before 3.10.7 has no limit on integer string conversion
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = _coefficient_digits(ambient, order)
-    if limit and digits > limit:
-        raise ConfigError(
-            f"coefficients of G({ambient.r},{ambient.n}) at order {order} need about "
-            f"{digits:.0f} digits, past the limit sys.get_int_max_str_digits() = {limit}"
-        )
+    _check_digits(f"G({ambient.r},{ambient.n})", order, _coefficient_digits(ambient, order))
 
 
 def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
@@ -238,7 +255,9 @@ class PipelineRun:
     every stage after it refuse one that is not a threefold.  Each stage
     returns its value or raises a `StageError` that names it.  An order that
     is not an `int` >= 1, or a job past a limit, is refused before any stage;
-    every order >= 1 reaches the matrix, whose series runs to at least q^4.
+    a variety series too long to print is refused by its stage before the
+    Lefschetz transform runs.  Every order >= 1 reaches the matrix, whose
+    series runs to at least q^4.
     """
 
     def __init__(self, config: VarietyConfig, order: int = 7):
@@ -266,6 +285,9 @@ class PipelineRun:
     @_stage("lefschetz")
     def variety_pair(self) -> HSeriesPair:
         self.geometry  # refuses a non-Fano intersection before the ambient series
+        # the ambient series may print while the variety series may not
+        digits = _variety_digits(self.config, self.order, self.alpha)
+        _check_digits("the variety series", self.order, digits)
         return quantum_lefschetz(self.ambient_pair, self.config)
 
     @_stage("solver")

@@ -1,9 +1,10 @@
-"""Closed forms and symbolic expansions that only the tests use."""
+"""Closed forms and symbolic expansions that only the tests use, and the
+tests' name for the operator product of the D3 reference chain."""
 
 from fractions import Fraction
 from math import comb, factorial
 
-from fanocount.d3 import DifferentialOperator, _product
+from fanocount.d3 import _multiply
 from fanocount.exactmath import ChernPolynomial, EntryPolynomial, PowerSeries
 from fanocount.grassmann import harmonic
 from fanocount.relations import RelationEngine
@@ -15,9 +16,8 @@ def exp_linear(c: Fraction, order: int) -> PowerSeries:
     return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
 
 
-def weyl_multiply(a: DifferentialOperator, b: DifferentialOperator) -> DifferentialOperator:
-    """Product in canonical form, using D^a * t^b = t^b * (D + b)^a."""
-    return DifferentialOperator.from_layers(*_product((a.den, a.layers), (b.den, b.layers)))
+# the product in canonical form, using D^i * t^c = t^c * (D + c)^i
+weyl_multiply = _multiply
 
 
 def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial:

@@ -287,6 +287,41 @@ def test_coefficients_past_the_string_limit_are_refused_before_they_run(
     )
 
 
+def test_variety_series_past_the_string_limit_is_refused_but_its_ambient_prints(
+    capsys, tmp_path
+):
+    config = write_config(tmp_path, {"ambient": {"type": "projective", "n": 99}, "degrees": [99]})
+    code, out, err = run(capsys, "iseries", "--variety", config, "--order", "30")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "lefschetz", "--variety", config, "--order", "30")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        "error: stage lefschetz: ConfigError: coefficients of the variety series at order 30 "
+        f"need about 13253 digits, past the limit sys.get_int_max_str_digits() = {limit}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["d3", "--variety", "V10", "--lambda", "9" * 1500, "--order", "7"],
+        [
+            "invert", "--variety", "V10", "--deg", "1",
+            "--periods", ",".join(str(7 * 10**1199 + k) for k in range(1, 6)),
+        ],
+    ],
+    ids=["d3", "invert"],
+)
+def test_a_result_too_long_to_print_fails_as_stage_output(capsys, argv):
+    # the inputs parse and the stages compute; only the text of the result
+    # passes the interpreter's limit on integer string conversion
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: stage output: ValueError: Exceeds the limit ({limit} digits)")
+
+
 def test_order_past_the_limit_is_refused(capsys):
     order = str(pipeline.MAX_ORDER + 1)
     code, out, err = run(capsys, "report", "--variety", "V10", "--order", order)

@@ -1,7 +1,6 @@
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 import golden
 from helpers import constant_terms, weyl_multiply
+from fanocount import d3
 from fanocount.exactmath import ENTRY_VARS, PowerSeries
 from fanocount.d3 import (
     DifferentialOperator,
@@ -37,17 +37,6 @@ M10 = CountingMatrix(deg=10, **golden.entry_values(golden.MATRIX_V10))
 M14 = CountingMatrix(deg=14, **golden.entry_values(golden.MATRIX_V14))
 
 
-def reference_weyl_multiply(a, b):
-    """Term-by-term product, using D^i * t^b = t^b * (D + b)^i expanded binomially."""
-    out = {}
-    for (b1, i1), c1 in a.terms.items():
-        for (b2, i2), c2 in b.terms.items():
-            for s in range(i1 + 1):
-                key = (b1 + b2, s + i2)
-                out[key] = out.get(key, F(0)) + c1 * c2 * comb(i1, s) * F(b2) ** (i1 - s)
-    return DifferentialOperator(out)
-
-
 def combination(*pairs):
     """sum c * op over (c, op) pairs, term by term."""
     out = {}
@@ -70,7 +59,7 @@ def reference_right_determinant(m):
     terms = []
     for row in range(size):
         minor = tuple(tuple(m[r][:last]) for r in range(size) if r != row)
-        term = reference_weyl_multiply(reference_right_determinant(minor), m[row][last])
+        term = weyl_multiply(reference_right_determinant(minor), m[row][last])
         terms.append((-1 if (row + last) % 2 else 1, term))
     return combination(*terms)
 
@@ -123,34 +112,6 @@ def reference_frobenius_solve(op, order):
             rhs -= layer_at(b, m - b) * coeffs[m - b]
         coeffs.append(rhs / p)
     return PowerSeries(tuple(coeffs))
-
-
-def reference_build_pencil(matrix, lam):
-    """D*E - M with each entry -a*(Dt)^m formed by `Fraction` products."""
-
-    def rising(m):
-        out = [1]
-        for k in range(1, m + 1):
-            out = [k * c + d for c, d in zip(out + [0], [0] + out)]
-        return out
-
-    lam = Fraction(lam)
-    rows = matrix.rows()
-    size = len(rows)
-    pencil = []
-    for k in range(size):
-        row = []
-        for l in range(size):
-            a = rows[k][l] + (lam if k == l else 0)
-            power = l - k + 1
-            terms = {}
-            if a != 0 and power >= 0:
-                terms = {(power, i): -a * c for i, c in enumerate(rising(power))}
-            if k == l:
-                terms[(0, 1)] = F(1)
-            row.append(DifferentialOperator(terms))
-        pencil.append(tuple(row))
-    return tuple(pencil)
 
 
 def outcome(f, *args):
@@ -247,7 +208,7 @@ def test_weyl_power_rule():
 
 
 def test_dt_power_closed_form():
-    # (Dt)^m = t^m (D+1)...(D+m), the closed form build_pencil writes down
+    # (Dt)^m = t^m (D+1)...(D+m): the powers build_pencil multiplies out
     for m in range(7):
         rising = poly_product(*([k, 1] for k in range(1, m + 1)))
         expected = DifferentialOperator({(m, i): F(c) for i, c in enumerate(rising)})
@@ -286,12 +247,6 @@ rational_ops = st.builds(
         max_size=5,
     ),
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(rational_ops, rational_ops)
-def test_weyl_multiply_matches_term_by_term_reference(a, b):
-    assert weyl_multiply(a, b) == reference_weyl_multiply(a, b)
 
 
 nonscalar_ops = st.dictionaries(
@@ -385,31 +340,6 @@ def test_pencil_shift_sits_on_diagonal():
                 assert shifted[k][l] == combination((1, plain[k][l]), (-lam, weyl_multiply(D, T)))
             else:
                 assert shifted[k][l] == plain[k][l]
-
-
-pencil_entries = st.one_of(
-    st.just(F(0)), st.fractions(min_value=-200, max_value=200, max_denominator=9)
-)
-
-
-@st.composite
-def pencil_inputs(draw):
-    """A random rational matrix and a shift, which may cancel a diagonal entry."""
-    size = draw(st.integers(1, 5))
-    rows = tuple(
-        tuple(draw(st.lists(pencil_entries, min_size=size, max_size=size)))
-        for _ in range(size)
-    )
-    k = draw(st.integers(0, size))
-    lam = -rows[k][k] if k < size else draw(pencil_entries)
-    return SimpleNamespace(rows=lambda: rows), lam
-
-
-@settings(max_examples=150, deadline=None)
-@given(pencil_inputs())
-def test_build_pencil_matches_fraction_reference(inputs):
-    matrix, lam = inputs
-    assert build_pencil(matrix, lam) == reference_build_pencil(matrix, lam)
 
 
 @st.composite
@@ -616,6 +546,27 @@ def test_closed_form_operator_matches_pencil_chain_on_catalog(name):
     run = run_pipeline(CATALOG[name])
     for lam in dict.fromkeys((F(0), run.alpha, -run.alpha, F(1, 2), F(-7, 3))):
         assert pencil_operator(run.matrix, lam) == reference_pencil_operator(run.matrix, lam)
+
+
+def commutative_multiply(a, b):
+    """The product with D*t = t*D, which forgets the Weyl rule."""
+    out = {}
+    for (b1, i1), c1 in a.terms.items():
+        for (b2, i2), c2 in b.terms.items():
+            out[(b1 + b2, i1 + i2)] = out.get((b1 + b2, i1 + i2), F(0)) + c1 * c2
+    return DifferentialOperator(out)
+
+
+def test_pencil_chain_needs_the_weyl_rule(monkeypatch):
+    # Negative control for the reference: with a commutative product the
+    # chain no longer reproduces the closed form.  Column order is no
+    # control: on the pencil, expanding with each minor on the right of its
+    # entry gives the same operator as with it on the left.
+    alpha = golden.ALPHA["V10"]
+    assert reference_pencil_operator(M10, alpha) == pencil_operator(M10, alpha)
+    monkeypatch.setattr(d3, "_multiply", commutative_multiply)
+    with pytest.raises(NotLeftDivisible):
+        reference_pencil_operator(M10, alpha)
 
 
 def test_frobenius_solution_is_factorial_transform_of_series():

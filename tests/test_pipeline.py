@@ -8,6 +8,7 @@ import pytest
 
 import golden
 from helpers import TamperedEngine, constant_terms
+from fanocount import pipeline
 from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _compositions, _plan
 from fanocount.pipeline import (
@@ -20,8 +21,10 @@ from fanocount.pipeline import (
     VarietyConfig,
     _coefficient_digits,
     _residue_work,
+    _variety_digits,
     ambient_series,
     iseries_view,
+    lefschetz_view,
     load_config,
     matrix_view,
     parse_config,
@@ -502,6 +505,65 @@ def test_coefficients_past_the_string_limit_are_refused_at_set_up(monkeypatch):
     # an interpreter without the limit admits them all
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     PipelineRun(VarietyConfig(GrassmannianSpec(2, 30000), (1,)), 13)
+
+
+def hypersurface(n, degrees):
+    """The complete intersection of the given degrees in P^n."""
+    return VarietyConfig(GrassmannianSpec(1, n + 1), degrees)
+
+
+@pytest.mark.parametrize(
+    ("config", "orders"),
+    [
+        (CATALOG["V10"], range(2, 16)),
+        (CATALOG["V14"], range(2, 16)),
+        (hypersurface(4, (4,)), range(2, 31, 4)),
+        (hypersurface(6, (2, 2, 2)), range(2, 31, 4)),
+        (hypersurface(20, (20,)), range(2, 31, 4)),
+        (hypersurface(39, (2,) * 19), range(2, 31, 4)),
+        (hypersurface(99, (1,) * 96), (2, 30)),
+        (VarietyConfig(GrassmannianSpec(2, 7), (3, 3)), range(2, 14, 3)),
+        (VarietyConfig(GrassmannianSpec(3, 6), (2,)), range(2, 8)),
+    ],
+    ids=["V10", "V14", "P4-4", "P6-222", "P20-20", "P39-2x19", "P99-1x96", "G27-33", "G36-2"],
+)
+def test_variety_digits_bound_the_printed_series(config, orders):
+    def digits(x):
+        return max(len(str(abs(x.numerator))), len(str(x.denominator)))
+
+    for order in orders:
+        run = PipelineRun(config, order)
+        pair = run.variety_pair
+        printed = pair.c0.truncate(order).coeffs + pair.c1.truncate(order).coeffs
+        assert max(map(digits, printed)) <= _variety_digits(config, order, run.alpha)
+
+
+def test_variety_series_past_the_string_limit_is_refused_before_the_transform(monkeypatch):
+    # A degree-99 hypersurface in P^99 at order 30 used to compute its series
+    # and then die while printing it.  The last admitted job on each side
+    # prints; the ambient series of a refused job still prints.
+    def spy(*args):
+        raise AssertionError("quantum_lefschetz ran for a refused job")
+
+    limit = sys.get_int_max_str_digits()
+    for (admitted, last), (refused, first) in (
+        ((hypersurface(38, (38,)), 30), (hypersurface(39, (39,)), 30)),
+        ((hypersurface(99, (99,)), 11), (hypersurface(99, (99,)), 12)),
+    ):
+        run = PipelineRun(admitted, last)
+        assert _variety_digits(admitted, last, run.alpha) <= limit
+        assert len(lefschetz_view(run)[1]) == 3  # the series converts to text
+        run = PipelineRun(refused, first)
+        assert _variety_digits(refused, first, run.alpha) > limit
+        assert len(iseries_view(run)[1]) == 3
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "quantum_lefschetz", spy)
+            with pytest.raises(StageError, match="stage lefschetz: ConfigError: ") as info:
+                run.variety_pair
+        assert f"sys.get_int_max_str_digits() = {limit}" in str(info.value)
+    # every threefold, up to MAX_ORDER, stays admitted
+    for config in threefold_presentations():
+        assert _variety_digits(config, MAX_ORDER, PipelineRun(config, 5).alpha) <= limit
 
 
 @pytest.mark.parametrize("order", [-3, 0, 7.5, F(7), "7", True, False, None])
