@@ -7,7 +7,8 @@ touches floating point.  Three containers cover all downstream needs:
   truncated and twisted by ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
   carrying a degree part of the residue sum in Chern roots x_1..x_r into and
-  out of ``divide_by_vandermonde``; it is only read after that,
+  out of ``divide_by_vandermonde``, which divides it by one root difference
+  at a time as a divided difference; it is only read after that,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period
@@ -25,6 +26,7 @@ is a ``Fraction``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -145,53 +147,39 @@ class ChernPolynomial:
         e = tuple(1 if k == i else 0 for k in range(self.nvars))
         return self.coefficient(e)
 
-    def homogeneous_component(self, k: int) -> dict[Exponent, Fraction]:
-        return {e: c for e, c in self.terms.items() if sum(e) == k}
-
 
 def _divide_linear_difference(
     terms: dict[Exponent, int], i: int, j: int
 ) -> tuple[dict[Exponent, int], dict[Exponent, int]]:
     """Divide sum c_e x^e by (x_i - x_j) in integers; return (quotient, remainder).
 
-    Standard division with leading monomial x_i: each step cancels the term
-    of highest x_i-exponent, so the loop terminates because the total
-    x_i-weight of the working polynomial strictly decreases.
+    By the factor theorem the remainder is the polynomial at x_i = x_j and
+    the quotient is its divided difference, term by term:
+    x_i^a = (x_i - x_j) * sum_{b<a} x_i^b x_j^(a-1-b) + x_j^a.
     """
-    work = dict(terms)
-    quotient: dict[Exponent, int] = {}
-    while True:
-        cand = [e for e in work if e[i] > 0]
-        if not cand:
-            break
-        e = max(cand, key=lambda ex: (ex[i], ex))
-        c = work.pop(e)
-        qe = list(e)
-        qe[i] -= 1
-        qe_t = tuple(qe)
-        quotient[qe_t] = quotient.get(qe_t, 0) + c
-        je = list(qe)
-        je[j] += 1
-        je_t = tuple(je)
-        new = work.get(je_t, 0) + c
-        if new == 0:
-            work.pop(je_t, None)
-        else:
-            work[je_t] = new
-    return quotient, work
+    quotient: defaultdict[Exponent, int] = defaultdict(int)
+    remainder: defaultdict[Exponent, int] = defaultdict(int)
+    for e, c in terms.items():
+        x = list(e)
+        x[i], x[j] = 0, e[i] + e[j]
+        remainder[tuple(x)] += c
+        for b in range(e[i]):
+            x[i], x[j] = b, e[i] + e[j] - 1 - b
+            quotient[tuple(x)] += c
+    return {e: c for e, c in quotient.items() if c}, {e: c for e, c in remainder.items() if c}
 
 
 def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
     """Exact division by prod_{i<j}(x_i - x_j) of a truncated polynomial.
 
-    The divisor is homogeneous of degree v = nvars*(nvars-1)/2, so the
-    quotient is reliable only through total degree degree_bound - v; division
-    is performed per homogeneous component, which must each divide exactly.
-    The divisor's coefficients are +-1, so the division runs on integer
-    numerators over the input's one common denominator, and a `Fraction` is
-    built once per quotient coefficient.  Raises NonExactDivision when any
-    remainder survives (in particular for any input that is not
-    antisymmetric).
+    The divisor has degree v = nvars*(nvars-1)/2.  Each division by a root
+    difference lowers every homogeneous component by exactly one degree, so
+    the whole polynomial is divided pair by pair and the quotient is exact
+    through total degree degree_bound - v.  The divisor's coefficients are
+    +-1, so the division runs on integer numerators over the input's one
+    common denominator, and a `Fraction` is built once per quotient
+    coefficient.  Raises NonExactDivision when a component has degree below
+    v or a remainder survives, as for any input that is not antisymmetric.
     """
     r = poly.nvars
     v = r * (r - 1) // 2
@@ -199,28 +187,19 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
         raise NonExactDivision(
             f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
         )
+    low = min(map(sum, poly.terms), default=v)
+    if low < v:
+        raise NonExactDivision(
+            f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
+        )
     den = lcm(*(c.denominator for c in poly.terms.values()))
-    out: dict[Exponent, int] = {}
-    for k in range(poly.degree_bound + 1):
-        comp = {
-            e: c.numerator * (den // c.denominator)
-            for e, c in poly.homogeneous_component(k).items()
-        }
-        if not comp:
-            continue
-        if k < v:
-            raise NonExactDivision(
-                f"component of degree {k} cannot be divisible by degree-{v} Vandermonde"
-            )
-        for i in range(r):
-            for j in range(i + 1, r):
-                comp, rem = _divide_linear_difference(comp, i, j)
-                if rem:
-                    raise NonExactDivision(
-                        f"nonzero remainder dividing degree-{k} component by (x{i + 1} - x{j + 1})"
-                    )
-        out.update(comp)
-    return ChernPolynomial(r, poly.degree_bound - v, {e: Fraction(c, den) for e, c in out.items()})
+    numer = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    for i in range(r):
+        for j in range(i + 1, r):
+            numer, rem = _divide_linear_difference(numer, i, j)
+            if rem:
+                raise NonExactDivision(f"nonzero remainder dividing by (x{i + 1} - x{j + 1})")
+    return ChernPolynomial(r, poly.degree_bound - v, {e: Fraction(c, den) for e, c in numer.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ lists and index tables are a plan cached per (r, bound).  Coefficients are
 integers over one denominator per degree, (d!)^n * lcm(1..d)^(r*bound), as
 in FLINT's `fmpq_poly`.  The full numerator, summed over every composition, goes to
 `divide_by_vandermonde` once per degree, which divides it exactly in integers
-(the divisor's coefficients are +-1).
+by divided differences, one root difference x_i - x_j at a time.
 
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to

@@ -171,16 +171,15 @@ def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
     return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs
 
 
-def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> float:
+def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> Fraction:
     """Estimated decimal digits of the largest integer the series of G(r, n)
     prints through q^(order-1), with r = min(r, n - r): the coefficients of
     q^d have denominators dividing (d!)^n lcm(1..d), and their size stays
-    below (10n)^r on every G(r, n) the tests measure."""
+    below (10n)^r on every G(r, n) the tests measure.  n multiplies an exact
+    `Fraction`, never a float, so an n past the float range is sized too."""
     r = min(ambient.r, ambient.n - ambient.r)
-    return (
-        ambient.n * log10(factorial(order - 1))
-        + r * log10(10 * ambient.n)
-        + log10(lcm(*range(1, order)))
+    return ambient.n * Fraction(log10(factorial(order - 1))) + Fraction(
+        r * log10(10 * ambient.n) + log10(lcm(*range(1, order)))
     )
 
 
@@ -189,7 +188,9 @@ def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction) -> float
     prints through q^(order-1), at d = order - 1: the ambient estimate, plus
     the Euler factor prod_j (d_j d)! less the (d!)^(sum d_j) it cancels
     from the ambient denominators, plus the twist's alpha^d, with alpha
-    counted by its height max(|numerator|, denominator)."""
+    counted by its height max(|numerator|, denominator).  Under a digit limit
+    the job-size check has already bounded n, and with it every degree
+    d_j < n of a Fano intersection, so the floats here stay in range."""
     d = order - 1
     return (
         _coefficient_digits(config.ambient, order)
@@ -198,21 +199,28 @@ def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction) -> float
     )
 
 
-def _check_digits(what: str, order: int, digits: float) -> None:
+def _check_digits(what: str, order: int, digits: Fraction | float) -> None:
     # Python 3.10 before 3.10.7 has no limit on integer string conversion
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit:
         raise ConfigError(
             f"coefficients of {what} at order {order} need about "
-            f"{digits:.0f} digits, past the limit sys.get_int_max_str_digits() = {limit}"
+            f"{round(digits)} digits, past the limit sys.get_int_max_str_digits() = {limit}"
         )
+
+
+def _series_order(order: int) -> int:
+    """The order the series stages compute to: matrix recovery reads the
+    series through q^4 whatever the order."""
+    return max(order, 5)
 
 
 def _check_job_size(config: VarietyConfig, order: int) -> None:
     ambient = config.ambient
     if order > MAX_ORDER:
         raise ConfigError(f"order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}")
-    work = _residue_work(ambient, max(order, 5))
+    order = _series_order(order)
+    work = _residue_work(ambient, order)
     if work > MAX_RESIDUE_WORK:
         raise ConfigError(
             f"residue-sum work {work} for G({ambient.r},{ambient.n}) at "
@@ -256,8 +264,9 @@ class PipelineRun:
     returns its value or raises a `StageError` that names it.  An order that
     is not an `int` >= 1, or a job past a limit, is refused before any stage;
     a variety series too long to print is refused by its stage before the
-    Lefschetz transform runs.  Every order >= 1 reaches the matrix, whose
-    series runs to at least q^4.
+    Lefschetz transform runs.  Every order >= 1 reaches the matrix, so the
+    series stages compute through at least q^4 (order 5), and the work and
+    digit limits size the order they compute, not the order requested.
     """
 
     def __init__(self, config: VarietyConfig, order: int = 7):
@@ -271,8 +280,7 @@ class PipelineRun:
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
-        # matrix recovery reads the series through q^4 whatever the order
-        return ambient_series(self.config.ambient, max(self.order, 5))
+        return ambient_series(self.config.ambient, _series_order(self.order))
 
     @_stage("lefschetz")
     def geometry(self) -> CompleteIntersectionSpec:
@@ -286,8 +294,8 @@ class PipelineRun:
     def variety_pair(self) -> HSeriesPair:
         self.geometry  # refuses a non-Fano intersection before the ambient series
         # the ambient series may print while the variety series may not
-        digits = _variety_digits(self.config, self.order, self.alpha)
-        _check_digits("the variety series", self.order, digits)
+        order = _series_order(self.order)
+        _check_digits("the variety series", order, _variety_digits(self.config, order, self.alpha))
         return quantum_lefschetz(self.ambient_pair, self.config)
 
     @_stage("solver")

