@@ -28,11 +28,13 @@ and `left_divide_by_D` peels each layer.  Every product in that chain is
 The normalized power-series solution of an operator is produced by the
 Frobenius recursion.  The recursion is homogeneous, so it drops the
 denominator: with P the indicial polynomial it carries integers
-N_m = c_m P(1)...P(m) and builds one `Fraction` per coefficient.
+N_m = c_m P(1)...P(m) and returns them over P(1)...P(order-1), with no
+`Fraction` built.
 The solution is compared, coefficient by coefficient, with a small list of
 candidate q-expansions built from a weight-2 Eisenstein series and from
 the factorial transform of the variety's constant-term series, which the
-caller passes in, twisted by exp(+-alpha q) when alpha is not 0.
+caller passes in, twisted by exp(+-alpha q) when alpha is not 0.  The
+candidates and the comparison work on the series' integer numerators.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm
 
 from .exactmath import PowerSeries, Rational, exp_twist
 
@@ -281,13 +283,11 @@ def _horner(poly: list[int], s: int) -> int:
 def apply_operator(op: DifferentialOperator, series: PowerSeries) -> PowerSeries:
     """Apply the operator to a series in t, truncated at the series order."""
     n = series.order
-    out = [_ZERO] * n
+    out = [0] * n
     for b, poly in op.layers.items():
         for m in range(n - b):
-            v = series[m]
-            if v:
-                out[m + b] += Fraction(_horner(poly, m), op.den) * v
-    return PowerSeries(tuple(out))
+            out[m + b] += _horner(poly, m) * series.nums[m]
+    return PowerSeries.from_numerators(op.den * series.den, out)
 
 
 def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
@@ -303,6 +303,7 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     cancels and each R_b is an integer polynomial.  With
     Q_m = P(1)...P(m), the numerators N_m = c_m Q_m are integers:
     N_m = -sum_b R_b(m - b) N_(m - b) P(m - b + 1)...P(m - 1).
+    The series is N_m Q_(order-1) / Q_m over Q_(order-1).
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -313,8 +314,6 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     top = max(layers, default=0)
     p_at = [1]
     numerators = [1]
-    coeffs = [_ONE]
-    q = 1
     for m in range(1, order):
         p = _horner(indicial, m)
         if p == 0:
@@ -328,9 +327,13 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
                 acc -= _horner(layers[b], m - b) * numerators[m - b] * gap
         p_at.append(p)
         numerators.append(acc)
-        q *= p
-        coeffs.append(Fraction(acc, q))
-    return PowerSeries(tuple(coeffs))
+    tail = 1  # Q_(order-1) / Q_m, from m = order - 1 down
+    for m in range(order - 1, -1, -1):
+        numerators[m] *= tail
+        tail *= p_at[m]
+    if tail < 0:
+        tail, numerators = -tail, [-x for x in numerators]
+    return PowerSeries.from_numerators(tail, numerators)
 
 
 def _sigma1(m: int) -> int:
@@ -339,21 +342,18 @@ def _sigma1(m: int) -> int:
 
 def eisenstein_e2(order: int) -> PowerSeries:
     """E_2(q) = 1 - 24 sum sigma_1(m) q^m."""
-    return PowerSeries(
-        (_ONE,) + tuple(Fraction(-24 * _sigma1(m)) for m in range(1, order))
-    )
+    return PowerSeries.from_numerators(1, [1] + [-24 * _sigma1(m) for m in range(1, order)])
 
 
 def eisenstein_weight2(level: int, order: int) -> PowerSeries:
-    """(N E_2(q^N) - E_2(q)) / (N - 1), normalized to 1 at q = 0."""
+    """(N E_2(q^N) - E_2(q)) / (N - 1), normalized to 1 at q = 0, over N - 1."""
     if not isinstance(level, int) or level < 2:
         raise InvalidLevel(f"level must be an integer >= 2, got {level!r}")
-    e2 = eisenstein_e2(order)
-    coeffs = []
-    for m in range(order):
-        stretched = e2[m // level] if m % level == 0 else _ZERO
-        coeffs.append(Fraction(level * stretched - e2[m], level - 1))
-    return PowerSeries(tuple(coeffs))
+    e2 = eisenstein_e2(order).nums
+    nums = [-c for c in e2]
+    for m in range(0, order, level):
+        nums[m] += level * e2[m // level]
+    return PowerSeries.from_numerators(level - 1, nums)
 
 
 @dataclass(frozen=True)
@@ -374,16 +374,17 @@ class ModularityReport:
 def first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
     """The first index where two series differ, or None through the shorter order."""
     for m in range(min(a.order, b.order)):
-        if a[m] != b[m]:
+        if a.nums[m] * b.den != b.nums[m] * a.den:
             return m
     return None
 
 
 def factorial_transform(series: PowerSeries) -> PowerSeries:
     """The series sum_m m! c_m q^m."""
-    return PowerSeries(
-        tuple(factorial(m) * series[m] for m in range(series.order))
-    )
+    fact = [1]
+    for m in range(1, series.order):
+        fact.append(fact[-1] * m)
+    return PowerSeries.from_numerators(series.den, [f * c for f, c in zip(fact, series.nums)])
 
 
 def modularity_report(

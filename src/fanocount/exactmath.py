@@ -3,8 +3,10 @@
 Every scalar this package hands out is a `fractions.Fraction`; nothing here ever
 touches floating point.  Three containers cover all downstream needs:
 
-* ``PowerSeries`` -- a q-series truncated at an explicit order; it is read,
-  truncated and twisted by ``exp_twist``, and has no ring arithmetic,
+* ``PowerSeries`` -- a q-series truncated at an explicit order, stored as
+  integer numerators over one positive denominator in lowest terms, so
+  equal series compare equal; it is read, truncated and twisted by
+  ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
   carrying a degree part of the residue sum in Chern roots x_1..x_r into and
   out of ``divide_by_vandermonde``, which divides it by one root difference
@@ -17,11 +19,15 @@ touches floating point.  Three containers cover all downstream needs:
 Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
-The hot kernels ``exp_twist``, ``divide_by_vandermonde`` and
-``EntryPolynomial.evaluate`` compute in integers over shared denominators, as
-FLINT's ``fmpq_poly`` does; ``Fraction`` appears only at their boundaries,
-one per output value.  All three containers keep a coefficient that already
-is a ``Fraction``.
+The hot kernels compute in integers over shared denominators, as FLINT's
+``fmpq_poly`` does: ``divide_by_vandermonde`` and ``EntryPolynomial.evaluate``
+build one ``Fraction`` per output value, and ``exp_twist`` builds none.  The
+series kernels elsewhere work on ``PowerSeries`` numerators the same way:
+``projective_iseries``, the Euler factors and regrading of ``lefschetz``, and
+``frobenius_solve``, ``apply_operator``, ``factorial_transform``,
+``eisenstein_weight2`` and ``first_mismatch`` in ``d3``.  A ``Fraction``
+appears only where a caller reads a coefficient.  ``ChernPolynomial`` and
+``EntryPolynomial`` keep a coefficient that already is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Mapping
+from math import factorial, gcd, lcm
+from typing import Iterable, Mapping
 
 Rational = Fraction
 
@@ -47,60 +53,77 @@ class NonExactDivision(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerSeries:
-    """A power series sum_d c_d q^d known through q^(order-1)."""
+    """A power series sum_d c_d q^d known through q^(order-1), stored as
+    integer numerators over one positive `den`.
 
-    coeffs: tuple[Fraction, ...]
+    `PowerSeries(coeffs)` takes the coefficients c_0, c_1, ...  The stored
+    form is in lowest terms, gcd(den, *nums) = 1, so equal series compare
+    equal; a `Fraction` is built only when a caller reads a coefficient.
+    """
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if not self.coeffs:
+    den: int
+    nums: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._store(den, [c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def from_numerators(cls, den: int, nums: Iterable[int]) -> PowerSeries:
+        """The series sum_d nums[d] / den * q^d, for a positive den."""
+        series = cls.__new__(cls)
+        series._store(den, list(nums))
+        return series
+
+    def _store(self, den: int, nums: list[int]) -> None:
+        if not nums:
             raise ValueError("a power series needs at least one coefficient")
+        g = gcd(den, *nums)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __getitem__(self, d: int) -> Fraction:
         if not 0 <= d < self.order:
             raise IndexError(
                 f"coefficient of q^{d} is outside truncation order {self.order}"
             )
-        return self.coeffs[d]
+        return Fraction(self.nums[d], self.den)
 
     def truncate(self, order: int) -> "PowerSeries":
         if not 1 <= order <= self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
-        return PowerSeries(self.coeffs[:order])
+        return PowerSeries.from_numerators(self.den, self.nums[:order])
 
 
 def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
     """series * exp(c*q) at the series' own order, summed in integers.
 
-    m! [q^m] = sum_j j! f_j C(m, j) c^(m-j).  With f_j = a_j / den and
-    c = u / v that is [q^m] = sum_j a_j u^(m-j) v^j m!/(m-j)! / (den v^m m!),
-    so one `Fraction` is built per coefficient.
+    With f_j = a_j / den, c = u / v and M = order - 1,
+    [q^m] = sum_k a_(m-k) u^k / (den v^k k!), so every coefficient is the
+    integer sum_k a_(m-k) w_k over den v^M M!, with w_k = u^k v^(M-k) M!/k!.
     """
     c = Fraction(c)
     u, v = c.numerator, c.denominator
-    den = lcm(*(f.denominator for f in series.coeffs))
-    nums = [f.numerator * (den // f.denominator) for f in series.coeffs]
-    upow, vpow = [1], [1]
-    for _ in range(series.order):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    coeffs = []
-    for m in range(series.order):
-        total = 0
-        falling = 1
-        for j in range(m + 1):
-            if nums[j]:
-                total += nums[j] * upow[m - j] * vpow[j] * falling
-            falling *= m - j
-        coeffs.append(Fraction(total, den * vpow[m] * factorial(m)))
-    return PowerSeries(tuple(coeffs))
+    top = series.order - 1
+    w = [1] * (top + 1)
+    falling = 1  # M!/k!, from k = M down
+    for k in range(top, -1, -1):
+        w[k] = u**k * v ** (top - k) * falling
+        falling *= k
+    a = series.nums
+    nums = [sum(a[m - k] * w[k] for k in range(m + 1) if a[m - k]) for m in range(top + 1)]
+    return PowerSeries.from_numerators(series.den * v**top * factorial(top), nums)
 
 
 # ---------------------------------------------------------------------------

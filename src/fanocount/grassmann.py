@@ -80,10 +80,14 @@ class HSeriesPair:
         return self.c0.order
 
 
-def harmonic(m: int) -> Fraction:
-    """m-th harmonic number, with harmonic(0) = 0, summed over lcm(1..m)."""
-    den = lcm(*range(1, m + 1))
-    return Fraction(sum(den // i for i in range(1, m + 1)), den)
+def harmonic_numerators(top: int) -> tuple[int, list[int]]:
+    """L = lcm(1..top) and the harmonic numbers H_0..H_top as numerators
+    over L, with H_0 = 0: one prefix sum of L / i."""
+    den = lcm(*range(1, top + 1))
+    nums = [0]
+    for i in range(1, top + 1):
+        nums.append(nums[-1] + den // i)
+    return den, nums
 
 
 def _compositions(total: int, parts: int):
@@ -202,16 +206,20 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
 
 
 def projective_iseries(n: int, d_max: int) -> HSeriesPair:
-    """I-series of P^(n-1) mod H^2: sum_d q^d prod_{i=1}^{d} (H + i)^(-n)."""
+    """I-series of P^(n-1) mod H^2: sum_d q^d prod_{i=1}^{d} (H + i)^(-n).
+
+    The degree-d coefficient is (1 - n H_d H) / (d!)^n, so c0 sits over
+    (d_max!)^n and c1 over (d_max!)^n lcm(1..d_max).
+    """
     if n < 2:
         raise ValueError("projective space needs n >= 2")
-    c0 = [Fraction(1)]
-    c1 = [Fraction(0)]
-    for d in range(1, d_max + 1):
-        base = Fraction(1, factorial(d) ** n)
-        c0.append(base)
-        c1.append(-n * harmonic(d) * base)
-    return HSeriesPair(PowerSeries(tuple(c0)), PowerSeries(tuple(c1)))
+    lift = [1] * (d_max + 1)  # (d_max! / d!)^n
+    for d in range(d_max, 0, -1):
+        lift[d - 1] = lift[d] * d**n
+    hden, hnums = harmonic_numerators(d_max)
+    c0 = PowerSeries.from_numerators(lift[0], lift)
+    c1 = PowerSeries.from_numerators(lift[0] * hden, [-n * h * x for h, x in zip(hnums, lift)])
+    return HSeriesPair(c0, c1)
 
 
 def extract_h_pair(parts: list[ChernPolynomial]) -> HSeriesPair:

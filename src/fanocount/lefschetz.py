@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .exactmath import PowerSeries, exp_twist
-from .grassmann import GrassmannianSpec, HSeriesPair, harmonic
+from .grassmann import GrassmannianSpec, HSeriesPair, harmonic_numerators
 
 _ZERO = Fraction(0)
 
@@ -82,23 +82,37 @@ def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeri
     """Multiply the degree-d coefficient by E_d = prod_j prod_{i=1}^{d_j d} (d_j H + i).
 
     Mod H^2 the factor collapses to
-        prod_j (d_j d)! * (1 + sum_j d_j * harmonic(d_j d) * H).
+        prod_j (d_j d)! * (1 + sum_j d_j * H_(d_j d) * H),
+    with H_k the k-th harmonic number.  With c0 = a / A, c1 = b / B and the
+    harmonic numbers as numerators over L = lcm(1..max_j d_j (order - 1)),
+    the corrected c0 sits over A and the corrected c1 over lcm(B, A L), read
+    off one factorial table and one prefix table of harmonic numerators.
     """
-    e0 = []
-    e1 = []
+    top = max(degrees, default=0) * (pair.order - 1)
+    fact = [1]
+    for k in range(1, top + 1):
+        fact.append(fact[-1] * k)
+    hden, hnums = harmonic_numerators(top)
+    a, den_a = pair.c0.nums, pair.c0.den
+    b, den_b = pair.c1.nums, pair.c1.den
+    den1 = lcm(den_b, den_a * hden)
+    lift_b, lift_a = den1 // den_b, den1 // (den_a * hden)
+    e0, e1 = [], []
     for d in range(pair.order):
-        f0 = Fraction(prod(factorial(dj * d) for dj in degrees))
-        h1 = sum((dj * harmonic(dj * d) for dj in degrees), _ZERO)
-        e0.append(f0 * pair.c0[d])
-        e1.append(f0 * (pair.c1[d] + h1 * pair.c0[d]))
-    return HSeriesPair(PowerSeries(tuple(e0)), PowerSeries(tuple(e1)))
+        f0 = prod(fact[dj * d] for dj in degrees)
+        h1 = sum(dj * hnums[dj * d] for dj in degrees)
+        e0.append(f0 * a[d])
+        e1.append(f0 * (b[d] * lift_b + h1 * a[d] * lift_a))
+    return HSeriesPair(
+        PowerSeries.from_numerators(den_a, e0), PowerSeries.from_numerators(den1, e1)
+    )
 
 
-def _regraded(series: PowerSeries, index: int, scale: Fraction) -> PowerSeries:
-    """scale * series(t^index), truncated to the series' own order."""
-    coeffs = [_ZERO] * series.order
-    coeffs[::index] = [c * scale for c in series.coeffs[: len(coeffs[::index])]]
-    return PowerSeries(tuple(coeffs))
+def _regraded(series: PowerSeries, index: int, divisor: int) -> PowerSeries:
+    """series(t^index) / divisor, truncated to the series' own order."""
+    nums = [0] * series.order
+    nums[::index] = series.nums[: len(nums[::index])]
+    return PowerSeries.from_numerators(series.den * divisor, nums)
 
 
 def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HSeriesPair:
@@ -107,4 +121,4 @@ def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HS
     corrected = euler_corrected_series(pair_x, spec.degrees)
     alpha = lefschetz_shift(spec, pair_x.c0)
     c0, c1 = exp_twist(corrected.c0, -alpha), exp_twist(corrected.c1, -alpha)
-    return HSeriesPair(_regraded(c0, r, Fraction(1)), _regraded(c1, r, Fraction(1, r)))
+    return HSeriesPair(_regraded(c0, r, 1), _regraded(c1, r, r))

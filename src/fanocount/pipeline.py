@@ -91,7 +91,9 @@ def load_config(source: str) -> VarietyConfig:
         raise ConfigError(f"{source!r} is neither a catalog name nor a config file")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers json.JSONDecodeError, UnicodeDecodeError and an integer
+    # literal past sys.get_int_max_str_digits()
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {source}: {exc}") from exc
     return parse_config(raw)
 
@@ -440,9 +442,10 @@ def iseries_view(run: PipelineRun) -> View:
 
 
 def lefschetz_view(run: PipelineRun) -> View:
-    alpha = rational_str(run.alpha)
+    # the variety series first: its stage refuses a series, alpha included,
+    # too long to print
     data, lines = _pair_view(run.variety_pair, run.order)
-    data["alpha"] = alpha
+    alpha = data["alpha"] = rational_str(run.alpha)
     return data, [f"shift alpha = {alpha}"] + lines
 
 
@@ -483,7 +486,7 @@ def d3_view(run: PipelineRun, lam: Fraction) -> View:
         "order": operator.order,
         "indicial": _strs(operator.indicial()),
         "solution": _strs(solution.coeffs),
-        "residue_vanishes": all(c == 0 for c in residue.coeffs),
+        "residue_vanishes": not any(residue.nums),
     }
     return data, [
         f"lambda = {data['lambda']}",

@@ -1,19 +1,63 @@
-"""Closed forms and symbolic expansions that only the tests use, and the
-tests' name for the operator product of the D3 reference chain."""
+"""Closed forms and symbolic expansions that only the tests use, the
+plain `Fraction` definitions the integer series kernels are checked
+against, and the tests' name for the operator product of the D3 reference
+chain."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from fanocount.d3 import _multiply
+from fanocount.d3 import _multiply, _sigma1
 from fanocount.exactmath import ChernPolynomial, EntryPolynomial, PowerSeries
-from fanocount.grassmann import harmonic
+from fanocount.grassmann import HSeriesPair
 from fanocount.relations import RelationEngine
+
+
+def harmonic(m: int) -> Fraction:
+    """m-th harmonic number, with harmonic(0) = 0."""
+    return sum((Fraction(1, i) for i in range(1, m + 1)), Fraction(0))
 
 
 def exp_linear(c: Fraction, order: int) -> PowerSeries:
     """exp(c*q) as a truncated series: sum_m c^m/m! q^m."""
     c = Fraction(c)
     return PowerSeries(tuple(c**m / factorial(m) for m in range(order)))
+
+
+def series_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    """The Cauchy product at the common order, the reference for `exp_twist`."""
+    n = min(a.order, b.order)
+    return PowerSeries(tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)))
+
+
+def reference_euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeriesPair:
+    """prod_j (d_j d)! * (1 + sum_j d_j harmonic(d_j d) H) times each degree-d
+    coefficient, one `Fraction` product per degree."""
+    e0, e1 = [], []
+    for d in range(pair.order):
+        f0 = Fraction(prod(factorial(dj * d) for dj in degrees))
+        h1 = sum((dj * harmonic(dj * d) for dj in degrees), Fraction(0))
+        e0.append(f0 * pair.c0[d])
+        e1.append(f0 * (pair.c1[d] + h1 * pair.c0[d]))
+    return HSeriesPair(PowerSeries(e0), PowerSeries(e1))
+
+
+def reference_factorial_transform(series: PowerSeries) -> PowerSeries:
+    """sum_m m! c_m q^m in `Fraction`s."""
+    return PowerSeries(factorial(m) * series[m] for m in range(series.order))
+
+
+def reference_eisenstein_weight2(level: int, order: int) -> PowerSeries:
+    """(N E_2(q^N) - E_2(q)) / (N - 1), one `Fraction` per coefficient."""
+    e2 = [Fraction(1)] + [Fraction(-24 * _sigma1(m)) for m in range(1, order)]
+    return PowerSeries(
+        Fraction(level * (e2[m // level] if m % level == 0 else 0) - e2[m], level - 1)
+        for m in range(order)
+    )
+
+
+def reference_first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
+    """The first index where the `Fraction` coefficients differ."""
+    return next((m for m in range(min(a.order, b.order)) if a[m] != b[m]), None)
 
 
 # the product in canonical form, using D^i * t^c = t^c * (D + c)^i

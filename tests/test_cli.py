@@ -344,6 +344,21 @@ def test_series_checks_size_the_order_the_stages_compute(
     assert err == f"error: {message}, past the limit sys.get_int_max_str_digits() = {limit}\n"
 
 
+def test_lefschetz_and_report_name_the_same_refusal(capsys, tmp_path):
+    # alpha = 3000! is too long to print; `lefschetz` used to format it
+    # before the variety stage's digit check ran, and exit as `stage output`
+    config = write_config(tmp_path, {"ambient": {"type": "projective", "n": 3000}, "degrees": [3000]})
+    outcomes = [run(capsys, cmd, "--variety", config, "--order", "5") for cmd in ("lefschetz", "report")]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        "error: stage lefschetz: ConfigError: coefficients of the variety series at order 5 "
+        f"need about 80270 digits, past the limit sys.get_int_max_str_digits() = {limit}\n"
+    )
+
+
 def test_an_ambient_dimension_past_the_float_range_is_a_config_error(capsys, tmp_path):
     # sizing the job used to multiply n by a float: exit 3 with an OverflowError
     n = 10**400
@@ -467,6 +482,17 @@ def test_config_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: stage config: ConfigError: cannot read config {path}: ")
     assert "UnicodeDecodeError" not in err
+
+
+def test_config_integer_past_the_string_limit_is_a_config_error(capsys, tmp_path):
+    # json.loads raises a plain ValueError for it: exit 2 as `stage input`
+    path = tmp_path / "long.json"
+    n = "9" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(f'{{"ambient": {{"type": "projective", "n": {n}}}, "degrees": [1]}}')
+    code, out, err = run(capsys, "iseries", "--variety", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: stage config: ConfigError: cannot read config {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_index_two_cubic_runs_end_to_end(capsys, tmp_path):

@@ -16,6 +16,16 @@ from fanocount.cli import main
 QUARTIC = {"name": "quartic", "ambient": {"type": "projective", "n": 4}, "degrees": [4]}
 QUARTIC_PATH = "<quartic config>"
 
+# Threefolds of index r >= 2, whose series are regraded by -K = r H: the
+# configs of tests/test_pipeline.py's closed-form check.
+INDEX_TWO_PLUS = {
+    "P3": {"ambient": {"type": "projective", "n": 3}, "degrees": []},
+    "B3": {"ambient": {"type": "projective", "n": 4}, "degrees": [3]},
+    "B4": {"ambient": {"type": "projective", "n": 5}, "degrees": [2, 2]},
+    "B5": {"ambient": {"type": "grassmannian", "r": 2, "n": 5}, "degrees": [1, 1, 1]},
+}
+CONFIGS = {QUARTIC_PATH: QUARTIC} | {f"<{name} config>": c for name, c in INDEX_TWO_PLUS.items()}
+
 SUBCOMMANDS = ("iseries", "lefschetz", "matrix", "periods", "invert", "d3", "modularity", "report")
 
 CASES = [
@@ -36,6 +46,12 @@ CASES = [
     ("matrix-quartic-json", ["matrix", "--variety", QUARTIC_PATH, "--format", "json"]),
     ("verify-text", ["verify"]),
     ("verify-json", ["verify", "--format", "json"]),
+    ("lefschetz-V14-order13", ["lefschetz", "--variety", "V14", "--order", "13"]),
+] + [
+    (f"{cmd}-{name}-order{order}", [cmd, "--variety", f"<{name} config>", "--order", order])
+    for name in INDEX_TWO_PLUS
+    for cmd in ("lefschetz", "modularity", "report")
+    for order in ("7", "13")
 ]
 
 # case id -> (exit code, sha256 of stdout)
@@ -84,14 +100,41 @@ PINNED = {
     "matrix-quartic-json": (0, "980679372524446fb9e21cad7cbbbfbbfcb4c5f2bc750bcad1a3fc86f3440b6d"),
     "verify-text": (0, "55a2a250fd1e18b295314a50501644e2a431c1721977c4551e2e6cf72dc97d10"),
     "verify-json": (0, "f42b2fa35c0c74e9ba5958c6e9fe69f20955945236406cb9fc74f81b477b5ae1"),
+    "lefschetz-V14-order13": (0, "d172ab551908d6db3a6fbabd5cdf6628f2592915f0c02fa7b4244fe58976f60d"),
+    "lefschetz-P3-order7": (0, "400e740ee008c413642ac39633808ca47a49128f61a62820015e348f8361ce26"),
+    "lefschetz-P3-order13": (0, "47fce1e0f2a2f3e3022af2c25d794841e1c51f7fb6cd2e0519c981cb5350bcd6"),
+    "modularity-P3-order7": (0, "bdb0ffcc55f7f28389cc9a88e73b6fdb44b19ce234ad294b3bc208d398b8d119"),
+    "modularity-P3-order13": (0, "1ec90de77726453dc8c4859077462a0809d77a311dc94f8472cecc617fd643c6"),
+    "report-P3-order7": (0, "e65ba48a77a0dfa36b6995736f2d73b9d4fd082e12cf1e7136a6542e5671466b"),
+    "report-P3-order13": (0, "e78263d9d54df0710faa6bca287c0bdc15dc63fb7559e82cbb2162e4205ec8e7"),
+    "lefschetz-B3-order7": (0, "f6d341232b0f14da26fff2edd62f61eecd0c8fc23a94b11d51340d0c4ac60211"),
+    "lefschetz-B3-order13": (0, "aac4a1dac6066465418c7a14130835619169ba525e23166cea6a0c84bcae7f07"),
+    "modularity-B3-order7": (0, "3725df05734f95c9945a28e526d70c6f272fef144ad9c66bbcec4df602649df8"),
+    "modularity-B3-order13": (0, "b6b51db32ba8a47cf639dfed58ea61fe576f5d13775ed5354a81e6a2dc2ca012"),
+    "report-B3-order7": (0, "fc1db1ba116c6b135e70fb6acc5bda23f65e30250a93809c5945a9305e3b71cf"),
+    "report-B3-order13": (0, "584b4da43965ab62477bea223da9db3403144be2d82c05f68c27b545b67b4baf"),
+    "lefschetz-B4-order7": (0, "2990ddc662e2a464a4fb0e33119552669c4425bd3ce07185c7d352ebc7ca6e51"),
+    "lefschetz-B4-order13": (0, "d5324991c184aa0848ccb69c49958fe7992a651a63aca03790769f8eedf3a900"),
+    "modularity-B4-order7": (0, "cd72fe1e2ab48f66cef637cdb4dc9f7948bce453264a1927197ed68c07ed2886"),
+    "modularity-B4-order13": (0, "657c8a9108f5689b28889477612df0405b44baaaba7e937d13aaf6658880b6f5"),
+    "report-B4-order7": (0, "e2b9bfbf83e65a35b24e4c5ebdb2f9c71aee24191af25822d4e8de790fab4fa2"),
+    "report-B4-order13": (0, "a7e60878cdbded919429f786c1b7198f2589a53b661e4facbb07d7dc4bf5595e"),
+    "lefschetz-B5-order7": (0, "7cbb38cabfd8eb3fce8682ed6cf68e8ccc7e3f869e1591051027609cbaf68a54"),
+    "lefschetz-B5-order13": (0, "d622ca1aa223a248f381a9e4c6f245f22ebb52dcfb183447f3f97c650fb0928c"),
+    "modularity-B5-order7": (0, "698051b1c5017054b18a2327562828d9bb78c664afae865b4ba6c7a6c542df4d"),
+    "modularity-B5-order13": (0, "0719a0042875ea1db9d167b3b85563b90056e78a0bb98bb4e913469af563651c"),
+    "report-B5-order7": (0, "4d032826cd124e6c5fd7f59951c0c5b0ca94d1f1d4d3247007b8752441167011"),
+    "report-B5-order13": (0, "5c8d37ae7eb51f12de86f75a82ca8402cc6639908670a7075854db42f1f0f51a"),
 }
 
 
 @pytest.mark.parametrize("case_id,argv", CASES, ids=[c for c, _ in CASES])
 def test_stdout_and_exit_code_are_pinned(capsys, tmp_path, case_id, argv):
-    config = tmp_path / "quartic.json"
-    config.write_text(json.dumps(QUARTIC))
-    argv = [str(config) if a == QUARTIC_PATH else a for a in argv]
+    config = tmp_path / "model.json"
+    for a in argv:
+        if a in CONFIGS:
+            config.write_text(json.dumps(CONFIGS[a]))
+    argv = [str(config) if a in CONFIGS else a for a in argv]
     code = main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == PINNED[case_id]

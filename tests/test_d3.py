@@ -7,7 +7,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import golden
-from helpers import constant_terms, weyl_multiply
+from helpers import (
+    constant_terms,
+    reference_eisenstein_weight2,
+    reference_factorial_transform,
+    reference_first_mismatch,
+    weyl_multiply,
+)
 from fanocount import d3
 from fanocount.exactmath import ENTRY_VARS, PowerSeries
 from fanocount.d3 import (
@@ -19,6 +25,8 @@ from fanocount.d3 import (
     build_pencil,
     eisenstein_e2,
     eisenstein_weight2,
+    factorial_transform,
+    first_mismatch,
     frobenius_solve,
     left_divide_by_D,
     modularity_report,
@@ -603,6 +611,53 @@ def test_eisenstein_weight2_divisor_sum_oracle():
             s2 = sum(d for d in range(1, m // level + 1) if m % (level * d) == 0)
             expected = F(24 * (s1 - level * s2), level - 1)
             assert series[m] == expected
+
+
+@given(st.integers(2, 40), st.integers(1, 30))
+def test_eisenstein_weight2_matches_fraction_reference(level, order):
+    series = eisenstein_weight2(level, order)
+    assert series == reference_eisenstein_weight2(level, order)
+    assert series[0] == 1 and (level - 1) % series.den == 0
+
+
+series_values = st.lists(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4), min_size=1, max_size=12
+)
+
+
+@given(series_values)
+def test_factorial_transform_matches_fraction_reference(values):
+    series = PowerSeries(values)
+    assert factorial_transform(series) == reference_factorial_transform(series)
+
+
+@given(series_values, st.integers(0, 11), series_values)
+def test_first_mismatch_matches_fraction_reference(values, keep, tail):
+    # b shares a's first `keep` values, then continues with values of its own
+    a, b = PowerSeries(values), PowerSeries(values[:keep] + tail)
+    assert first_mismatch(a, b) == reference_first_mismatch(a, b)
+    assert first_mismatch(a, a.truncate(min(keep + 1, a.order))) is None
+
+
+def test_first_mismatch_cross_multiplies_over_different_denominators():
+    # negative control: the denominators are 6 and 30, the values agree
+    # through q^2 and differ only at the last index
+    a = PowerSeries((F(1, 2), F(-1, 3), F(5), F(5, 6)))
+    b = PowerSeries((F(1, 2), F(-1, 3), F(5), F(1, 5)))
+    assert (a.den, b.den) == (6, 30)
+    assert first_mismatch(a, b) == first_mismatch(b, a) == 3
+    assert first_mismatch(a, b.truncate(3)) is None
+    assert first_mismatch(a, PowerSeries((F(1, 2), F(-1, 3), F(5), F(5, 6)))) is None
+
+
+@given(rational_ops, series_values)
+def test_apply_operator_matches_fraction_reference(op, values):
+    series = PowerSeries(values)
+    expected = [F(0)] * series.order
+    for (b, i), c in op.terms.items():
+        for m in range(series.order - b):
+            expected[m + b] += c * m**i * series[m]
+    assert apply_operator(op, series) == PowerSeries(expected)
 
 
 def test_eisenstein_invalid_levels():

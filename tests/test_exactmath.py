@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exp_linear, root_difference, truncated_product
+from helpers import exp_linear, root_difference, series_product, truncated_product
 from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
@@ -28,12 +29,6 @@ def vandermonde(nvars: int, bound: int) -> ChernPolynomial:
     """prod_{i<j} (x_i - x_j)."""
     pairs = [(i, j) for i in range(nvars) for j in range(i + 1, nvars)]
     return truncated_product(nvars, bound, *(root_difference(nvars, i, j) for i, j in pairs))
-
-
-def series_product(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """The Cauchy product at the common order, the reference for `exp_twist`."""
-    n = min(a.order, b.order)
-    return PowerSeries(tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)))
 
 
 def test_powerseries_order_and_indexing():
@@ -69,11 +64,27 @@ def test_powerseries_product_is_cauchy():
     assert sq.coeffs == tuple(F(d + 1) for d in range(6))
 
 
-def test_power_series_keeps_fraction_coefficients():
-    third = F(1, 3)
-    s = PowerSeries((third, 2))
-    assert s.coeffs[0] is third
-    assert type(s.coeffs[1]) is Fraction and s.coeffs[1] == 2
+def test_power_series_reads_fraction_coefficients():
+    # stored as integers over one denominator; a Fraction is built on read
+    s = PowerSeries((F(1, 3), 2))
+    assert (s.den, s.nums) == (3, (1, 6))
+    assert s.coeffs == (F(1, 3), F(2)) and all(type(c) is Fraction for c in s.coeffs)
+    assert type(s[1]) is Fraction and s[1] == 2
+
+
+series_values = st.lists(small_fractions, min_size=1, max_size=9)
+
+
+@given(series_values, st.integers(1, 10**6))
+def test_power_series_form_is_canonical(values, k):
+    # the same values over a scaled denominator: one stored form, so == is value equality
+    series = PowerSeries(values)
+    scaled = PowerSeries.from_numerators(k * series.den, [k * c for c in series.nums])
+    assert scaled == series and hash(scaled) == hash(series)
+    assert scaled.coeffs == tuple(values)
+    assert series.truncate(1) == PowerSeries(values[:1])
+    for s in (series, series.truncate(1)):
+        assert s.den > 0 and gcd(s.den, *s.nums) == 1
 
 
 def test_chern_polynomial_keeps_fraction_coefficients():

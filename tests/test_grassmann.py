@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closed_form_constant, root_difference, truncated_product
+from helpers import closed_form_constant, harmonic, root_difference, truncated_product
 from fanocount import grassmann, pipeline
 from fanocount.exactmath import ChernPolynomial, NonExactDivision, divide_by_vandermonde
 from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
     extract_h_pair,
-    harmonic,
+    harmonic_numerators,
     hv_iseries,
     projective_iseries,
 )
@@ -91,11 +91,12 @@ def test_plucker_degree_counts_rectangular_tableaux():
 
 
 def test_harmonic_numbers():
-    assert harmonic(0) == 0
-    assert harmonic(1) == 1
-    assert harmonic(4) == F(25, 12)
+    assert harmonic_numerators(0) == (1, [0])
+    assert harmonic_numerators(4) == (12, [0, 12, 18, 22, 25])
+    den, nums = harmonic_numerators(40)
+    assert den == math.lcm(*range(1, 41))
     for m in range(41):
-        assert harmonic(m) == sum((F(1, i) for i in range(1, m + 1)), F(0))
+        assert F(nums[m], den) == harmonic(m)
 
 
 def test_hv_degree_part_requires_two_rows():

@@ -2,17 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import harmonic, reference_euler_corrected_series
+from fanocount.exactmath import PowerSeries
 from fanocount.grassmann import (
     GrassmannianSpec,
+    HSeriesPair,
     extract_h_pair,
-    harmonic,
     hv_iseries,
     projective_iseries,
 )
 from fanocount.lefschetz import (
     CompleteIntersectionSpec,
     NotFano,
+    _regraded,
     ci_geometry,
     euler_corrected_series,
     lefschetz_shift,
@@ -91,6 +96,44 @@ def test_regrade_by_anticanonical_class():
             assert by_k.c0[m] == by_h.c0[m // 2]
             assert by_k.c1[m] == by_h.c1[m // 2] / 2
     assert by_k.c0[2] == F(6) and by_k.c1[2] == F(3, 2)
+
+
+@pytest.mark.parametrize(
+    "n,degrees,index",
+    [(5, (3,), 2), (5, (2,), 3), (4, (), 4)],
+    ids=["B3", "Q", "P3"],
+)
+def test_regrade_scales_c1_by_the_index(n, degrees, index):
+    # -K = r H: hyperplane degree d becomes degree r d, and c1 becomes c1 / r
+    spec = CompleteIntersectionSpec(GrassmannianSpec(1, n), degrees)
+    assert spec.fano_index == index
+    pair = projective_iseries(n, 12)
+    by_h = reference_euler_corrected_series(pair, degrees)
+    by_k = quantum_lefschetz(pair, spec)
+    for m in range(13):
+        if m % index:
+            assert by_k.c0[m] == by_k.c1[m] == 0
+        else:
+            assert by_k.c0[m] == by_h.c0[m // index]
+            assert by_k.c1[m] == by_h.c1[m // index] / index
+    assert by_k.c1[index] == by_h.c1[1] / index != 0
+    series = PowerSeries((F(2, 3), F(-5, 7), F(1, 2), F(4), F(9, 10)))
+    regraded = _regraded(series, index, index)
+    assert regraded.coeffs == tuple(
+        0 if m % index else series[m // index] / index for m in range(series.order)
+    )
+
+
+series_values = st.lists(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4), min_size=9, max_size=9
+)
+
+
+@given(st.integers(1, 9), series_values, series_values, st.lists(st.integers(1, 6), max_size=4))
+def test_euler_corrected_series_matches_fraction_reference(order, c0, c1, degrees):
+    pair = HSeriesPair(PowerSeries(c0[:order]), PowerSeries(c1[:order]))
+    degrees = tuple(degrees)
+    assert euler_corrected_series(pair, degrees) == reference_euler_corrected_series(pair, degrees)
 
 
 def test_lefschetz_shift_values():

@@ -1,5 +1,6 @@
 """The experiment scripts and the benchmark tracer's bindings, in-process."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -32,6 +33,15 @@ def test_shift_scan_runs(capsys):
     assert "V10: deg = 10, alpha = 6, level N = 5" in out
     assert "        6        agrees     differs@2  <- alpha" in out
     assert "        4        agrees     differs@2  <- alpha" in out
+
+
+def test_shift_scan_output_is_pinned(capsys):
+    # sha256 of the whole stdout, recorded before the series became integers
+    # over one denominator: the twist, the transforms and the comparison the
+    # script calls must leave every line unchanged
+    load("scripts/shift_scan.py").main(["--span", "3", "--order", "9"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "c1699b8e794b194530ef486c59e4198daff99aef7e375dd2ab58236aa57a615e"
 
 
 def test_period_fiber_experiment_runs(capsys):
