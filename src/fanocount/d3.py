@@ -391,7 +391,7 @@ def modularity_report(
     series: PowerSeries,
     alpha: Rational,
     level: Rational,
-    operator_at: Callable[[Fraction], DifferentialOperator],
+    solution_at: Callable[[Fraction], PowerSeries],
 ) -> ModularityReport:
     """Tabulate, for each pencil shift, where the normalized solution of the
     third-order operator first differs from each candidate q-expansion
@@ -401,9 +401,10 @@ def modularity_report(
     factorial transform of `series`, bare and multiplied by e^(+alpha q) or
     e^(-alpha q) when alpha is not 0.  Each distinct shift among 0, alpha
     and -alpha gets one row per candidate.
-    The report records indices, never a verdict.  `operator_at(lam)`
-    supplies the pencil operators, so a caller that already built one
-    passes it in instead of building it twice.  A level that is not an
+    The report records indices, never a verdict.  `solution_at(lam)`
+    supplies the normalized solution of the pencil operator at shift lam
+    through the order of `series`, so a caller that already solved one
+    passes it in instead of solving it twice.  A level that is not an
     integer >= 2 raises `InvalidLevel`; a failure anywhere else propagates.
     """
     alpha, level = Fraction(alpha), Fraction(level)
@@ -421,7 +422,7 @@ def modularity_report(
 
     rows = []
     for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):
-        solution = frobenius_solve(operator_at(lam), order)
+        solution = solution_at(lam)
         rows.extend(
             ReportRow(lam, name, first_mismatch(solution, cand)) for name, cand in candidates
         )

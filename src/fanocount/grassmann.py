@@ -1,6 +1,7 @@
 """I-series of Grassmannians G(r, n) from the residue sum over Chern roots.
 
-The degree-d part of the series is
+The degree-d part of the series is (Hori-Vafa; proved by Bertram,
+Ciocan-Fontanine and Kim, Duke Math. J. 2005)
 
     (-1)^((r-1)d) * sum_{d_1+..+d_r=d}
         prod_{i<j} (x_i + d_i - x_j - d_j) / prod_{i<j} (x_i - x_j)
@@ -10,17 +11,34 @@ The degree-d part of the series is
 
 expanded as a truncated polynomial in the Chern roots x_1..x_r.  Each factor
 (x + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x/l)^(-n),
-so the whole degree part is exact.  S_k is a univariate series in one root,
-built once per k from S_(k-1) and memoized for one `hv_iseries` call.  Each
-composition builds the dense tensor product S_(d_1)(x_1)..S_(d_r)(x_r) over
-the monomials of total degree <= bound, multiplies it by
-(x_i - x_j + d_i - d_j) one pair at a time, and adds it to one integer
-numerator, so the work per composition is polynomial in r.  The monomial
-lists and index tables are a plan cached per (r, bound).  Coefficients are
-integers over one denominator per degree, (d!)^n * lcm(1..d)^(r*bound), as
-in FLINT's `fmpq_poly`.  The full numerator, summed over every composition, goes to
-`divide_by_vandermonde` once per degree, which divides it exactly in integers
-by divided differences, one root difference x_i - x_j at a time.
+so the whole degree part is exact.
+
+The shifted Vandermonde is a determinant: with y_i = x_i + d_i,
+prod_{i<j} (y_i - y_j) = sum_s sgn(s) prod_i y_i^(r - s(i)) over the
+permutations s of 1..r.  So the numerator of the degree-d part is the
+alternant Alt(T_d), where Alt(f) = sum_s sgn(s) f(x_s(1), .., x_s(r)) and
+
+    T_d = sum_{k_1+..+k_r=d} U_(k_1,r-1)(x_1) * .. * U_(k_r,0)(x_r),
+    U_(k,e)(x) = (x + k)^e S_k(x).
+
+T is built one root at a time for every degree at once, as a
+q-convolution: P_1[d] = U_(d,r-1)(x_1), and
+
+    P_j[d] = sum_{a<=d} C(d, a)^n P_(j-1)[a] * U_(d-a,r-j)(x_j),
+
+so T_d = P_r[d], in O(r d^2) tensor products where a sum over the
+compositions of every degree would take C(d+r, r).  Each is one list
+comprehension over the monomials of total degree <= bound, and C(d, a)^n
+lifts the denominators (a!)^n ((d-a)!)^n to (d!)^n.  `_alternation`
+then antisymmetrizes each T_d with r(r+1)/2 - 1 gathers of index tables.
+The monomial lists and index tables are cached per (r, bound).
+Coefficients are integers over one denominator per degree,
+(d!)^n * lcm(1..d_max)^(r*bound), as in FLINT's `fmpq_poly`.  Each
+numerator goes to `divide_by_vandermonde`, which divides it exactly in
+integers by divided differences, one root difference x_i - x_j at a time.
+The alternant is antisymmetric whatever it alternates, so that division
+catches a wrong sign or table of the alternation, not a product missing
+from T; the tests compare with the sum over compositions for that.
 
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
@@ -90,53 +108,49 @@ def harmonic_numerators(top: int) -> tuple[int, list[int]]:
     return den, nums
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _root_series(n: int, top: int, bound: int) -> tuple[int, list[list[int]]]:
+    """L = lcm(1..top) and, for k = 0..top, the integer numerators of
+    S_k(x) = prod_{l=1}^{k} (x + l)^(-n) through x^bound over (k!)^n L^bound.
 
-
-# Root series T_k keyed by (n, k, bound); one memo serves one hv_iseries call.
-_SeriesMemo = dict[tuple[int, int, int], tuple[int, ...]]
-
-
-def _root_series(n: int, k: int, bound: int, memo: _SeriesMemo) -> tuple[int, ...]:
-    """Integer numerators T_k of S_k(x) = prod_{l=1}^{k} (x + l)^(-n) through x^bound.
-
-    The coefficient of x^m is T_k[m] / ((k!)^n * L_k^m) with L_k = lcm(1..k).
     S_k = S_(k-1) * (x + k)^(-n), and (x + k)^(-n) has x^b coefficient
-    (-1)^b C(n+b-1, b) / k^(n+b), so
+    (-1)^b C(n+b-1, b) (L/k)^b / (k^n L^b), so over (k!)^n L^m
 
-        T_k[m] = sum_{a+b=m} T_(k-1)[a] (L_k/L_(k-1))^a (-1)^b C(n+b-1, b) (L_k/k)^b.
+        V_k[m] = sum_{a+b=m} V_(k-1)[a] (-1)^b C(n+b-1, b) (L/k)^b,
+
+    and V_k[m] L^(bound-m) is the numerator over (k!)^n L^bound.
     """
-    if k == 0:
-        return (1,) + (0,) * bound
-    key = (n, k, bound)
-    if key not in memo:
-        prev = _root_series(n, k - 1, bound, memo)
-        big, step = lcm(*range(1, k + 1)), lcm(*range(1, k))
-        lift = [(big // step) ** a for a in range(bound + 1)]
-        factor = [(-1) ** b * comb(n + b - 1, b) * (big // k) ** b for b in range(bound + 1)]
-        memo[key] = tuple(
-            sum(prev[a] * lift[a] * factor[m - a] for a in range(m + 1))
-            for m in range(bound + 1)
-        )
-    return memo[key]
+    big = lcm(*range(1, top + 1))
+    signed = [(-1) ** b * comb(n + b - 1, b) for b in range(bound + 1)]
+    v = [1] + [0] * bound
+    out = []
+    for k in range(top + 1):
+        if k:
+            factor = [c * (big // k) ** b for b, c in enumerate(signed)]
+            v = [sum(v[a] * factor[m - a] for a in range(m + 1)) for m in range(bound + 1)]
+        out.append([c * big ** (bound - m) for m, c in enumerate(v)])
+    return big, out
+
+
+def _shifted(series: list[int], k: int, e: int) -> list[int]:
+    """(x + k)^e times a series in x, truncated at its length."""
+    for _ in range(e):
+        series = [k * c + b for c, b in zip(series, [0] + series[:-1])]
+    return series
+
+
+def _binomial_powers(n: int, top: int) -> list[list[int]]:
+    """C(d, a)^n for 0 <= a <= d <= top: the factor that brings
+    (a!)^n ((d-a)!)^n up to (d!)^n."""
+    return [[comb(d, a) ** n for a in range(d + 1)] for d in range(top + 1)]
 
 
 @cache
 def _plan(r: int, bound: int):
     """Index tables of the residue sum in r roots through total degree bound.
 
-    Returns (levels, monomials, pairs).  `levels[i]` lists (parent index,
-    exponent of x_(i+1)) per monomial in the first i+1 roots, so a tensor
-    product of root series is one list comprehension per root.  `pairs`
-    holds, per pair i<j, the index of x^e / x_i and of x^e / x_j for each
-    monomial x^e, or -1 where that exponent is 0, so multiplying by
-    (x_i - x_j + c) is one list comprehension over a list ending in a 0.
+    Returns (levels, monomials).  `levels[i]` lists (parent index, exponent
+    of x_(i+1)) per monomial in the first i+1 roots, so a tensor product
+    with a series in x_(i+1) is one list comprehension per root.
     """
     exps: list[tuple[int, ...]] = [()]
     levels = []
@@ -144,65 +158,77 @@ def _plan(r: int, bound: int):
         level = [(p, m) for p, e in enumerate(exps) for m in range(bound + 1 - sum(e))]
         exps = [exps[p] + (m,) for p, m in level]
         levels.append(tuple(level))
-    index = {e: k for k, e in enumerate(exps)}
-
-    def below(e: tuple[int, ...], i: int) -> int:
-        return index[e[:i] + (e[i] - 1,) + e[i + 1 :]] if e[i] else -1
-
-    pairs = tuple(
-        (i, j, tuple(below(e, i) for e in exps), tuple(below(e, j) for e in exps))
-        for i in range(r)
-        for j in range(i + 1, r)
-    )
-    return tuple(levels), tuple(exps), pairs
+    return tuple(levels), tuple(exps)
 
 
-def _degree_part(
-    spec: GrassmannianSpec, d: int, target_degree: int, memo: _SeriesMemo
-) -> ChernPolynomial:
-    r, n = spec.r, spec.n
-    if r < 2:
-        raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
-    if d < 0 or target_degree < 0:
-        raise ValueError("degree arguments must be nonnegative")
-    bound = target_degree + r * (r - 1) // 2
-    levels, monomials, pairs = _plan(r, bound)
-    big = lcm(*range(1, d + 1))
-    # S_k over the degree's shared denominator: T_k[m] * (L_d/L_k)^m * L_d^(bound-m)
-    # is the x^m numerator over (k!)^n * L_d^bound.
-    lifted = []
-    for k in range(d + 1):
-        ratio = big // lcm(*range(1, k + 1))
-        lifted.append(
-            [t * ratio**m * big ** (bound - m) for m, t in enumerate(_root_series(n, k, bound, memo))]
+@cache
+def _alternation(r: int, bound: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Index tables of Alt(f) = sum_s sgn(s) f(x_s(1), .., x_s(r)) over the
+    monomials of the plan, one stage per root.
+
+    Every permutation of the first k roots is t_ik times a permutation of
+    the first k-1, where t_ik swaps roots i and k (t_kk is the identity) and
+    i is the root that k goes to, so
+
+        A_1 f = f,    A_k f = sum_{i<=k} sgn(t_ik) (A_(k-1) f)(x o t_ik),
+
+    and Alt = A_r takes r(r+1)/2 - 1 gathers, not r!.  Stage k lists
+    (sgn t_ik, gather) per i, where gather holds, per monomial x^e, the index
+    of x^(e o t_ik), the coefficient of f(x o t_ik) at x^e.
+    """
+    _, monomials = _plan(r, bound)
+    index = {e: m for m, e in enumerate(monomials)}
+
+    def swap(e: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+        e = list(e)
+        e[i], e[k] = e[k], e[i]
+        return tuple(e)
+
+    return tuple(
+        tuple(
+            (1 if i == k else -1, tuple(index[swap(e, i, k)] for e in monomials))
+            for i in range(k + 1)
         )
-    numer = [0] * len(monomials)
-    for comp in _compositions(d, r):
-        # (d! / prod d_i!)^n brings prod (d_i!)^n up to (d!)^n.
-        vals = [(factorial(d) // prod(factorial(k) for k in comp)) ** n]
-        for level, k in zip(levels, comp):
-            series = lifted[k]
-            vals = [vals[p] * series[m] for p, m in level]
-        # times prod_{i<j} (x_i - x_j + d_i - d_j); the appended 0 is what a
-        # monomial without x_i (index -1) reads for x^e / x_i.
-        for i, j, below_i, below_j in pairs:
-            shift = comp[i] - comp[j]
-            vals.append(0)
-            vals = [shift * v + vals[a] - vals[b] for v, a, b in zip(vals, below_i, below_j)]
-        numer = [t + v for t, v in zip(numer, vals)]
-    den = factorial(d) ** n * big ** (r * bound)
-    sign = (-1) ** ((r - 1) * d)
-    return divide_by_vandermonde(
-        ChernPolynomial(
-            r, bound, {e: Fraction(sign * c, den) for e, c in zip(monomials, numer) if c}
-        )
+        for k in range(1, r)
     )
 
 
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
-    """Degree parts d = 0..d_max of the G(r, n) I-series, sharing one root-series memo."""
-    memo: _SeriesMemo = {}
-    return [_degree_part(spec, d, target_degree, memo) for d in range(d_max + 1)]
+    """Degree parts d = 0..d_max of the G(r, n) I-series through total degree
+    target_degree in the Chern roots, as the alternants of one q-convolution."""
+    r, n = spec.r, spec.n
+    if r < 2:
+        raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
+    if d_max < 0 or target_degree < 0:
+        raise ValueError("degree arguments must be nonnegative")
+    bound = target_degree + r * (r - 1) // 2
+    levels, monomials = _plan(r, bound)
+    big, series = _root_series(n, d_max, bound)
+    weights = _binomial_powers(n, d_max)
+    # parts[d] is P_j[d] of the module docstring, over (d!)^n L^(j*bound)
+    parts = [_shifted(s, k, r - 1) for k, s in enumerate(series)]
+    for j, level in enumerate(levels[1:], 2):
+        factors = [_shifted(s, k, r - j) for k, s in enumerate(series)]
+        convolved = []
+        for d, row in enumerate(weights):
+            total = [0] * len(level)
+            for a, w in enumerate(row):
+                head, tail = parts[a], [w * c for c in factors[d - a]]
+                total = [t + head[p] * tail[m] for t, (p, m) in zip(total, level)]
+            convolved.append(total)
+        parts = convolved
+    stages = _alternation(r, bound)
+    out = []
+    for d, numer in enumerate(parts):
+        for stage in stages:
+            total = [0] * len(monomials)
+            for sign, gather in stage:
+                total = [t + sign * numer[m] for t, m in zip(total, gather)]
+            numer = total
+        den = (-1) ** ((r - 1) * d) * factorial(d) ** n * big ** (r * bound)
+        terms = {e: Fraction(c, den) for e, c in zip(monomials, numer) if c}
+        out.append(divide_by_vandermonde(ChernPolynomial(r, bound, terms)))
+    return out
 
 
 def projective_iseries(n: int, d_max: int) -> HSeriesPair:

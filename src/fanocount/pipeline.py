@@ -157,8 +157,9 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 # Job-size limits, checked before any stage runs.  Near them a run takes about
-# 0.15 s (`report --order 30` on V14) or 3.5 s (`iseries --order 17` on G(4,8),
-# work 9.6e6) in one process on a 2-vCPU Xeon.
+# 0.13 s (`report --order 30` on V14), 0.15 s (`iseries --order 17` on G(4,8),
+# work 9.6e6) or 0.2 s (`iseries --order 5` on G(5,10), work 5.5e6), process
+# start included, in one process on a 2-vCPU Xeon.
 MAX_ORDER = 30
 MAX_RESIDUE_WORK = 10**7
 
@@ -167,7 +168,10 @@ def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
     """Size of the residue sum behind `ambient_series(ambient, order)`, 0 for
     projective space: with r = min(r, n - r), the C(order - 1 + r, r)
     compositions times the C(bound + r, r) plan monomials at
-    bound = 1 + r(r-1)/2, times the r(r-1)/2 root pairs."""
+    bound = 1 + r(r-1)/2, times the r(r-1)/2 root pairs.  That is the work
+    of a sum over compositions, which the alternant of `hv_iseries` does in
+    far fewer steps; the figure is kept as a conservative size, so the
+    limit admits the jobs it always admitted."""
     r = min(ambient.r, ambient.n - ambient.r)
     pairs = r * (r - 1) // 2
     return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs
@@ -279,6 +283,7 @@ class PipelineRun:
         self.order = order
         self.verified = config.in_catalog
         self._operators: dict[Fraction, DifferentialOperator] = {}
+        self._solutions: dict[Fraction, PowerSeries] = {}
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
@@ -325,13 +330,21 @@ class PipelineRun:
             self._operators[lam] = pencil_operator(self.matrix, lam)
         return self._operators[lam]
 
+    def solution_at(self, lam: Rational) -> PowerSeries:
+        """The normalized solution of the operator at shift lam through
+        t^(order-1), solved at most once per run."""
+        lam = Fraction(lam)
+        if lam not in self._solutions:
+            self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
+        return self._solutions[lam]
+
     @_stage("d3")
     def operator(self) -> DifferentialOperator:
         return self.operator_at(0)
 
     @_stage("d3")
     def solution(self) -> PowerSeries:
-        return frobenius_solve(self.operator, self.order)
+        return self.solution_at(0)
 
     @_stage("d3")
     def modularity(self) -> ModularityReport:
@@ -339,7 +352,7 @@ class PipelineRun:
         # which is deg/2 at index 1
         level = Fraction(self.matrix.deg, 2 * self.config.fano_index**2)
         series = self.variety_pair.c0.truncate(self.order)
-        return modularity_report(series, self.alpha, level, self.operator_at)
+        return modularity_report(series, self.alpha, level, self.solution_at)
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -478,7 +491,7 @@ def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int 
 
 def d3_view(run: PipelineRun, lam: Fraction) -> View:
     operator = _guarded("d3", run.operator_at, lam)
-    solution = _guarded("d3", frobenius_solve, operator, run.order)
+    solution = _guarded("d3", run.solution_at, lam)
     residue = apply_operator(operator, solution)
     data = {
         "lambda": rational_str(lam),

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial, gcd
 
 import pytest
@@ -667,9 +666,14 @@ def test_eisenstein_invalid_levels():
         eisenstein_weight2(F(5, 2), 5)
 
 
+def solutions(matrix, order):
+    """The pencil solutions through t^(order-1), as `modularity_report` reads them."""
+    return lambda lam: frobenius_solve(pencil_operator(matrix, lam), order)
+
+
 def test_modularity_report_shape_and_matches():
     series = constant_terms(M10, 8)
-    rep = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    rep = modularity_report(series, golden.ALPHA["V10"], 5, solutions(M10, 8))
     assert (rep.level, rep.alpha, rep.order) == (5, F(6), 8)
     assert len(rep.rows) == 12
     mismatch = {(r.lam, r.candidate): r.first_mismatch for r in rep.rows}
@@ -684,15 +688,15 @@ def test_modularity_report_shape_and_matches():
 
 def test_modularity_report_deg14_level():
     series = constant_terms(M14, 8)
-    rep = modularity_report(series, golden.ALPHA["V14"], 7, partial(pencil_operator, M14))
+    rep = modularity_report(series, golden.ALPHA["V14"], 7, solutions(M14, 8))
     assert rep.level == 7
     assert [r.first_mismatch for r in rep.rows if (r.lam, r.candidate) == (4, "eisenstein")] == [2]
 
 
 def test_modularity_report_is_deterministic():
     series = constant_terms(M10, 8)
-    a = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
-    b = modularity_report(series, golden.ALPHA["V10"], 5, partial(pencil_operator, M10))
+    a = modularity_report(series, golden.ALPHA["V10"], 5, solutions(M10, 8))
+    b = modularity_report(series, golden.ALPHA["V10"], 5, solutions(M10, 8))
     assert a == b
 
 
@@ -701,11 +705,11 @@ def test_modularity_report_rejects_odd_degree():
     odd = CountingMatrix(deg=9, a01=F(1), a11=F(1), a02=F(1), a12=F(1), a03=F(1))
     series = constant_terms(odd, 8)
     with pytest.raises(InvalidLevel, match="level 9/2 is not an integer"):
-        modularity_report(series, F(0), F(odd.deg, 2), partial(pencil_operator, odd))
+        modularity_report(series, F(0), F(odd.deg, 2), solutions(odd, 8))
 
 
 def test_modularity_report_raises_at_level_one():
     # the weight-2 Eisenstein candidate needs N >= 2; the report has no error rows
     series = constant_terms(M10, 8)
     with pytest.raises(InvalidLevel, match="level must be an integer >= 2, got 1"):
-        modularity_report(series, golden.ALPHA["V10"], 1, partial(pencil_operator, M10))
+        modularity_report(series, golden.ALPHA["V10"], 1, solutions(M10, 8))

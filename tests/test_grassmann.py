@@ -18,7 +18,7 @@ from fanocount.grassmann import (
     projective_iseries,
 )
 from fanocount.lefschetz import CompleteIntersectionSpec
-from fanocount.pipeline import ambient_series
+from fanocount.pipeline import MAX_ORDER, ambient_series
 
 F = Fraction
 
@@ -104,11 +104,18 @@ def test_hv_degree_part_requires_two_rows():
         hv_iseries(GrassmannianSpec(1, 5), 1, 2)
 
 
+@pytest.mark.parametrize("d_max, target_degree", [(-1, 1), (-5, 0), (2, -1)])
+def test_hv_iseries_refuses_negative_degrees(d_max, target_degree):
+    with pytest.raises(ValueError, match="^degree arguments must be nonnegative$"):
+        hv_iseries(GrassmannianSpec(2, 5), d_max, target_degree)
+
+
 def test_hv_constant_terms_match_closed_form():
-    # the residue sum collapses to a known rational for each degree
+    # the residue sum collapses to a known rational for each degree, through
+    # q^(MAX_ORDER - 1)
     for n in (5, 6):
-        parts = hv_iseries(GrassmannianSpec(2, n), 12, 0)
-        for d in range(1, 13):
+        parts = hv_iseries(GrassmannianSpec(2, n), MAX_ORDER - 1, 0)
+        for d in range(1, MAX_ORDER):
             assert parts[d].constant_term() == closed_form_constant(n, d)
 
 
@@ -135,49 +142,62 @@ def test_kernel_matches_reference_property(case):
     assert hv_iseries(spec, d, target) == expected
 
 
-def _without(monkeypatch, dropped):
-    """Make the residue sum skip one composition."""
-    compositions = grassmann._compositions
-    monkeypatch.setattr(
-        grassmann,
-        "_compositions",
-        lambda total, parts: (c for c in compositions(total, parts) if c != dropped),
-    )
+def _flipped(monkeypatch, stage, term):
+    """Make the alternation add one term of one stage with the wrong sign."""
+    alternation = grassmann._alternation
+
+    def flipped(r, bound):
+        stages = [list(terms) for terms in alternation(r, bound)]
+        sign, gather = stages[stage][term]
+        stages[stage][term] = (-sign, gather)
+        return stages
+
+    monkeypatch.setattr(grassmann, "_alternation", flipped)
 
 
 @pytest.mark.parametrize(
-    "r, n, dropped, message",
+    "r, n, stage, term, message",
     [
-        (2, 5, (2, 0), "component of degree 0 cannot be divisible by degree-1 Vandermonde"),
-        (3, 6, (3, 0, 0), "component of degree 1 cannot be divisible by degree-3 Vandermonde"),
+        (2, 5, 0, 0, "nonzero remainder dividing by (x1 - x2)"),
+        (3, 6, 1, 2, "nonzero remainder dividing by (x1 - x3)"),
     ],
+    ids=["2-5", "3-6"],
 )
-def test_dropped_composition_breaks_exact_division(monkeypatch, r, n, dropped, message):
-    # every composition is summed, so a missing one leaves a numerator that
-    # is not antisymmetric and the Vandermonde division refuses it
-    _without(monkeypatch, dropped)
+def test_flipped_alternation_sign_breaks_exact_division(monkeypatch, r, n, stage, term, message):
+    # with one sign wrong the numerator is not antisymmetric, already at
+    # degree 0, and the Vandermonde division refuses it
+    _flipped(monkeypatch, stage, term)
     with pytest.raises(NonExactDivision) as err:
-        hv_iseries(GrassmannianSpec(r, n), sum(dropped), 1)
+        hv_iseries(GrassmannianSpec(r, n), 2, 1)
     assert str(err.value) == message
 
 
-def test_dropped_self_paired_composition_is_only_caught_by_reference(monkeypatch):
-    # (1, 1) is its own transpose: its term is antisymmetric on its own, so
-    # the sum without it still divides exactly and passes the symmetry check
-    # of extract_h_pair.  Only the comparison with the reference sees it.
+def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch):
+    # the alternant is antisymmetric whatever it alternates, so a sum missing
+    # one product still divides exactly and passes the symmetry check of
+    # extract_h_pair.  Only the comparison with the reference sees it.
+    weights = grassmann._binomial_powers
+
+    def dropped(n, top):
+        rows = weights(n, top)
+        rows[2][1] = 0  # degree 2 split as 1 + 1, the composition (1, 1)
+        return rows
+
+    monkeypatch.setattr(grassmann, "_binomial_powers", dropped)
     spec = GrassmannianSpec(2, 5)
-    expected = reference_degree_part(spec, 2, 1)
-    _without(monkeypatch, (1, 1))
     parts = hv_iseries(spec, 2, 1)
     extract_h_pair(parts)
-    assert parts[2] != expected
+    assert parts[:2] == [reference_degree_part(spec, d, 1) for d in range(2)]
+    assert parts[2] != reference_degree_part(spec, 2, 1)
 
 
 def test_grassmannian_duality():
-    # G(3, 5) and G(2, 5) are the same variety; the sum over three roots
-    # agrees with the sum over two
-    three_roots = extract_h_pair(hv_iseries(GrassmannianSpec(3, 5), 6, 1))
-    assert three_roots == ambient_series(GrassmannianSpec(2, 5), 7)
+    # G(r, n) and G(n - r, n) are the same variety; the alternant over three
+    # roots agrees with the one over two, and the one over four with the one
+    # over three
+    for r, n in ((3, 5), (4, 7)):
+        more_roots = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 12, 1))
+        assert more_roots == ambient_series(GrassmannianSpec(n - r, n), 13)
 
 
 def test_g34_is_projective_space():

@@ -1,7 +1,7 @@
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
@@ -10,7 +10,7 @@ import golden
 from helpers import TamperedEngine, constant_terms
 from fanocount import pipeline
 from fanocount.d3 import frobenius_solve
-from fanocount.grassmann import GrassmannianSpec, _compositions, _plan
+from fanocount.grassmann import GrassmannianSpec, _plan
 from fanocount.pipeline import (
     CATALOG,
     MAX_ORDER,
@@ -23,6 +23,7 @@ from fanocount.pipeline import (
     _residue_work,
     _variety_digits,
     ambient_series,
+    d3_view,
     iseries_view,
     lefschetz_view,
     load_config,
@@ -403,6 +404,25 @@ def test_rational_str():
     assert rational_str(F(5)) == "5"
 
 
+def test_run_pipeline_solves_once_per_shift(monkeypatch):
+    original = pipeline.frobenius_solve
+    shifts = []
+
+    def counting(op, order):
+        shifts.append(str(op))
+        return original(op, order)
+
+    monkeypatch.setattr(pipeline, "frobenius_solve", counting)
+    run = run_pipeline(CATALOG["V10"])
+    # shift 0 for the solution stage, then +alpha and -alpha for modularity;
+    # the table reads the shift-0 solution the run already holds
+    assert len(shifts) == len(set(shifts)) == 3
+    data, _ = d3_view(run, Fraction(0))
+    assert data["solution"] == [str(c) for c in run.solution.coeffs]
+    d3_view(run, run.alpha)
+    assert len(shifts) == 3
+
+
 def test_subcommand_views_compute_only_the_stages_they_print():
     run = PipelineRun(CATALOG["V10"], order=3)
     data, lines = iseries_view(run)
@@ -447,11 +467,13 @@ def test_residue_work_figures(r, n, order, work):
 
 @pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5)])
 def test_residue_work_counts_the_plan_the_sum_runs(r, order):
-    # the compositions ambient_series sums, times the monomials and pairs of its plan
+    # the size a sum over compositions would have: the compositions of every
+    # degree below order, times the monomials of the plan ambient_series
+    # runs on, times the r(r-1)/2 root pairs of the shifted Vandermonde
     pairs = r * (r - 1) // 2
-    _, monomials, plan_pairs = _plan(r, 1 + pairs)
-    compositions = sum(1 for d in range(order) for _ in _compositions(d, r))
-    expected = compositions * len(monomials) * len(plan_pairs)
+    _, monomials = _plan(r, 1 + pairs)
+    compositions = sum(1 for parts in product(range(order), repeat=r) if sum(parts) < order)
+    expected = compositions * len(monomials) * pairs
     assert _residue_work(GrassmannianSpec(r, 2 * r + 1), order) == expected
 
 
