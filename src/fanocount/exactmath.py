@@ -8,9 +8,10 @@ touches floating point.  Three containers cover all downstream needs:
   equal series compare equal; it is read, truncated and twisted by
   ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
-  carrying a degree part of the residue sum in Chern roots x_1..x_r into and
-  out of ``divide_by_vandermonde``, which divides it by one root difference
-  at a time as a divided difference; it is only read after that,
+  stored as integer numerators over one positive denominator in lowest
+  terms, carrying a degree part of the residue sum in Chern roots x_1..x_r
+  into and out of ``divide_by_vandermonde``, which divides it by one root
+  difference at a time as a divided difference; it is only read after that,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period
@@ -20,20 +21,23 @@ Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``divide_by_vandermonde`` and ``EntryPolynomial.evaluate``
-build one ``Fraction`` per output value, and ``exp_twist`` builds none.  The
-series kernels elsewhere work on ``PowerSeries`` numerators the same way:
-``projective_iseries``, the Euler factors and regrading of ``lefschetz``, and
-``frobenius_solve``, ``apply_operator``, ``factorial_transform``,
-``eisenstein_weight2`` and ``first_mismatch`` in ``d3``.  A ``Fraction``
-appears only where a caller reads a coefficient.  ``ChernPolynomial`` and
-``EntryPolynomial`` keep a coefficient that already is a ``Fraction``.
+``fmpq_poly`` does: ``divide_by_vandermonde`` and ``exp_twist`` build no
+``Fraction``, and ``EntryPolynomial.evaluate`` builds one per value, from an
+integer form of the polynomial that it computes once.  The series kernels
+elsewhere work on ``PowerSeries`` numerators the same way: the residue sum
+and ``extract_h_pair``, ``projective_iseries``, the Euler factors and
+regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
+``factorial_transform``, ``eisenstein_weight2`` and ``first_mismatch`` in
+``d3``.  A ``Fraction`` appears only where a caller reads a coefficient.
+``EntryPolynomial`` keeps a coefficient that already is a ``Fraction``; its
+ring arithmetic stays on ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
@@ -133,35 +137,63 @@ def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
 Exponent = tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class ChernPolynomial:
-    """Sparse polynomial in x_1..x_nvars, truncated at total degree degree_bound.
+    """Sparse polynomial in x_1..x_nvars, truncated at total degree degree_bound,
+    stored as integer numerators over one positive `den`.
 
+    `ChernPolynomial(nvars, degree_bound, terms)` takes {exponent: coefficient}.
     Terms of total degree above the bound are unknown, not zero; they are
-    dropped on construction.
+    dropped on construction.  The stored form is in lowest terms,
+    gcd(den, *nums) = 1 with no zero numerator, so equal polynomials compare
+    equal; a `Fraction` is built only when a caller reads a coefficient.
     """
 
     nvars: int
     degree_bound: int
-    terms: dict[Exponent, Fraction]
+    den: int
+    nums: dict[Exponent, int]
 
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
+    def __init__(self, nvars: int, degree_bound: int, terms: Mapping[Exponent, Rational]) -> None:
+        if nvars < 1:
             raise ValueError("need at least one variable")
-        if self.degree_bound < 0:
+        if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        terms: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if len(e) != self.nvars:
+        coeffs: dict[Exponent, Fraction] = {}
+        for e, c in terms.items():
+            if len(e) != nvars:
                 raise ValueError("exponent arity mismatch")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c != 0 and sum(e) <= self.degree_bound:
-                terms[tuple(e)] = c
-        self.terms = terms
+            coeffs[tuple(e)] = c if isinstance(c, Fraction) else Fraction(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self._store(nvars, degree_bound, den, nums)
+
+    @classmethod
+    def from_numerators(
+        cls, nvars: int, degree_bound: int, den: int, nums: Mapping[Exponent, int]
+    ) -> ChernPolynomial:
+        """The polynomial sum_e nums[e] / den * x^e, for a nonzero den of
+        either sign and exponent tuples of length nvars."""
+        poly = cls.__new__(cls)
+        poly._store(nvars, degree_bound, den, nums)
+        return poly
+
+    def _store(self, nvars: int, degree_bound: int, den: int, nums: Mapping[Exponent, int]) -> None:
+        nums = {e: c for e, c in nums.items() if c and sum(e) <= degree_bound}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", {e: c // g for e, c in nums.items()})
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     def coefficient(self, exps: Exponent) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+        return Fraction(self.nums.get(tuple(exps), 0), self.den)
 
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.nvars)
@@ -199,10 +231,10 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
     difference lowers every homogeneous component by exactly one degree, so
     the whole polynomial is divided pair by pair and the quotient is exact
     through total degree degree_bound - v.  The divisor's coefficients are
-    +-1, so the division runs on integer numerators over the input's one
-    common denominator, and a `Fraction` is built once per quotient
-    coefficient.  Raises NonExactDivision when a component has degree below
-    v or a remainder survives, as for any input that is not antisymmetric.
+    +-1, so the division runs on the input's integer numerators and returns
+    the quotient over the same denominator.  Raises NonExactDivision when a
+    component has degree below v or a remainder survives, as for any input
+    that is not antisymmetric.
     """
     r = poly.nvars
     v = r * (r - 1) // 2
@@ -210,19 +242,18 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
         raise NonExactDivision(
             f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
         )
-    low = min(map(sum, poly.terms), default=v)
+    low = min(map(sum, poly.nums), default=v)
     if low < v:
         raise NonExactDivision(
             f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
         )
-    den = lcm(*(c.denominator for c in poly.terms.values()))
-    numer = {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+    numer = poly.nums
     for i in range(r):
         for j in range(i + 1, r):
             numer, rem = _divide_linear_difference(numer, i, j)
             if rem:
                 raise NonExactDivision(f"nonzero remainder dividing by (x{i + 1} - x{j + 1})")
-    return ChernPolynomial(r, poly.degree_bound - v, {e: Fraction(c, den) for e, c in numer.items()})
+    return ChernPolynomial.from_numerators(r, poly.degree_bound - v, poly.den, numer)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +323,24 @@ class EntryPolynomial:
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, tuple[tuple[int, int, tuple], ...]]:
+        """(d, top, terms): the coefficients over their one denominator d, the
+        top total degree, and per term (numerator, top - degree, the nonzero
+        (variable index, power) pairs).  Built on the first `evaluate`; the
+        ring operations build new polynomials and never read it."""
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        top = max(map(sum, self.terms), default=0)
+        form = tuple(
+            (
+                c.numerator * (cden // c.denominator),
+                top - sum(e),
+                tuple((k, p) for k, p in enumerate(e) if p),
+            )
+            for e, c in self.terms.items()
+        )
+        return cden, top, form
+
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
         """The value at a rational point, summed in integers.
 
@@ -299,17 +348,16 @@ class EntryPolynomial:
         another, d, a monomial of total degree k is padded by v^(top - k),
         so the whole sum sits over d * v^top and one `Fraction` is built.
         """
-        vals = [Fraction(values[name]) for name in ENTRY_VARS]
+        cden, top, form = self._integer_form
+        vals = [values[name] for name in ENTRY_VARS]
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
         vden = lcm(*(v.denominator for v in vals))
-        cden = lcm(*(c.denominator for c in self.terms.values()))
         nums = [v.numerator * (vden // v.denominator) for v in vals]
-        top = max(map(sum, self.terms), default=0)
         total = 0
-        for e, c in self.terms.items():
-            prod = c.numerator * (cden // c.denominator) * vden ** (top - sum(e))
-            for k, p in enumerate(e):
-                if p:
-                    prod *= nums[k] ** p
+        for c, pad, factors in form:
+            prod = c * vden**pad
+            for k, p in factors:
+                prod *= nums[k] ** p
             total += prod
         return Fraction(total, cden * vden**top)
 

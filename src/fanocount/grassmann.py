@@ -33,9 +33,11 @@ lifts the denominators (a!)^n ((d-a)!)^n to (d!)^n.  `_alternation`
 then antisymmetrizes each T_d with r(r+1)/2 - 1 gathers of index tables.
 The monomial lists and index tables are cached per (r, bound).
 Coefficients are integers over one denominator per degree,
-(d!)^n * lcm(1..d_max)^(r*bound), as in FLINT's `fmpq_poly`.  Each
-numerator goes to `divide_by_vandermonde`, which divides it exactly in
-integers by divided differences, one root difference x_i - x_j at a time.
+(d!)^n * lcm(1..d_max)^(r*bound), as in FLINT's `fmpq_poly`, with the sign
+(-1)^((r-1)d) folded into the numerators.  Each numerator goes to
+`divide_by_vandermonde`, which divides it exactly in integers by divided
+differences, one root difference x_i - x_j at a time, and no `Fraction` is
+built on the way to `extract_h_pair`.
 The alternant is antisymmetric whatever it alternates, so that division
 catches a wrong sign or table of the alternation, not a product missing
 from T; the tests compare with the sum over compositions for that.
@@ -49,7 +51,6 @@ truncates the degree parts at total degree 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 
@@ -225,9 +226,10 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
             for sign, gather in stage:
                 total = [t + sign * numer[m] for t, m in zip(total, gather)]
             numer = total
-        den = (-1) ** ((r - 1) * d) * factorial(d) ** n * big ** (r * bound)
-        terms = {e: Fraction(c, den) for e, c in zip(monomials, numer) if c}
-        out.append(divide_by_vandermonde(ChernPolynomial(r, bound, terms)))
+        sign = -1 if (r - 1) * d % 2 else 1
+        nums = {e: sign * c for e, c in zip(monomials, numer) if c}
+        den = factorial(d) ** n * big ** (r * bound)
+        out.append(divide_by_vandermonde(ChernPolynomial.from_numerators(r, bound, den, nums)))
     return out
 
 
@@ -253,16 +255,21 @@ def extract_h_pair(parts: list[ChernPolynomial]) -> HSeriesPair:
 
     The coefficient of H in a symmetric polynomial equals the coefficient of
     any single x_i; all r linear coefficients must agree, otherwise the input
-    was not symmetric and AsymmetricSeries is raised.
+    was not symmetric and AsymmetricSeries is raised.  Both series are read
+    off the parts' numerators over the lcm of their denominators.
     """
+    den = lcm(*(part.den for part in parts))
     c0 = []
     c1 = []
     for d, part in enumerate(parts):
-        lin = [part.linear_coefficient(i) for i in range(part.nvars)]
+        r, nums = part.nvars, part.nums
+        lin = [nums.get(tuple(int(k == i) for k in range(r)), 0) for i in range(r)]
         if any(l != lin[0] for l in lin[1:]):
+            lin = [part.linear_coefficient(i) for i in range(r)]
             raise AsymmetricSeries(
                 f"degree-{d} part has unequal linear coefficients {lin}"
             )
-        c0.append(part.constant_term())
-        c1.append(lin[0])
-    return HSeriesPair(PowerSeries(tuple(c0)), PowerSeries(tuple(c1)))
+        lift = den // part.den
+        c0.append(nums.get((0,) * r, 0) * lift)
+        c1.append(lin[0] * lift)
+    return HSeriesPair(PowerSeries.from_numerators(den, c0), PowerSeries.from_numerators(den, c1))

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, lcm, lgamma, log, log10
+from math import comb, factorial, gcd, lcm, lgamma, log, log10
 from pathlib import Path
 
 from .d3 import (
@@ -386,11 +386,22 @@ View = tuple[dict, list[str]]
 
 
 def rational_str(x: Rational) -> str:
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def _strs(values) -> list[str]:
     return [rational_str(x) for x in values]
+
+
+def _series_strs(series: PowerSeries) -> list[str]:
+    """The coefficients as `rational_str` prints them, read off the
+    numerators with one gcd each."""
+    den = series.den
+    out = []
+    for c in series.nums:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def render(data: dict, lines: list[str], format: str) -> str:
@@ -443,7 +454,7 @@ def modularity_lines(data: dict) -> list[str]:
 
 
 def _pair_view(pair: HSeriesPair, order: int) -> View:
-    c0, c1 = _strs(pair.c0.truncate(order).coeffs), _strs(pair.c1.truncate(order).coeffs)
+    c0, c1 = _series_strs(pair.c0.truncate(order)), _series_strs(pair.c1.truncate(order))
     return {"c0": c0, "c1": c1}, ["c0: " + " ".join(c0), "c1: " + " ".join(c1)]
 
 
@@ -498,7 +509,7 @@ def d3_view(run: PipelineRun, lam: Fraction) -> View:
         "operator": str(operator),
         "order": operator.order,
         "indicial": _strs(operator.indicial()),
-        "solution": _strs(solution.coeffs),
+        "solution": _series_strs(solution),
         "residue_vanishes": not any(residue.nums),
     }
     return data, [
@@ -539,7 +550,7 @@ def report_view(report: PipelineRun) -> View:
         "variety_series": variety,
         "matrix": matrix_dict(report.matrix),
         **periods,
-        "d3": {"operator": str(report.operator), "solution": _strs(report.solution.coeffs)},
+        "d3": {"operator": str(report.operator), "solution": _series_strs(report.solution)},
         "modularity": modularity_dict(report.modularity),
         "notes": list(report.notes),
     }
@@ -650,7 +661,8 @@ def verify_golden(
 
     Returns (exit status, table).  Status 1 when any row mismatches; the
     optional `corrupt` argument replaces one golden entry ("V10:matrix.a01"
-    style label) with a wrong value, as a negative control.
+    style label) with a wrong value, as a negative control.  A label that
+    names no entry of the selected varieties is refused before any stage runs.
     """
     if name == "all":
         targets = list(_GOLDEN)
@@ -658,17 +670,16 @@ def verify_golden(
         targets = [name]
     else:
         raise ConfigError(f"unknown variety {name!r}; choose V10, V14 or all")
+    labels = [f"{variety}:{key}" for variety in targets for key in _GOLDEN[variety]]
+    if corrupt is not None and corrupt not in labels:
+        raise ConfigError(f"no golden entry labelled {corrupt!r} for variety {name!r}")
     rows: list[VerifyRow] = []
     status = 0
-    corrupted_hit = False
     for variety in targets:
         report = run_pipeline(CATALOG[variety], order=7)
         for key, golden in _GOLDEN[variety].items():
             label = f"{variety}:{key}"
-            expected = golden
-            if corrupt == label:
-                expected = golden + 1
-                corrupted_hit = True
+            expected = golden + 1 if corrupt == label else golden
             derived = _derived_value(report, key)
             note = _FLAGGED.get(label)
             if derived == expected:
@@ -678,8 +689,6 @@ def verify_golden(
             rows.append(
                 VerifyRow(label, rational_str(derived), rational_str(expected), verdict, note)
             )
-    if corrupt is not None and not corrupted_hit:
-        raise ConfigError(f"no golden entry labelled {corrupt!r}")
     return status, rows
 
 

@@ -1,13 +1,19 @@
 """Closed forms and symbolic expansions that only the tests use, the
-plain `Fraction` definitions the integer series kernels are checked
-against, and the tests' name for the operator product of the D3 reference
-chain."""
+plain `Fraction` definitions the integer series kernels and the Vandermonde
+division are checked against, and the tests' name for the operator product
+of the D3 reference chain."""
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from fanocount.d3 import _multiply, _sigma1
-from fanocount.exactmath import ChernPolynomial, EntryPolynomial, PowerSeries
+from fanocount.exactmath import (
+    ChernPolynomial,
+    EntryPolynomial,
+    NonExactDivision,
+    PowerSeries,
+    _divide_linear_difference,
+)
 from fanocount.grassmann import HSeriesPair
 from fanocount.relations import RelationEngine
 
@@ -77,6 +83,33 @@ def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial
                     out[e] = out.get(e, 0) + c1 * c2
         terms = out
     return ChernPolynomial(nvars, bound, terms)
+
+
+def reference_divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
+    """Division by prod_{i<j}(x_i - x_j) read from the `Fraction` terms: the
+    numerators over the lcm of their denominators, divided pair by pair,
+    and one `Fraction` per quotient coefficient."""
+    r = poly.nvars
+    v = r * (r - 1) // 2
+    if poly.degree_bound < v:
+        raise NonExactDivision(
+            f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
+        )
+    terms = poly.terms
+    low = min(map(sum, terms), default=v)
+    if low < v:
+        raise NonExactDivision(
+            f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
+        )
+    den = lcm(*(c.denominator for c in terms.values()))
+    numer = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    for i in range(r):
+        for j in range(i + 1, r):
+            numer, rem = _divide_linear_difference(numer, i, j)
+            if rem:
+                raise NonExactDivision(f"nonzero remainder dividing by (x{i + 1} - x{j + 1})")
+    quotient = {e: Fraction(c, den) for e, c in numer.items()}
+    return ChernPolynomial(r, poly.degree_bound - v, quotient)
 
 
 def root_difference(nvars: int, i: int, j: int, shift: int = 0) -> dict:

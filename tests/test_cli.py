@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,60 @@ def test_verify_corrupt_unknown_label(capsys):
     code, _, err = run(capsys, "verify", "--corrupt", "V10:matrix.bogus")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "variety, label",
+    [("all", "V10:matrix.bogus"), ("V14", "V10:matrix.a01"), ("V10", "V14:matrix.a01")],
+)
+def test_verify_corrupt_label_is_refused_before_any_stage(capsys, monkeypatch, variety, label):
+    # a label of no golden entry, or of the variety not selected, is refused
+    # with exit 2 and the selected variety named, before a pipeline runs
+    runs = []
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda *args, **kw: runs.append(args))
+    code, out, err = run(capsys, "verify", "--variety", variety, "--corrupt", label)
+    assert (code, out, runs) == (2, "", [])
+    assert err == (
+        f"error: stage config: ConfigError: no golden entry labelled {label!r} "
+        f"for variety {variety!r}\n"
+    )
+
+
+def fractions_built(capsys, argv) -> int:
+    """`Fraction.__new__` calls in one warm `main(argv)` call, counted with a
+    profile hook; the first call fills the process-wide caches."""
+    assert main(argv) == 0
+    capsys.readouterr()
+    calls = 0
+    code = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        status = main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert status == 0
+    capsys.readouterr()
+    return calls
+
+
+def test_fraction_budget_of_warm_calls(capsys, tmp_path):
+    # the series path, from the residue sum to stdout, runs on integers over
+    # shared denominators; a Fraction is built where a caller reads a value.
+    # Python 3.12 and later build fewer (arithmetic skips the constructor).
+    g36 = write_config(
+        tmp_path, {"ambient": {"type": "grassmannian", "r": 3, "n": 6}, "degrees": [1]}
+    )
+    assert fractions_built(capsys, ["verify", "--format", "json"]) <= 230
+    report = ["report", "--variety", "V10", "--order", "13", "--format", "json"]
+    assert fractions_built(capsys, report) <= 125
+    assert fractions_built(capsys, ["iseries", "--variety", g36, "--order", "7"]) <= 10
 
 
 def test_matrix_json(capsys):

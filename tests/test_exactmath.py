@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exp_linear, root_difference, series_product, truncated_product
+from helpers import (
+    exp_linear,
+    reference_divide_by_vandermonde,
+    root_difference,
+    series_product,
+    truncated_product,
+)
 from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
@@ -17,6 +23,7 @@ from fanocount.exactmath import (
     divide_by_vandermonde,
     exp_twist,
 )
+from fanocount.relations import one_point_relation
 
 F = Fraction
 
@@ -87,11 +94,28 @@ def test_power_series_form_is_canonical(values, k):
         assert s.den > 0 and gcd(s.den, *s.nums) == 1
 
 
-def test_chern_polynomial_keeps_fraction_coefficients():
-    third = F(1, 3)
-    p = ChernPolynomial(2, 1, {(0, 0): third, (1, 0): 2})
-    assert p.terms[(0, 0)] is third
-    assert type(p.terms[(1, 0)]) is Fraction and p.terms[(1, 0)] == 2
+def test_chern_polynomial_stores_integers_over_one_denominator():
+    # stored as integers over one positive denominator in lowest terms; a
+    # Fraction is built on read, and terms over the bound are dropped
+    p = ChernPolynomial(2, 1, {(0, 0): F(1, 3), (1, 0): 2, (0, 1): F(-4, 6), (1, 1): 5})
+    assert (p.den, p.nums) == (3, {(0, 0): 1, (1, 0): 6, (0, 1): -2})
+    assert p.terms == {(0, 0): F(1, 3), (1, 0): F(2), (0, 1): F(-2, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert type(p.coefficient((1, 0))) is Fraction and p.coefficient((1, 1)) == 0
+    # a part built over a negative denominator, as the residue sum's sign
+    # (-1)^((r-1)d) gives at odd (r-1)d, and over a common factor
+    q = ChernPolynomial.from_numerators(2, 1, -9, {(0, 0): -3, (1, 0): -18, (0, 1): 6, (1, 1): 7})
+    assert q == p
+    # equal values compare equal however they are written
+    written = {(0, 0): F(2, 6), (1, 0): F(4, 2), (0, 1): F(-2, 3), (2, 3): 1}
+    assert ChernPolynomial(2, 1, written) == p
+    over_bound = {(0, 0): 1, (1, 0): 6, (0, 1): -2, (0, 2): 1}
+    assert ChernPolynomial.from_numerators(2, 1, 3, over_bound) == p
+    assert ChernPolynomial.from_numerators(2, 1, 9, q.nums) != p
+    for poly in (p, q, ChernPolynomial(3, 2, {}), ChernPolynomial.from_numerators(1, 0, -4, {})):
+        assert poly.den > 0 and gcd(poly.den, *poly.nums.values()) == 1
+        assert 0 not in poly.nums.values()
+    assert ChernPolynomial.from_numerators(1, 0, -4, {}) == ChernPolynomial(1, 0, {(0,): 0})
 
 
 def test_exp_linear_matches_factorials():
@@ -182,6 +206,43 @@ def test_divide_by_vandermonde_rejects_a_remainder_after_a_pair_that_divides():
     f = ChernPolynomial(3, 3, {(2, 1, 0): 1, (1, 2, 0): -1})
     with pytest.raises(NonExactDivision, match=r"nonzero remainder dividing by \(x1 - x3\)"):
         divide_by_vandermonde(f)
+
+
+@st.composite
+def vandermonde_division_cases(draw):
+    """A polynomial in 2-4 roots: the Vandermonde times f, plus h, over
+    mixed denominators and at a degree bound from v - 1 to v + 2; it divides
+    exactly when h = 0 and the bound reaches v."""
+    nvars = draw(st.integers(2, 4))
+    extra = draw(st.integers(-1, 2))
+    bound = nvars * (nvars - 1) // 2 + extra
+    monomials = [e for e in product(range(bound + 1), repeat=nvars) if sum(e) <= bound]
+    quotients = [e for e in monomials if sum(e) <= extra]
+    f = {}
+    if quotients:
+        f = draw(st.dictionaries(st.sampled_from(quotients), small_fractions, max_size=6))
+    h = draw(st.one_of(
+        st.just({}), st.dictionaries(st.sampled_from(monomials), small_fractions, max_size=3)
+    ))
+    total = truncated_product(nvars, bound, vandermonde(nvars, bound).terms, f).terms
+    for e, c in h.items():
+        total[e] = total.get(e, 0) + c
+    return ChernPolynomial(nvars, bound, total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vandermonde_division_cases())
+def test_divide_by_vandermonde_matches_fraction_reference(poly):
+    # the integer division reads nums and den; the reference reads the
+    # Fraction terms.  Same quotient, or the same refusal.
+    try:
+        expected = reference_divide_by_vandermonde(poly)
+    except NonExactDivision as err:
+        with pytest.raises(NonExactDivision) as got:
+            divide_by_vandermonde(poly)
+        assert str(got.value) == str(err)
+    else:
+        assert divide_by_vandermonde(poly) == expected
 
 
 @st.composite
@@ -285,6 +346,30 @@ def test_entry_polynomial_evaluate_matches_fraction_reference(p, values):
     assert p.evaluate(values) == reference_evaluate(p, values)
     for const in (EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3))):
         assert const.evaluate(values) == reference_evaluate(const, values)
+
+
+mixed_values = st.fixed_dictionaries(
+    {name: st.one_of(st.integers(-10, 10), small_fractions) for name in ENTRY_VARS}
+)
+
+
+@given(entry_polys(), st.lists(mixed_values, min_size=2, max_size=4), st.integers(3, 6))
+def test_entry_polynomial_cached_form_serves_every_point(p, points, d):
+    # the integer form is built on the first evaluate and read by every later
+    # one, for a fresh polynomial and for a memoized relation alike, at int
+    # and Fraction values mixed
+    relation = one_point_relation(d - 2, d)
+    assert one_point_relation(d - 2, d) is relation
+    for values in points:
+        assert p.evaluate(values) == reference_evaluate(p, values)
+        assert relation.evaluate(values) == reference_evaluate(relation, values)
+    # ==, + and * read the terms alone, never the cache
+    fresh = EntryPolynomial(dict(p.terms))
+    assert fresh == p and p == fresh
+    for other in (relation, EntryPolynomial.variable("a11")):
+        assert p + other == fresh + other and other + p == other + fresh
+        assert p * other == fresh * other and other * p == other * fresh
+        assert (p * other).evaluate(points[0]) == reference_evaluate(fresh * other, points[0])
 
 
 @given(entry_polys(), entry_polys(), entry_values)
