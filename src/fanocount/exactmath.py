@@ -9,9 +9,10 @@ touches floating point.  Three containers cover all downstream needs:
   ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
   stored as integer numerators over one positive denominator in lowest
-  terms, carrying a degree part of the residue sum in Chern roots x_1..x_r
-  into and out of ``divide_by_vandermonde``, which divides it by one root
-  difference at a time as a divided difference; it is only read after that,
+  terms: a degree part of the residue sum in Chern roots x_1..x_r, which is
+  only read, or a bialternant that ``divide_by_vandermonde`` divides by one
+  root difference at a time as a divided difference; the residue sum divides
+  once per (r, t), when it fills its cached Schur table, not once per degree,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period
@@ -21,7 +22,7 @@ Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``divide_by_vandermonde`` and ``exp_twist`` build no
+``fmpq_poly`` does: ``exp_twist`` and ``divide_by_vandermonde`` build no
 ``Fraction``, and ``EntryPolynomial.evaluate`` builds one per value, from an
 integer form of the polynomial that it computes once.  The series kernels
 elsewhere work on ``PowerSeries`` numerators the same way: the residue sum

@@ -21,26 +21,34 @@ alternant Alt(T_d), where Alt(f) = sum_s sgn(s) f(x_s(1), .., x_s(r)) and
     T_d = sum_{k_1+..+k_r=d} U_(k_1,r-1)(x_1) * .. * U_(k_r,0)(x_r),
     U_(k,e)(x) = (x + k)^e S_k(x).
 
+Alt(x^e) vanishes unless e = s(lam + delta) for a partition lam and
+delta = (r-1, .., 0), and then it is sgn(s) a_(lam+delta).  By Jacobi's
+bialternant formula a_(lam+delta) / a_delta = s_lam, the Schur polynomial
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3), and a_delta is
+the Vandermonde prod_{i<j} (x_i - x_j).  So through total degree t
+
+    Alt(T_d) / a_delta = sum_{|lam|<=t} c_lam[d] s_lam,
+    c_lam[d] = sum_s sgn(s) [x^(s(lam+delta))] T_d,
+
+and only the r! coefficients of T_d at the permutations of each lam + delta
+are needed, none with an exponent above r - 1 + t.  `_schur_plan` lists
+them in one signed table per (r, t), and gets the integer coefficients of
+each s_lam from `divide_by_vandermonde` of the bialternant built from that
+table, so a wrong sign in it raises NonExactDivision when it is built.
+
 T is built one root at a time for every degree at once, as a
 q-convolution: P_1[d] = U_(d,r-1)(x_1), and
 
     P_j[d] = sum_{a<=d} C(d, a)^n P_(j-1)[a] * U_(d-a,r-j)(x_j),
 
-so T_d = P_r[d], in O(r d^2) tensor products where a sum over the
-compositions of every degree would take C(d+r, r).  Each is one list
-comprehension over the monomials of total degree <= bound, and C(d, a)^n
-lifts the denominators (a!)^n ((d-a)!)^n to (d!)^n.  `_alternation`
-then antisymmetrizes each T_d with r(r+1)/2 - 1 gathers of index tables.
-The monomial lists and index tables are cached per (r, bound).
-Coefficients are integers over one denominator per degree,
-(d!)^n * lcm(1..d_max)^(r*bound), as in FLINT's `fmpq_poly`, with the sign
-(-1)^((r-1)d) folded into the numerators.  Each numerator goes to
-`divide_by_vandermonde`, which divides it exactly in integers by divided
-differences, one root difference x_i - x_j at a time, and no `Fraction` is
-built on the way to `extract_h_pair`.
-The alternant is antisymmetric whatever it alternates, so that division
-catches a wrong sign or table of the alternation, not a product missing
-from T; the tests compare with the sum over compositions for that.
+so T_d = P_r[d], in O(r d^2) products where a sum over the compositions of
+every degree would take C(d+r, r).  P_j holds only the length-j prefixes of
+the table's exponents, one list comprehension per product, and C(d, a)^n
+lifts the denominators (a!)^n ((d-a)!)^n to (d!)^n.  Coefficients are
+integers over one denominator per degree, (d!)^n * lcm(1..d_max)^(r(r-1+t)),
+as in FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.
+The read-off trusts T: a product missing from T still gives a
+symmetric series, so the tests compare with the sum over compositions.
 
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
@@ -50,8 +58,10 @@ truncates the degree parts at total degree 1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, lcm, prod
 
 from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
@@ -145,69 +155,69 @@ def _binomial_powers(n: int, top: int) -> list[list[int]]:
     return [[comb(d, a) ** n for a in range(d + 1)] for d in range(top + 1)]
 
 
+def _bialternants(r: int, t: int):
+    """The partitions lam with |lam| <= t and at most r parts, padded with
+    zeros to r entries, and the signed table of their bialternants: per lam,
+    at index k, the r! entries (k, sgn(s), s(lam + delta)), so that
+    a_(lam+delta) is the sum of sgn(s) x^(s(lam + delta)).  lam + delta is
+    strictly decreasing, so sgn(s) is the parity of the ascending pairs."""
+    lams = combinations_with_replacement(range(t, -1, -1), r)
+    partitions = [lam for lam in lams if sum(lam) <= t]
+    table = [
+        (k, (-1) ** sum(a < b for a, b in combinations(e, 2)), e)
+        for k, lam in enumerate(partitions)
+        for e in permutations(part + r - 1 - i for i, part in enumerate(lam))
+    ]
+    return partitions, table
+
+
 @cache
-def _plan(r: int, bound: int):
-    """Index tables of the residue sum in r roots through total degree bound.
+def _schur_plan(r: int, t: int):
+    """Tables of the Schur read-off in r roots through total degree t.
 
-    Returns (levels, monomials).  `levels[i]` lists (parent index, exponent
-    of x_(i+1)) per monomial in the first i+1 roots, so a tensor product
-    with a series in x_(i+1) is one list comprehension per root.
+    Returns (partitions, table, levels, schurs): the partitions and signed
+    table of `_bialternants`; per root j, `levels[j-1]` lists (parent index,
+    exponent of x_j) per distinct length-j prefix of the table's exponents,
+    so the last level is the table's exponents in table order; and per
+    partition, the integer (exponent, coefficient) pairs of s_lam, divided
+    out of the bialternant here, once per (r, t).
     """
-    exps: list[tuple[int, ...]] = [()]
-    levels = []
-    for _ in range(r):
-        level = [(p, m) for p, e in enumerate(exps) for m in range(bound + 1 - sum(e))]
-        exps = [exps[p] + (m,) for p, m in level]
-        levels.append(tuple(level))
-    return tuple(levels), tuple(exps)
-
-
-@cache
-def _alternation(r: int, bound: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Index tables of Alt(f) = sum_s sgn(s) f(x_s(1), .., x_s(r)) over the
-    monomials of the plan, one stage per root.
-
-    Every permutation of the first k roots is t_ik times a permutation of
-    the first k-1, where t_ik swaps roots i and k (t_kk is the identity) and
-    i is the root that k goes to, so
-
-        A_1 f = f,    A_k f = sum_{i<=k} sgn(t_ik) (A_(k-1) f)(x o t_ik),
-
-    and Alt = A_r takes r(r+1)/2 - 1 gathers, not r!.  Stage k lists
-    (sgn t_ik, gather) per i, where gather holds, per monomial x^e, the index
-    of x^(e o t_ik), the coefficient of f(x o t_ik) at x^e.
-    """
-    _, monomials = _plan(r, bound)
-    index = {e: m for m, e in enumerate(monomials)}
-
-    def swap(e: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
-        e = list(e)
-        e[i], e[k] = e[k], e[i]
-        return tuple(e)
-
-    return tuple(
-        tuple(
-            (1 if i == k else -1, tuple(index[swap(e, i, k)] for e in monomials))
-            for i in range(k + 1)
-        )
-        for k in range(1, r)
+    partitions, table = _bialternants(r, t)
+    alternants = [{} for _ in partitions]
+    for k, sign, e in table:
+        alternants[k][e] = sign
+    v = r * (r - 1) // 2
+    schurs = tuple(
+        tuple(divide_by_vandermonde(ChernPolynomial.from_numerators(r, t + v, 1, a)).nums.items())
+        for a in alternants
     )
+    parent, levels = {(): 0}, []
+    for j in range(1, r + 1):
+        index = {}
+        for _, _, e in table:
+            index.setdefault(e[:j], len(index))
+        levels.append(tuple((parent[p[:-1]], p[-1]) for p in index))
+        parent = index
+    return tuple(partitions), tuple(table), tuple(levels), schurs
 
 
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total degree
-    target_degree in the Chern roots, as the alternants of one q-convolution."""
+    target_degree in the Chern roots, read off in Schur polynomials from one
+    q-convolution."""
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d_max < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
-    bound = target_degree + r * (r - 1) // 2
-    levels, monomials = _plan(r, bound)
-    big, series = _root_series(n, d_max, bound)
+    _, table, levels, schurs = _schur_plan(r, target_degree)
+    top = r - 1 + target_degree
+    big, series = _root_series(n, d_max, top)
     weights = _binomial_powers(n, d_max)
-    # parts[d] is P_j[d] of the module docstring, over (d!)^n L^(j*bound)
+    # parts[d] is P_j[d] of the module docstring on the level-j prefixes,
+    # over (d!)^n L^(j*top)
     parts = [_shifted(s, k, r - 1) for k, s in enumerate(series)]
+    parts = [[u[m] for _, m in levels[0]] for u in parts]
     for j, level in enumerate(levels[1:], 2):
         factors = [_shifted(s, k, r - j) for k, s in enumerate(series)]
         convolved = []
@@ -218,18 +228,18 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
                 total = [t + head[p] * tail[m] for t, (p, m) in zip(total, level)]
             convolved.append(total)
         parts = convolved
-    stages = _alternation(r, bound)
-    out = []
+    lift, out = big ** (r * top), []
     for d, numer in enumerate(parts):
-        for stage in stages:
-            total = [0] * len(monomials)
-            for sign, gather in stage:
-                total = [t + sign * numer[m] for t, m in zip(total, gather)]
-            numer = total
-        sign = -1 if (r - 1) * d % 2 else 1
-        nums = {e: sign * c for e, c in zip(monomials, numer) if c}
-        den = factorial(d) ** n * big ** (r * bound)
-        out.append(divide_by_vandermonde(ChernPolynomial.from_numerators(r, bound, den, nums)))
+        coeffs = [0] * len(schurs)
+        for (k, sign, _), c in zip(table, numer):
+            coeffs[k] += sign * c
+        nums = defaultdict(int)
+        for c, schur in zip(coeffs, schurs):
+            for e, m in schur:
+                nums[e] += c * m
+        # the sign (-1)^((r-1)d) rides on the denominator
+        den = (-1) ** ((r - 1) * d) * factorial(d) ** n * lift
+        out.append(ChernPolynomial.from_numerators(r, target_degree, den, nums))
     return out
 
 

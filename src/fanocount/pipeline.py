@@ -157,9 +157,9 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 # Job-size limits, checked before any stage runs.  Near them a run takes about
-# 0.13 s (`report --order 30` on V14), 0.15 s (`iseries --order 17` on G(4,8),
-# work 9.6e6) or 0.2 s (`iseries --order 5` on G(5,10), work 5.5e6), process
-# start included, in one process on a 2-vCPU Xeon.
+# 0.13-0.15 s (`report --order 30` on V14, `iseries --order 17` on G(4,8) at
+# work 9.6e6) or 0.12-0.16 s (`iseries --order 5` on G(5,10), work 5.5e6),
+# process start included, in one process on a 2-vCPU Xeon.
 MAX_ORDER = 30
 MAX_RESIDUE_WORK = 10**7
 
@@ -167,11 +167,12 @@ MAX_RESIDUE_WORK = 10**7
 def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
     """Size of the residue sum behind `ambient_series(ambient, order)`, 0 for
     projective space: with r = min(r, n - r), the C(order - 1 + r, r)
-    compositions times the C(bound + r, r) plan monomials at
+    compositions times the C(bound + r, r) monomials through total degree
     bound = 1 + r(r-1)/2, times the r(r-1)/2 root pairs.  That is the work
-    of a sum over compositions, which the alternant of `hv_iseries` does in
-    far fewer steps; the figure is kept as a conservative size, so the
-    limit admits the jobs it always admitted."""
+    of a sum over compositions and a Vandermonde division per degree, which
+    the Schur read-off of `hv_iseries` does in far fewer steps; the figure
+    is kept as a conservative size, so the limit admits and refuses the
+    jobs it always did."""
     r = min(ambient.r, ambient.n - ambient.r)
     pairs = r * (r - 1) // 2
     return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs

@@ -24,7 +24,18 @@ INDEX_TWO_PLUS = {
     "B4": {"ambient": {"type": "projective", "n": 5}, "degrees": [2, 2]},
     "B5": {"ambient": {"type": "grassmannian", "r": 2, "n": 5}, "degrees": [1, 1, 1]},
 }
-CONFIGS = {QUARTIC_PATH: QUARTIC} | {f"<{name} config>": c for name, c in INDEX_TWO_PLUS.items()}
+# Hyperplane sections of G(r, 2r) for r = 3..5, whose iseries runs the residue
+# sum over r roots, G(5,10) at order 5 right at the job-size limit.
+GRASSMANNIAN_JOBS = {
+    "G36": ({"ambient": {"type": "grassmannian", "r": 3, "n": 6}, "degrees": [1]}, "13"),
+    "G48": ({"ambient": {"type": "grassmannian", "r": 4, "n": 8}, "degrees": [1]}, "17"),
+    "G510": ({"ambient": {"type": "grassmannian", "r": 5, "n": 10}, "degrees": [1]}, "5"),
+}
+CONFIGS = (
+    {QUARTIC_PATH: QUARTIC}
+    | {f"<{name} config>": c for name, c in INDEX_TWO_PLUS.items()}
+    | {f"<{name} config>": c for name, (c, _) in GRASSMANNIAN_JOBS.items()}
+)
 
 SUBCOMMANDS = ("iseries", "lefschetz", "matrix", "periods", "invert", "d3", "modularity", "report")
 
@@ -52,6 +63,10 @@ CASES = [
     for name in INDEX_TWO_PLUS
     for cmd in ("lefschetz", "modularity", "report")
     for order in ("7", "13")
+] + [
+    (f"iseries-{name}-order{order}-json",
+     ["iseries", "--variety", f"<{name} config>", "--order", order, "--format", "json"])
+    for name, (_, order) in GRASSMANNIAN_JOBS.items()
 ]
 
 # case id -> (exit code, sha256 of stdout)
@@ -125,6 +140,9 @@ PINNED = {
     "modularity-B5-order13": (0, "0719a0042875ea1db9d167b3b85563b90056e78a0bb98bb4e913469af563651c"),
     "report-B5-order7": (0, "4d032826cd124e6c5fd7f59951c0c5b0ca94d1f1d4d3247007b8752441167011"),
     "report-B5-order13": (0, "5c8d37ae7eb51f12de86f75a82ca8402cc6639908670a7075854db42f1f0f51a"),
+    "iseries-G36-order13-json": (0, "d3c240fa8fcc3fdc91756e4d09d31045aff7dec6b61e08998caf5acb9668c9e2"),
+    "iseries-G48-order17-json": (0, "4253c143e6a5f82e856990912ed1c35fed1b0007363d9501f2bf5c0e0f550806"),
+    "iseries-G510-order5-json": (0, "13060f95e9227b7c05a5189fdd8c729b0b564d1874191ef5ead2895ff14a1e48"),
 }
 
 

@@ -142,40 +142,59 @@ def test_kernel_matches_reference_property(case):
     assert hv_iseries(spec, d, target) == expected
 
 
-def _flipped(monkeypatch, stage, term):
-    """Make the alternation add one term of one stage with the wrong sign."""
-    alternation = grassmann._alternation
+def _flipped(monkeypatch, entry):
+    """Make the signed table of `_schur_plan` carry one entry with the wrong sign."""
+    bialternants = grassmann._bialternants
 
-    def flipped(r, bound):
-        stages = [list(terms) for terms in alternation(r, bound)]
-        sign, gather = stages[stage][term]
-        stages[stage][term] = (-sign, gather)
-        return stages
+    def flipped(r, t):
+        partitions, table = bialternants(r, t)
+        k, sign, e = table[entry]
+        table[entry] = (k, -sign, e)
+        return partitions, table
 
-    monkeypatch.setattr(grassmann, "_alternation", flipped)
+    monkeypatch.setattr(grassmann, "_bialternants", flipped)
 
 
-@pytest.mark.parametrize(
-    "r, n, stage, term, message",
-    [
-        (2, 5, 0, 0, "nonzero remainder dividing by (x1 - x2)"),
-        (3, 6, 1, 2, "nonzero remainder dividing by (x1 - x3)"),
-    ],
-    ids=["2-5", "3-6"],
-)
-def test_flipped_alternation_sign_breaks_exact_division(monkeypatch, r, n, stage, term, message):
-    # with one sign wrong the numerator is not antisymmetric, already at
-    # degree 0, and the Vandermonde division refuses it
-    _flipped(monkeypatch, stage, term)
+@pytest.fixture
+def cold_schur_plan():
+    grassmann._schur_plan.cache_clear()
+    yield
+    grassmann._schur_plan.cache_clear()
+
+
+@pytest.mark.parametrize("r, n, entry", [(2, 5, 0), (3, 6, 9)], ids=["2-5", "3-6"])
+def test_flipped_schur_table_sign_breaks_exact_division(monkeypatch, cold_schur_plan, r, n, entry):
+    # with one sign wrong, of s_() at 2-5 and of s_(1) at 3-6, the bialternant
+    # is not antisymmetric, and the Vandermonde division refuses it when the
+    # table is built
+    _flipped(monkeypatch, entry)
     with pytest.raises(NonExactDivision) as err:
         hv_iseries(GrassmannianSpec(r, n), 2, 1)
-    assert str(err.value) == message
+    assert str(err.value) == "nonzero remainder dividing by (x1 - x2)"
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_schur_table_holds_the_schur_polynomials(r, t):
+    # s_() = 1, s_(1) = e_1, s_(2) = h_2 and s_(1,1) = e_2, written out
+    # monomial by monomial
+    partitions, table, _, schurs = grassmann._schur_plan(r, t)
+    assert len(table) == math.factorial(r) * len(partitions)
+    quadratic = [e for e in product(range(3), repeat=r) if sum(e) == 2]
+    expected = {
+        (0,) * r: {(0,) * r: 1},
+        (1,) + (0,) * (r - 1): {e: 1 for e in product(range(2), repeat=r) if sum(e) == 1},
+        (2,) + (0,) * (r - 1): {e: 1 for e in quadratic},
+        (1, 1) + (0,) * (r - 2): {e: 1 for e in quadratic if max(e) == 1},
+    }
+    wanted = {lam: s for lam, s in expected.items() if sum(lam) <= t}
+    assert dict(zip(partitions, map(dict, schurs))) == wanted
 
 
 def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch):
-    # the alternant is antisymmetric whatever it alternates, so a sum missing
-    # one product still divides exactly and passes the symmetry check of
-    # extract_h_pair.  Only the comparison with the reference sees it.
+    # the Schur read-off is symmetric whatever T holds, so a sum missing one
+    # product still passes the symmetry check of extract_h_pair.  Only the
+    # comparison with the reference sees it.
     weights = grassmann._binomial_powers
 
     def dropped(n, top):

@@ -10,7 +10,7 @@ import golden
 from helpers import TamperedEngine, constant_terms
 from fanocount import pipeline
 from fanocount.d3 import frobenius_solve
-from fanocount.grassmann import GrassmannianSpec, _plan
+from fanocount.grassmann import GrassmannianSpec
 from fanocount.pipeline import (
     CATALOG,
     MAX_ORDER,
@@ -468,12 +468,13 @@ def test_residue_work_figures(r, n, order, work):
 @pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5)])
 def test_residue_work_counts_the_plan_the_sum_runs(r, order):
     # the size a sum over compositions would have: the compositions of every
-    # degree below order, times the monomials of the plan ambient_series
-    # runs on, times the r(r-1)/2 root pairs of the shifted Vandermonde
+    # degree below order, times the C(1 + r(r-1)/2 + r, r) monomials through
+    # total degree 1 + r(r-1)/2 in r roots, times the r(r-1)/2 root pairs of
+    # the shifted Vandermonde
     pairs = r * (r - 1) // 2
-    _, monomials = _plan(r, 1 + pairs)
+    monomials = comb(1 + pairs + r, r)
     compositions = sum(1 for parts in product(range(order), repeat=r) if sum(parts) < order)
-    expected = compositions * len(monomials) * pairs
+    expected = compositions * monomials * pairs
     assert _residue_work(GrassmannianSpec(r, 2 * r + 1), order) == expected
 
 
