@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, gcd, lcm, lgamma, log, log10
+from math import ceil, factorial, gcd, lcm, lgamma, log, log10
 from pathlib import Path
 
 from .d3 import (
@@ -156,51 +156,52 @@ def parse_config(raw: object) -> VarietyConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-# Job-size limits, checked before any stage runs.  Near them a run takes about
-# 0.13-0.15 s (`report --order 30` on V14, `iseries --order 17` on G(4,8) at
-# work 9.6e6) or 0.12-0.16 s (`iseries --order 5` on G(5,10), work 5.5e6),
-# process start included, in one process on a 2-vCPU Xeon.
+# Job-size limits, checked before any stage runs in this order.  Cold
+# `ambient_series` (2-vCPU Xeon, Python 3.11.7) takes 0.14-0.37 s on the
+# largest job MAX_RESIDUE_WORK admits for each r = 4..7, 1.6 s on G(6,12) at
+# order 30 and 3.7 s on G(8,16) at order 5; no lower multiple of 10^7 admits
+# G(2,30000) at order 13 without a digit limit.
 MAX_ORDER = 30
-MAX_RESIDUE_WORK = 10**7
+MAX_RESIDUE_WORK = 9 * 10**7
 
 
-def _residue_work(ambient: GrassmannianSpec, order: int) -> int:
-    """Size of the residue sum behind `ambient_series(ambient, order)`, 0 for
-    projective space: with r = min(r, n - r), the C(order - 1 + r, r)
-    compositions times the C(bound + r, r) monomials through total degree
-    bound = 1 + r(r-1)/2, times the r(r-1)/2 root pairs.  That is the work
-    of a sum over compositions and a Vandermonde division per degree, which
-    the Schur read-off of `hv_iseries` does in far fewer steps; the figure
-    is kept as a conservative size, so the limit admits and refuses the
-    jobs it always did."""
+def _residue_work(ambient: GrassmannianSpec, order: int, digits: Fraction) -> int:
+    """r! (order^2 (D + 300) + 100 r^2), r = min(r, n - r), D = `digits`:
+    `hv_iseries` convolves 2 r! to 5 r! prefixes, each with order (order+1)/2
+    products of up to D digits plus some 300 digits' worth of interpreter
+    work, and a cold `_schur_plan` divides 2 r! terms by r(r-1)/2 root pairs.
+    The factorial stops past MAX_RESIDUE_WORK, so a huge r costs one step."""
     r = min(ambient.r, ambient.n - ambient.r)
-    pairs = r * (r - 1) // 2
-    return comb(order - 1 + r, r) * comb(1 + pairs + r, r) * pairs
+    work = order * order * (ceil(digits) + 300) + 100 * r * r
+    for i in range(2, r + 1):
+        if work > MAX_RESIDUE_WORK:
+            break
+        work *= i
+    return work
 
 
 def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> Fraction:
     """Estimated decimal digits of the largest integer the series of G(r, n)
     prints through q^(order-1), with r = min(r, n - r): the coefficients of
     q^d have denominators dividing (d!)^n lcm(1..d), and their size stays
-    below (10n)^r on every G(r, n) the tests measure.  n multiplies an exact
-    `Fraction`, never a float, so an n past the float range is sized too."""
-    r = min(ambient.r, ambient.n - ambient.r)
-    return ambient.n * Fraction(log10(factorial(order - 1))) + Fraction(
-        r * log10(10 * ambient.n) + log10(lcm(*range(1, order)))
-    )
+    below (10n)^r on every G(r, n) the tests measure.  n and r multiply exact
+    `Fraction`s, never floats, so an n or r past the float range is sized too."""
+    n, r = ambient.n, min(ambient.r, ambient.n - ambient.r)
+    lcm_digits = Fraction(log10(lcm(*range(1, order))))
+    return n * Fraction(log10(factorial(order - 1))) + r * Fraction(log10(10 * n)) + lcm_digits
 
 
-def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction) -> float:
+def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction, digits: Fraction) -> float:
     """Estimated decimal digits of the largest integer the variety series
-    prints through q^(order-1), at d = order - 1: the ambient estimate, plus
-    the Euler factor prod_j (d_j d)! less the (d!)^(sum d_j) it cancels
-    from the ambient denominators, plus the twist's alpha^d, with alpha
-    counted by its height max(|numerator|, denominator).  Under a digit limit
-    the job-size check has already bounded n, and with it every degree
-    d_j < n of a Fano intersection, so the floats here stay in range."""
+    prints through q^(order-1), at d = order - 1: the ambient estimate
+    `digits` at this order, plus the Euler factor prod_j (d_j d)! less the
+    (d!)^(sum d_j) it cancels from the ambient denominators, plus the twist's
+    alpha^d, with alpha counted by its height max(|numerator|, denominator).
+    Under a digit limit the job-size check has already bounded n, and with it
+    every degree d_j < n of a Fano intersection, so the floats here stay in range."""
     d = order - 1
     return (
-        _coefficient_digits(config.ambient, order)
+        digits
         + sum(lgamma(dj * d + 1) - dj * lgamma(d + 1) for dj in config.degrees) / log(10)
         + d * log10(max(abs(alpha.numerator), alpha.denominator))
     )
@@ -210,30 +211,14 @@ def _check_digits(what: str, order: int, digits: Fraction | float) -> None:
     # Python 3.10 before 3.10.7 has no limit on integer string conversion
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit:
+        try:
+            about = f"about {round(digits)}"
+        except ValueError:  # the figure is itself too long to print
+            about = f"at least 10^{limit}"
         raise ConfigError(
-            f"coefficients of {what} at order {order} need about "
-            f"{round(digits)} digits, past the limit sys.get_int_max_str_digits() = {limit}"
+            f"coefficients of {what} at order {order} need {about} "
+            f"digits, past the limit sys.get_int_max_str_digits() = {limit}"
         )
-
-
-def _series_order(order: int) -> int:
-    """The order the series stages compute to: matrix recovery reads the
-    series through q^4 whatever the order."""
-    return max(order, 5)
-
-
-def _check_job_size(config: VarietyConfig, order: int) -> None:
-    ambient = config.ambient
-    if order > MAX_ORDER:
-        raise ConfigError(f"order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}")
-    order = _series_order(order)
-    work = _residue_work(ambient, order)
-    if work > MAX_RESIDUE_WORK:
-        raise ConfigError(
-            f"residue-sum work {work} for G({ambient.r},{ambient.n}) at "
-            f"order {order} exceeds the limit MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
-        )
-    _check_digits(f"G({ambient.r},{ambient.n})", order, _coefficient_digits(ambient, order))
 
 
 def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
@@ -279,7 +264,19 @@ class PipelineRun:
     def __init__(self, config: VarietyConfig, order: int = 7):
         if type(order) is not int or order < 1:
             raise ConfigError(f"order must be an integer >= 1, got {order!r}")
-        _check_job_size(config, order)
+        if order > MAX_ORDER:
+            raise ConfigError(f"order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}")
+        # the order the series stages compute to: matrix recovery reads the
+        # series through q^4 whatever the order
+        self._series_order = m = max(order, 5)
+        ambient, what = config.ambient, f"G({config.ambient.r},{config.ambient.n})"
+        self._ambient_digits = digits = _coefficient_digits(ambient, m)
+        _check_digits(what, m, digits)
+        if _residue_work(ambient, m, digits) > MAX_RESIDUE_WORK:
+            raise ConfigError(
+                f"residue-sum work for {what} at order {m} exceeds the limit "
+                f"MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
+            )
         self.config = config
         self.order = order
         self.verified = config.in_catalog
@@ -288,7 +285,7 @@ class PipelineRun:
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
-        return ambient_series(self.config.ambient, _series_order(self.order))
+        return ambient_series(self.config.ambient, self._series_order)
 
     @_stage("lefschetz")
     def geometry(self) -> CompleteIntersectionSpec:
@@ -302,8 +299,9 @@ class PipelineRun:
     def variety_pair(self) -> HSeriesPair:
         self.geometry  # refuses a non-Fano intersection before the ambient series
         # the ambient series may print while the variety series may not
-        order = _series_order(self.order)
-        _check_digits("the variety series", order, _variety_digits(self.config, order, self.alpha))
+        order = self._series_order
+        digits = _variety_digits(self.config, order, self.alpha, self._ambient_digits)
+        _check_digits("the variety series", order, digits)
         return quantum_lefschetz(self.ambient_pair, self.config)
 
     @_stage("solver")

@@ -136,9 +136,9 @@ def test_fraction_budget_of_warm_calls(capsys, tmp_path):
     g36 = write_config(
         tmp_path, {"ambient": {"type": "grassmannian", "r": 3, "n": 6}, "degrees": [1]}
     )
-    assert fractions_built(capsys, ["verify", "--format", "json"]) <= 230
+    assert fractions_built(capsys, ["verify", "--format", "json"]) <= 222
     report = ["report", "--variety", "V10", "--order", "13", "--format", "json"]
-    assert fractions_built(capsys, report) <= 125
+    assert fractions_built(capsys, report) <= 121
     assert fractions_built(capsys, ["iseries", "--variety", g36, "--order", "7"]) <= 10
 
 
@@ -312,15 +312,33 @@ def test_oversize_residue_sum_is_refused_before_it_runs(capsys, tmp_path, monkey
 
     monkeypatch.setattr(pipeline, "hv_iseries", spy)
     config = write_config(
-        tmp_path, {"ambient": {"type": "grassmannian", "r": 6, "n": 12}, "degrees": [1]}
+        tmp_path, {"ambient": {"type": "grassmannian", "r": 8, "n": 16}, "degrees": [1]}
     )
     code, out, err = run(capsys, "iseries", "--variety", config, "--order", "5")
     assert code == 2
     assert out == ""
     assert err == (
-        "error: stage config: ConfigError: residue-sum work 235030950 for G(6,12) at "
+        "error: stage config: ConfigError: residue-sum work for G(8,16) at "
         f"order 5 exceeds the limit MAX_RESIDUE_WORK = {pipeline.MAX_RESIDUE_WORK}\n"
     )
+
+
+@pytest.mark.parametrize("r", [3000, 10**5, 10**6])
+def test_huge_grassmannians_are_refused_by_the_digit_limit(capsys, tmp_path, monkeypatch, r):
+    # G(3000,6000) used to exit as `stage input` while formatting a work
+    # figure past the string limit; G(10^6,2*10^6) took 124 s to get there
+    def spy(*args):
+        raise AssertionError("hv_iseries ran for a refused job")
+
+    monkeypatch.setattr(pipeline, "hv_iseries", spy)
+    config = write_config(
+        tmp_path, {"ambient": {"type": "grassmannian", "r": r, "n": 2 * r}, "degrees": [1]}
+    )
+    code, out, err = run(capsys, "iseries", "--variety", config, "--order", "5")
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: stage config: ConfigError: coefficients of G({r},{2 * r}) ")
+    assert err.endswith(f" digits, past the limit sys.get_int_max_str_digits() = {limit}\n")
 
 
 def test_coefficients_past_the_string_limit_are_refused_before_they_run(

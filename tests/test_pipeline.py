@@ -1,7 +1,8 @@
 import json
 import sys
+import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -10,7 +11,7 @@ import golden
 from helpers import TamperedEngine, constant_terms
 from fanocount import pipeline
 from fanocount.d3 import frobenius_solve
-from fanocount.grassmann import GrassmannianSpec
+from fanocount.grassmann import GrassmannianSpec, _schur_plan
 from fanocount.pipeline import (
     CATALOG,
     MAX_ORDER,
@@ -456,40 +457,120 @@ def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
     ] == [None]
 
 
+def grassmannian(r, n):
+    """A hyperplane section of G(r, n), for the ambient series it sizes."""
+    return VarietyConfig(GrassmannianSpec(r, n), (1,))
+
+
 @pytest.mark.parametrize(
     ("r", "n", "order", "work"),
-    [(6, 12, 5, 235030950), (5, 10, 5, 5503680), (3, 6, 7, 8820), (2, 5, 13, 546), (1, 5, 30, 0)],
+    [(10**6, 2 * 10**6, 5, 100000251543850), (8, 16, 5, 601776000), (6, 12, 5, 8550000),
+     (5, 10, 5, 1275000), (3, 6, 7, 100950), (2, 5, 13, 119776), (1, 5, 30, 422200)],
 )
 def test_residue_work_figures(r, n, order, work):
-    assert _residue_work(GrassmannianSpec(r, n), order) == work
-    assert _residue_work(GrassmannianSpec(n - r, n), order) == work
+    # r! (order^2 (D + 300) + 100 r^2), D the rounded-up digit estimate:
+    # G(6,12) at order 5 has D = 31, so 720 (25 * 331 + 3600) = 8550000.
+    # Past the limit the factorial stops: G(10^6,2*10^6) is 25 (D + 300) + 100 r^2
+    digits = _coefficient_digits(GrassmannianSpec(r, n), order)
+    assert _residue_work(GrassmannianSpec(r, n), order, digits) == work
+    assert _residue_work(GrassmannianSpec(n - r, n), order, digits) == work
 
 
-@pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5)])
+@pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5), (5, 5)])
 def test_residue_work_counts_the_plan_the_sum_runs(r, order):
-    # the size a sum over compositions would have: the compositions of every
-    # degree below order, times the C(1 + r(r-1)/2 + r, r) monomials through
-    # total degree 1 + r(r-1)/2 in r roots, times the r(r-1)/2 root pairs of
-    # the shifted Vandermonde
-    pairs = r * (r - 1) // 2
-    monomials = comb(1 + pairs + r, r)
-    compositions = sum(1 for parts in product(range(order), repeat=r) if sum(parts) < order)
-    expected = compositions * monomials * pairs
-    assert _residue_work(GrassmannianSpec(r, 2 * r + 1), order) == expected
+    # the model's r! order^2 products: the q-convolution of `hv_iseries`
+    # runs over the prefixes of levels 2..r of `_schur_plan(r, 1)`, between
+    # 2 r! and 5 r! of them, each with order (order + 1) / 2 products; the
+    # plan divides the table's 2 r! alternant terms, which 100 r! r^2 counts
+    _, table, levels, _ = _schur_plan(r, 1)
+    assert len(table) == len(levels[-1]) == 2 * factorial(r)
+    prefixes = sum(len(level) for level in levels[1:])
+    assert 2 * factorial(r) <= prefixes <= 5 * factorial(r)
+    products = prefixes * order * (order + 1) // 2
+    assert factorial(r) * order**2 <= products <= 3 * factorial(r) * order**2
+    spec = GrassmannianSpec(r, 2 * r + 1)
+    assert _residue_work(spec, order, 0) == factorial(r) * (300 * order**2 + 100 * r * r)
 
 
 def test_job_limits_admit_the_benchmarked_jobs():
     g36 = VarietyConfig(GrassmannianSpec(3, 6), (1,))
     for config, order in ((CATALOG["V10"], MAX_ORDER), (CATALOG["V14"], 13), (g36, 7)):
         PipelineRun(config, order)  # sets up only; no stage runs
-    assert _residue_work(GrassmannianSpec(5, 10), 5) <= MAX_RESIDUE_WORK
+
+
+def last_admitted_n(r, order):
+    """The largest n whose G(r, n) series at the order the stages compute
+    passes the digit limit."""
+    limit, order = sys.get_int_max_str_digits(), max(order, 5)
+    low, high = 2 * r, 4 * r
+    while _coefficient_digits(GrassmannianSpec(r, high), order) <= limit:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        fits = _coefficient_digits(GrassmannianSpec(r, mid), order) <= limit
+        low, high = (mid, high) if fits else (low, mid)
+    return low
+
+
+def test_jobs_the_composition_count_admitted_stay_admitted():
+    # the composition count admitted r = 2 and 3 to MAX_ORDER, r = 4 to
+    # order 17 and r = 5 at order 5, at every n the digit limit admits.  The
+    # benchmark jobs are set up by test_job_limits_admit_the_benchmarked_jobs;
+    # every threefold at MAX_ORDER, and G(2,30000) at order 13 with no digit
+    # limit, by test_coefficients_past_the_string_limit_are_refused_at_set_up;
+    # the pinned `iseries` runs of G(3,6), G(4,8) and G(5,10) run in
+    # test_cli_pinned.py
+    for r, last in ((2, MAX_ORDER), (3, MAX_ORDER), (4, 17), (5, 5)):
+        for order in range(5, last + 1):
+            PipelineRun(grassmannian(r, last_admitted_n(r, order)), order)
+
+
+@pytest.mark.parametrize(
+    ("r", "n", "order"), [(4, 124, 30), (5, 472, 13), (6, 12, 16), (7, 141, 5), (7, 19, 6)]
+)
+def test_residue_work_limit_admits_and_refuses_on_either_side(r, n, order):
+    # the largest n the work limit admits for each r at these orders
+    PipelineRun(grassmannian(r, n), order)
+    with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
+        PipelineRun(grassmannian(r, n + 1), order)
 
 
 def test_oversize_jobs_are_refused_at_set_up():
     with pytest.raises(ConfigError, match="MAX_ORDER"):
         PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
-    with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
-        run_pipeline(VarietyConfig(GrassmannianSpec(6, 12), (1,)), 5)
+    for config, order in ((grassmannian(8, 16), 5), (grassmannian(6, 12), MAX_ORDER)):
+        with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
+            run_pipeline(config, order)
+
+
+@pytest.mark.parametrize("r", [3000, 10**5, 10**6, 10**400, 10**4298])
+def test_huge_grassmannians_are_refused_at_once(r, monkeypatch):
+    # G(3000,6000) used to fail while formatting a work figure past the
+    # string limit, and G(10^6,2*10^6) took 124 s to be refused
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="digits, past the limit"):
+        PipelineRun(grassmannian(r, 2 * r), 5)
+    # with no digit limit only the work check runs, and prints no figure
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    with pytest.raises(ConfigError) as info:
+        PipelineRun(grassmannian(r, 2 * r), 5)
+    assert str(info.value) == (
+        f"residue-sum work for G({r},{2 * r}) at order 5 exceeds the limit "
+        f"MAX_RESIDUE_WORK = {MAX_RESIDUE_WORK}"
+    )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_digit_figure_too_long_to_print_is_not_printed():
+    n = 10**4299  # the longest integer a config holds
+    limit = sys.get_int_max_str_digits()
+    raw = {"ambient": {"type": "grassmannian", "r": n // 2, "n": n}, "degrees": [1]}
+    with pytest.raises(ConfigError) as info:
+        PipelineRun(parse_config(raw), 5)
+    assert str(info.value).endswith(
+        f"at order 5 need at least 10^{limit} digits, past the limit "
+        f"sys.get_int_max_str_digits() = {limit}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -530,6 +611,12 @@ def test_coefficients_past_the_string_limit_are_refused_at_set_up(monkeypatch):
     PipelineRun(VarietyConfig(GrassmannianSpec(2, 30000), (1,)), 13)
 
 
+def variety_digits(config, order, alpha):
+    """`_variety_digits` on the ambient estimate at the same order, as a run
+    passes it."""
+    return _variety_digits(config, order, alpha, _coefficient_digits(config.ambient, order))
+
+
 def hypersurface(n, degrees):
     """The complete intersection of the given degrees in P^n."""
     return VarietyConfig(GrassmannianSpec(1, n + 1), degrees)
@@ -558,7 +645,7 @@ def test_variety_digits_bound_the_printed_series(config, orders):
         run = PipelineRun(config, order)
         pair = run.variety_pair
         printed = pair.c0.truncate(order).coeffs + pair.c1.truncate(order).coeffs
-        assert max(map(digits, printed)) <= _variety_digits(config, order, run.alpha)
+        assert max(map(digits, printed)) <= variety_digits(config, order, run.alpha)
 
 
 def test_variety_series_past_the_string_limit_is_refused_before_the_transform(monkeypatch):
@@ -574,10 +661,10 @@ def test_variety_series_past_the_string_limit_is_refused_before_the_transform(mo
         ((hypersurface(99, (99,)), 11), (hypersurface(99, (99,)), 12)),
     ):
         run = PipelineRun(admitted, last)
-        assert _variety_digits(admitted, last, run.alpha) <= limit
+        assert variety_digits(admitted, last, run.alpha) <= limit
         assert len(lefschetz_view(run)[1]) == 3  # the series converts to text
         run = PipelineRun(refused, first)
-        assert _variety_digits(refused, first, run.alpha) > limit
+        assert variety_digits(refused, first, run.alpha) > limit
         assert len(iseries_view(run)[1]) == 3
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "quantum_lefschetz", spy)
@@ -586,7 +673,7 @@ def test_variety_series_past_the_string_limit_is_refused_before_the_transform(mo
         assert f"sys.get_int_max_str_digits() = {limit}" in str(info.value)
     # every threefold, up to MAX_ORDER, stays admitted
     for config in threefold_presentations():
-        assert _variety_digits(config, MAX_ORDER, PipelineRun(config, 5).alpha) <= limit
+        assert variety_digits(config, MAX_ORDER, PipelineRun(config, 5).alpha) <= limit
 
 
 @pytest.mark.parametrize("order", [-3, 0, 7.5, F(7), "7", True, False, None])
