@@ -46,7 +46,7 @@ from functools import reduce
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
 
-from .exactmath import PowerSeries, Rational, exp_twist
+from .exactmath import PowerSeries, Rational, exp_twist, ratio_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -135,20 +135,26 @@ class DifferentialOperator:
         return self.t_coefficients(0)
 
     def __str__(self) -> str:
+        """The nonzero terms sorted by (b, i), each coefficient printed
+        from its numerator with one gcd."""
+        den = self.den
         parts = []
-        for (b, i), c in self.terms.items():
-            word = "*".join(
-                ([f"t^{b}" if b > 1 else "t"] if b else [])
-                + ([f"D^{i}" if i > 1 else "D"] if i else [])
-            )
-            if not word:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append(f"-{word}")
-            else:
-                parts.append(f"{c}*{word}")
+        for b, poly in self.layers.items():
+            for i, c in enumerate(poly):
+                if not c:
+                    continue
+                word = "*".join(
+                    ([f"t^{b}" if b > 1 else "t"] if b else [])
+                    + ([f"D^{i}" if i > 1 else "D"] if i else [])
+                )
+                if not word:
+                    parts.append(ratio_str(c, den))
+                elif c == den:
+                    parts.append(word)
+                elif c == -den:
+                    parts.append(f"-{word}")
+                else:
+                    parts.append(f"{ratio_str(c, den)}*{word}")
         return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
@@ -221,15 +227,14 @@ def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:
 
     The scalar of t^k is weighted-homogeneous of weight k when a11 and lam
     weigh 1, a01 and a12 weigh 2, a02 weighs 3 and a03 weighs 4.  So with d
-    the lcm of the six denominators, each input x of weight w becomes the
-    integer x * d^w, the scalar of t^k is an integer over d^k, and every
-    layer is written over d^4.
+    the lcm of the matrix denominator and lam's, each input x of weight w,
+    read off the matrix numerators, becomes the integer x * d^w, the scalar
+    of t^k is an integer over d^k, and every layer is written over d^4.
     """
-    values = (matrix.a01, matrix.a11, matrix.a02, matrix.a12, matrix.a03, lam)
-    d = lcm(*(x.denominator for x in values))
-    a01, a11, a02, a12, a03, lam = (
-        x.numerator * (d**w // x.denominator) for x, w in zip(values, (2, 1, 3, 2, 4, 1))
-    )
+    den = matrix.den
+    d = lcm(den, lam.denominator)
+    a01, a11, a02, a12, a03 = (x * (d**w // den) for x, w in zip(matrix.nums, (2, 1, 3, 2, 4)))
+    lam = lam.numerator * (d // lam.denominator)
     b = a11 + 2 * lam
     c = 2 * a01 - a11**2 - 6 * a11 * lam + a12 - 6 * lam**2
     e = 4 * a01 - 6 * a11 * lam - 7 * lam**2

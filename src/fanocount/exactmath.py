@@ -22,9 +22,12 @@ Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``exp_twist`` and ``divide_by_vandermonde`` build no
-``Fraction``, and ``EntryPolynomial.evaluate`` builds one per value, from an
-integer form of the polynomial that it computes once.  The series kernels
+``fmpq_poly`` does: ``exp_twist``, ``divide_by_vandermonde`` and
+``EntryPolynomial.evaluate_numerators`` build no ``Fraction``.  The last
+evaluates at a point given as numerators over one denominator, from an
+integer form of the polynomial that it computes once; the solver stage
+calls it on a counting matrix's numerators, and ``evaluate`` wraps it for
+a point of ``Fraction``s and builds one ``Fraction``, the result.  The series kernels
 elsewhere work on ``PowerSeries`` numerators the same way: the residue sum
 and ``extract_h_pair``, ``projective_iseries``, the Euler factors and
 regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -51,6 +54,12 @@ _ONE = Fraction(1)
 
 class NonExactDivision(ArithmeticError):
     """Exact polynomial division hit a nonzero remainder."""
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num / den, for a positive den, as `str` prints the `Fraction`, with one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +337,7 @@ class EntryPolynomial:
     def _integer_form(self) -> tuple[int, int, tuple[tuple[int, int, tuple], ...]]:
         """(d, top, terms): the coefficients over their one denominator d, the
         top total degree, and per term (numerator, top - degree, the nonzero
-        (variable index, power) pairs).  Built on the first `evaluate`; the
+        (variable index, power) pairs).  Built on the first evaluation; the
         ring operations build new polynomials and never read it."""
         cden = lcm(*(c.denominator for c in self.terms.values()))
         top = max(map(sum, self.terms), default=0)
@@ -342,25 +351,35 @@ class EntryPolynomial:
         )
         return cden, top, form
 
-    def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
-        """The value at a rational point, summed in integers.
+    def evaluate_numerators(self, den: int, nums: Sequence[int]) -> tuple[int, int]:
+        """The value at the point nums[k] / den, the entries in the order of
+        `ENTRY_VARS`, as (numerator, denominator) with a positive
+        denominator, not reduced; for a positive den.
 
-        With the values over one denominator v and the coefficients over
-        another, d, a monomial of total degree k is padded by v^(top - k),
-        so the whole sum sits over d * v^top and one `Fraction` is built.
+        With the coefficients over one denominator d, a monomial of total
+        degree k is padded by den^(top - k), so the whole sum is one
+        integer over d * den^top and no `Fraction` is built.
         """
         cden, top, form = self._integer_form
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * den)
+        total = 0
+        for c, pad, factors in form:
+            prod = c * powers[pad]
+            for k, p in factors:
+                prod *= nums[k] ** p
+            total += prod
+        return total, cden * powers[top]
+
+    def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
+        """The value at a rational point: `evaluate_numerators` at the
+        values over their one denominator, read as one `Fraction`."""
         vals = [values[name] for name in ENTRY_VARS]
         vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
         vden = lcm(*(v.denominator for v in vals))
         nums = [v.numerator * (vden // v.denominator) for v in vals]
-        total = 0
-        for c, pad, factors in form:
-            prod = c * vden**pad
-            for k, p in factors:
-                prod *= nums[k] ** p
-            total += prod
-        return Fraction(total, cden * vden**top)
+        return Fraction(*self.evaluate_numerators(vden, nums))
 
     def variables(self) -> set[str]:
         present: set[str] = set()

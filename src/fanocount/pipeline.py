@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, factorial, gcd, lcm, lgamma, log, log10
+from math import ceil, factorial, lcm, lgamma, log, log10
 from pathlib import Path
 
 from .d3 import (
@@ -32,7 +32,7 @@ from .d3 import (
     modularity_report,
     pencil_operator,
 )
-from .exactmath import PowerSeries, Rational
+from .exactmath import ENTRY_VARS, PowerSeries, Rational, ratio_str
 from .grassmann import (
     GrassmannianSpec,
     HSeriesPair,
@@ -41,6 +41,7 @@ from .grassmann import (
     projective_iseries,
 )
 from .lefschetz import CompleteIntersectionSpec, ci_geometry, lefschetz_shift, quantum_lefschetz
+from .relations import ENTRY_LAYOUT
 from .solver import (
     CountingMatrix, PeriodVector, discriminant, forward_periods, invert_periods, recover_matrix,
 )
@@ -324,7 +325,7 @@ class PipelineRun:
 
     def operator_at(self, lam: Rational) -> DifferentialOperator:
         """The pencil operator at shift lam, built at most once per run."""
-        lam = Fraction(lam)
+        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         if lam not in self._operators:
             self._operators[lam] = pencil_operator(self.matrix, lam)
         return self._operators[lam]
@@ -332,7 +333,7 @@ class PipelineRun:
     def solution_at(self, lam: Rational) -> PowerSeries:
         """The normalized solution of the operator at shift lam through
         t^(order-1), solved at most once per run."""
-        lam = Fraction(lam)
+        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         if lam not in self._solutions:
             self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
         return self._solutions[lam]
@@ -388,19 +389,13 @@ def rational_str(x: Rational) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def _strs(values) -> list[str]:
-    return [rational_str(x) for x in values]
+def _numerator_strs(den: int, nums) -> list[str]:
+    return [ratio_str(c, den) for c in nums]
 
 
 def _series_strs(series: PowerSeries) -> list[str]:
-    """The coefficients as `rational_str` prints them, read off the
-    numerators with one gcd each."""
-    den = series.den
-    out = []
-    for c in series.nums:
-        g = gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
-    return out
+    """The coefficients as `rational_str` prints them, read off the numerators."""
+    return _numerator_strs(series.den, series.nums)
 
 
 def render(data: dict, lines: list[str], format: str) -> str:
@@ -412,16 +407,23 @@ def render(data: dict, lines: list[str], format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entry_strs(matrix: CountingMatrix) -> dict[str, str]:
+    """The five entries as printed, read off the numerators."""
+    return dict(zip(ENTRY_VARS, _numerator_strs(matrix.den, matrix.nums)))
+
+
+def _row_strs(entries: dict[str, str]) -> list[list[str]]:
+    """The rows of `CountingMatrix.rows` as printed, laid out by `ENTRY_LAYOUT`."""
+    return [[entries[a] if isinstance(a, str) else str(a) for a in row] for row in ENTRY_LAYOUT]
+
+
 def matrix_dict(matrix: CountingMatrix) -> dict:
-    return {
-        "deg": matrix.deg,
-        "entries": {k: rational_str(v) for k, v in matrix.entries().items()},
-        "rows": [_strs(row) for row in matrix.rows()],
-    }
+    entries = _entry_strs(matrix)
+    return {"deg": matrix.deg, "entries": entries, "rows": _row_strs(entries)}
 
 
 def matrix_lines(matrix: CountingMatrix) -> list[str]:
-    rows = [_strs(row) for row in matrix.rows()]
+    rows = _row_strs(_entry_strs(matrix))
     width = max(len(x) for row in rows for x in row)
     return ["  ".join(x.rjust(width) for x in row) for row in rows]
 
@@ -477,7 +479,11 @@ def matrix_view(run: PipelineRun) -> View:
 
 
 def periods_view(run: PipelineRun) -> View:
-    data = {"periods": _strs(run.periods.as_tuple()), "discriminant": rational_str(run.disc)}
+    periods = run.periods
+    data = {
+        "periods": _numerator_strs(periods.den, periods.nums),
+        "discriminant": rational_str(run.disc),
+    }
     return data, [
         "d2..d6: " + " ".join(data["periods"]),
         f"discriminant: {data['discriminant']}",
@@ -491,7 +497,7 @@ def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int 
     deg = run.matrix.deg if deg is None else deg
     recovered = _guarded("solver", invert_periods, vector, deg)
     data = matrix_dict(recovered)
-    data["periods"] = _strs(vector.as_tuple())
+    data["periods"] = _numerator_strs(vector.den, vector.nums)
     lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg}"] + matrix_lines(recovered)
     if periods is None:
         data["roundtrip_ok"] = recovered == run.matrix
@@ -507,7 +513,7 @@ def d3_view(run: PipelineRun, lam: Fraction) -> View:
         "lambda": rational_str(lam),
         "operator": str(operator),
         "order": operator.order,
-        "indicial": _strs(operator.indicial()),
+        "indicial": _numerator_strs(operator.den, operator.layers.get(0, ())),
         "solution": _series_strs(solution),
         "residue_vanishes": not any(residue.nums),
     }
@@ -640,17 +646,21 @@ class VerifyRow:
     note: str | None = None
 
 
-def _derived_value(report: PipelineRun, key: str) -> Fraction:
+def _derived_value(report: PipelineRun, key: str) -> tuple[int, int]:
+    """The derived quantity as (numerator, positive denominator), read off
+    the stored numerators."""
     if key.startswith("matrix."):
-        return getattr(report.matrix, key.split(".", 1)[1])
+        matrix = report.matrix
+        return matrix.nums[ENTRY_VARS.index(key.split(".", 1)[1])], matrix.den
     if key == "alpha":
-        return report.alpha
+        return report.alpha.numerator, report.alpha.denominator
     family, index = key.split("[", 1)
     d = int(index.rstrip("]"))
     if family == "ambient.c0":
-        return report.ambient_pair.c0[d]
-    series = report.variety_pair.c0 if family == "series.c0" else report.variety_pair.c1
-    return series[d]
+        series = report.ambient_pair.c0
+    else:
+        series = report.variety_pair.c0 if family == "series.c0" else report.variety_pair.c1
+    return series.nums[d], series.den
 
 
 def verify_golden(
@@ -679,21 +689,25 @@ def verify_golden(
         for key, golden in _GOLDEN[variety].items():
             label = f"{variety}:{key}"
             expected = golden + 1 if corrupt == label else golden
-            derived = _derived_value(report, key)
+            num, den = _derived_value(report, key)
             note = _FLAGGED.get(label)
-            if derived == expected:
+            if num * expected.denominator == expected.numerator * den:
                 verdict = "flagged" if note else "ok"
             else:
                 verdict, status = "mismatch", 1
             rows.append(
-                VerifyRow(label, rational_str(derived), rational_str(expected), verdict, note)
+                VerifyRow(label, ratio_str(num, den), rational_str(expected), verdict, note)
             )
     return status, rows
 
 
 def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int = 0) -> str:
     """The verify table as text, or as JSON beside the exit status that
-    `verify_golden` returned with the rows."""
+    `verify_golden` returned with the rows; the text lines are built only
+    for text."""
+    if format == "json":
+        # vars() is the row's own field dict; json.dumps only reads it
+        return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)
     label_w = max(len(r.label) for r in rows)
     val_w = max(max(len(r.derived), len(r.expected)) for r in rows)
     lines = [
@@ -715,5 +729,4 @@ def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int
         f"{counts['ok']} ok, {counts['flagged']} flagged, "
         f"{counts['mismatch']} mismatched"
     )
-    # vars() is the row's own field dict; json.dumps only reads it
-    return render({"status": status, "rows": [vars(r) for r in rows]}, lines, format)
+    return render({}, lines, format)

@@ -1,12 +1,22 @@
 """Counting-matrix recovery and the period map in both directions.
 
+A `CountingMatrix` is its degree, one positive denominator and the
+integer numerators of its five entries, and a `PeriodVector` is one
+positive denominator and five numerators, both in lowest terms, as
+`exactmath.PowerSeries` stores a series: equal values compare and hash
+equal, and a `Fraction` is built only when a caller reads an entry.  The
+constructors take `int`s and `Fraction`s and refuse anything else.
+
 `recover_matrix` reads the five independent entries off a variety's
 hyperplane series through q^4 by inverting the symbolic I-series relations
-triangularly, then checks the two redundant H^1 relations at q^3, q^4.
+triangularly, in the series' numerators over one denominator, then checks
+the two redundant H^1 relations at q^3, q^4 by cross-multiplying.
 
-`forward_periods` evaluates the constant-term relations at degrees 2..6,
-giving the period vector (d_2..d_6); `invert_periods` inverts that map by
-staged linear elimination:
+`forward_periods` evaluates the constant-term relations at degrees 2..6
+on the matrix numerators, giving the period vector (d_2..d_6), and
+`discriminant` is one integer polynomial in the period numerators over
+den^4.  `invert_periods` inverts the period map by staged linear
+elimination:
 
     a01 from the d_2 relation; a02 linearly from the d_3 relation given a11;
     a03 linearly from the d_4 relation given a11 and a12.  The remaining
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
+from typing import Iterable
 
 from .exactmath import ENTRY_VARS, EntryPolynomial
 from .grassmann import HSeriesPair
@@ -60,36 +71,122 @@ class AmbiguousSolution(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class CountingMatrix:
-    """The 4x4 matrix of normalized two-pointed invariants of degree deg."""
+_EXACT_TYPES = frozenset({int, Fraction})
 
+
+def _over_one_denominator(names: tuple[str, ...], values: tuple) -> tuple[int, tuple[int, ...]]:
+    """(den, numerators) of `int` and `Fraction` values over the lcm of their
+    denominators, which is in lowest terms since each value is; a bool,
+    float, str or any other type is refused."""
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        for name, x in zip(names, values):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*[q for _, q in ratios])
+    return den, tuple([p * (den // q) for p, q in ratios])
+
+
+def _lowest_terms(den: int, nums: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """den and nums divided by their gcd, signed so that den is positive."""
+    nums = tuple(nums)
+    g = int_gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, tuple([c // g for c in nums])
+
+
+def _read(k: int) -> property:
+    return property(lambda self: Fraction(self.nums[k], self.den))
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class CountingMatrix:
+    """The 4x4 matrix of normalized two-pointed invariants of degree deg,
+    stored as its five independent entries a01, a11, a02, a12, a03 (the
+    order of `ENTRY_VARS`): integer numerators over one positive `den`."""
+
+    __slots__ = ("deg", "den", "nums")
     deg: int
-    a01: Fraction
-    a11: Fraction
-    a02: Fraction
-    a12: Fraction
-    a03: Fraction
+    den: int
+    nums: tuple[int, ...]
+
+    def __init__(
+        self, deg: int, a01: Fraction, a11: Fraction, a02: Fraction, a12: Fraction, a03: Fraction
+    ) -> None:
+        self._store(deg, *_over_one_denominator(ENTRY_VARS, (a01, a11, a02, a12, a03)))
+
+    @classmethod
+    def from_numerators(cls, deg: int, den: int, nums: Iterable[int]) -> CountingMatrix:
+        """The matrix with entries nums[k] / den, for a nonzero den of either sign."""
+        matrix = cls.__new__(cls)
+        matrix._store(deg, *_lowest_terms(den, nums))
+        return matrix
+
+    def _store(self, deg: int, den: int, nums: tuple[int, ...]) -> None:
+        if type(deg) is not int:
+            raise TypeError(f"deg must be an int >= 1, got {deg!r}")
+        if deg < 1:
+            raise ValueError(f"deg must be an int >= 1, got {deg!r}")
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    a01, a11, a02, a12, a03 = map(_read, range(len(ENTRY_VARS)))
 
     def entries(self) -> dict[str, Fraction]:
-        return {name: getattr(self, name) for name in ENTRY_VARS}
+        return {name: Fraction(c, self.den) for name, c in zip(ENTRY_VARS, self.nums)}
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Full matrix in the layout `relations.ENTRY_LAYOUT` states."""
         values = {0: _ZERO, 1: _ONE, **self.entries()}
         return tuple(tuple(values[a] for a in row) for row in ENTRY_LAYOUT)
 
+    def __repr__(self) -> str:
+        entries = ", ".join(f"{name}={x!r}" for name, x in self.entries().items())
+        return f"CountingMatrix(deg={self.deg!r}, {entries})"
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return CountingMatrix.from_numerators, (self.deg, self.den, self.nums)
+
+
+_PERIOD_NAMES = ("d2", "d3", "d4", "d5", "d6")
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class PeriodVector:
-    d2: Fraction
-    d3: Fraction
-    d4: Fraction
-    d5: Fraction
-    d6: Fraction
+    """The constant terms d_2..d_6 of the I-series, stored as integer
+    numerators over one positive `den`."""
+
+    __slots__ = ("den", "nums")
+    den: int
+    nums: tuple[int, ...]
+
+    def __init__(self, d2: Fraction, d3: Fraction, d4: Fraction, d5: Fraction, d6: Fraction) -> None:
+        self._store(*_over_one_denominator(_PERIOD_NAMES, (d2, d3, d4, d5, d6)))
+
+    @classmethod
+    def from_numerators(cls, den: int, nums: Iterable[int]) -> PeriodVector:
+        """The vector with d_(k+2) = nums[k] / den, for a nonzero den of either sign."""
+        vector = cls.__new__(cls)
+        vector._store(*_lowest_terms(den, nums))
+        return vector
+
+    def _store(self, den: int, nums: tuple[int, ...]) -> None:
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    d2, d3, d4, d5, d6 = map(_read, range(len(_PERIOD_NAMES)))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.d2, self.d3, self.d4, self.d5, self.d6)
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __repr__(self) -> str:
+        periods = ", ".join(f"{name}={x!r}" for name, x in zip(_PERIOD_NAMES, self.as_tuple()))
+        return f"PeriodVector({periods})"
+
+    def __reduce__(self):
+        return PeriodVector.from_numerators, (self.den, self.nums)
 
 
 def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
@@ -97,55 +194,75 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
 
     The q^1..q^4 constants and H^1 coefficients give nine equations for five
     unknowns; the first five are triangular and the rest must close exactly.
+    With c0[d] = x_d / L and c1[d] = y_d / L over L = lcm of the two
+    denominators, the entries are integers over L^3:
+
+        a11 = y_1 / L,  a01 = 4 x_2 / L,  a12 = (8 L (x_2 + y_2) - 2 y_1^2) / L^2,
+        a02 = (27 L x_3 - 6 x_2 y_1) / L^2,
+        a03 = (256 L^2 x_4 - 128 L x_2^2 - 64 L x_2 y_2 - 84 L x_3 y_1
+               + 24 x_2 y_1^2) / L^3.
     """
     if pair.order < 5:
         raise ValueError("matrix recovery needs the series through q^4")
     c0, c1 = pair.c0, pair.c1
-    if c0[0] != 1 or c1[0] != 0:
+    den = lcm(c0.den, c1.den)
+    x = [c * (den // c0.den) for c in c0.nums[:5]]
+    y = [c * (den // c1.den) for c in c1.nums[:5]]
+    if x[0] != den or y[0] != 0:
         raise ConsistencyCheckFailed("series must start 1 + O(q)")
-    a11 = c1[1]
-    a01 = 4 * c0[2]
-    a12 = 8 * (c1[2] - a11**2 / 4 + a01 / 4)
-    a02 = 27 * (c0[3] - a11 * a01 / 18)
-    a03 = 256 * (
-        c0[4] - a01**2 / 64 - a11**2 * a01 / 96 - 7 * a11 * a02 / 576 - a01 * a12 / 128
+    x2, y1, sq = x[2], y[1], den * den
+    nums = (
+        4 * x2 * sq,
+        y1 * sq,
+        (27 * den * x[3] - 6 * x2 * y1) * den,
+        (8 * den * (x2 + y[2]) - 2 * y1 * y1) * den,
+        256 * sq * x[4] - den * (128 * x2 * x2 + 64 * x2 * y[2] + 84 * x[3] * y1)
+        + 24 * x2 * y1 * y1,
     )
-    matrix = CountingMatrix(deg=deg, a01=a01, a11=a11, a02=a02, a12=a12, a03=a03)
-    values = matrix.entries()
-    for d, expected in ((3, c1[3]), (4, c1[4])):
-        got = one_point_relation(d - 1, d).evaluate(values)
-        if got != expected:
+    matrix = CountingMatrix.from_numerators(deg, sq * den, nums)
+    for d in (3, 4):
+        got, got_den = one_point_relation(d - 1, d).evaluate_numerators(matrix.den, matrix.nums)
+        if got * den != y[d] * got_den:
             raise ConsistencyCheckFailed(
-                f"redundant H^1 relation at q^{d}: series gives {expected}, "
-                f"entries give {got}"
+                f"redundant H^1 relation at q^{d}: series gives {Fraction(y[d], den)}, "
+                f"entries give {Fraction(got, got_den)}"
             )
-    if c0[1] != 0:
+    if x[1] != 0:
         raise ConsistencyCheckFailed(
-            f"q^1 constant must vanish for an index-1 series, got {c0[1]}"
+            f"q^1 constant must vanish for an index-1 series, got {Fraction(x[1], den)}"
         )
     return matrix
 
 
-def _periods_of(matrix: CountingMatrix) -> tuple[Fraction, ...]:
-    """The constant-term relations at degrees 2..6, evaluated at the matrix."""
-    values = matrix.entries()
-    return tuple(one_point_relation(d - 2, d).evaluate(values) for d in range(2, 7))
+def _periods_of(matrix: CountingMatrix) -> PeriodVector:
+    """The constant-term relations at degrees 2..6, evaluated on the matrix
+    numerators and put over the lcm of their denominators."""
+    values = [
+        one_point_relation(d - 2, d).evaluate_numerators(matrix.den, matrix.nums)
+        for d in range(2, 7)
+    ]
+    den = lcm(*(q for _, q in values))
+    return PeriodVector.from_numerators(den, [p * (den // q) for p, q in values])
 
 
 def forward_periods(matrix: CountingMatrix) -> PeriodVector:
     """Constant terms d_2..d_6 of the I-series determined by the matrix."""
-    return PeriodVector(*_periods_of(matrix))
+    return _periods_of(matrix)
 
 
 def discriminant(v: PeriodVector) -> Fraction:
-    """Vanishing locus of the period-to-matrix inversion."""
-    return (
-        -495 * v.d3 * v.d5
-        + 261 * v.d2 * v.d3**2
-        - 312 * v.d4 * v.d2**2
-        + 432 * v.d4**2
-        + 56 * v.d2**4
+    """Vanishing locus of the period-to-matrix inversion,
+    -495 d3 d5 + 261 d2 d3^2 - 312 d4 d2^2 + 432 d4^2 + 56 d2^4,
+    summed in the period numerators over den^4."""
+    d2, d3, d4, d5, _ = v.nums
+    den = v.den
+    sq = den * den
+    num = (
+        56 * d2**4
+        + den * (261 * d2 * d3 * d3 - 312 * d4 * d2 * d2)
+        + sq * (432 * d4 * d4 - 495 * d3 * d5)
     )
+    return Fraction(num, sq * sq)
 
 
 # -- exact univariate helpers ------------------------------------------------
@@ -374,6 +491,6 @@ def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
     values["a02"] = a02.evaluate(values)
     values["a03"] = a03.evaluate(values)
     matrix = CountingMatrix(deg=deg, **values)
-    if _periods_of(matrix) != v.as_tuple():
+    if _periods_of(matrix) != v:
         raise NoRationalSolution(f"no rational matrix has periods {v}")
     return matrix

@@ -1,7 +1,7 @@
 """Closed forms and symbolic expansions that only the tests use, the
-plain `Fraction` definitions the integer series kernels and the Vandermonde
-division are checked against, and the tests' name for the operator product
-of the D3 reference chain."""
+plain `Fraction` definitions the integer series kernels, the Vandermonde
+division and the solver stage are checked against, and the tests' name for
+the operator product of the D3 reference chain."""
 
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -15,7 +15,8 @@ from fanocount.exactmath import (
     _divide_linear_difference,
 )
 from fanocount.grassmann import HSeriesPair
-from fanocount.relations import RelationEngine
+from fanocount.relations import RelationEngine, one_point_relation
+from fanocount.solver import ConsistencyCheckFailed, CountingMatrix, PeriodVector
 
 
 def harmonic(m: int) -> Fraction:
@@ -179,3 +180,53 @@ def symbolic_iseries(
     for d in range(1, d_max + 1):
         out.append((engine._one_point(d - 2, 3, d), engine._one_point(d - 1, 2, d)))
     return out
+
+
+def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_relation) -> CountingMatrix:
+    """`recover_matrix` in `Fraction`s: the entries read off the series
+    coefficients triangularly, then the redundant H^1 relations at q^3 and
+    q^4, evaluated at the entries, compared with the series."""
+    if pair.order < 5:
+        raise ValueError("matrix recovery needs the series through q^4")
+    c0, c1 = pair.c0, pair.c1
+    if c0[0] != 1 or c1[0] != 0:
+        raise ConsistencyCheckFailed("series must start 1 + O(q)")
+    a11 = c1[1]
+    a01 = 4 * c0[2]
+    a12 = 8 * (c1[2] - a11**2 / 4 + a01 / 4)
+    a02 = 27 * (c0[3] - a11 * a01 / 18)
+    a03 = 256 * (
+        c0[4] - a01**2 / 64 - a11**2 * a01 / 96 - 7 * a11 * a02 / 576 - a01 * a12 / 128
+    )
+    matrix = CountingMatrix(deg=deg, a01=a01, a11=a11, a02=a02, a12=a12, a03=a03)
+    values = matrix.entries()
+    for d, expected in ((3, c1[3]), (4, c1[4])):
+        got = relation(d - 1, d).evaluate(values)
+        if got != expected:
+            raise ConsistencyCheckFailed(
+                f"redundant H^1 relation at q^{d}: series gives {expected}, "
+                f"entries give {got}"
+            )
+    if c0[1] != 0:
+        raise ConsistencyCheckFailed(
+            f"q^1 constant must vanish for an index-1 series, got {c0[1]}"
+        )
+    return matrix
+
+
+def reference_forward_periods(matrix: CountingMatrix, relation=one_point_relation) -> PeriodVector:
+    """The constant-term relations at degrees 2..6, evaluated at the
+    `Fraction` entries."""
+    values = matrix.entries()
+    return PeriodVector(*(relation(d - 2, d).evaluate(values) for d in range(2, 7)))
+
+
+def reference_discriminant(v: PeriodVector) -> Fraction:
+    """The discriminant in `Fraction`s, read off the period values."""
+    return (
+        -495 * v.d3 * v.d5
+        + 261 * v.d2 * v.d3**2
+        - 312 * v.d4 * v.d2**2
+        + 432 * v.d4**2
+        + 56 * v.d2**4
+    )

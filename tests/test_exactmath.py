@@ -348,6 +348,17 @@ def test_entry_polynomial_evaluate_matches_fraction_reference(p, values):
         assert const.evaluate(values) == reference_evaluate(const, values)
 
 
+@given(entry_polys(), st.integers(1, 60), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+def test_entry_polynomial_integer_kernel_matches_fraction_reference(p, den, nums):
+    # the kernel that `evaluate` and the solver stage share: numerators over
+    # one denominator in, one integer over a positive denominator out
+    for poly in (p, one_point_relation(3, 5), EntryPolynomial.zero()):
+        num, out_den = poly.evaluate_numerators(den, nums)
+        assert type(num) is int and type(out_den) is int and out_den > 0
+        values = {name: F(c, den) for name, c in zip(ENTRY_VARS, nums)}
+        assert F(num, out_den) == reference_evaluate(poly, values) == poly.evaluate(values)
+
+
 mixed_values = st.fixed_dictionaries(
     {name: st.one_of(st.integers(-10, 10), small_fractions) for name in ENTRY_VARS}
 )

@@ -400,6 +400,48 @@ def test_render_verify_table_summary_line():
     assert table.splitlines()[-1] == "17 ok, 0 flagged, 0 mismatched"
 
 
+def test_render_verify_table_builds_text_lines_only_for_text():
+    status, rows = verify_golden("V14")
+    payload = json.loads(render_verify_table(rows, "json", status))
+    assert payload == {"status": 0, "rows": [vars(r) for r in rows]}
+    text = render_verify_table(rows, "text", status).splitlines()
+    assert len(text) == len(rows) + 2
+    assert text[-1] == "16 ok, 1 flagged, 0 mismatched"
+    with pytest.raises(ConfigError, match="unknown format 'yaml'"):
+        render_verify_table(rows, "yaml", status)
+
+
+def fraction_read(report, key):
+    """The golden quantity as a `Fraction` read off the run."""
+    if key.startswith("matrix."):
+        return getattr(report.matrix, key.split(".", 1)[1])
+    if key == "alpha":
+        return report.alpha
+    family, index = key.split("[", 1)
+    pair = report.ambient_pair if family == "ambient.c0" else report.variety_pair
+    return (pair.c1 if family == "series.c1" else pair.c0)[int(index.rstrip("]"))]
+
+
+@pytest.mark.parametrize("variety", ["V10", "V14"])
+def test_verify_reads_the_numerators_as_the_fractions_print(variety):
+    # the comparisons and the printed values come from the stored numerators;
+    # they agree with the Fraction reads, and each corrupted label, alone,
+    # mismatches with the same derived value
+    report = run_pipeline(CATALOG[variety], order=7)
+    _, rows = verify_golden(variety)
+    derived = {}
+    for row in rows:
+        value = fraction_read(report, row.label.split(":", 1)[1])
+        assert row.derived == rational_str(value)
+        assert (row.status == "mismatch") == (rational_str(value) != row.expected)
+        derived[row.label] = row.derived
+    for label in derived:
+        status, corrupted = verify_golden(variety, corrupt=label)
+        assert status == 1
+        assert [r.label for r in corrupted if r.status == "mismatch"] == [label]
+        assert {r.label: r.derived for r in corrupted} == derived
+
+
 def test_rational_str():
     assert rational_str(F(3, 4)) == "3/4"
     assert rational_str(F(5)) == "5"

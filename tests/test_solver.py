@@ -1,13 +1,24 @@
+import copy
+import pickle
+from dataclasses import make_dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
+from helpers import (
+    TamperedEngine,
+    reference_discriminant,
+    reference_forward_periods,
+    reference_recover_matrix,
+)
 from fanocount.grassmann import GrassmannianSpec, HSeriesPair, extract_h_pair, hv_iseries
 from fanocount import solver
-from fanocount.exactmath import EntryPolynomial, PowerSeries
+from fanocount.exactmath import ENTRY_VARS, EntryPolynomial, PowerSeries
+from fanocount.relations import one_point_relation
 from fanocount.lefschetz import CompleteIntersectionSpec, quantum_lefschetz
 from fanocount.solver import (
     AmbiguousSolution,
@@ -251,6 +262,203 @@ def test_final_check_refuses_a_wrong_back_substitution(monkeypatch):
     monkeypatch.setattr(solver, "_substituted_system", off_by_one)
     with pytest.raises(NoRationalSolution, match="no rational matrix has periods"):
         invert_periods(forward_periods(M10), 10)
+
+
+# -- the stored form and the strict constructors ---------------------------------
+
+
+def dataclass_repr(name, **fields):
+    """The repr that a plain frozen dataclass with these fields prints."""
+    return repr(make_dataclass(name, list(fields), frozen=True)(**fields))
+
+
+def test_matrix_and_periods_are_stored_in_lowest_terms():
+    m = CountingMatrix(2, F(1, 2), 3, F(-4, 6), 0, F(10, 4))
+    assert (m.deg, m.den, m.nums) == (2, 6, (3, 18, -4, 0, 15))
+    # the same values over another denominator, of either sign
+    for den, scale in ((12, 2), (-6, -1), (-30, -5)):
+        other = CountingMatrix.from_numerators(2, den, [scale * c for c in m.nums])
+        assert other == m and hash(other) == hash(m)
+        assert (other.den, other.nums) == (m.den, m.nums)
+    assert CountingMatrix(3, F(1, 2), 3, F(-4, 6), 0, F(10, 4)) != m
+    assert CountingMatrix(2, F(1, 2), 3, F(-4, 6), 0, F(10, 4)) == m
+    zero = CountingMatrix(1, 0, 0, 0, 0, 0)
+    assert (zero.den, zero.nums) == (1, (0,) * 5)
+    assert CountingMatrix.from_numerators(1, -7, [0] * 5) == zero
+
+    v = PeriodVector(F(3, 4), -2, F(1, 6), 0, F(-5, 12))
+    assert (v.den, v.nums) == (12, (9, -24, 2, 0, -5))
+    w = PeriodVector.from_numerators(-36, [-27, 72, -6, 0, 15])
+    assert w == v and hash(w) == hash(v)
+    assert len({v, w, PeriodVector(F(3, 4), -2, F(1, 6), 0, F(-5, 12))}) == 1
+    assert v != PeriodVector(F(3, 4), -2, F(1, 6), 0, F(5, 12))
+
+
+def test_matrix_and_periods_read_as_fractions():
+    m = CountingMatrix(deg=2, a01=F(1, 2), a11=3, a02=F(-4, 6), a12=0, a03=F(10, 4))
+    values = (F(1, 2), F(3), F(-2, 3), F(0), F(5, 2))
+    reads = (m.a01, m.a11, m.a02, m.a12, m.a03)
+    assert reads == values and all(type(x) is Fraction for x in reads)
+    assert m.entries() == dict(zip(ENTRY_VARS, values))
+    assert all(type(x) is Fraction for x in m.entries().values())
+    assert all(type(x) is Fraction for row in m.rows() for x in row)
+    assert m.rows()[1] == (F(1), F(3), F(0), F(-2, 3))
+
+    v = PeriodVector(d2=F(3, 4), d3=-2, d4=F(1, 6), d5=0, d6=F(-5, 12))
+    reads = (v.d2, v.d3, v.d4, v.d5, v.d6)
+    assert reads == v.as_tuple() == (F(3, 4), F(-2), F(1, 6), F(0), F(-5, 12))
+    assert all(type(x) is Fraction for x in reads + v.as_tuple())
+
+
+def test_matrix_and_periods_print_the_dataclass_repr():
+    entries = dict(zip(ENTRY_VARS, (F(156), F(-10, 3), F(0), F(380, 7), F(-1))))
+    assert repr(CountingMatrix(10, **entries)) == dataclass_repr("CountingMatrix", deg=10, **entries)
+    assert repr(M10) == dataclass_repr("CountingMatrix", **golden.MATRIX_V10)
+    periods = dict(zip(("d2", "d3", "d4", "d5", "d6"), (F(0),) * 5))
+    assert repr(PeriodVector(**periods)) == dataclass_repr("PeriodVector", **periods) == (
+        "PeriodVector(d2=Fraction(0, 1), d3=Fraction(0, 1), d4=Fraction(0, 1), "
+        "d5=Fraction(0, 1), d6=Fraction(0, 1))"
+    )
+    periods = forward_periods(M10)
+    assert repr(periods) == dataclass_repr(
+        "PeriodVector", **dict(zip(("d2", "d3", "d4", "d5", "d6"), periods.as_tuple()))
+    )
+    assert str(periods) == repr(periods)
+
+
+def test_matrix_and_periods_are_immutable_slotted_values():
+    periods = forward_periods(M10)
+    for value in (M10, periods):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.den = 1
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, "1", "1/2"])
+@pytest.mark.parametrize("slot", range(5))
+def test_matrix_and_periods_refuse_inexact_entries(bad, slot):
+    values = [F(1, 2), 1, 2, F(-3), 0]
+    values[slot] = bad
+    with pytest.raises(TypeError, match=f"{ENTRY_VARS[slot]} must be an int or a Fraction"):
+        CountingMatrix(1, *values)
+    with pytest.raises(TypeError, match=f"d{slot + 2} must be an int or a Fraction"):
+        PeriodVector(*values)
+
+
+def test_the_float_entries_that_used_to_pass_are_refused():
+    with pytest.raises(TypeError, match="a01 must be an int or a Fraction, got 0.5"):
+        CountingMatrix(1, 0.5, 1, 2, 3, True)
+    with pytest.raises(TypeError, match="a03 must be an int or a Fraction, got True"):
+        CountingMatrix(1, F(1, 2), 1, 2, 3, True)
+    with pytest.raises(TypeError, match="d2 must be an int or a Fraction, got 0.1"):
+        discriminant(PeriodVector(0.1, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("deg", [True, 1.0, "1", F(1), None])
+def test_matrix_refuses_a_degree_that_is_not_an_int(deg):
+    with pytest.raises(TypeError, match="deg must be an int >= 1"):
+        CountingMatrix(deg, 1, 2, 3, 4, 5)
+    with pytest.raises(TypeError, match="deg must be an int >= 1"):
+        CountingMatrix.from_numerators(deg, 1, [1, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("deg", [0, -1, -10])
+def test_matrix_refuses_a_degree_below_one(deg):
+    with pytest.raises(ValueError, match=f"deg must be an int >= 1, got {deg}"):
+        CountingMatrix(deg, 1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match=f"deg must be an int >= 1, got {deg}"):
+        invert_periods(forward_periods(M10), deg)
+
+
+# -- the solver stage against its `Fraction` definitions ------------------------
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# zeros, negatives, integers and fractions
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-40, 40),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+rational_matrices = st.builds(
+    CountingMatrix, st.integers(1, 30), entries, entries, entries, entries, entries
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_forward_periods_and_discriminant_match_fraction_reference(matrix):
+    periods = forward_periods(matrix)
+    assert periods == reference_forward_periods(matrix)
+    assert periods.as_tuple() == reference_forward_periods(matrix).as_tuple()
+    for v in (periods, PeriodVector(*matrix.entries().values())):
+        disc = discriminant(v)
+        assert type(disc) is Fraction and disc == reference_discriminant(v)
+
+
+@st.composite
+def series_pairs(draw):
+    """The series pair a random matrix determines through q^(order-1), or
+    one with a corrupted coefficient: c1[3] or c1[4] (the redundant
+    checks), c0[0], c1[0] or c0[1] (the leading terms), or an entry read
+    off the series (the triangular part)."""
+    matrix = draw(rational_matrices)
+    order = draw(st.sampled_from([5, 6, 7, 8, 4]))
+    values = matrix.entries()
+    c0 = [F(1), F(0)] + [one_point_relation(d - 2, d).evaluate(values) for d in range(2, order)]
+    c1 = [F(0)] + [one_point_relation(d - 1, d).evaluate(values) for d in range(1, order)]
+    corruptions = st.sampled_from(["c1[3]", "c1[4]", "c0[0]", "c1[0]", "c0[1]", "c0[3]", "c1[2]"])
+    which = draw(st.one_of(st.none(), corruptions))
+    if which is not None:
+        series = c0 if which.startswith("c0") else c1
+        index = int(which[3])
+        if index < order:
+            series[index] += draw(entries.filter(bool))
+    return HSeriesPair(PowerSeries(c0[:order]), PowerSeries(c1[:order])), matrix.deg
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_pairs())
+def test_recover_matrix_matches_fraction_reference(case):
+    pair, deg = case
+    assert outcome(recover_matrix, pair, deg) == outcome(reference_recover_matrix, pair, deg)
+
+
+def test_recover_matrix_prints_the_fractions_it_compared():
+    pair = variety_pair(2, 5, (1, 1, 2))
+    corrupted = HSeriesPair(pair.c0, bump(pair.c1, 3, F(-1, 7)))
+    got = outcome(recover_matrix, corrupted, 10)
+    assert got == outcome(reference_recover_matrix, corrupted, 10) == (
+        ConsistencyCheckFailed,
+        "redundant H^1 relation at q^3: series gives 22391/63, entries give 3200/9",
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series_pairs(),
+    rational_matrices,
+    st.sampled_from([(0, 2), (2, 3), (2, 2), (3, 3), (1, 1), (0, 1)]),
+    st.integers(-3, 7),
+)
+def test_solver_stage_matches_fraction_reference_on_a_tampered_engine(case, matrix, where, value):
+    pair, deg = case
+    relation = TamperedEngine(where, value).one_point_relation
+    with mock.patch.object(solver, "one_point_relation", relation):
+        recovered = outcome(recover_matrix, pair, deg)
+        assert recovered == outcome(reference_recover_matrix, pair, deg, relation)
+        assert forward_periods(matrix) == reference_forward_periods(matrix, relation)
 
 
 def test_rational_roots_simple_cubic():
