@@ -5,8 +5,7 @@ Operators live in the ring of polynomials in t and D, where D is the Euler
 operator t d/dt, subject to D*t = t*D + t.  Canonical form keeps every power
 of t to the left of every power of D, so an operator is a sum of layers
 t^b * P_b(D).  `DifferentialOperator` stores each P_b as integer
-numerators over one shared denominator, in lowest terms; a `Fraction`
-appears only when a caller reads a coefficient.
+numerators over one shared denominator, the format of `exactmath`.
 
 From a counting matrix A and a shift lam the pencil is the 4x4 matrix
 D*E - M, where M has entries (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
@@ -43,10 +42,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
-from math import comb, gcd, lcm
+from itertools import combinations, islice, permutations
+from math import comb, lcm
 
-from .exactmath import PowerSeries, Rational, exp_twist, ratio_str
+from .exactmath import (
+    PowerSeries, Rational, _lowest_terms, _over_one_denominator, exp_twist, ratio_str,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -70,31 +71,29 @@ Layers = dict[int, tuple[int, ...]]
 
 @dataclass(frozen=True, init=False)
 class DifferentialOperator:
-    """Sum of terms t^b * P_b(D), stored as integer layers over `den`.
-
-    `DifferentialOperator({(b, i): c})` is the sum of c * t^b * D^i.  The
-    stored form is in lowest terms, with no zero layer and no trailing zero
-    in any layer, so equal operators compare equal.
-    """
+    """Sum of terms t^b * P_b(D), stored as integer layers over `den` in the
+    format of the `exactmath` docstring, with no zero layer and no trailing
+    zero in any layer.  `DifferentialOperator({(b, i): c})` is the sum of
+    c * t^b * D^i."""
 
     den: int
     layers: Layers
 
     def __init__(self, terms: dict[tuple[int, int], Rational] | None = None) -> None:
         terms = terms or {}
-        den = lcm(*(c.denominator for c in terms.values()))
+        if any(b < 0 or i < 0 for b, i in terms):
+            raise ValueError("term exponents must be nonnegative")
+        den, nums = _over_one_denominator(terms.values(), (f"t^{b}*D^{i}" for b, i in terms))
         layers: dict[int, list[int]] = {}
-        for (b, i), c in terms.items():
-            if b < 0 or i < 0:
-                raise ValueError("term exponents must be nonnegative")
+        for (b, i), c in zip(terms, nums):
             poly = layers.setdefault(b, [])
             poly.extend([0] * (i + 1 - len(poly)))
-            poly[i] += c.numerator * (den // c.denominator)
+            poly[i] += c
         self._store(den, layers)
 
     @classmethod
     def from_layers(cls, den: int, layers: dict[int, list[int]]) -> DifferentialOperator:
-        """The operator sum_b t^b * layers[b](D) / den, for a positive den."""
+        """The operator sum_b t^b * layers[b](D) / den."""
         op = cls.__new__(cls)
         op._store(den, layers)
         return op
@@ -108,9 +107,10 @@ class DifferentialOperator:
                 top -= 1
             if top:
                 clean[b] = poly[:top]
-        g = gcd(den, *(c for poly in clean.values() for c in poly))
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "layers", {b: tuple(c // g for c in p) for b, p in clean.items()})
+        den, nums = _lowest_terms(den, (c for poly in clean.values() for c in poly))
+        nums = iter(nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "layers", {b: tuple(islice(nums, len(clean[b]))) for b in clean})
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -125,14 +125,6 @@ class DifferentialOperator:
     @property
     def order(self) -> int:
         return max(map(len, self.layers.values()), default=1) - 1
-
-    def t_coefficients(self, b: int) -> list[Fraction]:
-        """D-power coefficient list of the t^b part."""
-        return [Fraction(c, self.den) for c in self.layers.get(b, ())]
-
-    def indicial(self) -> list[Fraction]:
-        """The t-free part as a polynomial in the symbol of D."""
-        return self.t_coefficients(0)
 
     def __str__(self) -> str:
         """The nonzero terms sorted by (b, i), each coefficient printed
@@ -336,8 +328,6 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     for m in range(order - 1, -1, -1):
         numerators[m] *= tail
         tail *= p_at[m]
-    if tail < 0:
-        tail, numerators = -tail, [-x for x in numerators]
     return PowerSeries.from_numerators(tail, numerators)
 
 
@@ -412,7 +402,6 @@ def modularity_report(
     passes it in instead of solving it twice.  A level that is not an
     integer >= 2 raises `InvalidLevel`; a failure anywhere else propagates.
     """
-    alpha, level = Fraction(alpha), Fraction(level)
     if level.denominator != 1:
         raise InvalidLevel(f"level {level} is not an integer")
     level = level.numerator
@@ -426,7 +415,7 @@ def modularity_report(
             candidates.append((f"factorial_transform_twist_{tag}", factorial_transform(twisted)))
 
     rows = []
-    for lam in dict.fromkeys((Fraction(0), alpha, -alpha)):
+    for lam in dict.fromkeys((0, alpha, -alpha)):
         solution = solution_at(lam)
         rows.extend(
             ReportRow(lam, name, first_mismatch(solution, cand)) for name, cand in candidates

@@ -1,17 +1,28 @@
 """Exact arithmetic kernel: rationals, truncated power series, sparse polynomials.
 
 Every scalar this package hands out is a `fractions.Fraction`; nothing here ever
-touches floating point.  Three containers cover all downstream needs:
+touches floating point.
 
-* ``PowerSeries`` -- a q-series truncated at an explicit order, stored as
-  integer numerators over one positive denominator in lowest terms, so
-  equal series compare equal; it is read, truncated and twisted by
-  ``exp_twist``, and has no ring arithmetic,
-* ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree,
-  stored as integer numerators over one positive denominator in lowest
-  terms: a degree part of the residue sum in Chern roots x_1..x_r, which is
-  only read, or a bialternant that ``divide_by_vandermonde`` divides by one
-  root difference at a time as a divided difference; the residue sum divides
+The stored format.  Every exact container of the package -- `PowerSeries`
+and `ChernPolynomial` here, `DifferentialOperator` in `d3`, `CountingMatrix`
+and `PeriodVector` in `solver` -- stores its values as integer numerators
+over one positive denominator `den`, in lowest terms, gcd(den, *nums) = 1,
+so equal values compare (and, where the type hashes, hash) equal, and a
+`Fraction` is built only when a caller reads a value.  A constructor takes
+`int`s and `Fraction`s only and refuses a bool, float, str or anything else
+with a `TypeError` naming the value; a `from_numerators` or `from_layers`
+takes integer numerators over a denominator of either sign and refuses a
+zero one with `ZeroDivisionError`.  `_over_one_denominator` and
+`_lowest_terms` below do that conversion and normalization for all five.
+
+Three containers here cover the series and polynomial needs:
+
+* ``PowerSeries`` -- a q-series truncated at an explicit order; it is read,
+  truncated and twisted by ``exp_twist``, and has no ring arithmetic,
+* ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree:
+  a degree part of the residue sum in Chern roots x_1..x_r, which is only
+  read, or a bialternant that ``divide_by_vandermonde`` divides by one root
+  difference at a time as a divided difference; the residue sum divides
   once per (r, t), when it fills its cached Schur table, not once per degree,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
@@ -32,9 +43,8 @@ elsewhere work on ``PowerSeries`` numerators the same way: the residue sum
 and ``extract_h_pair``, ``projective_iseries``, the Euler factors and
 regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
 ``factorial_transform``, ``eisenstein_weight2`` and ``first_mismatch`` in
-``d3``.  A ``Fraction`` appears only where a caller reads a coefficient.
-``EntryPolynomial`` keeps a coefficient that already is a ``Fraction``; its
-ring arithmetic stays on ``Fraction`` coefficients.
+``d3``.  ``EntryPolynomial`` keeps a coefficient that already is a
+``Fraction``; its ring arithmetic stays on ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import count
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -62,6 +73,35 @@ def ratio_str(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+_EXACT_TYPES = frozenset({int, Fraction})
+
+
+def _over_one_denominator(values: Iterable, names: Iterable) -> tuple[int, tuple[int, ...]]:
+    """(den, numerators) of `int` and `Fraction` values over the lcm of their
+    denominators, which is in lowest terms since each value is; a bool,
+    float, str or any other type is refused, under its name in `names`."""
+    values = tuple(values)
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        for name, x in zip(names, values):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
+    ratios = [x.as_integer_ratio() for x in values]
+    den = lcm(*[q for _, q in ratios])
+    return den, tuple([p * (den // q) for p, q in ratios])
+
+
+def _lowest_terms(den: int, nums: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """den and nums divided by their gcd, signed so that den is positive;
+    a zero den is refused."""
+    if not den:
+        raise ZeroDivisionError("a denominator must not be zero")
+    nums = tuple(nums)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, tuple([c // g for c in nums])
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -69,35 +109,27 @@ def ratio_str(num: int, den: int) -> str:
 
 @dataclass(frozen=True, init=False)
 class PowerSeries:
-    """A power series sum_d c_d q^d known through q^(order-1), stored as
-    integer numerators over one positive `den`.
-
-    `PowerSeries(coeffs)` takes the coefficients c_0, c_1, ...  The stored
-    form is in lowest terms, gcd(den, *nums) = 1, so equal series compare
-    equal; a `Fraction` is built only when a caller reads a coefficient.
-    """
+    """A power series sum_d c_d q^d known through q^(order-1), in the stored
+    format of the module docstring; `PowerSeries(coeffs)` takes c_0, c_1, ..."""
 
     den: int
     nums: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[Rational]) -> None:
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        self._store(den, [c.numerator * (den // c.denominator) for c in coeffs])
+        self._store(*_over_one_denominator(coeffs, map("c_{}".format, count())))
 
     @classmethod
     def from_numerators(cls, den: int, nums: Iterable[int]) -> PowerSeries:
-        """The series sum_d nums[d] / den * q^d, for a positive den."""
+        """The series sum_d nums[d] / den * q^d."""
         series = cls.__new__(cls)
-        series._store(den, list(nums))
+        series._store(*_lowest_terms(den, nums))
         return series
 
-    def _store(self, den: int, nums: list[int]) -> None:
+    def _store(self, den: int, nums: tuple[int, ...]) -> None:
         if not nums:
             raise ValueError("a power series needs at least one coefficient")
-        g = gcd(den, *nums)
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @property
     def order(self) -> int:
@@ -127,7 +159,6 @@ def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
     [q^m] = sum_k a_(m-k) u^k / (den v^k k!), so every coefficient is the
     integer sum_k a_(m-k) w_k over den v^M M!, with w_k = u^k v^(M-k) M!/k!.
     """
-    c = Fraction(c)
     u, v = c.numerator, c.denominator
     top = series.order - 1
     w = [1] * (top + 1)
@@ -149,15 +180,11 @@ Exponent = tuple[int, ...]
 
 @dataclass(frozen=True, init=False)
 class ChernPolynomial:
-    """Sparse polynomial in x_1..x_nvars, truncated at total degree degree_bound,
-    stored as integer numerators over one positive `den`.
-
-    `ChernPolynomial(nvars, degree_bound, terms)` takes {exponent: coefficient}.
-    Terms of total degree above the bound are unknown, not zero; they are
-    dropped on construction.  The stored form is in lowest terms,
-    gcd(den, *nums) = 1 with no zero numerator, so equal polynomials compare
-    equal; a `Fraction` is built only when a caller reads a coefficient.
-    """
+    """Sparse polynomial in x_1..x_nvars, truncated at total degree
+    degree_bound, in the stored format of the module docstring with no zero
+    numerator; `ChernPolynomial(nvars, degree_bound, terms)` takes
+    {exponent: coefficient}.  Terms of total degree above the bound are
+    unknown, not zero; they are dropped on construction."""
 
     nvars: int
     degree_bound: int
@@ -169,34 +196,28 @@ class ChernPolynomial:
             raise ValueError("need at least one variable")
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
-        coeffs: dict[Exponent, Fraction] = {}
-        for e, c in terms.items():
-            if len(e) != nvars:
-                raise ValueError("exponent arity mismatch")
-            coeffs[tuple(e)] = c if isinstance(c, Fraction) else Fraction(c)
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-        self._store(nvars, degree_bound, den, nums)
+        if any(len(e) != nvars for e in terms):
+            raise ValueError("exponent arity mismatch")
+        den, nums = _over_one_denominator(terms.values(), (f"x^{e}" for e in terms))
+        self._store(nvars, degree_bound, den, dict(zip(map(tuple, terms), nums)))
 
     @classmethod
     def from_numerators(
         cls, nvars: int, degree_bound: int, den: int, nums: Mapping[Exponent, int]
     ) -> ChernPolynomial:
-        """The polynomial sum_e nums[e] / den * x^e, for a nonzero den of
-        either sign and exponent tuples of length nvars."""
+        """The polynomial sum_e nums[e] / den * x^e, for exponent tuples of
+        length nvars."""
         poly = cls.__new__(cls)
         poly._store(nvars, degree_bound, den, nums)
         return poly
 
     def _store(self, nvars: int, degree_bound: int, den: int, nums: Mapping[Exponent, int]) -> None:
         nums = {e: c for e, c in nums.items() if c and sum(e) <= degree_bound}
-        g = gcd(den, *nums.values())
-        if den < 0:
-            g = -g
+        den, values = _lowest_terms(den, nums.values())
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree_bound", degree_bound)
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "nums", {e: c // g for e, c in nums.items()})
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", dict(zip(nums, values)))
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -339,15 +360,11 @@ class EntryPolynomial:
         top total degree, and per term (numerator, top - degree, the nonzero
         (variable index, power) pairs).  Built on the first evaluation; the
         ring operations build new polynomials and never read it."""
-        cden = lcm(*(c.denominator for c in self.terms.values()))
+        cden, nums = _over_one_denominator(self.terms.values(), self.terms)
         top = max(map(sum, self.terms), default=0)
         form = tuple(
-            (
-                c.numerator * (cden // c.denominator),
-                top - sum(e),
-                tuple((k, p) for k, p in enumerate(e) if p),
-            )
-            for e, c in self.terms.items()
+            (c, top - sum(e), tuple((k, p) for k, p in enumerate(e) if p))
+            for e, c in zip(self.terms, nums)
         )
         return cden, top, form
 
@@ -375,11 +392,8 @@ class EntryPolynomial:
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
         """The value at a rational point: `evaluate_numerators` at the
         values over their one denominator, read as one `Fraction`."""
-        vals = [values[name] for name in ENTRY_VARS]
-        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
-        vden = lcm(*(v.denominator for v in vals))
-        nums = [v.numerator * (vden // v.denominator) for v in vals]
-        return Fraction(*self.evaluate_numerators(vden, nums))
+        point = _over_one_denominator([values[name] for name in ENTRY_VARS], ENTRY_VARS)
+        return Fraction(*self.evaluate_numerators(*point))
 
     def variables(self) -> set[str]:
         present: set[str] = set()

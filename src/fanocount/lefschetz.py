@@ -75,7 +75,7 @@ def lefschetz_shift(spec: CompleteIntersectionSpec, c0x: PowerSeries) -> Fractio
     if spec.fano_index != 1:
         return _ZERO
     scale = prod(factorial(d) for d in spec.degrees)
-    return Fraction(scale) * c0x[1]
+    return Fraction(scale * c0x.nums[1], c0x.den)
 
 
 def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeriesPair:

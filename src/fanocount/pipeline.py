@@ -325,7 +325,6 @@ class PipelineRun:
 
     def operator_at(self, lam: Rational) -> DifferentialOperator:
         """The pencil operator at shift lam, built at most once per run."""
-        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         if lam not in self._operators:
             self._operators[lam] = pencil_operator(self.matrix, lam)
         return self._operators[lam]
@@ -333,7 +332,6 @@ class PipelineRun:
     def solution_at(self, lam: Rational) -> PowerSeries:
         """The normalized solution of the operator at shift lam through
         t^(order-1), solved at most once per run."""
-        lam = lam if isinstance(lam, Fraction) else Fraction(lam)
         if lam not in self._solutions:
             self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
         return self._solutions[lam]
@@ -385,17 +383,10 @@ def run_pipeline(config: VarietyConfig, order: int = 7) -> PipelineRun:
 View = tuple[dict, list[str]]
 
 
-def rational_str(x: Rational) -> str:
-    return str(x if isinstance(x, Fraction) else Fraction(x))
-
-
-def _numerator_strs(den: int, nums) -> list[str]:
-    return [ratio_str(c, den) for c in nums]
-
-
-def _series_strs(series: PowerSeries) -> list[str]:
-    """The coefficients as `rational_str` prints them, read off the numerators."""
-    return _numerator_strs(series.den, series.nums)
+def _numerator_strs(x: PowerSeries | CountingMatrix | PeriodVector) -> list[str]:
+    """The values of a series, matrix or period vector as `str` prints them,
+    read off `x.nums` over `x.den`."""
+    return [ratio_str(c, x.den) for c in x.nums]
 
 
 def render(data: dict, lines: list[str], format: str) -> str:
@@ -407,23 +398,16 @@ def render(data: dict, lines: list[str], format: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entry_strs(matrix: CountingMatrix) -> dict[str, str]:
-    """The five entries as printed, read off the numerators."""
-    return dict(zip(ENTRY_VARS, _numerator_strs(matrix.den, matrix.nums)))
-
-
-def _row_strs(entries: dict[str, str]) -> list[list[str]]:
-    """The rows of `CountingMatrix.rows` as printed, laid out by `ENTRY_LAYOUT`."""
-    return [[entries[a] if isinstance(a, str) else str(a) for a in row] for row in ENTRY_LAYOUT]
-
-
 def matrix_dict(matrix: CountingMatrix) -> dict:
-    entries = _entry_strs(matrix)
-    return {"deg": matrix.deg, "entries": entries, "rows": _row_strs(entries)}
+    """The entries and the rows of `CountingMatrix.rows` as printed, the rows
+    laid out by `ENTRY_LAYOUT`."""
+    entries = dict(zip(ENTRY_VARS, _numerator_strs(matrix)))
+    rows = [[entries[a] if isinstance(a, str) else str(a) for a in row] for row in ENTRY_LAYOUT]
+    return {"deg": matrix.deg, "entries": entries, "rows": rows}
 
 
 def matrix_lines(matrix: CountingMatrix) -> list[str]:
-    rows = _row_strs(_entry_strs(matrix))
+    rows = matrix_dict(matrix)["rows"]
     width = max(len(x) for row in rows for x in row)
     return ["  ".join(x.rjust(width) for x in row) for row in rows]
 
@@ -431,11 +415,11 @@ def matrix_lines(matrix: CountingMatrix) -> list[str]:
 def modularity_dict(rep: ModularityReport) -> dict:
     return {
         "level": rep.level,
-        "alpha": rational_str(rep.alpha),
+        "alpha": str(rep.alpha),
         "order": rep.order,
         "rows": [
             {
-                "lambda": rational_str(r.lam),
+                "lambda": str(r.lam),
                 "candidate": r.candidate,
                 "first_mismatch": r.first_mismatch,
                 # always null; pinned in the CLI digests and the perfbench oracles
@@ -455,7 +439,7 @@ def modularity_lines(data: dict) -> list[str]:
 
 
 def _pair_view(pair: HSeriesPair, order: int) -> View:
-    c0, c1 = _series_strs(pair.c0.truncate(order)), _series_strs(pair.c1.truncate(order))
+    c0, c1 = _numerator_strs(pair.c0.truncate(order)), _numerator_strs(pair.c1.truncate(order))
     return {"c0": c0, "c1": c1}, ["c0: " + " ".join(c0), "c1: " + " ".join(c1)]
 
 
@@ -470,7 +454,7 @@ def lefschetz_view(run: PipelineRun) -> View:
     # the variety series first: its stage refuses a series, alpha included,
     # too long to print
     data, lines = _pair_view(run.variety_pair, run.order)
-    alpha = data["alpha"] = rational_str(run.alpha)
+    alpha = data["alpha"] = str(run.alpha)
     return data, [f"shift alpha = {alpha}"] + lines
 
 
@@ -481,8 +465,8 @@ def matrix_view(run: PipelineRun) -> View:
 def periods_view(run: PipelineRun) -> View:
     periods = run.periods
     data = {
-        "periods": _numerator_strs(periods.den, periods.nums),
-        "discriminant": rational_str(run.disc),
+        "periods": _numerator_strs(periods),
+        "discriminant": str(run.disc),
     }
     return data, [
         "d2..d6: " + " ".join(data["periods"]),
@@ -497,7 +481,7 @@ def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int 
     deg = run.matrix.deg if deg is None else deg
     recovered = _guarded("solver", invert_periods, vector, deg)
     data = matrix_dict(recovered)
-    data["periods"] = _numerator_strs(vector.den, vector.nums)
+    data["periods"] = _numerator_strs(vector)
     lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg}"] + matrix_lines(recovered)
     if periods is None:
         data["roundtrip_ok"] = recovered == run.matrix
@@ -510,11 +494,11 @@ def d3_view(run: PipelineRun, lam: Fraction) -> View:
     solution = _guarded("d3", run.solution_at, lam)
     residue = apply_operator(operator, solution)
     data = {
-        "lambda": rational_str(lam),
+        "lambda": str(lam),
         "operator": str(operator),
         "order": operator.order,
-        "indicial": _numerator_strs(operator.den, operator.layers.get(0, ())),
-        "solution": _series_strs(solution),
+        "indicial": [ratio_str(c, operator.den) for c in operator.layers.get(0, ())],
+        "solution": _numerator_strs(solution),
         "residue_vanishes": not any(residue.nums),
     }
     return data, [
@@ -547,15 +531,15 @@ def report_view(report: PipelineRun) -> View:
         "geometry": {
             "dimension": cfg.dimension,
             "fano_index": cfg.fano_index,
-            "ambient_plucker_degree": rational_str(cfg.ambient.plucker_degree),
-            "anticanonical_degree": rational_str(cfg.anticanonical_degree),
+            "ambient_plucker_degree": str(cfg.ambient.plucker_degree),
+            "anticanonical_degree": str(cfg.anticanonical_degree),
         },
-        "alpha": rational_str(report.alpha),
+        "alpha": str(report.alpha),
         "ambient_series": ambient,
         "variety_series": variety,
         "matrix": matrix_dict(report.matrix),
         **periods,
-        "d3": {"operator": str(report.operator), "solution": _series_strs(report.solution)},
+        "d3": {"operator": str(report.operator), "solution": _numerator_strs(report.solution)},
         "modularity": modularity_dict(report.modularity),
         "notes": list(report.notes),
     }
@@ -696,7 +680,7 @@ def verify_golden(
             else:
                 verdict, status = "mismatch", 1
             rows.append(
-                VerifyRow(label, ratio_str(num, den), rational_str(expected), verdict, note)
+                VerifyRow(label, ratio_str(num, den), str(expected), verdict, note)
             )
     return status, rows
 

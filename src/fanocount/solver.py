@@ -1,11 +1,7 @@
 """Counting-matrix recovery and the period map in both directions.
 
-A `CountingMatrix` is its degree, one positive denominator and the
-integer numerators of its five entries, and a `PeriodVector` is one
-positive denominator and five numerators, both in lowest terms, as
-`exactmath.PowerSeries` stores a series: equal values compare and hash
-equal, and a `Fraction` is built only when a caller reads an entry.  The
-constructors take `int`s and `Fraction`s and refuse anything else.
+A `CountingMatrix` is its degree and its five entries, and a `PeriodVector`
+its five periods, each in the stored format of the `exactmath` docstring.
 
 `recover_matrix` reads the five independent entries off a variety's
 hyperplane series through q^4 by inverting the symbolic I-series relations
@@ -43,7 +39,7 @@ from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable
 
-from .exactmath import ENTRY_VARS, EntryPolynomial
+from .exactmath import ENTRY_VARS, EntryPolynomial, _lowest_terms, _over_one_denominator
 from .grassmann import HSeriesPair
 from .relations import ENTRY_LAYOUT, one_point_relation
 
@@ -71,31 +67,6 @@ class AmbiguousSolution(ArithmeticError):
     """
 
 
-_EXACT_TYPES = frozenset({int, Fraction})
-
-
-def _over_one_denominator(names: tuple[str, ...], values: tuple) -> tuple[int, tuple[int, ...]]:
-    """(den, numerators) of `int` and `Fraction` values over the lcm of their
-    denominators, which is in lowest terms since each value is; a bool,
-    float, str or any other type is refused."""
-    if not set(map(type, values)) <= _EXACT_TYPES:
-        for name, x in zip(names, values):
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
-    ratios = [x.as_integer_ratio() for x in values]
-    den = lcm(*[q for _, q in ratios])
-    return den, tuple([p * (den // q) for p, q in ratios])
-
-
-def _lowest_terms(den: int, nums: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """den and nums divided by their gcd, signed so that den is positive."""
-    nums = tuple(nums)
-    g = int_gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return den // g, tuple([c // g for c in nums])
-
-
 def _read(k: int) -> property:
     return property(lambda self: Fraction(self.nums[k], self.den))
 
@@ -104,7 +75,7 @@ def _read(k: int) -> property:
 class CountingMatrix:
     """The 4x4 matrix of normalized two-pointed invariants of degree deg,
     stored as its five independent entries a01, a11, a02, a12, a03 (the
-    order of `ENTRY_VARS`): integer numerators over one positive `den`."""
+    order of `ENTRY_VARS`)."""
 
     __slots__ = ("deg", "den", "nums")
     deg: int
@@ -114,11 +85,11 @@ class CountingMatrix:
     def __init__(
         self, deg: int, a01: Fraction, a11: Fraction, a02: Fraction, a12: Fraction, a03: Fraction
     ) -> None:
-        self._store(deg, *_over_one_denominator(ENTRY_VARS, (a01, a11, a02, a12, a03)))
+        self._store(deg, *_over_one_denominator((a01, a11, a02, a12, a03), ENTRY_VARS))
 
     @classmethod
     def from_numerators(cls, deg: int, den: int, nums: Iterable[int]) -> CountingMatrix:
-        """The matrix with entries nums[k] / den, for a nonzero den of either sign."""
+        """The matrix with entries nums[k] / den."""
         matrix = cls.__new__(cls)
         matrix._store(deg, *_lowest_terms(den, nums))
         return matrix
@@ -155,19 +126,18 @@ _PERIOD_NAMES = ("d2", "d3", "d4", "d5", "d6")
 
 @dataclass(frozen=True, init=False, repr=False)
 class PeriodVector:
-    """The constant terms d_2..d_6 of the I-series, stored as integer
-    numerators over one positive `den`."""
+    """The constant terms d_2..d_6 of the I-series."""
 
     __slots__ = ("den", "nums")
     den: int
     nums: tuple[int, ...]
 
     def __init__(self, d2: Fraction, d3: Fraction, d4: Fraction, d5: Fraction, d6: Fraction) -> None:
-        self._store(*_over_one_denominator(_PERIOD_NAMES, (d2, d3, d4, d5, d6)))
+        self._store(*_over_one_denominator((d2, d3, d4, d5, d6), _PERIOD_NAMES))
 
     @classmethod
     def from_numerators(cls, den: int, nums: Iterable[int]) -> PeriodVector:
-        """The vector with d_(k+2) = nums[k] / den, for a nonzero den of either sign."""
+        """The vector with d_(k+2) = nums[k] / den."""
         vector = cls.__new__(cls)
         vector._store(*_lowest_terms(den, nums))
         return vector

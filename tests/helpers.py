@@ -71,6 +71,12 @@ def reference_first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
 weyl_multiply = _multiply
 
 
+def layer(op, b: int) -> list[Fraction]:
+    """The D-power coefficients of the t^b layer of an operator, lowest first;
+    b = 0 gives the indicial polynomial."""
+    return [Fraction(c, op.den) for c in op.layers.get(b, ())]
+
+
 def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial:
     """Product of polynomials in x_1..x_nvars, each given as {exponent: coefficient},
     term by term in `Fraction`s, dropping every term above total degree bound."""

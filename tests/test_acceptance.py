@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import golden
-from helpers import closed_form_constant, constant_terms, symbolic_iseries, weyl_multiply
+from helpers import closed_form_constant, constant_terms, layer, symbolic_iseries, weyl_multiply
 from fanocount.d3 import (
     DifferentialOperator,
     apply_operator,
@@ -176,7 +176,7 @@ def test_d3_structural_suite():
             reduced = left_divide_by_D(det)
             assert weyl_multiply(D, reduced) == det
             assert reduced.order == 3
-            assert reduced.indicial() == [F(0), F(0), F(0), F(1)]
+            assert layer(reduced, 0) == [F(0), F(0), F(0), F(1)]
             solution = frobenius_solve(reduced, 8)
             assert solution[0] == 1
             assert apply_operator(reduced, solution).coeffs == (F(0),) * 8

@@ -1,5 +1,6 @@
+import re
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd
 
 import pytest
@@ -20,10 +21,14 @@ from fanocount.exactmath import (
     NonExactDivision,
     PowerSeries,
     _divide_linear_difference,
+    _lowest_terms,
+    _over_one_denominator,
     divide_by_vandermonde,
     exp_twist,
 )
+from fanocount.d3 import DifferentialOperator
 from fanocount.relations import one_point_relation
+from fanocount.solver import CountingMatrix, PeriodVector
 
 F = Fraction
 
@@ -396,3 +401,90 @@ def test_entry_polynomial_substitute_commutes_with_evaluate(p, values):
     shifted = dict(values)
     shifted["a03"] = values["a11"] + 1
     assert substituted.evaluate(values) == p.evaluate(shifted)
+
+
+# -- the stored format, shared by every container ------------------------------
+
+
+def five(values):
+    """The values repeated or cut to the five slots of a matrix or period vector."""
+    return (list(values) * 5)[:5]
+
+
+# per container: (the constructor on a list of int and Fraction values, the
+# same values from numerators over one den)
+CONTAINERS = {
+    "PowerSeries": (PowerSeries, PowerSeries.from_numerators),
+    "ChernPolynomial": (
+        lambda values: ChernPolynomial(1, len(values), {(k,): c for k, c in enumerate(values)}),
+        lambda den, nums: ChernPolynomial.from_numerators(
+            1, len(nums), den, {(k,): c for k, c in enumerate(nums)}
+        ),
+    ),
+    "DifferentialOperator": (
+        lambda values: DifferentialOperator({(0, i): c for i, c in enumerate(values)}),
+        lambda den, nums: DifferentialOperator.from_layers(den, {0: list(nums)}),
+    ),
+    "CountingMatrix": (
+        lambda values: CountingMatrix(1, *five(values)),
+        lambda den, nums: CountingMatrix.from_numerators(1, den, five(nums)),
+    ),
+    "PeriodVector": (
+        lambda values: PeriodVector(*five(values)),
+        lambda den, nums: PeriodVector.from_numerators(den, five(nums)),
+    ),
+}
+
+
+def hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_every_container_keeps_one_input_rule(name):
+    build, from_numerators = CONTAINERS[name]
+    # a float, a bool or a str is refused, and the message names it
+    for bad in (0.5, 2.0, True, False, "1/3", "2"):
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r}")):
+            build([F(1, 2), bad, 3])
+    # a zero denominator is refused when the container is built, not when read
+    with pytest.raises(ZeroDivisionError):
+        from_numerators(0, [1, 2, 3])
+    # a negative denominator is the same value over a positive one
+    positive, negative = from_numerators(6, [3, -4, 2]), from_numerators(-6, [-3, 4, -2])
+    assert negative == positive == build([F(1, 2), F(-2, 3), F(1, 3)])
+    assert negative.den == positive.den == 6
+    if hashable(positive):
+        assert hash(negative) == hash(positive)
+
+
+exact_values = st.one_of(
+    st.lists(
+        st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(st.sampled_from([0, F(0)]), min_size=1, max_size=4),
+)
+
+
+@given(exact_values, st.integers(-(10**4), 10**4).filter(bool))
+def test_one_denominator_reads_back_in_lowest_terms(values, k):
+    den, nums = _over_one_denominator(values, count())
+    assert [F(c, den) for c in nums] == values
+    assert den > 0 and gcd(den, *nums) == 1
+    # the same values over any nonzero multiple of den, of either sign
+    assert _lowest_terms(k * den, [k * c for c in nums]) == (den, nums)
+
+
+@given(exact_values, st.sampled_from(sorted(CONTAINERS)))
+def test_containers_store_the_helpers_form(values, name):
+    build, from_numerators = CONTAINERS[name]
+    built, read = build(values), from_numerators(*_over_one_denominator(values, count()))
+    assert built == read
+    if hashable(built):
+        assert hash(built) == hash(read)

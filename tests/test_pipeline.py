@@ -30,7 +30,6 @@ from fanocount.pipeline import (
     load_config,
     matrix_view,
     parse_config,
-    rational_str,
     render_verify_table,
     run_pipeline,
     serialize_report,
@@ -432,19 +431,14 @@ def test_verify_reads_the_numerators_as_the_fractions_print(variety):
     derived = {}
     for row in rows:
         value = fraction_read(report, row.label.split(":", 1)[1])
-        assert row.derived == rational_str(value)
-        assert (row.status == "mismatch") == (rational_str(value) != row.expected)
+        assert row.derived == str(value)
+        assert (row.status == "mismatch") == (str(value) != row.expected)
         derived[row.label] = row.derived
     for label in derived:
         status, corrupted = verify_golden(variety, corrupt=label)
         assert status == 1
         assert [r.label for r in corrupted if r.status == "mismatch"] == [label]
         assert {r.label: r.derived for r in corrupted} == derived
-
-
-def test_rational_str():
-    assert rational_str(F(3, 4)) == "3/4"
-    assert rational_str(F(5)) == "5"
 
 
 def test_run_pipeline_solves_once_per_shift(monkeypatch):
