@@ -409,13 +409,14 @@ def modularity_report(
 
     candidates = [("eisenstein", eisenstein_weight2(level, order))]
     candidates.append(("factorial_transform", factorial_transform(series)))
+    minus = -alpha
     if alpha:
-        for tag, sign in (("plus", 1), ("minus", -1)):
-            twisted = exp_twist(series, sign * alpha)
+        for tag, shift in (("plus", alpha), ("minus", minus)):
+            twisted = exp_twist(series, shift)
             candidates.append((f"factorial_transform_twist_{tag}", factorial_transform(twisted)))
 
     rows = []
-    for lam in dict.fromkeys((0, alpha, -alpha)):
+    for lam in dict.fromkeys((0, alpha, minus)):
         solution = solution_at(lam)
         rows.extend(
             ReportRow(lam, name, first_mismatch(solution, cand)) for name, cand in candidates

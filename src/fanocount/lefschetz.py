@@ -119,6 +119,6 @@ def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HS
     """Series of the complete intersection graded by -K, mod H^2."""
     r = ci_geometry(spec).fano_index
     corrected = euler_corrected_series(pair_x, spec.degrees)
-    alpha = lefschetz_shift(spec, pair_x.c0)
-    c0, c1 = exp_twist(corrected.c0, -alpha), exp_twist(corrected.c1, -alpha)
+    shift = -lefschetz_shift(spec, pair_x.c0)
+    c0, c1 = exp_twist(corrected.c0, shift), exp_twist(corrected.c1, shift)
     return HSeriesPair(_regraded(c0, r, 1), _regraded(c1, r, r))

@@ -185,11 +185,12 @@ def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> Fraction:
     """Estimated decimal digits of the largest integer the series of G(r, n)
     prints through q^(order-1), with r = min(r, n - r): the coefficients of
     q^d have denominators dividing (d!)^n lcm(1..d), and their size stays
-    below (10n)^r on every G(r, n) the tests measure.  n and r multiply exact
-    `Fraction`s, never floats, so an n or r past the float range is sized too."""
+    below (10n)^r on every G(r, n) the tests measure.  n and r multiply the
+    exact integer ratios of the logs, so an n or r past the float range is sized too."""
     n, r = ambient.n, min(ambient.r, ambient.n - ambient.r)
-    lcm_digits = Fraction(log10(lcm(*range(1, order))))
-    return n * Fraction(log10(factorial(order - 1))) + r * Fraction(log10(10 * n)) + lcm_digits
+    logs = factorial(order - 1), 10 * n, lcm(*range(1, order))
+    (a, p), (b, q), (c, s) = (log10(x).as_integer_ratio() for x in logs)
+    return Fraction((n * a * q + r * b * p) * s + c * p * q, p * q * s)
 
 
 def _variety_digits(config: VarietyConfig, order: int, alpha: Fraction, digits: Fraction) -> float:

@@ -11,19 +11,16 @@ the two redundant H^1 relations at q^3, q^4 by cross-multiplying.
 `forward_periods` evaluates the constant-term relations at degrees 2..6
 on the matrix numerators, giving the period vector (d_2..d_6), and
 `discriminant` is one integer polynomial in the period numerators over
-den^4.  `invert_periods` inverts the period map by staged linear
-elimination:
+den^4.  Off the discriminant the inverse is rational.  `invert_periods`
+reads a01 = 4 d_2 and a11 = N / (2 * discriminant), with N = 280 d2^3 d3
+- 1000 d2^2 d5 - 168 d2 d3 d4 + 729 d3^3 - 3888 d3 d6 + 3000 d4 d5, and
+stages only a12, a02 and a03 by linear elimination:
 
-    a01 from the d_2 relation; a02 linearly from the d_3 relation given a11;
-    a03 linearly from the d_4 relation given a11 and a12.  The remaining
-    d_5, d_6 relations are both linear in a12, and eliminating a12 leaves an
-    eliminant that is linear in a11 with slope -discriminant/81000.
+    a02 from the d_3 relation given a11; a03 from the d_4 relation given
+    a11 and a12; a12 from the d_5 relation, or from d_6 where d_3 = 0 drops
+    a12 from d_5.
 
-So off the discriminant the inverse is rational, a11 = N / (2 * discriminant)
-with N = 280 d2^3 d3 - 1000 d2^2 d5 - 168 d2 d3 d4 + 729 d3^3 - 3888 d3 d6
-+ 3000 d4 d5.  a12 follows from the d_5 relation (from d_6 where d_3 = 0
-drops a12 from d_5), a02 and a03 by substitution, and one exact check of
-all five relations confirms the matrix.
+One exact check of all five relations then confirms the matrix.
 
 `rational_roots` is not part of either direction: no stage calls it.  It
 stays only for its tests and for the benchmark tracer, which binds it.  It
@@ -238,14 +235,6 @@ def discriminant(v: PeriodVector) -> Fraction:
 # -- exact univariate helpers ------------------------------------------------
 
 
-def _unipoly(ep: EntryPolynomial, var: str) -> list[Fraction]:
-    """Coefficient list of a polynomial that involves at most `var`."""
-    extra = ep.variables() - {var}
-    if extra:
-        raise ValueError(f"polynomial still involves {sorted(extra)}")
-    return [c.coefficient((0,) * len(ENTRY_VARS)) for c in ep.coefficients_in(var)]
-
-
 def _trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
@@ -429,33 +418,32 @@ def _substituted_system(v: PeriodVector) -> tuple[EntryPolynomial, ...]:
     return remaining(5, v.d5), remaining(6, v.d6), a02, a03
 
 
-def _linear_parts(p: EntryPolynomial) -> tuple[EntryPolynomial, EntryPolynomial]:
-    """(a12-free part, a12 coefficient) of a polynomial linear in a12."""
-    coeffs = p.coefficients_in("a12")
-    if not coeffs:
-        return EntryPolynomial.zero(), EntryPolynomial.zero()
-    if len(coeffs) == 1:
-        return coeffs[0], EntryPolynomial.zero()
-    return coeffs[0], coeffs[1]
+def _closed_form_a11(v: PeriodVector, disc: Fraction) -> Fraction:
+    """a11 = N / (2 * disc), with N summed in the period numerators over den^4."""
+    d2, d3, d4, d5, d6 = v.nums
+    den = v.den
+    num = 280 * d2**3 * d3 + den * (729 * d3**3 - 1000 * d2 * d2 * d5 - 168 * d2 * d3 * d4)
+    num += den * den * (3000 * d4 * d5 - 3888 * d3 * d6)
+    return Fraction(num * disc.denominator, 2 * den**4 * disc.numerator)
 
 
 def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
     """The unique counting matrix with the given periods, off the discriminant.
 
-    The inverse is rational: a11 = N(d_2..d_6) / (2 * discriminant) is the
-    root of the linear eliminant, and a12, a02, a03 follow by substitution.
+    The inverse is rational: a11 = N(d_2..d_6) / (2 * discriminant), and
+    a12, a02, a03 follow by substitution.
     """
-    if discriminant(v) == 0:
+    disc = discriminant(v)
+    if disc == 0:
         raise DegenerateLocus(f"discriminant vanishes at {v}")
     p5, p6, a02, a03 = _substituted_system(v)
-    q5, c5 = _linear_parts(p5)
-    q6, c6 = _linear_parts(p6)
-    u = _unipoly(c5 * q6 - c6 * q5, "a11")
-    if len(u) != 2:
-        raise ArithmeticError(f"the a11 eliminant has degree {len(u) - 1}, not 1")
+    a11 = _closed_form_a11(v, disc)
+    # the a12-free part and the a12 coefficient of each relation
+    zero = EntryPolynomial.zero()
+    (q5, c5), (q6, c6) = ((p.coefficients_in("a12") + [zero])[:2] for p in (p5, p6))
     # a12, a02 and a03 read as 0 until solved; the parts evaluated before
     # them do not involve them.
-    values = {"a01": 4 * v.d2, "a11": -u[0] / u[1], "a02": _ZERO, "a12": _ZERO, "a03": _ZERO}
+    values = {"a01": 4 * v.d2, "a11": a11, "a02": _ZERO, "a12": _ZERO, "a03": _ZERO}
     q, c = (q5, c5) if c5.evaluate(values) else (q6, c6)
     values["a12"] = -q.evaluate(values) / c.evaluate(values)
     values["a02"] = a02.evaluate(values)

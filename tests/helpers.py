@@ -1,10 +1,11 @@
 """Closed forms and symbolic expansions that only the tests use, the
 plain `Fraction` definitions the integer series kernels, the Vandermonde
-division and the solver stage are checked against, and the tests' name for
-the operator product of the D3 reference chain."""
+division, the solver stage and the ambient digit estimate are checked
+against, and the tests' name for the operator product of the D3 reference
+chain."""
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, log10, prod
 
 from fanocount.d3 import _multiply, _sigma1
 from fanocount.exactmath import (
@@ -14,7 +15,7 @@ from fanocount.exactmath import (
     PowerSeries,
     _divide_linear_difference,
 )
-from fanocount.grassmann import HSeriesPair
+from fanocount.grassmann import GrassmannianSpec, HSeriesPair
 from fanocount.relations import RelationEngine, one_point_relation
 from fanocount.solver import ConsistencyCheckFailed, CountingMatrix, PeriodVector
 
@@ -236,3 +237,11 @@ def reference_discriminant(v: PeriodVector) -> Fraction:
         + 432 * v.d4**2
         + 56 * v.d2**4
     )
+
+
+def reference_coefficient_digits(ambient: GrassmannianSpec, order: int) -> Fraction:
+    """The ambient digit estimate of `pipeline._coefficient_digits`, summed
+    from one `Fraction` per log."""
+    n, r = ambient.n, min(ambient.r, ambient.n - ambient.r)
+    lcm_digits = Fraction(log10(lcm(*range(1, order))))
+    return n * Fraction(log10(factorial(order - 1))) + r * Fraction(log10(10 * n)) + lcm_digits

@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 
 import golden
-from helpers import TamperedEngine, constant_terms
+from helpers import TamperedEngine, constant_terms, reference_coefficient_digits
 from fanocount import pipeline
 from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _schur_plan
@@ -623,6 +623,18 @@ def test_coefficient_digits_bound_the_printed_series(r, n, orders):
         assert max(map(digits, pair.c0.coeffs + pair.c1.coeffs)) <= _coefficient_digits(
             GrassmannianSpec(r, n), order
         )
+
+
+@pytest.mark.parametrize(
+    ("r", "n"),
+    [(1, 2), (2, 5), (2, 6), (3, 6), (6, 12), (2, 30000), (10**6, 2 * 10**6), (3, 10**400)],
+)
+def test_coefficient_digits_equal_the_fraction_reference(r, n):
+    # the estimate is exact: one Fraction from the logs' integer ratios sums
+    # to what one Fraction per log sums to
+    for order in range(1, 31):
+        ambient = GrassmannianSpec(r, n)
+        assert _coefficient_digits(ambient, order) == reference_coefficient_digits(ambient, order)
 
 
 def test_coefficients_past_the_string_limit_are_refused_at_set_up(monkeypatch):

@@ -27,9 +27,7 @@ from fanocount.solver import (
     DegenerateLocus,
     NoRationalSolution,
     PeriodVector,
-    _linear_parts,
     _substituted_system,
-    _unipoly,
     discriminant,
     forward_periods,
     invert_periods,
@@ -197,16 +195,31 @@ def test_period_map_roundtrip(matrix):
     assert invert_periods(periods, 1) == matrix
 
 
+def linear_parts(p):
+    """(a12-free part, a12 coefficient) of a polynomial linear in a12."""
+    coeffs = p.coefficients_in("a12")
+    return coeffs[0], coeffs[1] if len(coeffs) > 1 else EntryPolynomial.zero()
+
+
+def unipoly(ep, var):
+    """Coefficient list of a polynomial that involves at most `var`."""
+    assert ep.variables() <= {var}
+    return [c.coefficient((0,) * len(ENTRY_VARS)) for c in ep.coefficients_in(var)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(period_vectors())
 def test_eliminant_is_linear_with_discriminant_slope(v):
+    # eliminating a12 from the staged d_5 and d_6 relations derives a11
+    # independently of the closed form that `invert_periods` reads
     assume(discriminant(v) != 0)
     p5, p6, _, _ = _substituted_system(v)
-    q5, c5 = _linear_parts(p5)
-    q6, c6 = _linear_parts(p6)
-    u = _unipoly(c5 * q6 - c6 * q5, "a11")
+    q5, c5 = linear_parts(p5)
+    q6, c6 = linear_parts(p6)
+    u = unipoly(c5 * q6 - c6 * q5, "a11")
     assert len(u) == 2
     assert u[1] * -81000 == discriminant(v)
+    assert -u[0] / u[1] == invert_periods(v, 1).a11
 
 
 def closed_form_a11(v):
@@ -239,16 +252,26 @@ def test_every_vector_off_the_discriminant_inverts(v):
 def test_zero_d3_takes_a12_from_the_d6_relation():
     v = PeriodVector(F(1), F(0), F(1), F(1), F(1))
     assert discriminant(v) == 176
-    _, c5 = _linear_parts(_substituted_system(v)[0])
+    _, c5 = linear_parts(_substituted_system(v)[0])
     assert c5.is_zero()
     m = invert_periods(v, 1)
     assert forward_periods(m) == v
     assert (m.a11, m.a12) == (F(125, 22), F(-54023, 1936))
 
 
-def test_eliminant_of_the_wrong_degree_is_refused(monkeypatch):
-    monkeypatch.setattr(solver, "_linear_parts", lambda p: (p, p))
-    with pytest.raises(ArithmeticError, match="eliminant has degree 0"):
+def test_invert_periods_computes_the_discriminant_once(monkeypatch):
+    calls = []
+    computed = solver.discriminant
+    monkeypatch.setattr(solver, "discriminant", lambda v: calls.append(v) or computed(v))
+    v = forward_periods(M10)
+    assert invert_periods(v, 10) == M10
+    assert calls == [v]
+
+
+def test_final_check_refuses_a_wrong_a11(monkeypatch):
+    closed_form = solver._closed_form_a11
+    monkeypatch.setattr(solver, "_closed_form_a11", lambda v, disc: closed_form(v, disc) + 1)
+    with pytest.raises(NoRationalSolution, match="no rational matrix has periods"):
         invert_periods(forward_periods(M10), 10)
 
 
