@@ -11,7 +11,10 @@ run on any Fano complete intersection; every subcommand that reads the
 counting matrix refuses one that is not a threefold, with exit code 2.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later call; no pipeline result outlives its call.
+and reused by every later call.  So are two tables of the residue sum's
+inputs: the Schur plan per (r, t), and the series plan per
+(r, n, d_max, t), of which the 16 most recently used are kept.  No pipeline
+result outlives its call.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 internal math error.  All numeric output is exact: integers bare,

@@ -50,6 +50,13 @@ as in FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.
 The read-off trusts T: a product missing from T still gives a
 symmetric series, so the tests compare with the sum over compositions.
 
+Everything before the convolution depends only on (r, n, d_max, t): the
+level-1 prefixes, the shifted root series U_(k,e) of each later level, the
+weights C(d, a)^n and the signed denominators.  `_series_plan` builds them
+once per key, as tuples, and keeps the 16 most recently used plans, so a
+warm call runs only the convolution and the read-off, and a process that
+walks many jobs holds a bounded set.
+
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
 the pair (constant term, coefficient of any single x_i), and the pipeline
@@ -60,7 +67,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, lcm, prod
 
@@ -149,10 +156,10 @@ def _shifted(series: list[int], k: int, e: int) -> list[int]:
     return series
 
 
-def _binomial_powers(n: int, top: int) -> list[list[int]]:
+def _binomial_powers(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     """C(d, a)^n for 0 <= a <= d <= top: the factor that brings
     (a!)^n ((d-a)!)^n up to (d!)^n."""
-    return [[comb(d, a) ** n for a in range(d + 1)] for d in range(top + 1)]
+    return tuple(tuple(comb(d, a) ** n for a in range(d + 1)) for d in range(top + 1))
 
 
 def _bialternants(r: int, t: int):
@@ -201,6 +208,31 @@ def _schur_plan(r: int, t: int):
     return tuple(partitions), tuple(table), tuple(levels), schurs
 
 
+@lru_cache(maxsize=16)
+def _series_plan(r: int, n: int, d_max: int, t: int):
+    """Tables of the q-convolution of G(r, n) through q^d_max and total
+    degree t, everything `hv_iseries` needs before it convolves.
+
+    Returns (first, factors, weights, dens): per degree k, `first[k]` is
+    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r, t)`; per root
+    j = 2..r, `factors[j-2][k]` is U_(k,r-j)(x_j) through x^(r-1+t); the
+    weights C(d, a)^n of `_binomial_powers`; and per degree d the signed
+    denominator (-1)^((r-1)d) (d!)^n L^(r(r-1+t)), L = lcm(1..d_max).
+    All are tuples, so the tables the cache hands out cannot be changed.
+    """
+    top = r - 1 + t
+    big, series = _root_series(n, d_max, top)
+    # shifted[j-1][k] is U_(k,r-j)(x_j)
+    shifted = [[_shifted(s, k, r - j) for k, s in enumerate(series)] for j in range(1, r + 1)]
+    prefixes = _schur_plan(r, t)[2][0]
+    first = tuple(tuple(u[m] for _, m in prefixes) for u in shifted[0])
+    factors = tuple(tuple(map(tuple, level)) for level in shifted[1:])
+    lift = big ** (r * top)
+    # the sign (-1)^((r-1)d) rides on the denominator
+    dens = tuple((-1) ** ((r - 1) * d) * factorial(d) ** n * lift for d in range(d_max + 1))
+    return first, factors, _binomial_powers(n, d_max), dens
+
+
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total degree
     target_degree in the Chern roots, read off in Schur polynomials from one
@@ -211,25 +243,20 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
     if d_max < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
     _, table, levels, schurs = _schur_plan(r, target_degree)
-    top = r - 1 + target_degree
-    big, series = _root_series(n, d_max, top)
-    weights = _binomial_powers(n, d_max)
+    parts, factors, weights, dens = _series_plan(r, n, d_max, target_degree)
     # parts[d] is P_j[d] of the module docstring on the level-j prefixes,
-    # over (d!)^n L^(j*top)
-    parts = [_shifted(s, k, r - 1) for k, s in enumerate(series)]
-    parts = [[u[m] for _, m in levels[0]] for u in parts]
-    for j, level in enumerate(levels[1:], 2):
-        factors = [_shifted(s, k, r - j) for k, s in enumerate(series)]
+    # over (d!)^n L^(j(r-1+t)), t = target_degree
+    for level, factor in zip(levels[1:], factors):
         convolved = []
         for d, row in enumerate(weights):
             total = [0] * len(level)
             for a, w in enumerate(row):
-                head, tail = parts[a], [w * c for c in factors[d - a]]
+                head, tail = parts[a], [w * c for c in factor[d - a]]
                 total = [t + head[p] * tail[m] for t, (p, m) in zip(total, level)]
             convolved.append(total)
         parts = convolved
-    lift, out = big ** (r * top), []
-    for d, numer in enumerate(parts):
+    out = []
+    for numer, den in zip(parts, dens):
         coeffs = [0] * len(schurs)
         for (k, sign, _), c in zip(table, numer):
             coeffs[k] += sign * c
@@ -237,8 +264,6 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
         for c, schur in zip(coeffs, schurs):
             for e, m in schur:
                 nums[e] += c * m
-        # the sign (-1)^((r-1)d) rides on the denominator
-        den = (-1) ** ((r - 1) * d) * factorial(d) ** n * lift
         out.append(ChernPolynomial.from_numerators(r, target_degree, den, nums))
     return out
 
@@ -263,23 +288,26 @@ def projective_iseries(n: int, d_max: int) -> HSeriesPair:
 def extract_h_pair(parts: list[ChernPolynomial]) -> HSeriesPair:
     """Collapse degree parts to (constant, H^1) coefficients.
 
-    The coefficient of H in a symmetric polynomial equals the coefficient of
-    any single x_i; all r linear coefficients must agree, otherwise the input
-    was not symmetric and AsymmetricSeries is raised.  Both series are read
-    off the parts' numerators over the lcm of their denominators.
+    The parts share their number of roots r.  The coefficient of H in a
+    symmetric polynomial equals the coefficient of any single x_i; all r
+    linear coefficients must agree, otherwise the input was not symmetric
+    and AsymmetricSeries is raised.  Both series are read off the parts'
+    numerators over the lcm of their denominators.
     """
     den = lcm(*(part.den for part in parts))
     c0 = []
     c1 = []
+    r = parts[0].nvars if parts else 0
+    zero, units = (0,) * r, [tuple(int(k == i) for k in range(r)) for i in range(r)]
     for d, part in enumerate(parts):
-        r, nums = part.nvars, part.nums
-        lin = [nums.get(tuple(int(k == i) for k in range(r)), 0) for i in range(r)]
+        nums = part.nums
+        lin = [nums.get(e, 0) for e in units]
         if any(l != lin[0] for l in lin[1:]):
             lin = [part.linear_coefficient(i) for i in range(r)]
             raise AsymmetricSeries(
                 f"degree-{d} part has unequal linear coefficients {lin}"
             )
         lift = den // part.den
-        c0.append(nums.get((0,) * r, 0) * lift)
+        c0.append(nums.get(zero, 0) * lift)
         c1.append(lin[0] * lift)
     return HSeriesPair(PowerSeries.from_numerators(den, c0), PowerSeries.from_numerators(den, c1))

@@ -115,10 +115,14 @@ def _regraded(series: PowerSeries, index: int, divisor: int) -> PowerSeries:
     return PowerSeries.from_numerators(series.den * divisor, nums)
 
 
-def quantum_lefschetz(pair_x: HSeriesPair, spec: CompleteIntersectionSpec) -> HSeriesPair:
-    """Series of the complete intersection graded by -K, mod H^2."""
+def quantum_lefschetz(
+    pair_x: HSeriesPair, spec: CompleteIntersectionSpec, alpha: Fraction
+) -> HSeriesPair:
+    """Series of the complete intersection graded by -K, mod H^2, twisted
+    by exp(-alpha q); alpha is `lefschetz_shift(spec, pair_x.c0)`, which the
+    caller has already computed."""
     r = ci_geometry(spec).fano_index
     corrected = euler_corrected_series(pair_x, spec.degrees)
-    shift = -lefschetz_shift(spec, pair_x.c0)
+    shift = -alpha
     c0, c1 = exp_twist(corrected.c0, shift), exp_twist(corrected.c1, shift)
     return HSeriesPair(_regraded(c0, r, 1), _regraded(c1, r, r))

@@ -304,7 +304,7 @@ class PipelineRun:
         order = self._series_order
         digits = _variety_digits(self.config, order, self.alpha, self._ambient_digits)
         _check_digits("the variety series", order, digits)
-        return quantum_lefschetz(self.ambient_pair, self.config)
+        return quantum_lefschetz(self.ambient_pair, self.config, self.alpha)
 
     @_stage("solver")
     def matrix(self) -> CountingMatrix:
@@ -390,10 +390,49 @@ def _numerator_strs(x: PowerSeries | CountingMatrix | PeriodVector) -> list[str]
     return [ratio_str(c, x.den) for c in x.nums]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value: object, indent: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it at
+    the nesting `indent`: every string through the C string encoder, and the
+    items of a list of strings joined in C.  Only dict, list, str, int, bool
+    and None are written; any other type, or a dict key that is not a str
+    (which the string encoder refuses), raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {str}:
+            body = sep.join(map(_quote, value))
+        else:
+            body = sep.join([_json(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = sep.join([f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def render(data: dict, lines: list[str], format: str) -> str:
-    """Deterministic JSON or text; identical inputs, identical bytes."""
+    """Deterministic JSON or text; identical inputs, identical bytes.  The
+    JSON is byte-identical to `json.dumps(data, indent=2, sort_keys=True)`
+    and ends in a newline; a value of any type but dict, list, str, int, bool
+    and None raises TypeError."""
     if format == "json":
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return _json(data, "") + "\n"
     if format != "text":
         raise ConfigError(f"unknown format {format!r}")
     return "\n".join(lines) + "\n"
@@ -517,13 +556,11 @@ def modularity_view(run: PipelineRun) -> View:
     return data, [header] + modularity_lines(data)
 
 
-def report_view(report: PipelineRun) -> View:
-    """Every stage of a completed run, with every rational as an exact string."""
+def report_dict(report: PipelineRun) -> dict:
+    """Every stage of a completed run as the JSON report, with every
+    rational as an exact string."""
     cfg = report.config
-    ambient, ambient_lines = _pair_view(report.ambient_pair, report.order)
-    variety, variety_lines = _pair_view(report.variety_pair, report.order)
-    periods, periods_lines = periods_view(report)
-    data = {
+    return {
         "name": cfg.name,
         "verified": report.verified,
         "ambient": {"r": cfg.ambient.r, "n": cfg.ambient.n},
@@ -536,40 +573,51 @@ def report_view(report: PipelineRun) -> View:
             "anticanonical_degree": str(cfg.anticanonical_degree),
         },
         "alpha": str(report.alpha),
-        "ambient_series": ambient,
-        "variety_series": variety,
+        "ambient_series": _pair_view(report.ambient_pair, report.order)[0],
+        "variety_series": _pair_view(report.variety_pair, report.order)[0],
         "matrix": matrix_dict(report.matrix),
-        **periods,
+        **periods_view(report)[0],
         "d3": {"operator": str(report.operator), "solution": _numerator_strs(report.solution)},
         "modularity": modularity_dict(report.modularity),
         "notes": list(report.notes),
     }
+
+
+def report_lines(report: PipelineRun) -> list[str]:
+    """Every stage of a completed run as the text report, the same strings
+    as `report_dict`."""
+    cfg = report.config
+    ambient_lines = _pair_view(report.ambient_pair, report.order)[1]
+    variety_lines = _pair_view(report.variety_pair, report.order)[1]
+    periods_lines = periods_view(report)[1]
     tag = "verified catalog entry" if report.verified else "unverified"
-    lines = [
+    m = modularity_dict(report.modularity)
+    return [
         f"variety {cfg.name or '(unnamed)'} [{tag}]",
         f"  ambient G({cfg.ambient.r},{cfg.ambient.n}), degrees {tuple(cfg.degrees)}",
         f"  dimension {cfg.dimension}, index {cfg.fano_index}, "
         f"ambient degree {cfg.ambient.plucker_degree}, "
         f"anticanonical degree {cfg.anticanonical_degree}",
-        f"  shift alpha = {data['alpha']}",
+        f"  shift alpha = {report.alpha!s}",
         *("  ambient " + line for line in ambient_lines),
         *("  variety " + line for line in variety_lines),
         "  counting matrix:",
         *("    " + row for row in matrix_lines(report.matrix)),
         "  periods " + periods_lines[0],
         "  " + periods_lines[1],
-        f"  operator (shift 0): {data['d3']['operator']}",
-        f"  solution: {' '.join(data['d3']['solution'])}",
+        f"  operator (shift 0): {report.operator!s}",
+        f"  solution: {' '.join(_numerator_strs(report.solution))}",
+        f"  modularity level {m['level']}, order {m['order']}:",
+        *("    " + line for line in modularity_lines(m)),
+        *(f"  note: {note}" for note in report.notes),
     ]
-    m = data["modularity"]
-    lines.append(f"  modularity level {m['level']}, order {m['order']}:")
-    lines += ["    " + line for line in modularity_lines(m)]
-    lines += [f"  note: {note}" for note in data["notes"]]
-    return data, lines
 
 
 def serialize_report(report: PipelineRun, format: str = "text") -> str:
-    return render(*report_view(report), format)
+    """The report in one format, building only what that format prints."""
+    if format == "json":
+        return render(report_dict(report), [], format)
+    return render({}, report_lines(report), format)
 
 
 # -- golden verification -------------------------------------------------------
@@ -691,7 +739,7 @@ def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int
     `verify_golden` returned with the rows; the text lines are built only
     for text."""
     if format == "json":
-        # vars() is the row's own field dict; json.dumps only reads it
+        # vars() is the row's own field dict; render only reads it
         return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)
     label_w = max(len(r.label) for r in rows)
     val_w = max(max(len(r.derived), len(r.expected)) for r in rows)

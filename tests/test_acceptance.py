@@ -29,7 +29,7 @@ from fanocount.grassmann import (
     hv_iseries,
 )
 from fanocount.exactmath import EntryPolynomial
-from fanocount.lefschetz import quantum_lefschetz
+from fanocount.lefschetz import lefschetz_shift, quantum_lefschetz
 from fanocount.pipeline import CATALOG, run_pipeline, verify_golden
 from fanocount.solver import (
     CountingMatrix,
@@ -59,7 +59,8 @@ GOLDEN_ROWS = {
 
 def variety_pair(name, d_max=6):
     config = CATALOG[name]
-    return quantum_lefschetz(extract_h_pair(hv_iseries(config.ambient, d_max, 2)), config)
+    ambient = extract_h_pair(hv_iseries(config.ambient, d_max, 2))
+    return quantum_lefschetz(ambient, config, lefschetz_shift(config, ambient.c0))
 
 
 def test_end_to_end_matrix_reproduction():

@@ -157,9 +157,12 @@ def _flipped(monkeypatch, entry):
 
 @pytest.fixture
 def cold_schur_plan():
-    grassmann._schur_plan.cache_clear()
+    # both per-process tables of the residue sum, so the test builds them
+    for plan in (grassmann._schur_plan, grassmann._series_plan):
+        plan.cache_clear()
     yield
-    grassmann._schur_plan.cache_clear()
+    for plan in (grassmann._schur_plan, grassmann._series_plan):
+        plan.cache_clear()
 
 
 @pytest.mark.parametrize("r, n, entry", [(2, 5, 0), (3, 6, 9)], ids=["2-5", "3-6"])
@@ -191,16 +194,16 @@ def test_schur_table_holds_the_schur_polynomials(r, t):
     assert dict(zip(partitions, map(dict, schurs))) == wanted
 
 
-def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch):
+def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_schur_plan):
     # the Schur read-off is symmetric whatever T holds, so a sum missing one
     # product still passes the symmetry check of extract_h_pair.  Only the
     # comparison with the reference sees it.
     weights = grassmann._binomial_powers
 
     def dropped(n, top):
-        rows = weights(n, top)
+        rows = [list(row) for row in weights(n, top)]
         rows[2][1] = 0  # degree 2 split as 1 + 1, the composition (1, 1)
-        return rows
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(grassmann, "_binomial_powers", dropped)
     spec = GrassmannianSpec(2, 5)
@@ -208,6 +211,22 @@ def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch):
     extract_h_pair(parts)
     assert parts[:2] == [reference_degree_part(spec, d, 1) for d in range(2)]
     assert parts[2] != reference_degree_part(spec, 2, 1)
+
+
+def test_series_plan_hands_out_tuples():
+    # every caller shares the cached tables, so none can change them
+    first, factors, weights, dens = grassmann._series_plan(3, 6, 4, 1)
+    for table in (first, first[2], factors, factors[1], factors[1][3], weights, weights[4], dens):
+        with pytest.raises(TypeError):
+            table[0] = 0
+
+
+def test_series_plan_holds_a_bounded_set(cold_schur_plan):
+    bound = grassmann._series_plan.cache_info().maxsize
+    assert bound is not None
+    for n in range(5, 5 + bound + 3):
+        hv_iseries(GrassmannianSpec(2, n), 3, 1)
+    assert grassmann._series_plan.cache_info().currsize <= bound
 
 
 def test_grassmannian_duality():

@@ -23,6 +23,7 @@ from fanocount.lefschetz import (
     lefschetz_shift,
     quantum_lefschetz,
 )
+from fanocount.solver import ConsistencyCheckFailed, recover_matrix
 
 F = Fraction
 
@@ -77,7 +78,8 @@ def test_any_dimension_passes_the_fano_gate():
     hyperplane = CompleteIntersectionSpec(GrassmannianSpec(2, 5), (1,))
     assert ci_geometry(hyperplane) is hyperplane
     assert (hyperplane.dimension, hyperplane.fano_index) == (5, 4)
-    pair = quantum_lefschetz(ambient_pair(hyperplane, 8), hyperplane)
+    ambient = ambient_pair(hyperplane, 8)
+    pair = quantum_lefschetz(ambient, hyperplane, lefschetz_shift(hyperplane, ambient.c0))
     assert pair.c0.order == pair.c1.order == 9
 
 
@@ -87,7 +89,7 @@ def test_regrade_by_anticanonical_class():
     cubic = CompleteIntersectionSpec(GrassmannianSpec(1, 5), (3,))
     pair = projective_iseries(5, 6)
     by_h = euler_corrected_series(pair, (3,))
-    by_k = quantum_lefschetz(pair, cubic)
+    by_k = quantum_lefschetz(pair, cubic, lefschetz_shift(cubic, pair.c0))
     assert by_k.c0.order == by_k.c1.order == 7
     for m in range(7):
         if m % 2:
@@ -109,7 +111,7 @@ def test_regrade_scales_c1_by_the_index(n, degrees, index):
     assert spec.fano_index == index
     pair = projective_iseries(n, 12)
     by_h = reference_euler_corrected_series(pair, degrees)
-    by_k = quantum_lefschetz(pair, spec)
+    by_k = quantum_lefschetz(pair, spec, lefschetz_shift(spec, pair.c0))
     for m in range(13):
         if m % index:
             assert by_k.c0[m] == by_k.c1[m] == 0
@@ -156,7 +158,8 @@ def test_euler_correction_closed_form_for_quartic():
 
 
 def test_quantum_lefschetz_v10_series():
-    pair = quantum_lefschetz(ambient_pair(V10_SPEC, 6), V10_SPEC)
+    ambient = ambient_pair(V10_SPEC, 6)
+    pair = quantum_lefschetz(ambient, V10_SPEC, lefschetz_shift(V10_SPEC, ambient.c0))
     assert pair.c0.coeffs == (
         F(1),
         F(0),
@@ -178,7 +181,8 @@ def test_quantum_lefschetz_v10_series():
 
 
 def test_quantum_lefschetz_v14_series():
-    pair = quantum_lefschetz(ambient_pair(V14_SPEC, 6), V14_SPEC)
+    ambient = ambient_pair(V14_SPEC, 6)
+    pair = quantum_lefschetz(ambient, V14_SPEC, lefschetz_shift(V14_SPEC, ambient.c0))
     assert pair.c0.coeffs == (
         F(1),
         F(0),
@@ -202,5 +206,22 @@ def test_quantum_lefschetz_v14_series():
 def test_twist_removes_linear_term():
     # the exponential shift is exactly what kills the q^1 coefficient
     for spec in (V10_SPEC, V14_SPEC):
-        pair = quantum_lefschetz(ambient_pair(spec, 2), spec)
+        ambient = ambient_pair(spec, 2)
+        pair = quantum_lefschetz(ambient, spec, lefschetz_shift(spec, ambient.c0))
         assert pair.c0[1] == 0
+
+
+@pytest.mark.parametrize("error", [1, -1, F(1, 2)])
+@pytest.mark.parametrize("spec", [V10_SPEC, V14_SPEC], ids=["V10", "V14"])
+def test_a_wrong_shift_leaves_a_q1_constant_that_recovery_refuses(spec, error):
+    # the caller passes alpha; with alpha + error the twist leaves -error at
+    # q^1, and the matrix read off that series fails its redundant H^1
+    # relation at q^3, the first of recover_matrix's checks to see it
+    ambient = ambient_pair(spec, 4)
+    alpha = lefschetz_shift(spec, ambient.c0)
+    deg = spec.anticanonical_degree
+    assert recover_matrix(quantum_lefschetz(ambient, spec, alpha), deg).deg == deg
+    wrong = quantum_lefschetz(ambient, spec, alpha + error)
+    assert wrong.c0[1] == -error
+    with pytest.raises(ConsistencyCheckFailed, match=r"^redundant H\^1 relation at q\^3: "):
+        recover_matrix(wrong, deg)

@@ -6,6 +6,8 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from helpers import TamperedEngine, constant_terms, reference_coefficient_digits
@@ -30,6 +32,7 @@ from fanocount.pipeline import (
     load_config,
     matrix_view,
     parse_config,
+    render,
     render_verify_table,
     run_pipeline,
     serialize_report,
@@ -358,6 +361,46 @@ def test_serialize_report_rejects_unknown_format():
     report = run_pipeline(CATALOG["V10"], order=5)
     with pytest.raises(ConfigError):
         serialize_report(report, "yaml")
+
+
+# every code point, lone surrogates and control characters included
+json_strings = st.text(st.characters(exclude_categories=()))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**4000), 10**4000)
+    | json_strings,
+    lambda inner: st.lists(inner) | st.dictionaries(json_strings, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_render_writes_the_bytes_of_json_dumps(data):
+    assert render(data, [], "json") == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"x": 0.5},
+        {"x": float("nan")},
+        {"x": Fraction(1, 2)},
+        {"x": (1, 2)},
+        {"x": [["a"], ("b",)]},
+        {1: "a"},
+        {"a": 1, None: 2},
+        {"x": {"y": {True: 1}}},
+        [0, 1.0],
+    ],
+)
+def test_render_refuses_what_json_dumps_would_convert(data):
+    # json.dumps would print a float, list a tuple and turn a key into a
+    # string; a view that hands render such a value fails instead
+    with pytest.raises(TypeError):
+        render(data, [], "json")
 
 
 def test_verify_golden_all_green():

@@ -19,7 +19,7 @@ from fanocount.grassmann import GrassmannianSpec, HSeriesPair, extract_h_pair, h
 from fanocount import solver
 from fanocount.exactmath import ENTRY_VARS, EntryPolynomial, PowerSeries
 from fanocount.relations import one_point_relation
-from fanocount.lefschetz import CompleteIntersectionSpec, quantum_lefschetz
+from fanocount.lefschetz import CompleteIntersectionSpec, lefschetz_shift, quantum_lefschetz
 from fanocount.solver import (
     AmbiguousSolution,
     ConsistencyCheckFailed,
@@ -44,7 +44,7 @@ M14 = CountingMatrix(deg=14, **golden.entry_values(golden.MATRIX_V14))
 def variety_pair(r, n, degrees, d_max=6):
     spec = CompleteIntersectionSpec(GrassmannianSpec(r, n), degrees)
     ambient = extract_h_pair(hv_iseries(spec.ambient, d_max, 2))
-    return quantum_lefschetz(ambient, spec)
+    return quantum_lefschetz(ambient, spec, lefschetz_shift(spec, ambient.c0))
 
 
 def test_counting_matrix_rows_layout():
