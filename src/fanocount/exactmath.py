@@ -55,6 +55,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -157,7 +158,8 @@ def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
 
     With f_j = a_j / den, c = u / v and M = order - 1,
     [q^m] = sum_k a_(m-k) u^k / (den v^k k!), so every coefficient is the
-    integer sum_k a_(m-k) w_k over den v^M M!, with w_k = u^k v^(M-k) M!/k!.
+    integer sum_k a_(m-k) w_k over den v^M M!, with w_k = u^k v^(M-k) M!/k!:
+    one dot product of the reversed numerators a_m..a_0 with w_0..w_m.
     """
     u, v = c.numerator, c.denominator
     top = series.order - 1
@@ -167,7 +169,7 @@ def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
         w[k] = u**k * v ** (top - k) * falling
         falling *= k
     a = series.nums
-    nums = [sum(a[m - k] * w[k] for k in range(m + 1) if a[m - k]) for m in range(top + 1)]
+    nums = [sum(map(mul, a[m::-1], w)) for m in range(top + 1)]
     return PowerSeries.from_numerators(series.den * v**top * factorial(top), nums)
 
 

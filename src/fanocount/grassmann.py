@@ -34,7 +34,12 @@ and only the r! coefficients of T_d at the permutations of each lam + delta
 are needed, none with an exponent above r - 1 + t.  `_schur_plan` lists
 them in one signed table per (r, t), and gets the integer coefficients of
 each s_lam from `divide_by_vandermonde` of the bialternant built from that
-table, so a wrong sign in it raises NonExactDivision when it is built.
+table, so a wrong sign in it raises NonExactDivision when it is built.  It
+folds the signs and the s_lam into one integer read-off matrix, whose row
+for a monomial x^e holds sgn(s) [x^e] s_lam at the table entry of
+(lam, s), so each coefficient of a degree part is one dot product of a
+row with the table's coefficients of T_d.  The monomials of one orbit
+share a row, so at t = 1 the matrix has two rows, of c_() and c_(1).
 
 T is built one root at a time for every degree at once, as a
 q-convolution: P_1[d] = U_(d,r-1)(x_1), and
@@ -42,20 +47,35 @@ q-convolution: P_1[d] = U_(d,r-1)(x_1), and
     P_j[d] = sum_{a<=d} C(d, a)^n P_(j-1)[a] * U_(d-a,r-j)(x_j),
 
 so T_d = P_r[d], in O(r d^2) products where a sum over the compositions of
-every degree would take C(d+r, r).  P_j holds only the length-j prefixes of
-the table's exponents, one list comprehension per product, and C(d, a)^n
-lifts the denominators (a!)^n ((d-a)!)^n to (d!)^n.  Coefficients are
-integers over one denominator per degree, (d!)^n * lcm(1..d_max)^(r(r-1+t)),
-as in FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.
-The read-off trusts T: a product missing from T still gives a
-symmetric series, so the tests compare with the sum over compositions.
+every degree would take C(d+r, r).  P_j holds only the length-j prefixes
+of the table's exponents, and C(d, a)^n lifts the denominators
+(a!)^n ((d-a)!)^n to (d!)^n.  At a prefix p = (p', m), P_j[d][p] is the
+dot product over a <= d of P_(j-1)[a][p'] with the weighted entries
+C(d, a)^n [x^m] U_(d-a,r-j).  For j < r the plan holds those entries as
+one row over the level's prefixes per (d, a), so a level takes one pass
+per degree in which `map` multiplies each a's row and `zip` and `sum` add
+the products of each prefix.  The last level is never stored: the prefixes
+of length r are the table's entries, and each row of the read-off matrix
+is folded into their weighted entries when the plan is built, so a
+coefficient of a degree part is one dot product of P_(r-1) at degrees
+a <= d, gathered at the parents of the row's entries, with that row's
+column for d.  No step is interpreted per product, per prefix or per
+pair (d, a).  Coefficients are integers over one denominator per degree,
+(d!)^n * lcm(1..d_max)^(r(r-1+t)), as in FLINT's `fmpq_poly`, with the
+sign (-1)^((r-1)d) on the denominator.  The read-off trusts T: a product
+missing from T still gives a symmetric series, so the tests compare with
+the sum over compositions.
 
 Everything before the convolution depends only on (r, n, d_max, t): the
-level-1 prefixes, the shifted root series U_(k,e) of each later level, the
-weights C(d, a)^n and the signed denominators.  `_series_plan` builds them
-once per key, as tuples, and keeps the 16 most recently used plans, so a
-warm call runs only the convolution and the read-off, and a process that
-walks many jobs holds a bounded set.
+level-1 prefixes' entries of U_(d,r-1)(x_1), the weighted rows of the
+levels 2..r-1, the read-off's columns and the signed denominators.
+`_series_plan` builds them once per key, as tuples, and keeps the 16 most
+recently used plans, so a warm call runs only the dot products, and a
+process that walks many jobs holds a bounded set.  The rows store a
+pointer per (prefix, d, a) and the weighted entries are products of
+C(d, a)^n with the root series, so a plan is larger than its inputs: on
+a 64-bit CPython, G(2,3000) through q^12 takes about 0.5 MB and G(6,12)
+through q^12 about 3 MB.
 
 The cohomology of the ambient space is only needed modulo H^2 downstream,
 where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
@@ -68,8 +88,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
 from math import comb, factorial, lcm, prod
+from operator import itemgetter, mul
 
 from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
 
@@ -182,30 +203,40 @@ def _bialternants(r: int, t: int):
 def _schur_plan(r: int, t: int):
     """Tables of the Schur read-off in r roots through total degree t.
 
-    Returns (partitions, table, levels, schurs): the partitions and signed
-    table of `_bialternants`; per root j, `levels[j-1]` lists (parent index,
-    exponent of x_j) per distinct length-j prefix of the table's exponents,
-    so the last level is the table's exponents in table order; and per
-    partition, the integer (exponent, coefficient) pairs of s_lam, divided
-    out of the bialternant here, once per (r, t).
+    Returns (partitions, table, levels, readoff): the partitions and signed
+    table of `_bialternants`; per root j, `levels[j-1]` is the pair
+    (parents, exponents) that gives, per distinct length-j prefix of the
+    table's exponents, the index of its length-(j-1) prefix and the
+    exponent of x_j, so the last level is the table's exponents in table
+    order; and the read-off matrix as (rows, monomials): its distinct rows,
+    each over the table's entries, and per monomial e of some s_lam the
+    pair (e, index of its row), the row holding sgn(s) [x^e] s_lam at the
+    entry (k, sgn(s), s(lam + delta)) of lam.  The s_lam are divided out of
+    their bialternants here, once per (r, t).
     """
     partitions, table = _bialternants(r, t)
     alternants = [{} for _ in partitions]
     for k, sign, e in table:
         alternants[k][e] = sign
     v = r * (r - 1) // 2
-    schurs = tuple(
-        tuple(divide_by_vandermonde(ChernPolynomial.from_numerators(r, t + v, 1, a)).nums.items())
+    schurs = [
+        divide_by_vandermonde(ChernPolynomial.from_numerators(r, t + v, 1, a)).nums
         for a in alternants
-    )
+    ]
+    columns = defaultdict(lambda: [0] * len(table))
+    for i, (k, sign, _) in enumerate(table):
+        for e, c in schurs[k].items():
+            columns[e][i] = sign * c
+    rows = {}
+    monomials = tuple((e, rows.setdefault(tuple(row), len(rows))) for e, row in columns.items())
     parent, levels = {(): 0}, []
     for j in range(1, r + 1):
         index = {}
         for _, _, e in table:
             index.setdefault(e[:j], len(index))
-        levels.append(tuple((parent[p[:-1]], p[-1]) for p in index))
+        levels.append((tuple(parent[p[:-1]] for p in index), tuple(p[-1] for p in index)))
         parent = index
-    return tuple(partitions), tuple(table), tuple(levels), schurs
+    return tuple(partitions), tuple(table), tuple(levels), (tuple(rows), monomials)
 
 
 @lru_cache(maxsize=16)
@@ -213,57 +244,81 @@ def _series_plan(r: int, n: int, d_max: int, t: int):
     """Tables of the q-convolution of G(r, n) through q^d_max and total
     degree t, everything `hv_iseries` needs before it convolves.
 
-    Returns (first, factors, weights, dens): per degree k, `first[k]` is
-    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r, t)`; per root
-    j = 2..r, `factors[j-2][k]` is U_(k,r-j)(x_j) through x^(r-1+t); the
-    weights C(d, a)^n of `_binomial_powers`; and per degree d the signed
-    denominator (-1)^((r-1)d) (d!)^n L^(r(r-1+t)), L = lcm(1..d_max).
-    All are tuples, so the tables the cache hands out cannot be changed.
+    Returns (first, levels, readoff, dens).  Per degree k, `first[k]` is
+    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r, t)`.  Per root
+    j = 2..r-1, `levels[j-2]` is (parents, weighted): the parent index of
+    each level-j prefix (p', m), and per degree d and a <= d the row
+    `weighted[d][a]` over those prefixes of C(d, a)^n [x^m] U_(d-a,r-j)(x_j),
+    one integer per (d, a, m) that the prefixes with exponent m share.  Per
+    row of the read-off matrix, `readoff[k]` is (parents, columns): the
+    level-(r-1) parent of each table entry where the row is not zero, and
+    per degree d the column over (a <= d, entry) of the row's coefficient
+    times C(d, a)^n [x^m] U_(d-a,0)(x_r), m the entry's last exponent.  Per
+    degree d, `dens[d]` is the signed denominator
+    (-1)^((r-1)d) (d!)^n L^(r(r-1+t)), L = lcm(1..d_max).  All are tuples,
+    so the tables the cache hands out cannot be changed.
     """
     top = r - 1 + t
     big, series = _root_series(n, d_max, top)
-    # shifted[j-1][k] is U_(k,r-j)(x_j)
-    shifted = [[_shifted(s, k, r - j) for k, s in enumerate(series)] for j in range(1, r + 1)]
-    prefixes = _schur_plan(r, t)[2][0]
-    first = tuple(tuple(u[m] for _, m in prefixes) for u in shifted[0])
-    factors = tuple(tuple(map(tuple, level)) for level in shifted[1:])
+    weights = _binomial_powers(n, d_max)
+    _, _, prefixes, (matrix, _) = _schur_plan(r, t)
+
+    def weighted(j):
+        # per degree d and a <= d, C(d, a)^n [x^m] U_(d-a,r-j)(x_j) for m <= top
+        factor = [_shifted(s, k, r - j) for k, s in enumerate(series)]
+        return [
+            [[w * c for c in factor[d - a]] for a, w in enumerate(ws)]
+            for d, ws in enumerate(weights)
+        ]
+
+    first = tuple(
+        tuple(map(_shifted(s, k, r - 1).__getitem__, prefixes[0][1])) for k, s in enumerate(series)
+    )
+    levels = []
+    for j, (parents, exponents) in enumerate(prefixes[1:-1], 2):
+        rows = (tuple(tuple(map(u.__getitem__, exponents)) for u in by_a) for by_a in weighted(j))
+        levels.append((parents, tuple(rows)))
+    parents, exponents = prefixes[-1]
+    # the read-off's entries share one integer per (d, a, coefficient, exponent)
+    pairs = list(dict.fromkeys((c, exponents[i]) for row in matrix for i, c in enumerate(row) if c))
+    scaled = [[[c * u[m] for c, m in pairs] for u in by_a] for by_a in weighted(r)]
+    readoff = []
+    for row in matrix:
+        entries = [i for i, c in enumerate(row) if c]
+        index = [pairs.index((row[i], exponents[i])) for i in entries]
+        columns = (tuple(chain(*(map(u.__getitem__, index) for u in by_a))) for by_a in scaled)
+        readoff.append((tuple(parents[i] for i in entries), tuple(columns)))
     lift = big ** (r * top)
     # the sign (-1)^((r-1)d) rides on the denominator
     dens = tuple((-1) ** ((r - 1) * d) * factorial(d) ** n * lift for d in range(d_max + 1))
-    return first, factors, _binomial_powers(n, d_max), dens
+    return first, tuple(levels), tuple(readoff), dens
 
 
 def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total degree
     target_degree in the Chern roots, read off in Schur polynomials from one
-    q-convolution."""
+    q-convolution, as integer dot products over the cached plans."""
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d_max < 0 or target_degree < 0:
         raise ValueError("degree arguments must be nonnegative")
-    _, table, levels, schurs = _schur_plan(r, target_degree)
-    parts, factors, weights, dens = _series_plan(r, n, d_max, target_degree)
+    monomials = _schur_plan(r, target_degree)[3][1]
+    parts, levels, readoff, dens = _series_plan(r, n, d_max, target_degree)
     # parts[d] is P_j[d] of the module docstring on the level-j prefixes,
-    # over (d!)^n L^(j(r-1+t)), t = target_degree
-    for level, factor in zip(levels[1:], factors):
-        convolved = []
-        for d, row in enumerate(weights):
-            total = [0] * len(level)
-            for a, w in enumerate(row):
-                head, tail = parts[a], [w * c for c in factor[d - a]]
-                total = [t + head[p] * tail[m] for t, (p, m) in zip(total, level)]
-            convolved.append(total)
-        parts = convolved
+    # over (d!)^n L^(j(r-1+t)), t = target_degree; a level past the first
+    # and a row of the read-off both gather at least two parents, so
+    # itemgetter returns a tuple
+    for parents, weighted in levels:
+        heads = list(map(itemgetter(*parents), parts))
+        parts = [list(map(sum, zip(*map(map, repeat(mul), heads, by_a)))) for by_a in weighted]
+    coeffs = []
+    for parents, columns in readoff:
+        heads = list(map(itemgetter(*parents), parts))
+        coeffs.append([sum(map(mul, chain(*heads[: d + 1]), c)) for d, c in enumerate(columns)])
     out = []
-    for numer, den in zip(parts, dens):
-        coeffs = [0] * len(schurs)
-        for (k, sign, _), c in zip(table, numer):
-            coeffs[k] += sign * c
-        nums = defaultdict(int)
-        for c, schur in zip(coeffs, schurs):
-            for e, m in schur:
-                nums[e] += c * m
+    for d, den in enumerate(dens):
+        nums = {e: coeffs[k][d] for e, k in monomials}
         out.append(ChernPolynomial.from_numerators(r, target_degree, den, nums))
     return out
 

@@ -160,7 +160,9 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     """Read the five entries off a hyperplane series known through q^4.
 
     The q^1..q^4 constants and H^1 coefficients give nine equations for five
-    unknowns; the first five are triangular and the rest must close exactly.
+    unknowns; five are triangular and the rest must close exactly.  The
+    q^1 constant, which a twist by the wrong shift leaves behind, is checked
+    first, then the redundant H^1 relations at q^3 and q^4.
     With c0[d] = x_d / L and c1[d] = y_d / L over L = lcm of the two
     denominators, the entries are integers over L^3:
 
@@ -177,6 +179,10 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     y = [c * (den // c1.den) for c in c1.nums[:5]]
     if x[0] != den or y[0] != 0:
         raise ConsistencyCheckFailed("series must start 1 + O(q)")
+    if x[1] != 0:
+        raise ConsistencyCheckFailed(
+            f"q^1 constant must vanish for an index-1 series, got {Fraction(x[1], den)}"
+        )
     x2, y1, sq = x[2], y[1], den * den
     nums = (
         4 * x2 * sq,
@@ -194,10 +200,6 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
                 f"redundant H^1 relation at q^{d}: series gives {Fraction(y[d], den)}, "
                 f"entries give {Fraction(got, got_den)}"
             )
-    if x[1] != 0:
-        raise ConsistencyCheckFailed(
-            f"q^1 constant must vanish for an index-1 series, got {Fraction(x[1], den)}"
-        )
     return matrix
 
 

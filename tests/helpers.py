@@ -190,14 +190,19 @@ def symbolic_iseries(
 
 
 def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_relation) -> CountingMatrix:
-    """`recover_matrix` in `Fraction`s: the entries read off the series
-    coefficients triangularly, then the redundant H^1 relations at q^3 and
-    q^4, evaluated at the entries, compared with the series."""
+    """`recover_matrix` in `Fraction`s: the q^1 constant checked, the entries
+    read off the series coefficients triangularly, then the redundant H^1
+    relations at q^3 and q^4, evaluated at the entries, compared with the
+    series."""
     if pair.order < 5:
         raise ValueError("matrix recovery needs the series through q^4")
     c0, c1 = pair.c0, pair.c1
     if c0[0] != 1 or c1[0] != 0:
         raise ConsistencyCheckFailed("series must start 1 + O(q)")
+    if c0[1] != 0:
+        raise ConsistencyCheckFailed(
+            f"q^1 constant must vanish for an index-1 series, got {c0[1]}"
+        )
     a11 = c1[1]
     a01 = 4 * c0[2]
     a12 = 8 * (c1[2] - a11**2 / 4 + a01 / 4)
@@ -214,10 +219,6 @@ def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_rel
                 f"redundant H^1 relation at q^{d}: series gives {expected}, "
                 f"entries give {got}"
             )
-    if c0[1] != 0:
-        raise ConsistencyCheckFailed(
-            f"q^1 constant must vanish for an index-1 series, got {c0[1]}"
-        )
     return matrix
 
 

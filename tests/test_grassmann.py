@@ -119,11 +119,24 @@ def test_hv_constant_terms_match_closed_form():
             assert parts[d].constant_term() == closed_form_constant(n, d)
 
 
-@pytest.mark.parametrize("r, n, d_max", [(2, 5, 6), (3, 6, 3), (5, 7, 2)])
-def test_kernel_matches_multivariate_product(r, n, d_max):
+# at total degree 2, and at the depths the pipeline runs, G(2,5) and G(2,6)
+# at order 13 and G(3,6) at order 7, at total degrees 1 and 2
+@pytest.mark.parametrize(
+    "r, n, d_max, t",
+    [
+        pytest.param(r, n, d_max, 2, id=f"{r}-{n}-{d_max}")
+        for r, n, d_max in ((2, 5, 6), (3, 6, 3), (5, 7, 2))
+    ]
+    + [
+        pytest.param(r, n, d_max, t, id=f"{r}-{n}-{d_max}-t{t}")
+        for r, n, d_max in ((2, 5, 12), (2, 6, 12), (3, 6, 6))
+        for t in (1, 2)
+    ],
+)
+def test_kernel_matches_multivariate_product(r, n, d_max, t):
     spec = GrassmannianSpec(r, n)
-    expected = [reference_degree_part(spec, d, 2) for d in range(d_max + 1)]
-    assert hv_iseries(spec, d_max, 2) == expected
+    expected = [reference_degree_part(spec, d, t) for d in range(d_max + 1)]
+    assert hv_iseries(spec, d_max, t) == expected
 
 
 @st.composite
@@ -180,9 +193,19 @@ def test_flipped_schur_table_sign_breaks_exact_division(monkeypatch, cold_schur_
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_schur_table_holds_the_schur_polynomials(r, t):
     # s_() = 1, s_(1) = e_1, s_(2) = h_2 and s_(1,1) = e_2, written out
-    # monomial by monomial
-    partitions, table, _, schurs = grassmann._schur_plan(r, t)
+    # monomial by monomial, read off the matrix row of each monomial: every
+    # entry of lam must hold sgn(s) [x^e] s_lam
+    partitions, table, _, (rows, monomials) = grassmann._schur_plan(r, t)
     assert len(table) == math.factorial(r) * len(partitions)
+    values = {}
+    for e, row in monomials:
+        for (k, sign, _), c in zip(table, rows[row], strict=True):
+            values.setdefault((k, e), set()).add(sign * c)
+    assert all(len(v) == 1 for v in values.values())
+    schurs = [{} for _ in partitions]
+    for (k, e), (c,) in values.items():
+        if c:
+            schurs[k][e] = c
     quadratic = [e for e in product(range(3), repeat=r) if sum(e) == 2]
     expected = {
         (0,) * r: {(0,) * r: 1},
@@ -191,7 +214,7 @@ def test_schur_table_holds_the_schur_polynomials(r, t):
         (1, 1) + (0,) * (r - 2): {e: 1 for e in quadratic if max(e) == 1},
     }
     wanted = {lam: s for lam, s in expected.items() if sum(lam) <= t}
-    assert dict(zip(partitions, map(dict, schurs))) == wanted
+    assert dict(zip(partitions, schurs)) == wanted
 
 
 def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_schur_plan):
@@ -213,12 +236,26 @@ def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_
     assert parts[2] != reference_degree_part(spec, 2, 1)
 
 
+def _containers(table):
+    """Every container in a nested table, itself first."""
+    yield table
+    for entry in table:
+        if not isinstance(entry, int):
+            yield from _containers(entry)
+
+
 def test_series_plan_hands_out_tuples():
-    # every caller shares the cached tables, so none can change them
-    first, factors, weights, dens = grassmann._series_plan(3, 6, 4, 1)
-    for table in (first, first[2], factors, factors[1], factors[1][3], weights, weights[4], dens):
-        with pytest.raises(TypeError):
-            table[0] = 0
+    # every caller shares the cached tables, so none can change them: the
+    # level-1 entries, each level's parents and weighted rows, each read-off
+    # row's parents and columns, the denominators and the read-off matrix
+    for r, t in ((2, 1), (3, 1), (4, 2)):
+        plan = grassmann._series_plan(r, r + 3, 4, t)
+        rows, monomials = grassmann._schur_plan(r, t)[3]
+        tables = [*_containers(plan), *_containers(rows), *_containers(monomials)]
+        assert all(type(table) is tuple for table in tables)
+        first, levels, readoff, dens = plan
+        assert len(first) == len(dens) == 5 and len(levels) == r - 2
+        assert [len(columns) for _, columns in readoff] == [5] * len(rows)
 
 
 def test_series_plan_holds_a_bounded_set(cold_schur_plan):

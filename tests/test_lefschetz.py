@@ -215,13 +215,13 @@ def test_twist_removes_linear_term():
 @pytest.mark.parametrize("spec", [V10_SPEC, V14_SPEC], ids=["V10", "V14"])
 def test_a_wrong_shift_leaves_a_q1_constant_that_recovery_refuses(spec, error):
     # the caller passes alpha; with alpha + error the twist leaves -error at
-    # q^1, and the matrix read off that series fails its redundant H^1
-    # relation at q^3, the first of recover_matrix's checks to see it
+    # q^1, and recover_matrix checks the q^1 constant before the redundant
+    # H^1 relations, so its refusal names that constant
     ambient = ambient_pair(spec, 4)
     alpha = lefschetz_shift(spec, ambient.c0)
     deg = spec.anticanonical_degree
     assert recover_matrix(quantum_lefschetz(ambient, spec, alpha), deg).deg == deg
     wrong = quantum_lefschetz(ambient, spec, alpha + error)
     assert wrong.c0[1] == -error
-    with pytest.raises(ConsistencyCheckFailed, match=r"^redundant H\^1 relation at q\^3: "):
+    with pytest.raises(ConsistencyCheckFailed, match=r"^q\^1 constant must vanish"):
         recover_matrix(wrong, deg)

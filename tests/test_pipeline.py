@@ -562,8 +562,8 @@ def test_residue_work_counts_the_plan_the_sum_runs(r, order):
     # 2 r! and 5 r! of them, each with order (order + 1) / 2 products; the
     # plan divides the table's 2 r! alternant terms, which 100 r! r^2 counts
     _, table, levels, _ = _schur_plan(r, 1)
-    assert len(table) == len(levels[-1]) == 2 * factorial(r)
-    prefixes = sum(len(level) for level in levels[1:])
+    assert len(table) == len(levels[-1][0]) == 2 * factorial(r)
+    prefixes = sum(len(parents) for parents, _ in levels[1:])
     assert 2 * factorial(r) <= prefixes <= 5 * factorial(r)
     products = prefixes * order * (order + 1) // 2
     assert factorial(r) * order**2 <= products <= 3 * factorial(r) * order**2
