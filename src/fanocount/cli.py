@@ -12,9 +12,9 @@ counting matrix refuses one that is not a threefold, with exit code 2.
 
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call.  So are two tables of the residue sum: the
-Schur plan per (r, t), with its integer read-off matrix, and the series
-plan per (r, n, d_max, t), the weighted rows and read-off columns that its
-dot products run over, of which the 16 most recently used are kept.  No
+Schur plan per r, its signed table of c_() and c_(1), and the series plan
+per (r, n, d_max), the weighted rows and read-off columns that its dot
+products run over, of which the 16 most recently used are kept.  No
 pipeline result outlives its call.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,

@@ -21,9 +21,9 @@ Three containers here cover the series and polynomial needs:
   truncated and twisted by ``exp_twist``, and has no ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree:
   a degree part of the residue sum in Chern roots x_1..x_r, which is only
-  read, or a bialternant that ``divide_by_vandermonde`` divides by one root
-  difference at a time as a divided difference; the residue sum divides
-  once per (r, t), when it fills its cached Schur table, not once per degree,
+  read; ``divide_by_vandermonde`` divides one by the Vandermonde, one root
+  difference at a time as a divided difference, for the tests' reference
+  residue sum: no stage calls it,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period
@@ -33,13 +33,13 @@ Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``exp_twist``, ``divide_by_vandermonde`` and
-``EntryPolynomial.evaluate_numerators`` build no ``Fraction``.  The last
-evaluates at a point given as numerators over one denominator, from an
-integer form of the polynomial that it computes once; the solver stage
-calls it on a counting matrix's numerators, and ``evaluate`` wraps it for
-a point of ``Fraction``s and builds one ``Fraction``, the result.  The series kernels
-elsewhere work on ``PowerSeries`` numerators the same way: the residue sum
+``fmpq_poly`` does: ``exp_twist`` and ``EntryPolynomial.evaluate_numerators``
+build no ``Fraction``.  The last evaluates at a point given as numerators
+over one denominator, from an integer form of the polynomial that it
+computes once; the solver stage calls it on a counting matrix's
+numerators, and ``evaluate`` wraps it for a point of ``Fraction``s and
+builds one ``Fraction``, the result.  The series kernels elsewhere work
+on ``PowerSeries`` numerators the same way: the residue sum
 and ``extract_h_pair``, ``projective_iseries``, the Euler factors and
 regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
 ``factorial_transform``, ``eisenstein_weight2`` and ``first_mismatch`` in

@@ -25,21 +25,19 @@ Alt(x^e) vanishes unless e = s(lam + delta) for a partition lam and
 delta = (r-1, .., 0), and then it is sgn(s) a_(lam+delta).  By Jacobi's
 bialternant formula a_(lam+delta) / a_delta = s_lam, the Schur polynomial
 (Macdonald, Symmetric Functions and Hall Polynomials, I.3), and a_delta is
-the Vandermonde prod_{i<j} (x_i - x_j).  So through total degree t
+the Vandermonde prod_{i<j} (x_i - x_j).  The pipeline needs the cohomology
+of the ambient space only modulo H^2, H = x_1 + .. + x_r, that is through
+total degree 1, where s_() = 1 and s_(1) = H:
 
-    Alt(T_d) / a_delta = sum_{|lam|<=t} c_lam[d] s_lam,
+    Alt(T_d) / a_delta = c_()[d] + c_(1)[d] H,
     c_lam[d] = sum_s sgn(s) [x^(s(lam+delta))] T_d,
 
-and only the r! coefficients of T_d at the permutations of each lam + delta
-are needed, none with an exponent above r - 1 + t.  `_schur_plan` lists
-them in one signed table per (r, t), and gets the integer coefficients of
-each s_lam from `divide_by_vandermonde` of the bialternant built from that
-table, so a wrong sign in it raises NonExactDivision when it is built.  It
-folds the signs and the s_lam into one integer read-off matrix, whose row
-for a monomial x^e holds sgn(s) [x^e] s_lam at the table entry of
-(lam, s), so each coefficient of a degree part is one dot product of a
-row with the table's coefficients of T_d.  The monomials of one orbit
-share a row, so at t = 1 the matrix has two rows, of c_() and c_(1).
+so only the r! coefficients of T_d at the permutations of each lam + delta
+are needed, none with an exponent above r.  `_schur_plan` lists them in one
+signed table per r, and each c_lam[d] is the dot product of lam's signs
+with the table's coefficients of T_d.  A wrong sign in the table raises
+NonExactDivision when it is built: its alternants must take the values
+a_delta and a_delta H at one point.
 
 T is built one root at a time for every degree at once, as a
 q-convolution: P_1[d] = U_(d,r-1)(x_1), and
@@ -55,18 +53,17 @@ C(d, a)^n [x^m] U_(d-a,r-j).  For j < r the plan holds those entries as
 one row over the level's prefixes per (d, a), so a level takes one pass
 per degree in which `map` multiplies each a's row and `zip` and `sum` add
 the products of each prefix.  The last level is never stored: the prefixes
-of length r are the table's entries, and each row of the read-off matrix
-is folded into their weighted entries when the plan is built, so a
-coefficient of a degree part is one dot product of P_(r-1) at degrees
-a <= d, gathered at the parents of the row's entries, with that row's
-column for d.  No step is interpreted per product, per prefix or per
-pair (d, a).  Coefficients are integers over one denominator per degree,
-(d!)^n * lcm(1..d_max)^(r(r-1+t)), as in FLINT's `fmpq_poly`, with the
-sign (-1)^((r-1)d) on the denominator.  The read-off trusts T: a product
-missing from T still gives a symmetric series, so the tests compare with
-the sum over compositions.
+of length r are the table's entries, and the signs of each partition are
+folded into their weighted entries when the plan is built, so c_lam[d] is
+one dot product of P_(r-1) at degrees a <= d, gathered at the parents of
+lam's entries, with lam's read-off column for d.  No step is interpreted
+per product, per prefix or per pair (d, a).  Coefficients are integers
+over one denominator per degree, (d!)^n * lcm(1..d_max)^(r^2), as in
+FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.  The
+read-off trusts T: a product missing from T still gives a symmetric
+series, so the tests compare with the sum over compositions.
 
-Everything before the convolution depends only on (r, n, d_max, t): the
+Everything before the convolution depends only on (r, n, d_max): the
 level-1 prefixes' entries of U_(d,r-1)(x_1), the weighted rows of the
 levels 2..r-1, the read-off's columns and the signed denominators.
 `_series_plan` builds them once per key, as tuples, and keeps the 16 most
@@ -77,22 +74,25 @@ C(d, a)^n with the root series, so a plan is larger than its inputs: on
 a 64-bit CPython, G(2,3000) through q^12 takes about 0.5 MB and G(6,12)
 through q^12 about 3 MB.
 
-The cohomology of the ambient space is only needed modulo H^2 downstream,
-where H = x_1 + .. + x_r, so `extract_h_pair` collapses each degree part to
-the pair (constant term, coefficient of any single x_i), and the pipeline
-truncates the degree parts at total degree 1.
+`hv_iseries` writes c_() at the monomial 1 and c_(1) at each x_i of a
+degree part, and `extract_h_pair` collapses the parts to the pair
+(constant term, coefficient of any single x_i).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial, lcm, prod
 from operator import itemgetter, mul
 
-from .exactmath import ChernPolynomial, PowerSeries, divide_by_vandermonde
+from .exactmath import ChernPolynomial, NonExactDivision, PowerSeries
+
+# Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
+# patch it at this site.  No step of the residue sum calls it: the plan
+# checks its signed table at one point instead.
+from .exactmath import divide_by_vandermonde  # noqa: F401
 
 
 class AsymmetricSeries(ArithmeticError):
@@ -183,14 +183,13 @@ def _binomial_powers(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(d, a) ** n for a in range(d + 1)) for d in range(top + 1))
 
 
-def _bialternants(r: int, t: int):
-    """The partitions lam with |lam| <= t and at most r parts, padded with
-    zeros to r entries, and the signed table of their bialternants: per lam,
-    at index k, the r! entries (k, sgn(s), s(lam + delta)), so that
-    a_(lam+delta) is the sum of sgn(s) x^(s(lam + delta)).  lam + delta is
-    strictly decreasing, so sgn(s) is the parity of the ascending pairs."""
-    lams = combinations_with_replacement(range(t, -1, -1), r)
-    partitions = [lam for lam in lams if sum(lam) <= t]
+def _bialternants(r: int):
+    """The partitions () and (1), padded with zeros to r entries, and the
+    signed table of their bialternants: per lam, at index k, the r! entries
+    (k, sgn(s), s(lam + delta)), so that a_(lam+delta) is the sum of
+    sgn(s) x^(s(lam + delta)).  lam + delta is strictly decreasing, so
+    sgn(s) is the parity of the ascending pairs."""
+    partitions = ((0,) * r, (1,) + (0,) * (r - 1))
     table = [
         (k, (-1) ** sum(a < b for a, b in combinations(e, 2)), e)
         for k, lam in enumerate(partitions)
@@ -200,35 +199,32 @@ def _bialternants(r: int, t: int):
 
 
 @cache
-def _schur_plan(r: int, t: int):
-    """Tables of the Schur read-off in r roots through total degree t.
+def _schur_plan(r: int):
+    """Tables of the Schur read-off of c_() and c_(1) in r roots.
 
-    Returns (partitions, table, levels, readoff): the partitions and signed
-    table of `_bialternants`; per root j, `levels[j-1]` is the pair
-    (parents, exponents) that gives, per distinct length-j prefix of the
-    table's exponents, the index of its length-(j-1) prefix and the
-    exponent of x_j, so the last level is the table's exponents in table
-    order; and the read-off matrix as (rows, monomials): its distinct rows,
-    each over the table's entries, and per monomial e of some s_lam the
-    pair (e, index of its row), the row holding sgn(s) [x^e] s_lam at the
-    entry (k, sgn(s), s(lam + delta)) of lam.  The s_lam are divided out of
-    their bialternants here, once per (r, t).
+    Returns (partitions, table, levels): the partitions and signed table of
+    `_bialternants`, and per root j, `levels[j-1]`, the pair (parents,
+    exponents) that gives, per distinct length-j prefix of the table's
+    exponents, the index of its length-(j-1) prefix and the exponent of
+    x_j, so the last level is the table's exponents in table order.
+
+    The table is checked here, once per r, at x = (1, .., r): the entries
+    of () must sum to the Vandermonde prod_{i<j} (x_i - x_j) there, and
+    those of (1) to the Vandermonde times x_1 + .. + x_r.  One flipped sign
+    moves a sum by 2 x^e, which is not 0 at that point, so it raises
+    NonExactDivision.
     """
-    partitions, table = _bialternants(r, t)
-    alternants = [{} for _ in partitions]
+    partitions, table = _bialternants(r)
+    x = range(1, r + 1)
+    vandermonde = prod(a - b for a, b in combinations(x, 2))
+    sums = [0, 0]
     for k, sign, e in table:
-        alternants[k][e] = sign
-    v = r * (r - 1) // 2
-    schurs = [
-        divide_by_vandermonde(ChernPolynomial.from_numerators(r, t + v, 1, a)).nums
-        for a in alternants
-    ]
-    columns = defaultdict(lambda: [0] * len(table))
-    for i, (k, sign, _) in enumerate(table):
-        for e, c in schurs[k].items():
-            columns[e][i] = sign * c
-    rows = {}
-    monomials = tuple((e, rows.setdefault(tuple(row), len(rows))) for e, row in columns.items())
+        sums[k] += sign * prod(map(pow, x, e))
+    for name, got, want in zip(("()", "(1)"), sums, (vandermonde, vandermonde * sum(x))):
+        if got != want:
+            raise NonExactDivision(
+                f"signed table of s_{name} sums to {got} at x = (1, .., {r}), not {want}"
+            )
     parent, levels = {(): 0}, []
     for j in range(1, r + 1):
         index = {}
@@ -236,35 +232,34 @@ def _schur_plan(r: int, t: int):
             index.setdefault(e[:j], len(index))
         levels.append((tuple(parent[p[:-1]] for p in index), tuple(p[-1] for p in index)))
         parent = index
-    return tuple(partitions), tuple(table), tuple(levels), (tuple(rows), monomials)
+    return partitions, tuple(table), tuple(levels)
 
 
 @lru_cache(maxsize=16)
-def _series_plan(r: int, n: int, d_max: int, t: int):
-    """Tables of the q-convolution of G(r, n) through q^d_max and total
-    degree t, everything `hv_iseries` needs before it convolves.
+def _series_plan(r: int, n: int, d_max: int):
+    """Tables of the q-convolution of G(r, n) through q^d_max, everything
+    `hv_iseries` needs before it convolves.
 
     Returns (first, levels, readoff, dens).  Per degree k, `first[k]` is
-    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r, t)`.  Per root
+    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r)`.  Per root
     j = 2..r-1, `levels[j-2]` is (parents, weighted): the parent index of
     each level-j prefix (p', m), and per degree d and a <= d the row
     `weighted[d][a]` over those prefixes of C(d, a)^n [x^m] U_(d-a,r-j)(x_j),
     one integer per (d, a, m) that the prefixes with exponent m share.  Per
-    row of the read-off matrix, `readoff[k]` is (parents, columns): the
-    level-(r-1) parent of each table entry where the row is not zero, and
-    per degree d the column over (a <= d, entry) of the row's coefficient
-    times C(d, a)^n [x^m] U_(d-a,0)(x_r), m the entry's last exponent.  Per
+    partition lam of the table, `readoff[k]` is (parents, columns): the
+    level-(r-1) parent of each table entry of lam, and per degree d the
+    column over (a <= d, entry) of the entry's sign times
+    C(d, a)^n [x^m] U_(d-a,0)(x_r), m the entry's last exponent.  Per
     degree d, `dens[d]` is the signed denominator
-    (-1)^((r-1)d) (d!)^n L^(r(r-1+t)), L = lcm(1..d_max).  All are tuples,
-    so the tables the cache hands out cannot be changed.
+    (-1)^((r-1)d) (d!)^n L^(r^2), L = lcm(1..d_max).  All are tuples, so
+    the tables the cache hands out cannot be changed.
     """
-    top = r - 1 + t
-    big, series = _root_series(n, d_max, top)
+    big, series = _root_series(n, d_max, r)
     weights = _binomial_powers(n, d_max)
-    _, _, prefixes, (matrix, _) = _schur_plan(r, t)
+    partitions, table, prefixes = _schur_plan(r)
 
     def weighted(j):
-        # per degree d and a <= d, C(d, a)^n [x^m] U_(d-a,r-j)(x_j) for m <= top
+        # per degree d and a <= d, C(d, a)^n [x^m] U_(d-a,r-j)(x_j) for m <= r
         factor = [_shifted(s, k, r - j) for k, s in enumerate(series)]
         return [
             [[w * c for c in factor[d - a]] for a, w in enumerate(ws)]
@@ -278,37 +273,36 @@ def _series_plan(r: int, n: int, d_max: int, t: int):
     for j, (parents, exponents) in enumerate(prefixes[1:-1], 2):
         rows = (tuple(tuple(map(u.__getitem__, exponents)) for u in by_a) for by_a in weighted(j))
         levels.append((parents, tuple(rows)))
-    parents, exponents = prefixes[-1]
-    # the read-off's entries share one integer per (d, a, coefficient, exponent)
-    pairs = list(dict.fromkeys((c, exponents[i]) for row in matrix for i, c in enumerate(row) if c))
+    parents = prefixes[-1][0]
+    # the read-off's entries share one integer per (d, a, sign, exponent)
+    keys = [(sign, e[-1]) for _, sign, e in table]
+    pairs = list(dict.fromkeys(keys))
     scaled = [[[c * u[m] for c, m in pairs] for u in by_a] for by_a in weighted(r)]
     readoff = []
-    for row in matrix:
-        entries = [i for i, c in enumerate(row) if c]
-        index = [pairs.index((row[i], exponents[i])) for i in entries]
+    for k in range(len(partitions)):
+        entries = [i for i, entry in enumerate(table) if entry[0] == k]
+        index = [pairs.index(keys[i]) for i in entries]
         columns = (tuple(chain(*(map(u.__getitem__, index) for u in by_a))) for by_a in scaled)
         readoff.append((tuple(parents[i] for i in entries), tuple(columns)))
-    lift = big ** (r * top)
+    lift = big ** (r * r)
     # the sign (-1)^((r-1)d) rides on the denominator
     dens = tuple((-1) ** ((r - 1) * d) * factorial(d) ** n * lift for d in range(d_max + 1))
     return first, tuple(levels), tuple(readoff), dens
 
 
-def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[ChernPolynomial]:
-    """Degree parts d = 0..d_max of the G(r, n) I-series through total degree
-    target_degree in the Chern roots, read off in Schur polynomials from one
-    q-convolution, as integer dot products over the cached plans."""
+def hv_iseries(spec: GrassmannianSpec, d_max: int) -> list[ChernPolynomial]:
+    """Degree parts d = 0..d_max of the G(r, n) I-series through total
+    degree 1 in the Chern roots, c_() + c_(1) (x_1 + .. + x_r), read off
+    from one q-convolution as integer dot products over the cached plans."""
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
-    if d_max < 0 or target_degree < 0:
-        raise ValueError("degree arguments must be nonnegative")
-    monomials = _schur_plan(r, target_degree)[3][1]
-    parts, levels, readoff, dens = _series_plan(r, n, d_max, target_degree)
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    parts, levels, readoff, dens = _series_plan(r, n, d_max)
     # parts[d] is P_j[d] of the module docstring on the level-j prefixes,
-    # over (d!)^n L^(j(r-1+t)), t = target_degree; a level past the first
-    # and a row of the read-off both gather at least two parents, so
-    # itemgetter returns a tuple
+    # over (d!)^n L^(j r); a level past the first and a read-off row both
+    # gather at least two parents, so itemgetter returns a tuple
     for parents, weighted in levels:
         heads = list(map(itemgetter(*parents), parts))
         parts = [list(map(sum, zip(*map(map, repeat(mul), heads, by_a)))) for by_a in weighted]
@@ -316,10 +310,12 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int, target_degree: int) -> list[C
     for parents, columns in readoff:
         heads = list(map(itemgetter(*parents), parts))
         coeffs.append([sum(map(mul, chain(*heads[: d + 1]), c)) for d, c in enumerate(columns)])
+    # c_() at the monomial 1 and c_(1) at each x_i
+    monomials = [((0,) * r, 0)] + [(tuple(int(k == i) for k in range(r)), 1) for i in range(r)]
     out = []
     for d, den in enumerate(dens):
         nums = {e: coeffs[k][d] for e, k in monomials}
-        out.append(ChernPolynomial.from_numerators(r, target_degree, den, nums))
+        out.append(ChernPolynomial.from_numerators(r, 1, den, nums))
     return out
 
 

@@ -170,7 +170,9 @@ def _residue_work(ambient: GrassmannianSpec, order: int, digits: Fraction) -> in
     """r! (order^2 (D + 300) + 100 r^2), r = min(r, n - r), D = `digits`:
     `hv_iseries` convolves 2 r! to 5 r! prefixes, each with order (order+1)/2
     products of up to D digits plus some 300 digits' worth of interpreter
-    work, and a cold `_schur_plan` divides 2 r! terms by r(r-1)/2 root pairs.
+    work, and a cold `_schur_plan` lists 2 r! signed terms of r exponents,
+    their r levels of prefixes and each term's value at one point, within
+    the 100 r^2 per term that its Vandermonde division was once timed at.
     The factorial stops past MAX_RESIDUE_WORK, so a huge r costs one step."""
     r = min(ambient.r, ambient.n - ambient.r)
     work = order * order * (ceil(digits) + 300) + 100 * r * r
@@ -232,7 +234,7 @@ def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
     r = min(ambient.r, ambient.n - ambient.r)
     if r == 1:
         return projective_iseries(ambient.n, order - 1)
-    return extract_h_pair(hv_iseries(GrassmannianSpec(r, ambient.n), order - 1, 1))
+    return extract_h_pair(hv_iseries(GrassmannianSpec(r, ambient.n), order - 1))
 
 
 def _guarded(stage: str, fn, *args):

@@ -59,7 +59,7 @@ GOLDEN_ROWS = {
 
 def variety_pair(name, d_max=6):
     config = CATALOG[name]
-    ambient = extract_h_pair(hv_iseries(config.ambient, d_max, 2))
+    ambient = extract_h_pair(hv_iseries(config.ambient, d_max))
     return quantum_lefschetz(ambient, config, lefschetz_shift(config, ambient.c0))
 
 
@@ -81,7 +81,7 @@ def test_residue_sums_match_closed_form():
         6: [F(4), F(3, 4), F(95, 5832), F(865, 11943936)],
     }
     for n in (5, 6):
-        parts = hv_iseries(GrassmannianSpec(2, n), 6, 0)
+        parts = hv_iseries(GrassmannianSpec(2, n), 6)
         for d in range(1, 7):
             constant = parts[d].constant_term()
             assert constant == closed_form_constant(n, d)

@@ -24,12 +24,14 @@ INDEX_TWO_PLUS = {
     "B4": {"ambient": {"type": "projective", "n": 5}, "degrees": [2, 2]},
     "B5": {"ambient": {"type": "grassmannian", "r": 2, "n": 5}, "degrees": [1, 1, 1]},
 }
-# Hyperplane sections of G(r, 2r) for r = 3..5, whose iseries runs the residue
+# Hyperplane sections of G(r, 2r) for r = 3..7, whose iseries runs the residue
 # sum over r roots, G(5,10) at order 5 right at the job-size limit.
 GRASSMANNIAN_JOBS = {
     "G36": ({"ambient": {"type": "grassmannian", "r": 3, "n": 6}, "degrees": [1]}, "13"),
     "G48": ({"ambient": {"type": "grassmannian", "r": 4, "n": 8}, "degrees": [1]}, "17"),
     "G510": ({"ambient": {"type": "grassmannian", "r": 5, "n": 10}, "degrees": [1]}, "5"),
+    "G612": ({"ambient": {"type": "grassmannian", "r": 6, "n": 12}, "degrees": [1]}, "13"),
+    "G714": ({"ambient": {"type": "grassmannian", "r": 7, "n": 14}, "degrees": [1]}, "5"),
 }
 CONFIGS = (
     {QUARTIC_PATH: QUARTIC}
@@ -143,6 +145,8 @@ PINNED = {
     "iseries-G36-order13-json": (0, "d3c240fa8fcc3fdc91756e4d09d31045aff7dec6b61e08998caf5acb9668c9e2"),
     "iseries-G48-order17-json": (0, "4253c143e6a5f82e856990912ed1c35fed1b0007363d9501f2bf5c0e0f550806"),
     "iseries-G510-order5-json": (0, "13060f95e9227b7c05a5189fdd8c729b0b564d1874191ef5ead2895ff14a1e48"),
+    "iseries-G612-order13-json": (0, "702310aadb31030442003ae43496a7696e3ad720842262f144a4fcba3cb70904"),
+    "iseries-G714-order5-json": (0, "5bf765c3b66ed14d85796478aae17f97719db705d8ee28056f59138c7a287a7f"),
 }
 
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import closed_form_constant, harmonic, root_difference, truncated_product
+from helpers import (
+    closed_form_constant,
+    harmonic,
+    reference_divide_by_vandermonde,
+    root_difference,
+    truncated_product,
+)
 from fanocount import grassmann, pipeline
 from fanocount.exactmath import ChernPolynomial, NonExactDivision, divide_by_vandermonde
 from fanocount.grassmann import (
@@ -23,14 +29,15 @@ from fanocount.pipeline import MAX_ORDER, ambient_series
 F = Fraction
 
 
-def reference_degree_part(spec, d, target_degree):
-    """The residue sum as one multivariate product of Fraction series per composition.
+def reference_degree_part(spec, d):
+    """The residue sum through total degree 1 as one multivariate product
+    of Fraction series per composition.
 
     The reference for the integer kernel: every factor
     (x_i - x_j + d_i - d_j) and (x_i + l)^(-n) is a full polynomial.
     """
     r, n = spec.r, spec.n
-    bound = target_degree + r * (r - 1) // 2
+    bound = 1 + r * (r - 1) // 2
     sign = (-1) ** ((r - 1) * d)
     total = {}
     for comp in product(range(d + 1), repeat=r):
@@ -101,42 +108,35 @@ def test_harmonic_numbers():
 
 def test_hv_degree_part_requires_two_rows():
     with pytest.raises(ValueError):
-        hv_iseries(GrassmannianSpec(1, 5), 1, 2)
+        hv_iseries(GrassmannianSpec(1, 5), 1)
 
 
-@pytest.mark.parametrize("d_max, target_degree", [(-1, 1), (-5, 0), (2, -1)])
-def test_hv_iseries_refuses_negative_degrees(d_max, target_degree):
-    with pytest.raises(ValueError, match="^degree arguments must be nonnegative$"):
-        hv_iseries(GrassmannianSpec(2, 5), d_max, target_degree)
+@pytest.mark.parametrize("d_max", [-1, -5])
+def test_hv_iseries_refuses_negative_degrees(d_max):
+    with pytest.raises(ValueError, match="^d_max must be nonnegative$"):
+        hv_iseries(GrassmannianSpec(2, 5), d_max)
 
 
 def test_hv_constant_terms_match_closed_form():
     # the residue sum collapses to a known rational for each degree, through
     # q^(MAX_ORDER - 1)
     for n in (5, 6):
-        parts = hv_iseries(GrassmannianSpec(2, n), MAX_ORDER - 1, 0)
+        parts = hv_iseries(GrassmannianSpec(2, n), MAX_ORDER - 1)
         for d in range(1, MAX_ORDER):
             assert parts[d].constant_term() == closed_form_constant(n, d)
 
 
-# at total degree 2, and at the depths the pipeline runs, G(2,5) and G(2,6)
-# at order 13 and G(3,6) at order 7, at total degrees 1 and 2
+# at the depths the pipeline runs, G(2,5) and G(2,6) at order 13 and G(3,6)
+# at order 7, and over five roots
 @pytest.mark.parametrize(
-    "r, n, d_max, t",
-    [
-        pytest.param(r, n, d_max, 2, id=f"{r}-{n}-{d_max}")
-        for r, n, d_max in ((2, 5, 6), (3, 6, 3), (5, 7, 2))
-    ]
-    + [
-        pytest.param(r, n, d_max, t, id=f"{r}-{n}-{d_max}-t{t}")
-        for r, n, d_max in ((2, 5, 12), (2, 6, 12), (3, 6, 6))
-        for t in (1, 2)
-    ],
+    "r, n, d_max",
+    [(2, 5, 12), (2, 6, 12), (3, 6, 6), (5, 7, 2)],
+    ids=["2-5-12", "2-6-12", "3-6-6", "5-7-2"],
 )
-def test_kernel_matches_multivariate_product(r, n, d_max, t):
+def test_kernel_matches_multivariate_product(r, n, d_max):
     spec = GrassmannianSpec(r, n)
-    expected = [reference_degree_part(spec, d, t) for d in range(d_max + 1)]
-    assert hv_iseries(spec, d_max, t) == expected
+    expected = [reference_degree_part(spec, d) for d in range(d_max + 1)]
+    assert hv_iseries(spec, d_max) == expected
 
 
 @st.composite
@@ -144,25 +144,28 @@ def residue_sums(draw):
     r = draw(st.integers(2, 4))
     n = draw(st.integers(r + 1, r + 4))
     d = draw(st.integers(0, {2: 6, 3: 3, 4: 2}[r]))
-    return GrassmannianSpec(r, n), d, draw(st.integers(0, 2))
+    return GrassmannianSpec(r, n), d
 
 
 @settings(max_examples=100, deadline=None)
 @given(residue_sums())
 def test_kernel_matches_reference_property(case):
-    spec, d, target = case
-    expected = [reference_degree_part(spec, k, target) for k in range(d + 1)]
-    assert hv_iseries(spec, d, target) == expected
+    spec, d = case
+    expected = [reference_degree_part(spec, k) for k in range(d + 1)]
+    assert hv_iseries(spec, d) == expected
 
 
-def _flipped(monkeypatch, entry):
-    """Make the signed table of `_schur_plan` carry one entry with the wrong sign."""
+def _flipped(monkeypatch, lam, entry):
+    """Make the signed table of `_schur_plan` carry the wrong sign at the
+    given entry of the partition lam."""
     bialternants = grassmann._bialternants
 
-    def flipped(r, t):
-        partitions, table = bialternants(r, t)
-        k, sign, e = table[entry]
-        table[entry] = (k, -sign, e)
+    def flipped(r):
+        partitions, table = bialternants(r)
+        k = partitions.index(lam + (0,) * (r - len(lam)))
+        i = [i for i, entry in enumerate(table) if entry[0] == k][entry]
+        k, sign, e = table[i]
+        table[i] = (k, -sign, e)
         return partitions, table
 
     monkeypatch.setattr(grassmann, "_bialternants", flipped)
@@ -178,43 +181,42 @@ def cold_schur_plan():
         plan.cache_clear()
 
 
-@pytest.mark.parametrize("r, n, entry", [(2, 5, 0), (3, 6, 9)], ids=["2-5", "3-6"])
-def test_flipped_schur_table_sign_breaks_exact_division(monkeypatch, cold_schur_plan, r, n, entry):
-    # with one sign wrong, of s_() at 2-5 and of s_(1) at 3-6, the bialternant
-    # is not antisymmetric, and the Vandermonde division refuses it when the
-    # table is built
-    _flipped(monkeypatch, entry)
+@pytest.mark.parametrize(
+    "r, n, lam, entry, message",
+    [
+        (2, 5, (), 1, "signed table of s_() sums to 3 at x = (1, .., 2), not -1"),
+        (3, 6, (1,), 3, "signed table of s_(1) sums to -66 at x = (1, .., 3), not -12"),
+        (4, 8, (), 17, "signed table of s_() sums to 1164 at x = (1, .., 4), not 12"),
+    ],
+    ids=["2-5", "3-6", "4-8"],
+)
+def test_flipped_schur_table_sign_breaks_exact_division(
+    monkeypatch, cold_schur_plan, r, n, lam, entry, message
+):
+    # with one sign wrong, the alternant of lam at x = (1, .., r) misses its
+    # value a_delta s_lam by 2 x^e, and the plan refuses it when it is built
+    _flipped(monkeypatch, lam, entry)
     with pytest.raises(NonExactDivision) as err:
-        hv_iseries(GrassmannianSpec(r, n), 2, 1)
-    assert str(err.value) == "nonzero remainder dividing by (x1 - x2)"
+        hv_iseries(GrassmannianSpec(r, n), 2)
+    assert str(err.value) == message
 
 
-@pytest.mark.parametrize("t", [0, 1, 2])
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_schur_table_holds_the_schur_polynomials(r, t):
-    # s_() = 1, s_(1) = e_1, s_(2) = h_2 and s_(1,1) = e_2, written out
-    # monomial by monomial, read off the matrix row of each monomial: every
-    # entry of lam must hold sgn(s) [x^e] s_lam
-    partitions, table, _, (rows, monomials) = grassmann._schur_plan(r, t)
-    assert len(table) == math.factorial(r) * len(partitions)
-    values = {}
-    for e, row in monomials:
-        for (k, sign, _), c in zip(table, rows[row], strict=True):
-            values.setdefault((k, e), set()).add(sign * c)
-    assert all(len(v) == 1 for v in values.values())
-    schurs = [{} for _ in partitions]
-    for (k, e), (c,) in values.items():
-        if c:
-            schurs[k][e] = c
-    quadratic = [e for e in product(range(3), repeat=r) if sum(e) == 2]
-    expected = {
-        (0,) * r: {(0,) * r: 1},
-        (1,) + (0,) * (r - 1): {e: 1 for e in product(range(2), repeat=r) if sum(e) == 1},
-        (2,) + (0,) * (r - 1): {e: 1 for e in quadratic},
-        (1, 1) + (0,) * (r - 2): {e: 1 for e in quadratic if max(e) == 1},
-    }
-    wanted = {lam: s for lam, s in expected.items() if sum(lam) <= t}
-    assert dict(zip(partitions, schurs)) == wanted
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_schur_table_holds_the_schur_polynomials(r):
+    # a second route beside the plan's one-point check: the alternants of
+    # the signed table, divided by the Vandermonde, are s_() = 1 and
+    # s_(1) = x_1 + .. + x_r
+    partitions, table, _ = grassmann._schur_plan(r)
+    assert len(table) == 2 * math.factorial(r)
+    alternants = [{} for _ in partitions]
+    for k, sign, e in table:
+        alternants[k][e] = sign
+    bound = 1 + r * (r - 1) // 2
+    schurs = [
+        reference_divide_by_vandermonde(ChernPolynomial(r, bound, a)).terms for a in alternants
+    ]
+    units = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    assert schurs == [{(0,) * r: 1}, dict.fromkeys(units, 1)]
 
 
 def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_schur_plan):
@@ -230,10 +232,10 @@ def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_
 
     monkeypatch.setattr(grassmann, "_binomial_powers", dropped)
     spec = GrassmannianSpec(2, 5)
-    parts = hv_iseries(spec, 2, 1)
+    parts = hv_iseries(spec, 2)
     extract_h_pair(parts)
-    assert parts[:2] == [reference_degree_part(spec, d, 1) for d in range(2)]
-    assert parts[2] != reference_degree_part(spec, 2, 1)
+    assert parts[:2] == [reference_degree_part(spec, d) for d in range(2)]
+    assert parts[2] != reference_degree_part(spec, 2)
 
 
 def _containers(table):
@@ -247,22 +249,22 @@ def _containers(table):
 def test_series_plan_hands_out_tuples():
     # every caller shares the cached tables, so none can change them: the
     # level-1 entries, each level's parents and weighted rows, each read-off
-    # row's parents and columns, the denominators and the read-off matrix
-    for r, t in ((2, 1), (3, 1), (4, 2)):
-        plan = grassmann._series_plan(r, r + 3, 4, t)
-        rows, monomials = grassmann._schur_plan(r, t)[3]
-        tables = [*_containers(plan), *_containers(rows), *_containers(monomials)]
+    # row's parents and columns, the denominators, and the Schur plan's
+    # partitions, signed table and prefix levels
+    for r in (2, 3, 4):
+        plan = grassmann._series_plan(r, r + 3, 4)
+        tables = [*_containers(plan), *_containers(grassmann._schur_plan(r))]
         assert all(type(table) is tuple for table in tables)
         first, levels, readoff, dens = plan
         assert len(first) == len(dens) == 5 and len(levels) == r - 2
-        assert [len(columns) for _, columns in readoff] == [5] * len(rows)
+        assert [len(columns) for _, columns in readoff] == [5, 5]
 
 
 def test_series_plan_holds_a_bounded_set(cold_schur_plan):
     bound = grassmann._series_plan.cache_info().maxsize
     assert bound is not None
     for n in range(5, 5 + bound + 3):
-        hv_iseries(GrassmannianSpec(2, n), 3, 1)
+        hv_iseries(GrassmannianSpec(2, n), 3)
     assert grassmann._series_plan.cache_info().currsize <= bound
 
 
@@ -271,13 +273,13 @@ def test_grassmannian_duality():
     # roots agrees with the one over two, and the one over four with the one
     # over three
     for r, n in ((3, 5), (4, 7)):
-        more_roots = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 12, 1))
+        more_roots = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 12))
         assert more_roots == ambient_series(GrassmannianSpec(n - r, n), 13)
 
 
 def test_g34_is_projective_space():
     # G(3, 4) is P^3, whose I-series has a closed form
-    assert extract_h_pair(hv_iseries(GrassmannianSpec(3, 4), 5, 1)) == projective_iseries(4, 5)
+    assert extract_h_pair(hv_iseries(GrassmannianSpec(3, 4), 5)) == projective_iseries(4, 5)
 
 
 @pytest.mark.parametrize("r, n", [(4, 6), (5, 6), (5, 7)])
@@ -285,7 +287,7 @@ def test_ambient_series_sums_over_the_smaller_dual(monkeypatch, r, n):
     # G(r, n) and G(n - r, n) are the same variety, so the pipeline sums over
     # min(r, n - r) roots, G(n - 1, n) through the projective closed form,
     # and gets the series the sum over all r roots gives
-    direct = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 2, 1))
+    direct = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 2))
     calls = []
 
     def spy(spec, *args):
@@ -299,19 +301,19 @@ def test_ambient_series_sums_over_the_smaller_dual(monkeypatch, r, n):
 
 
 def test_hv_iseries_published_constants_g25():
-    parts = hv_iseries(GrassmannianSpec(2, 5), 4, 0)
+    parts = hv_iseries(GrassmannianSpec(2, 5), 4)
     consts = [p.constant_term() for p in parts]
     assert consts == [F(1), F(3), F(19, 32), F(49, 2592), F(139, 884736)]
 
 
 def test_hv_iseries_published_constants_g26():
-    parts = hv_iseries(GrassmannianSpec(2, 6), 4, 0)
+    parts = hv_iseries(GrassmannianSpec(2, 6), 4)
     consts = [p.constant_term() for p in parts]
     assert consts == [F(1), F(4), F(3, 4), F(95, 5832), F(865, 11943936)]
 
 
 def test_extract_h_pair_orders_and_values():
-    parts = hv_iseries(GrassmannianSpec(2, 5), 3, 2)
+    parts = hv_iseries(GrassmannianSpec(2, 5), 3)
     pair = extract_h_pair(parts)
     assert pair.c0.order == pair.c1.order == 4
     assert pair.c0[0] == 1

@@ -32,7 +32,7 @@ V14_SPEC = CompleteIntersectionSpec(GrassmannianSpec(2, 6), (1, 1, 1, 1, 1))
 
 
 def ambient_pair(spec, d_max):
-    return extract_h_pair(hv_iseries(spec.ambient, d_max, 2))
+    return extract_h_pair(hv_iseries(spec.ambient, d_max))
 
 
 def test_spec_rejects_nonpositive_degrees():

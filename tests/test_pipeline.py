@@ -558,10 +558,11 @@ def test_residue_work_figures(r, n, order, work):
 @pytest.mark.parametrize(("r", "order"), [(2, 6), (3, 7), (4, 5), (5, 5)])
 def test_residue_work_counts_the_plan_the_sum_runs(r, order):
     # the model's r! order^2 products: the q-convolution of `hv_iseries`
-    # runs over the prefixes of levels 2..r of `_schur_plan(r, 1)`, between
+    # runs over the prefixes of levels 2..r of `_schur_plan(r)`, between
     # 2 r! and 5 r! of them, each with order (order + 1) / 2 products; the
-    # plan divides the table's 2 r! alternant terms, which 100 r! r^2 counts
-    _, table, levels, _ = _schur_plan(r, 1)
+    # plan lists the table's 2 r! alternant terms and their r levels of
+    # prefixes, and evaluates each term at one point, which 100 r! r^2 counts
+    _, table, levels = _schur_plan(r)
     assert len(table) == len(levels[-1][0]) == 2 * factorial(r)
     prefixes = sum(len(parents) for parents, _ in levels[1:])
     assert 2 * factorial(r) <= prefixes <= 5 * factorial(r)

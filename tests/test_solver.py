@@ -43,7 +43,7 @@ M14 = CountingMatrix(deg=14, **golden.entry_values(golden.MATRIX_V14))
 
 def variety_pair(r, n, degrees, d_max=6):
     spec = CompleteIntersectionSpec(GrassmannianSpec(r, n), degrees)
-    ambient = extract_h_pair(hv_iseries(spec.ambient, d_max, 2))
+    ambient = extract_h_pair(hv_iseries(spec.ambient, d_max))
     return quantum_lefschetz(ambient, spec, lefschetz_shift(spec, ambient.c0))
 
 
