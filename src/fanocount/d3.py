@@ -42,11 +42,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import comb, lcm
 
 from .exactmath import (
-    PowerSeries, Rational, _lowest_terms, _over_one_denominator, exp_twist, ratio_str,
+    PowerSeries, Rational, _lowest_terms, _over_one_denominator, exp_twist_pair, ratio_str,
 )
 
 _ZERO = Fraction(0)
@@ -107,10 +107,14 @@ class DifferentialOperator:
                 top -= 1
             if top:
                 clean[b] = poly[:top]
-        den, nums = _lowest_terms(den, (c for poly in clean.values() for c in poly))
-        nums = iter(nums)
+        flat = [c for poly in clean.values() for c in poly]
+        den, flat = _lowest_terms(den, flat)
+        layers, start = {}, 0
+        for b, poly in clean.items():
+            layers[b] = flat[start:start + len(poly)]
+            start += len(poly)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "layers", {b: tuple(islice(nums, len(clean[b]))) for b in clean})
+        object.__setattr__(self, "layers", layers)
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -331,13 +335,15 @@ def frobenius_solve(op: DifferentialOperator, order: int) -> PowerSeries:
     return PowerSeries.from_numerators(tail, numerators)
 
 
-def _sigma1(m: int) -> int:
-    return sum(d for d in range(1, m + 1) if m % d == 0)
-
-
 def eisenstein_e2(order: int) -> PowerSeries:
-    """E_2(q) = 1 - 24 sum sigma_1(m) q^m."""
-    return PowerSeries.from_numerators(1, [1] + [-24 * _sigma1(m) for m in range(1, order)])
+    """E_2(q) = 1 - 24 sum sigma_1(m) q^m, with sigma_1 through q^(order-1)
+    from one divisor sieve."""
+    nums = [0] * order
+    for d in range(1, order):
+        for m in range(d, order, d):
+            nums[m] -= 24 * d
+    nums[0] = 1
+    return PowerSeries.from_numerators(1, nums)
 
 
 def eisenstein_weight2(level: int, order: int) -> PowerSeries:
@@ -409,14 +415,14 @@ def modularity_report(
 
     candidates = [("eisenstein", eisenstein_weight2(level, order))]
     candidates.append(("factorial_transform", factorial_transform(series)))
-    minus = -alpha
+    shifts = (0,)
     if alpha:
-        for tag, shift in (("plus", alpha), ("minus", minus)):
-            twisted = exp_twist(series, shift)
+        shifts = (0, alpha, -alpha)
+        for tag, twisted in zip(("plus", "minus"), exp_twist_pair(series, alpha)):
             candidates.append((f"factorial_transform_twist_{tag}", factorial_transform(twisted)))
 
     rows = []
-    for lam in dict.fromkeys((0, alpha, minus)):
+    for lam in shifts:
         solution = solution_at(lam)
         rows.extend(
             ReportRow(lam, name, first_mismatch(solution, cand)) for name, cand in candidates

@@ -18,7 +18,9 @@ zero one with `ZeroDivisionError`.  `_over_one_denominator` and
 Three containers here cover the series and polynomial needs:
 
 * ``PowerSeries`` -- a q-series truncated at an explicit order; it is read,
-  truncated and twisted by ``exp_twist``, and has no ring arithmetic,
+  truncated (at its own order, to itself) and twisted by ``exp_twist``, or
+  by ``exp_twist_pair`` for both signs of the shift in one pass, and has no
+  ring arithmetic,
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree:
   a degree part of the residue sum in Chern roots x_1..x_r, which is only
   read; ``divide_by_vandermonde`` divides one by the Vandermonde, one root
@@ -33,8 +35,8 @@ Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``exp_twist`` and ``EntryPolynomial.evaluate_numerators``
-build no ``Fraction``.  The last evaluates at a point given as numerators
+``fmpq_poly`` does: ``exp_twist``, ``exp_twist_pair`` and
+``EntryPolynomial.evaluate_numerators`` build no ``Fraction``.  The last evaluates at a point given as numerators
 over one denominator, from an integer form of the polynomial that it
 computes once; the solver stage calls it on a counting matrix's
 numerators, and ``evaluate`` wraps it for a point of ``Fraction``s and
@@ -55,7 +57,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -148,29 +150,55 @@ class PowerSeries:
         return Fraction(self.nums[d], self.den)
 
     def truncate(self, order: int) -> "PowerSeries":
+        """The series through q^(order-1); the series itself at its own order."""
         if not 1 <= order <= self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
+        if order == self.order:
+            return self
         return PowerSeries.from_numerators(self.den, self.nums[:order])
 
 
-def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
-    """series * exp(c*q) at the series' own order, summed in integers.
-
-    With f_j = a_j / den, c = u / v and M = order - 1,
-    [q^m] = sum_k a_(m-k) u^k / (den v^k k!), so every coefficient is the
-    integer sum_k a_(m-k) w_k over den v^M M!, with w_k = u^k v^(M-k) M!/k!:
-    one dot product of the reversed numerators a_m..a_0 with w_0..w_m.
-    """
+def _twist_weights(top: int, c: Rational) -> tuple[int, list[int]]:
+    """(v^M M!, [w_0..w_M]) with w_k = u^k v^(M-k) M!/k!, for c = u / v and
+    M = top: series * exp(c*q) through q^M, with f_j = a_j / den, has
+    [q^m] = sum_k a_(m-k) u^k / (den v^k k!), the integer
+    sum_k a_(m-k) w_k over den v^M M!."""
     u, v = c.numerator, c.denominator
-    top = series.order - 1
     w = [1] * (top + 1)
     falling = 1  # M!/k!, from k = M down
     for k in range(top, -1, -1):
         w[k] = u**k * v ** (top - k) * falling
         falling *= k
+    return v**top * factorial(top), w
+
+
+def exp_twist(series: PowerSeries, c: Rational) -> PowerSeries:
+    """series * exp(c*q) at the series' own order, summed in integers: each
+    coefficient one dot product of the reversed numerators a_m..a_0 with the
+    weights w_0..w_m of `_twist_weights`.  The series itself at c = 0."""
+    if not c:
+        return series
     a = series.nums
-    nums = [sum(map(mul, a[m::-1], w)) for m in range(top + 1)]
-    return PowerSeries.from_numerators(series.den * v**top * factorial(top), nums)
+    scale, w = _twist_weights(len(a) - 1, c)
+    nums = [sum(map(mul, a[m::-1], w)) for m in range(len(a))]
+    return PowerSeries.from_numerators(series.den * scale, nums)
+
+
+def exp_twist_pair(series: PowerSeries, c: Rational) -> tuple[PowerSeries, PowerSeries]:
+    """(series * exp(c*q), series * exp(-c*q)) in one pass.  Negating c
+    negates the weight w_k of `_twist_weights` at odd k only, so with E_m
+    the dot product over even k and O_m that over odd k, the two twists
+    are E + O and E - O."""
+    a = series.nums
+    scale, w = _twist_weights(len(a) - 1, c)
+    even, odd = w[0::2], w[1::2]
+    e = [sum(map(mul, a[m::-2], even)) for m in range(len(a))]
+    o = [0] + [sum(map(mul, a[m - 1::-2], odd)) for m in range(1, len(a))]
+    den = series.den * scale
+    return (
+        PowerSeries.from_numerators(den, map(add, e, o)),
+        PowerSeries.from_numerators(den, map(sub, e, o)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import mul
 
 from .exactmath import PowerSeries, exp_twist
 from .grassmann import GrassmannianSpec, HSeriesPair, harmonic_numerators
@@ -78,6 +80,22 @@ def lefschetz_shift(spec: CompleteIntersectionSpec, c0x: PowerSeries) -> Fractio
     return Fraction(scale * c0x.nums[1], c0x.den)
 
 
+@lru_cache(maxsize=16)
+def _euler_table(degrees: tuple[int, ...], order: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """L = lcm(1..max_j d_j (order - 1)) and, for d = 0..order-1, the Euler
+    factors prod_j (d_j d)! and sum_j d_j * H_(d_j d) * L, with H_k the k-th
+    harmonic number; they depend on the degrees and the order only, so they
+    are built once per process for the 16 most recently used jobs."""
+    top = max(degrees, default=0) * (order - 1)
+    fact = [1]
+    for k in range(1, top + 1):
+        fact.append(fact[-1] * k)
+    hden, hnums = harmonic_numerators(top)
+    f0 = tuple(prod(fact[dj * d] for dj in degrees) for d in range(order))
+    h1 = tuple(sum(dj * hnums[dj * d] for dj in degrees) for d in range(order))
+    return hden, f0, h1
+
+
 def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeriesPair:
     """Multiply the degree-d coefficient by E_d = prod_j prod_{i=1}^{d_j d} (d_j H + i).
 
@@ -86,30 +104,25 @@ def euler_corrected_series(pair: HSeriesPair, degrees: tuple[int, ...]) -> HSeri
     with H_k the k-th harmonic number.  With c0 = a / A, c1 = b / B and the
     harmonic numbers as numerators over L = lcm(1..max_j d_j (order - 1)),
     the corrected c0 sits over A and the corrected c1 over lcm(B, A L), read
-    off one factorial table and one prefix table of harmonic numerators.
+    off the factors of `_euler_table`.
     """
-    top = max(degrees, default=0) * (pair.order - 1)
-    fact = [1]
-    for k in range(1, top + 1):
-        fact.append(fact[-1] * k)
-    hden, hnums = harmonic_numerators(top)
+    hden, f0, h1 = _euler_table(tuple(degrees), pair.order)
     a, den_a = pair.c0.nums, pair.c0.den
     b, den_b = pair.c1.nums, pair.c1.den
     den1 = lcm(den_b, den_a * hden)
     lift_b, lift_a = den1 // den_b, den1 // (den_a * hden)
-    e0, e1 = [], []
-    for d in range(pair.order):
-        f0 = prod(fact[dj * d] for dj in degrees)
-        h1 = sum(dj * hnums[dj * d] for dj in degrees)
-        e0.append(f0 * a[d])
-        e1.append(f0 * (b[d] * lift_b + h1 * a[d] * lift_a))
+    e0 = list(map(mul, f0, a))
+    e1 = [f * (bd * lift_b + h * ad * lift_a) for f, h, ad, bd in zip(f0, h1, a, b)]
     return HSeriesPair(
         PowerSeries.from_numerators(den_a, e0), PowerSeries.from_numerators(den1, e1)
     )
 
 
 def _regraded(series: PowerSeries, index: int, divisor: int) -> PowerSeries:
-    """series(t^index) / divisor, truncated to the series' own order."""
+    """series(t^index) / divisor, truncated to the series' own order; the
+    series itself at index 1 and divisor 1."""
+    if index == divisor == 1:
+        return series
     nums = [0] * series.order
     nums[::index] = series.nums[: len(nums[::index])]
     return PowerSeries.from_numerators(series.den * divisor, nums)

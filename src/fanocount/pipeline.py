@@ -328,16 +328,18 @@ class PipelineRun:
 
     def operator_at(self, lam: Rational) -> DifferentialOperator:
         """The pencil operator at shift lam, built at most once per run."""
-        if lam not in self._operators:
-            self._operators[lam] = pencil_operator(self.matrix, lam)
-        return self._operators[lam]
+        op = self._operators.get(lam)
+        if op is None:
+            op = self._operators[lam] = pencil_operator(self.matrix, lam)
+        return op
 
     def solution_at(self, lam: Rational) -> PowerSeries:
         """The normalized solution of the operator at shift lam through
         t^(order-1), solved at most once per run."""
-        if lam not in self._solutions:
-            self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
-        return self._solutions[lam]
+        solution = self._solutions.get(lam)
+        if solution is None:
+            solution = self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
+        return solution
 
     @_stage("d3")
     def operator(self) -> DifferentialOperator:
@@ -423,7 +425,10 @@ def _json(value: object, indent: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        body = sep.join([f"{_quote(key)}: {_json(value[key], inner)}" for key in sorted(value)])
+        body = sep.join([
+            f"{_quote(key)}: {_quote(item) if type(item) is str else _json(item, inner)}"
+            for key, item in sorted(value.items())
+        ])
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -681,21 +686,38 @@ class VerifyRow:
     note: str | None = None
 
 
-def _derived_value(report: PipelineRun, key: str) -> tuple[int, int]:
-    """The derived quantity as (numerator, positive denominator), read off
-    the stored numerators."""
-    if key.startswith("matrix."):
-        matrix = report.matrix
-        return matrix.nums[ENTRY_VARS.index(key.split(".", 1)[1])], matrix.den
+def _where(key: str) -> tuple[str, str | None, int]:
     if key == "alpha":
-        return report.alpha.numerator, report.alpha.denominator
+        return "alpha", None, 0
+    if key.startswith("matrix."):
+        return "matrix", None, ENTRY_VARS.index(key.split(".", 1)[1])
     family, index = key.split("[", 1)
-    d = int(index.rstrip("]"))
-    if family == "ambient.c0":
-        series = report.ambient_pair.c0
-    else:
-        series = report.variety_pair.c0 if family == "series.c0" else report.variety_pair.c1
-    return series.nums[d], series.den
+    stage = "ambient_pair" if family == "ambient.c0" else "variety_pair"
+    return stage, family[-2:], int(index.rstrip("]"))
+
+
+# per variety, each golden row as (label, where, golden value, the value as
+# `str` prints it, note), built once at import; `where` locates the derived
+# value in a run as (stage, series or None, index into the numerators)
+_GOLDEN_ROWS: dict[str, tuple[tuple, ...]] = {
+    variety: tuple(
+        (f"{variety}:{key}", _where(key), golden, str(golden), _FLAGGED.get(f"{variety}:{key}"))
+        for key, golden in entries.items()
+    )
+    for variety, entries in _GOLDEN.items()
+}
+
+
+def _derived_value(report: PipelineRun, where: tuple[str, str | None, int]) -> tuple[int, int]:
+    """The derived quantity at `where` as (numerator, positive denominator),
+    read off the stored numerators."""
+    stage, part, index = where
+    if stage == "alpha":
+        return report.alpha.numerator, report.alpha.denominator
+    value = getattr(report, stage)
+    if part is not None:
+        value = getattr(value, part)
+    return value.nums[index], value.den
 
 
 def verify_golden(
@@ -709,30 +731,29 @@ def verify_golden(
     names no entry of the selected varieties is refused before any stage runs.
     """
     if name == "all":
-        targets = list(_GOLDEN)
-    elif name in _GOLDEN:
+        targets = list(_GOLDEN_ROWS)
+    elif name in _GOLDEN_ROWS:
         targets = [name]
     else:
         raise ConfigError(f"unknown variety {name!r}; choose V10, V14 or all")
-    labels = [f"{variety}:{key}" for variety in targets for key in _GOLDEN[variety]]
-    if corrupt is not None and corrupt not in labels:
+    if corrupt is not None and not any(
+        row[0] == corrupt for variety in targets for row in _GOLDEN_ROWS[variety]
+    ):
         raise ConfigError(f"no golden entry labelled {corrupt!r} for variety {name!r}")
     rows: list[VerifyRow] = []
     status = 0
     for variety in targets:
         report = run_pipeline(CATALOG[variety], order=7)
-        for key, golden in _GOLDEN[variety].items():
-            label = f"{variety}:{key}"
-            expected = golden + 1 if corrupt == label else golden
-            num, den = _derived_value(report, key)
-            note = _FLAGGED.get(label)
+        for label, where, expected, printed, note in _GOLDEN_ROWS[variety]:
+            if label == corrupt:
+                expected = expected + 1
+                printed = str(expected)
+            num, den = _derived_value(report, where)
             if num * expected.denominator == expected.numerator * den:
                 verdict = "flagged" if note else "ok"
             else:
                 verdict, status = "mismatch", 1
-            rows.append(
-                VerifyRow(label, ratio_str(num, den), str(expected), verdict, note)
-            )
+            rows.append(VerifyRow(label, ratio_str(num, den), printed, verdict, note))
     return status, rows
 
 

@@ -7,13 +7,12 @@ chain."""
 from fractions import Fraction
 from math import comb, factorial, lcm, log10, prod
 
-from fanocount.d3 import _multiply, _sigma1
+from fanocount.d3 import _multiply
 from fanocount.exactmath import (
     ChernPolynomial,
     EntryPolynomial,
     NonExactDivision,
     PowerSeries,
-    _divide_linear_difference,
 )
 from fanocount.grassmann import GrassmannianSpec, HSeriesPair
 from fanocount.relations import RelationEngine, one_point_relation
@@ -54,9 +53,14 @@ def reference_factorial_transform(series: PowerSeries) -> PowerSeries:
     return PowerSeries(factorial(m) * series[m] for m in range(series.order))
 
 
+def sigma1(m: int) -> int:
+    """The sum of the divisors of m, by trial division."""
+    return sum(d for d in range(1, m + 1) if m % d == 0)
+
+
 def reference_eisenstein_weight2(level: int, order: int) -> PowerSeries:
     """(N E_2(q^N) - E_2(q)) / (N - 1), one `Fraction` per coefficient."""
-    e2 = [Fraction(1)] + [Fraction(-24 * _sigma1(m)) for m in range(1, order)]
+    e2 = [Fraction(1)] + [Fraction(-24 * sigma1(m)) for m in range(1, order)]
     return PowerSeries(
         Fraction(level * (e2[m // level] if m % level == 0 else 0) - e2[m], level - 1)
         for m in range(order)
@@ -93,10 +97,28 @@ def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial
     return ChernPolynomial(nvars, bound, terms)
 
 
+def divide_by_root_difference(terms: dict, i: int, j: int) -> tuple[dict, dict]:
+    """Long division of sum c_e x^e by (x_i - x_j) in the variable x_i, in
+    `Fraction`s, leading x_i power first: each term c x^e that holds x_i
+    puts c x^e / x_i in the quotient and leaves c x^e x_j / x_i, one x_i
+    power lower; what is left is free of x_i and is the remainder.
+    Returns (quotient, remainder), without zero terms."""
+    rest = {e: Fraction(c) for e, c in terms.items() if c}
+    quotient: dict = {}
+    for power in range(max((e[i] for e in rest), default=0), 0, -1):
+        for e in [e for e in rest if e[i] == power]:
+            c = rest.pop(e)
+            lower = list(e)
+            lower[i] -= 1
+            quotient[tuple(lower)] = quotient.get(tuple(lower), 0) + c
+            lower[j] += 1
+            rest[tuple(lower)] = rest.get(tuple(lower), 0) + c
+    return {e: c for e, c in quotient.items() if c}, {e: c for e, c in rest.items() if c}
+
+
 def reference_divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
-    """Division by prod_{i<j}(x_i - x_j) read from the `Fraction` terms: the
-    numerators over the lcm of their denominators, divided pair by pair,
-    and one `Fraction` per quotient coefficient."""
+    """Division by prod_{i<j}(x_i - x_j) of the `Fraction` terms, one root
+    difference at a time by `divide_by_root_difference`."""
     r = poly.nvars
     v = r * (r - 1) // 2
     if poly.degree_bound < v:
@@ -109,15 +131,12 @@ def reference_divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
         raise NonExactDivision(
             f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
         )
-    den = lcm(*(c.denominator for c in terms.values()))
-    numer = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
     for i in range(r):
         for j in range(i + 1, r):
-            numer, rem = _divide_linear_difference(numer, i, j)
+            terms, rem = divide_by_root_difference(terms, i, j)
             if rem:
                 raise NonExactDivision(f"nonzero remainder dividing by (x{i + 1} - x{j + 1})")
-    quotient = {e: Fraction(c, den) for e, c in numer.items()}
-    return ChernPolynomial(r, poly.degree_bound - v, quotient)
+    return ChernPolynomial(r, poly.degree_bound - v, terms)
 
 
 def root_difference(nvars: int, i: int, j: int, shift: int = 0) -> dict:

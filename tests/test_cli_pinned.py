@@ -61,6 +61,11 @@ CASES = [
     ("verify-json", ["verify", "--format", "json"]),
     ("lefschetz-V14-order13", ["lefschetz", "--variety", "V14", "--order", "13"]),
 ] + [
+    # the deep benchmark workload's catalog items
+    (f"{cmd}-{name}-order13-json", [cmd, "--variety", name, "--order", "13", "--format", "json"])
+    for cmd in ("report", "modularity")
+    for name in ("V10", "V14")
+] + [
     (f"{cmd}-{name}-order{order}", [cmd, "--variety", f"<{name} config>", "--order", order])
     for name in INDEX_TWO_PLUS
     for cmd in ("lefschetz", "modularity", "report")
@@ -118,6 +123,10 @@ PINNED = {
     "verify-text": (0, "55a2a250fd1e18b295314a50501644e2a431c1721977c4551e2e6cf72dc97d10"),
     "verify-json": (0, "f42b2fa35c0c74e9ba5958c6e9fe69f20955945236406cb9fc74f81b477b5ae1"),
     "lefschetz-V14-order13": (0, "d172ab551908d6db3a6fbabd5cdf6628f2592915f0c02fa7b4244fe58976f60d"),
+    "report-V10-order13-json": (0, "e5b06c3bcaee7265b61dd100667c47bf0240f2fff4e47c650f1c7fa2626ff450"),
+    "report-V14-order13-json": (0, "ad54f6a2429815c39f5d355e934abd597806605e62424365570ac95a2df4007b"),
+    "modularity-V10-order13-json": (0, "3db5c4cb6ff527c501f356701af4e3dce7d319e66a77ea9c8e4e9926b4293c4e"),
+    "modularity-V14-order13-json": (0, "666a68678a39718c33735f64164a5eaa5a941d0ab39e50ec76103919bd5c7996"),
     "lefschetz-P3-order7": (0, "400e740ee008c413642ac39633808ca47a49128f61a62820015e348f8361ce26"),
     "lefschetz-P3-order13": (0, "47fce1e0f2a2f3e3022af2c25d794841e1c51f7fb6cd2e0519c981cb5350bcd6"),
     "modularity-P3-order7": (0, "bdb0ffcc55f7f28389cc9a88e73b6fdb44b19ce234ad294b3bc208d398b8d119"),

@@ -12,6 +12,7 @@ from helpers import (
     reference_eisenstein_weight2,
     reference_factorial_transform,
     reference_first_mismatch,
+    sigma1,
     weyl_multiply,
 )
 from fanocount import d3
@@ -590,6 +591,13 @@ def test_frobenius_solution_is_factorial_transform_of_series():
 
 def test_eisenstein_e2_expansion():
     assert eisenstein_e2(5).coeffs == (F(1), F(-24), F(-72), F(-96), F(-168))
+
+
+def test_eisenstein_e2_sieve_matches_trial_division():
+    # the divisor sieve against sigma_1 by trial division, through q^60
+    for order in (1, 2, 61):
+        expected = (1,) + tuple(-24 * sigma1(m) for m in range(1, order))
+        assert eisenstein_e2(order).coeffs == expected
 
 
 def test_eisenstein_weight2_expansions():

@@ -25,6 +25,7 @@ from fanocount.exactmath import (
     _over_one_denominator,
     divide_by_vandermonde,
     exp_twist,
+    exp_twist_pair,
 )
 from fanocount.d3 import DifferentialOperator
 from fanocount.relations import one_point_relation
@@ -58,6 +59,8 @@ def test_powerseries_order_and_indexing():
 def test_powerseries_truncate():
     s = PowerSeries((F(1), F(2), F(3)))
     assert s.truncate(2).coeffs == (F(1), F(2))
+    # at its own order the series itself comes back, which is equal
+    assert s.truncate(3) is s and s.truncate(3) == PowerSeries((F(1), F(2), F(3)))
     with pytest.raises(ValueError):
         s.truncate(4)
 
@@ -143,6 +146,20 @@ def test_exp_linear_is_group_homomorphism():
 )
 def test_exp_twist_matches_product_with_exp_linear(f, c):
     assert exp_twist(f, c) == series_product(f, exp_linear(c, f.order))
+
+
+@given(
+    st.lists(st.one_of(st.just(F(0)), small_fractions), min_size=1, max_size=9).map(
+        lambda cs: PowerSeries(tuple(cs))
+    ),
+    st.one_of(st.just(F(0)), small_fractions, st.integers(-5, 5).map(F)),
+)
+def test_exp_twist_pair_is_both_twists(f, c):
+    # one pass, split into the even and odd powers of c, gives both signs
+    plus, minus = exp_twist_pair(f, c)
+    assert (plus, minus) == (exp_twist(f, c), exp_twist(f, -c))
+    assert plus == series_product(f, exp_linear(c, f.order))
+    assert minus == series_product(f, exp_linear(-c, f.order))
 
 
 def test_chern_polynomial_drops_overweight_terms():

@@ -138,6 +138,24 @@ def test_euler_corrected_series_matches_fraction_reference(order, c0, c1, degree
     assert euler_corrected_series(pair, degrees) == reference_euler_corrected_series(pair, degrees)
 
 
+@pytest.mark.parametrize("degrees", [(), (1,), (1, 1, 2), [2, 3]], ids=str)
+def test_euler_table_serves_every_order(degrees):
+    # the factor table is cached per (degrees, order), and a list of degrees
+    # reads the same table as the tuple; each order, read twice, matches the
+    # Fraction reference
+    full = projective_iseries(5, 29)
+    for order in range(1, 31):
+        pair = HSeriesPair(full.c0.truncate(order), full.c1.truncate(order))
+        expected = reference_euler_corrected_series(pair, tuple(degrees))
+        assert euler_corrected_series(pair, degrees) == expected
+        assert euler_corrected_series(pair, tuple(degrees)) == expected
+
+
+def test_regraded_at_index_one_is_the_series():
+    series = PowerSeries((F(2, 3), F(-5, 7), F(1, 2)))
+    assert _regraded(series, 1, 1) is series
+
+
 def test_lefschetz_shift_values():
     pair10 = ambient_pair(V10_SPEC, 1)
     assert lefschetz_shift(V10_SPEC, pair10.c0) == 6
