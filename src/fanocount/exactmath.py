@@ -24,8 +24,8 @@ Three containers here cover the series and polynomial needs:
 * ``ChernPolynomial`` -- a multivariate polynomial truncated in total degree:
   a degree part of the residue sum in Chern roots x_1..x_r, which is only
   read; ``divide_by_vandermonde`` divides one by the Vandermonde, one root
-  difference at a time as a divided difference, for the tests' reference
-  residue sum: no stage calls it,
+  difference at a time as a divided difference; no stage calls it, and the
+  benchmark's tracer binds it at ``grassmann``,
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period

@@ -13,66 +13,36 @@ expanded as a truncated polynomial in the Chern roots x_1..x_r.  Each factor
 (x + l)^(-n) with l >= 1 is an honest power series, l^(-n) (1 + x/l)^(-n),
 so the whole degree part is exact.
 
-The shifted Vandermonde is a determinant: with y_i = x_i + d_i,
-prod_{i<j} (y_i - y_j) = sum_s sgn(s) prod_i y_i^(r - s(i)) over the
-permutations s of 1..r.  So the numerator of the degree-d part is the
-alternant Alt(T_d), where Alt(f) = sum_s sgn(s) f(x_s(1), .., x_s(r)) and
+The shifted Vandermonde is the determinant det((x_j + d_j)^(r-i)), so the
+numerator is the alternant of
 
     T_d = sum_{k_1+..+k_r=d} U_(k_1,r-1)(x_1) * .. * U_(k_r,0)(x_r),
     U_(k,e)(x) = (x + k)^e S_k(x).
 
-Alt(x^e) vanishes unless e = s(lam + delta) for a partition lam and
-delta = (r-1, .., 0), and then it is sgn(s) a_(lam+delta).  By Jacobi's
-bialternant formula a_(lam+delta) / a_delta = s_lam, the Schur polynomial
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3), and a_delta is
-the Vandermonde prod_{i<j} (x_i - x_j).  The pipeline needs the cohomology
-of the ambient space only modulo H^2, H = x_1 + .. + x_r, that is through
-total degree 1, where s_() = 1 and s_(1) = H:
+By Jacobi's bialternant formula (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3) that alternant over the Vandermonde is sum_lam c_lam
+s_lam, c_lam[d] the signed sum of the coefficients of T_d at the
+permutations of lam + (r-1, .., 0).  The pipeline needs the series only
+modulo H^2, H = x_1 + .. + x_r, where s_() = 1 and s_(1) = H, so only
+c_() and c_(1).  Root j of T_d carries only its own part k_j, so each is
+an r x r determinant of the q-series G_(j,m)(q) = sum_k [x^m] U_(k,r-j) q^k
+on the columns m in decreasing order: c_() on {0..r} minus {r}, c_(1) on
+{0..r} minus {r-1}.  Both are expanded along the last row with the minors
+memoized by column set: M_j(S), the minor of rows 1..j on the columns S,
+is M_1({m})[d] = [x^m] U_(d,r-1) and
 
-    Alt(T_d) / a_delta = c_()[d] + c_(1)[d] H,
-    c_lam[d] = sum_s sgn(s) [x^(s(lam+delta))] T_d,
+    M_j(S)[d] = sum_{i in S} (-1)^#{s in S : s < i}
+                sum_{a<=d} C(d, a)^n M_(j-1)(S - {i})[a] [x^i] U_(d-a,r-j),
 
-so only the r! coefficients of T_d at the permutations of each lam + delta
-are needed, none with an exponent above r.  `_schur_plan` lists them in one
-signed table per r, and each c_lam[d] is the dot product of lam's signs
-with the table's coefficients of T_d.  A wrong sign in the table raises
-NonExactDivision when it is built: its alternants must take the values
-a_delta and a_delta H at one point.
-
-T is built one root at a time for every degree at once, as a
-q-convolution: P_1[d] = U_(d,r-1)(x_1), and
-
-    P_j[d] = sum_{a<=d} C(d, a)^n P_(j-1)[a] * U_(d-a,r-j)(x_j),
-
-so T_d = P_r[d], in O(r d^2) products where a sum over the compositions of
-every degree would take C(d+r, r).  P_j holds only the length-j prefixes
-of the table's exponents, and C(d, a)^n lifts the denominators
-(a!)^n ((d-a)!)^n to (d!)^n.  At a prefix p = (p', m), P_j[d][p] is the
-dot product over a <= d of P_(j-1)[a][p'] with the weighted entries
-C(d, a)^n [x^m] U_(d-a,r-j).  For j < r the plan holds those entries as
-one row over the level's prefixes per (d, a), so a level takes one pass
-per degree in which `map` multiplies each a's row and `zip` and `sum` add
-the products of each prefix.  The last level is never stored: the prefixes
-of length r are the table's entries, and the signs of each partition are
-folded into their weighted entries when the plan is built, so c_lam[d] is
-one dot product of P_(r-1) at degrees a <= d, gathered at the parents of
-lam's entries, with lam's read-off column for d.  No step is interpreted
-per product, per prefix or per pair (d, a).  Coefficients are integers
-over one denominator per degree, (d!)^n * lcm(1..d_max)^(r^2), as in
-FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.  The
-read-off trusts T: a product missing from T still gives a symmetric
-series, so the tests compare with the sum over compositions.
-
-Everything before the convolution depends only on (r, n, d_max): the
-level-1 prefixes' entries of U_(d,r-1)(x_1), the weighted rows of the
-levels 2..r-1, the read-off's columns and the signed denominators.
-`_series_plan` builds them once per key, as tuples, and keeps the 16 most
-recently used plans, so a warm call runs only the dot products, and a
-process that walks many jobs holds a bounded set.  The rows store a
-pointer per (prefix, d, a) and the weighted entries are products of
-C(d, a)^n with the root series, so a plan is larger than its inputs: on
-a 64-bit CPython, G(2,3000) through q^12 takes about 0.5 MB and G(6,12)
-through q^12 about 3 MB.
+where C(d, a)^n lifts the integer numerators' denominators (a!)^n and
+((d-a)!)^n to (d!)^n.  Only subsets of the two column sets are visited,
+fewer than 2^(r+1), where the Leibniz sums have 2 r! terms.  Coefficients
+are integers over one denominator per degree, (d!)^n * lcm(1..d_max)^(r^2),
+as in FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.
+The expansion trusts its entries: a product missing from T still gives a
+symmetric series, so the tests compare with the sum over compositions.
+`_expansion_plan` caches, per (r, n, d_max), everything but the minors and
+checks the cofactor signs at one point; `_expand` runs the dot products.
 
 `hv_iseries` writes c_() at the monomial 1 and c_(1) at each x_i of a
 degree part, and `extract_h_pair` collapses the parts to the pair
@@ -82,16 +52,16 @@ degree part, and `extract_h_pair` collapses the parts to the pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import chain, combinations, permutations, repeat
+from functools import lru_cache
+from itertools import combinations, repeat
 from math import comb, factorial, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 
 from .exactmath import ChernPolynomial, NonExactDivision, PowerSeries
 
 # Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
 # patch it at this site.  No step of the residue sum calls it: the plan
-# checks its signed table at one point instead.
+# checks its cofactor signs at one point instead.
 from .exactmath import divide_by_vandermonde  # noqa: F401
 
 
@@ -183,133 +153,109 @@ def _binomial_powers(n: int, top: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(d, a) ** n for a in range(d + 1)) for d in range(top + 1))
 
 
-def _bialternants(r: int):
-    """The partitions () and (1), padded with zeros to r entries, and the
-    signed table of their bialternants: per lam, at index k, the r! entries
-    (k, sgn(s), s(lam + delta)), so that a_(lam+delta) is the sum of
-    sgn(s) x^(s(lam + delta)).  lam + delta is strictly decreasing, so
-    sgn(s) is the parity of the ascending pairs."""
-    partitions = ((0,) * r, (1,) + (0,) * (r - 1))
-    table = [
-        (k, (-1) ** sum(a < b for a, b in combinations(e, 2)), e)
-        for k, lam in enumerate(partitions)
-        for e in permutations(part + r - 1 - i for i, part in enumerate(lam))
-    ]
-    return partitions, table
+def _cofactors(r: int):
+    """The Laplace expansion of c_() and c_(1) by column sets.  The states
+    of level j are the sorted j-subsets of {0..r} minus {r} and {0..r}
+    minus {r-1}, so the level-1 state {m} has index m and the level-r
+    states are c_() and c_(1).  Per level j = 2..r, the triple (columns,
+    children, signs) over the terms of its states in order, j per state:
+    the term of column i in S has the index of S - {i} at level j-1 and
+    the cofactor sign (-1)^#{s in S : s < i}."""
+    sets = [(tuple(range(r)), tuple(range(r - 1)) + (r,))]
+    for j in range(r, 1, -1):
+        sets.append(tuple(sorted({s[:p] + s[p + 1 :] for s in sets[-1] for p in range(j)})))
+    levels = []
+    for states, below in zip(sets, sets[1:]):
+        index = {s: k for k, s in enumerate(below)}
+        terms = [
+            (i, index[s[:p] + s[p + 1 :]], (-1) ** p) for s in states for p, i in enumerate(s)
+        ]
+        levels.append(tuple(zip(*terms)))
+    return tuple(reversed(levels))
 
 
-@cache
-def _schur_plan(r: int):
-    """Tables of the Schur read-off of c_() and c_(1) in r roots.
-
-    Returns (partitions, table, levels): the partitions and signed table of
-    `_bialternants`, and per root j, `levels[j-1]`, the pair (parents,
-    exponents) that gives, per distinct length-j prefix of the table's
-    exponents, the index of its length-(j-1) prefix and the exponent of
-    x_j, so the last level is the table's exponents in table order.
-
-    The table is checked here, once per r, at x = (1, .., r): the entries
-    of () must sum to the Vandermonde prod_{i<j} (x_i - x_j) there, and
-    those of (1) to the Vandermonde times x_1 + .. + x_r.  One flipped sign
-    moves a sum by 2 x^e, which is not 0 at that point, so it raises
-    NonExactDivision.
-    """
-    partitions, table = _bialternants(r)
-    x = range(1, r + 1)
-    vandermonde = prod(a - b for a, b in combinations(x, 2))
-    sums = [0, 0]
-    for k, sign, e in table:
-        sums[k] += sign * prod(map(pow, x, e))
-    for name, got, want in zip(("()", "(1)"), sums, (vandermonde, vandermonde * sum(x))):
-        if got != want:
-            raise NonExactDivision(
-                f"signed table of s_{name} sums to {got} at x = (1, .., {r}), not {want}"
-            )
-    parent, levels = {(): 0}, []
-    for j in range(1, r + 1):
-        index = {}
-        for _, _, e in table:
-            index.setdefault(e[:j], len(index))
-        levels.append((tuple(parent[p[:-1]] for p in index), tuple(p[-1] for p in index)))
-        parent = index
-    return partitions, tuple(table), tuple(levels)
+def _expand(levels, minors, rows):
+    """The minors of the top level, c_() and c_(1) over the degrees, from
+    the level-1 minors `minors[m]` and per level j = 2..r the rows
+    `rows[j-2][d][m]` over a <= d: one pass per level and degree, in which
+    `map` multiplies each term's signed child minor with its row, stopping
+    at the row's d + 1 entries, and `sum` adds each term's products and
+    then each state's j terms, so no step is interpreted per product."""
+    for j, ((columns, children, signs), by_d) in enumerate(zip(levels, rows), 2):
+        # each term's child minor, negated at an odd cofactor sign; every
+        # level has at least two terms, so itemgetter returns a tuple
+        heads = [
+            h if s > 0 else tuple(map(neg, h))
+            for h, s in zip(itemgetter(*children)(minors), signs)
+        ]
+        row = itemgetter(*columns)
+        # zip over one iterator j times groups each state's run of j terms
+        minors = list(zip(*(
+            map(sum, zip(*[map(sum, map(map, repeat(mul), heads, row(by_m)))] * j))
+            for by_m in by_d
+        )))
+    return minors
 
 
 @lru_cache(maxsize=16)
-def _series_plan(r: int, n: int, d_max: int):
-    """Tables of the q-convolution of G(r, n) through q^d_max, everything
-    `hv_iseries` needs before it convolves.
+def _expansion_plan(r: int, n: int, d_max: int):
+    """Tables of the expansion of G(r, n) through q^d_max, everything
+    `hv_iseries` needs before it multiplies.
 
-    Returns (first, levels, readoff, dens).  Per degree k, `first[k]` is
-    U_(k,r-1)(x_1) on the level-1 prefixes of `_schur_plan(r)`.  Per root
-    j = 2..r-1, `levels[j-2]` is (parents, weighted): the parent index of
-    each level-j prefix (p', m), and per degree d and a <= d the row
-    `weighted[d][a]` over those prefixes of C(d, a)^n [x^m] U_(d-a,r-j)(x_j),
-    one integer per (d, a, m) that the prefixes with exponent m share.  Per
-    partition lam of the table, `readoff[k]` is (parents, columns): the
-    level-(r-1) parent of each table entry of lam, and per degree d the
-    column over (a <= d, entry) of the entry's sign times
-    C(d, a)^n [x^m] U_(d-a,0)(x_r), m the entry's last exponent.  Per
-    degree d, `dens[d]` is the signed denominator
-    (-1)^((r-1)d) (d!)^n L^(r^2), L = lcm(1..d_max).  All are tuples, so
-    the tables the cache hands out cannot be changed.
+    Returns (levels, first, rows, dens): the levels of `_cofactors(r)`;
+    per column m, `first[m]`, the level-1 minor [x^m] U_(d,r-1) per degree
+    d; per level j = 2..r, degree d and column m, the row `rows[j-2][d][m]`
+    of C(d, a)^n [x^m] U_(d-a,r-j) over a <= d; and per degree d the signed
+    denominator (-1)^((r-1)d) (d!)^n L^(r^2), L = lcm(1..d_max).  All are
+    tuples, so the tables the cache hands out cannot be changed, and the
+    16 most recently used plans are kept: G(6,12) through q^12 takes
+    about 0.2 MB on a 64-bit CPython.
+
+    The cofactor signs are checked here at x = (1, .., r): over the scalar
+    rows x_j^m, the expansion must give the Vandermonde
+    prod_{i<j} (x_i - x_j) for c_() and the Vandermonde times
+    x_1 + .. + x_r for c_(1).  One flipped sign moves its state's minor by
+    twice its term, and a top minor by that times the complementary minor;
+    both are minors of a Vandermonde matrix at distinct positive points,
+    which are not 0, so it raises NonExactDivision.
     """
+    levels = _cofactors(r)
+    x = range(1, r + 1)
+    vandermonde = prod(a - b for a, b in combinations(x, 2))
+    powers = [(tuple((j**m,) for m in range(r + 1)),) for j in x[1:]]
+    got = [c for (c,) in _expand(levels, ((1,),) * (r + 1), powers)]
+    for name, value, want in zip(("()", "(1)"), got, (vandermonde, vandermonde * sum(x))):
+        if value != want:
+            raise NonExactDivision(
+                f"cofactor expansion of c_{name} gives {value} at x = (1, .., {r}), not {want}"
+            )
     big, series = _root_series(n, d_max, r)
     weights = _binomial_powers(n, d_max)
-    partitions, table, prefixes = _schur_plan(r)
-
-    def weighted(j):
-        # per degree d and a <= d, C(d, a)^n [x^m] U_(d-a,r-j)(x_j) for m <= r
+    first = tuple(zip(*(_shifted(s, k, r - 1) for k, s in enumerate(series))))
+    rows = []
+    for j in range(2, r + 1):
         factor = [_shifted(s, k, r - j) for k, s in enumerate(series)]
-        return [
-            [[w * c for c in factor[d - a]] for a, w in enumerate(ws)]
+        rows.append(tuple(
+            tuple(zip(*([w * c for c in factor[d - a]] for a, w in enumerate(ws))))
             for d, ws in enumerate(weights)
-        ]
-
-    first = tuple(
-        tuple(map(_shifted(s, k, r - 1).__getitem__, prefixes[0][1])) for k, s in enumerate(series)
-    )
-    levels = []
-    for j, (parents, exponents) in enumerate(prefixes[1:-1], 2):
-        rows = (tuple(tuple(map(u.__getitem__, exponents)) for u in by_a) for by_a in weighted(j))
-        levels.append((parents, tuple(rows)))
-    parents = prefixes[-1][0]
-    # the read-off's entries share one integer per (d, a, sign, exponent)
-    keys = [(sign, e[-1]) for _, sign, e in table]
-    pairs = list(dict.fromkeys(keys))
-    scaled = [[[c * u[m] for c, m in pairs] for u in by_a] for by_a in weighted(r)]
-    readoff = []
-    for k in range(len(partitions)):
-        entries = [i for i, entry in enumerate(table) if entry[0] == k]
-        index = [pairs.index(keys[i]) for i in entries]
-        columns = (tuple(chain(*(map(u.__getitem__, index) for u in by_a))) for by_a in scaled)
-        readoff.append((tuple(parents[i] for i in entries), tuple(columns)))
+        ))
     lift = big ** (r * r)
     # the sign (-1)^((r-1)d) rides on the denominator
     dens = tuple((-1) ** ((r - 1) * d) * factorial(d) ** n * lift for d in range(d_max + 1))
-    return first, tuple(levels), tuple(readoff), dens
+    return levels, first, tuple(rows), dens
 
 
 def hv_iseries(spec: GrassmannianSpec, d_max: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total
-    degree 1 in the Chern roots, c_() + c_(1) (x_1 + .. + x_r), read off
-    from one q-convolution as integer dot products over the cached plans."""
+    degree 1 in the Chern roots, c_() + c_(1) (x_1 + .. + x_r), from one
+    Laplace expansion as integer dot products over the cached plan."""
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    parts, levels, readoff, dens = _series_plan(r, n, d_max)
-    # parts[d] is P_j[d] of the module docstring on the level-j prefixes,
-    # over (d!)^n L^(j r); a level past the first and a read-off row both
-    # gather at least two parents, so itemgetter returns a tuple
-    for parents, weighted in levels:
-        heads = list(map(itemgetter(*parents), parts))
-        parts = [list(map(sum, zip(*map(map, repeat(mul), heads, by_a)))) for by_a in weighted]
-    coeffs = []
-    for parents, columns in readoff:
-        heads = list(map(itemgetter(*parents), parts))
-        coeffs.append([sum(map(mul, chain(*heads[: d + 1]), c)) for d, c in enumerate(columns)])
+    levels, first, rows, dens = _expansion_plan(r, n, d_max)
+    coeffs = _expand(levels, first, rows)
     # c_() at the monomial 1 and c_(1) at each x_i
     monomials = [((0,) * r, 0)] + [(tuple(int(k == i) for k in range(r)), 1) for i in range(r)]
     out = []

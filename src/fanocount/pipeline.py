@@ -158,22 +158,23 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 # Job-size limits, checked before any stage runs in this order.  Cold
-# `ambient_series` (2-vCPU Xeon, Python 3.11.7) takes 0.14-0.37 s on the
-# largest job MAX_RESIDUE_WORK admits for each r = 4..7, 1.6 s on G(6,12) at
-# order 30 and 3.7 s on G(8,16) at order 5; no lower multiple of 10^7 admits
-# G(2,30000) at order 13 without a digit limit.
+# `ambient_series` (2-vCPU Xeon, Python 3.11.7) takes 0.006-0.08 s on the
+# largest job MAX_RESIDUE_WORK admits for each r = 4..7 (0.14-0.37 s when
+# the limit was set); no lower multiple of 10^7 admits G(2,30000) at order
+# 13 without a digit limit.
 MAX_ORDER = 30
 MAX_RESIDUE_WORK = 9 * 10**7
 
 
 def _residue_work(ambient: GrassmannianSpec, order: int, digits: Fraction) -> int:
-    """r! (order^2 (D + 300) + 100 r^2), r = min(r, n - r), D = `digits`:
-    `hv_iseries` convolves 2 r! to 5 r! prefixes, each with order (order+1)/2
-    products of up to D digits plus some 300 digits' worth of interpreter
-    work, and a cold `_schur_plan` lists 2 r! signed terms of r exponents,
-    their r levels of prefixes and each term's value at one point, within
-    the 100 r^2 per term that its Vandermonde division was once timed at.
-    The factorial stops past MAX_RESIDUE_WORK, so a huge r costs one step."""
+    """r! (order^2 (D + 300) + 100 r^2), r = min(r, n - r), D = `digits`.
+    Set on a Leibniz sum of 2 r! terms and kept, so that the jobs it admits
+    stay the same, it over-counts the Laplace expansion `hv_iseries` runs:
+    at most (r + 1) 2^r terms (4, 16, 47 at r = 2..4) of order (order+1)/2
+    products each, within 1.6 r! order^2 at r <= 4 and below r! order^2
+    past it, in C dot products far cheaper than 300 digits per product,
+    and a sign check at one point.  The factorial stops past
+    MAX_RESIDUE_WORK, so a huge r costs one step."""
     r = min(ambient.r, ambient.n - ambient.r)
     work = order * order * (ceil(digits) + 300) + 100 * r * r
     for i in range(2, r + 1):

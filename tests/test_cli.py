@@ -77,8 +77,7 @@ def test_warm_caches_print_what_cold_caches_print(capsys, tmp_path):
                 sequence.append([command, "--variety", variety, "--order", order, "--format", "json"])
     for argv in sequence:
         warm = run(capsys, *argv)
-        grassmann._schur_plan.cache_clear()
-        grassmann._series_plan.cache_clear()
+        grassmann._expansion_plan.cache_clear()
         assert run(capsys, *argv) == warm, argv
 
 

@@ -156,62 +156,85 @@ def test_kernel_matches_reference_property(case):
     assert hv_iseries(spec, d) == expected
 
 
-def _flipped(monkeypatch, lam, entry):
-    """Make the signed table of `_schur_plan` carry the wrong sign at the
-    given entry of the partition lam."""
-    bialternants = grassmann._bialternants
+def _flipped(monkeypatch, level, term):
+    """Make the cofactor expansion carry the wrong sign at one term of one
+    level, level 0 being the level of the 2 x 2 minors."""
+    cofactors = grassmann._cofactors
 
     def flipped(r):
-        partitions, table = bialternants(r)
-        k = partitions.index(lam + (0,) * (r - len(lam)))
-        i = [i for i, entry in enumerate(table) if entry[0] == k][entry]
-        k, sign, e = table[i]
-        table[i] = (k, -sign, e)
-        return partitions, table
+        levels = [list(map(list, triple)) for triple in cofactors(r)]
+        levels[level][2][term] *= -1
+        return tuple(tuple(map(tuple, triple)) for triple in levels)
 
-    monkeypatch.setattr(grassmann, "_bialternants", flipped)
+    monkeypatch.setattr(grassmann, "_cofactors", flipped)
 
 
 @pytest.fixture
-def cold_schur_plan():
-    # both per-process tables of the residue sum, so the test builds them
-    for plan in (grassmann._schur_plan, grassmann._series_plan):
-        plan.cache_clear()
+def cold_plan():
+    # the per-process plan of the residue sum, so the test builds it
+    grassmann._expansion_plan.cache_clear()
     yield
-    for plan in (grassmann._schur_plan, grassmann._series_plan):
-        plan.cache_clear()
+    grassmann._expansion_plan.cache_clear()
 
 
 @pytest.mark.parametrize(
-    "r, n, lam, entry, message",
+    "r, n, level, term, message",
     [
-        (2, 5, (), 1, "signed table of s_() sums to 3 at x = (1, .., 2), not -1"),
-        (3, 6, (1,), 3, "signed table of s_(1) sums to -66 at x = (1, .., 3), not -12"),
-        (4, 8, (), 17, "signed table of s_() sums to 1164 at x = (1, .., 4), not 12"),
+        (2, 5, 0, 1, "cofactor expansion of c_() gives 3 at x = (1, .., 2), not -1"),
+        (3, 6, 1, 4, "cofactor expansion of c_(1) gives -54 at x = (1, .., 3), not -12"),
+        (4, 8, 0, 5, "cofactor expansion of c_() gives -180 at x = (1, .., 4), not 12"),
     ],
     ids=["2-5", "3-6", "4-8"],
 )
 def test_flipped_schur_table_sign_breaks_exact_division(
-    monkeypatch, cold_schur_plan, r, n, lam, entry, message
+    monkeypatch, cold_plan, r, n, level, term, message
 ):
-    # with one sign wrong, the alternant of lam at x = (1, .., r) misses its
-    # value a_delta s_lam by 2 x^e, and the plan refuses it when it is built
-    _flipped(monkeypatch, lam, entry)
+    # with one cofactor sign wrong, the expansion over the scalar rows x_j^m
+    # at x = (1, .., r) misses a_delta s_lam by twice the term, and the plan
+    # refuses it when it is filled
+    _flipped(monkeypatch, level, term)
     with pytest.raises(NonExactDivision) as err:
         hv_iseries(GrassmannianSpec(r, n), 2)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_every_flipped_cofactor_sign_is_refused_at_plan_fill(monkeypatch, cold_plan, r):
+    for level, (columns, _, _) in enumerate(grassmann._cofactors(r)):
+        for term in range(len(columns)):
+            with monkeypatch.context() as patch:
+                _flipped(patch, level, term)
+                with pytest.raises(NonExactDivision):
+                    grassmann._expansion_plan(r, r + 2, 1)
+
+
+def _symbolic_minors(r):
+    """The cofactor expansion of `_cofactors(r)` over the rows x_j^m, with
+    each minor a dict of monomial exponents to integer coefficients."""
+
+    def monomial(j, m):
+        return tuple(m if k == j else 0 for k in range(r))
+
+    minors = [{monomial(0, m): 1} for m in range(r + 1)]
+    for j, (columns, children, signs) in enumerate(grassmann._cofactors(r), 1):
+        # the row of root j + 1, j + 1 terms per state
+        states = [{} for _ in range(len(columns) // (j + 1))]
+        for t, (i, child, sign) in enumerate(zip(columns, children, signs)):
+            total = states[t // (j + 1)]
+            for e, c in minors[child].items():
+                e = tuple(map(sum, zip(e, monomial(j, i))))
+                total[e] = total.get(e, 0) + sign * c
+        minors = [{e: c for e, c in total.items() if c} for total in states]
+    return minors
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_schur_table_holds_the_schur_polynomials(r):
-    # a second route beside the plan's one-point check: the alternants of
-    # the signed table, divided by the Vandermonde, are s_() = 1 and
-    # s_(1) = x_1 + .. + x_r
-    partitions, table, _ = grassmann._schur_plan(r)
-    assert len(table) == 2 * math.factorial(r)
-    alternants = [{} for _ in partitions]
-    for k, sign, e in table:
-        alternants[k][e] = sign
+    # a second route beside the plan's one-point check: the expansion's
+    # cofactor table over the symbolic rows x_j^m gives the bialternants,
+    # which divided by the Vandermonde are s_() = 1 and s_(1) = x_1 + .. + x_r
+    alternants = _symbolic_minors(r)
+    assert len(alternants) == 2
     bound = 1 + r * (r - 1) // 2
     schurs = [
         reference_divide_by_vandermonde(ChernPolynomial(r, bound, a)).terms for a in alternants
@@ -220,10 +243,10 @@ def test_schur_table_holds_the_schur_polynomials(r):
     assert schurs == [{(0,) * r: 1}, dict.fromkeys(units, 1)]
 
 
-def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_schur_plan):
-    # the Schur read-off is symmetric whatever T holds, so a sum missing one
-    # product still passes the symmetry check of extract_h_pair.  Only the
-    # comparison with the reference sees it.
+def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_plan):
+    # the expansion writes a symmetric series whatever its entries hold, so
+    # a sum missing one product still passes the symmetry check of
+    # extract_h_pair.  Only the comparison with the reference sees it.
     weights = grassmann._binomial_powers
 
     def dropped(n, top):
@@ -247,26 +270,33 @@ def _containers(table):
             yield from _containers(entry)
 
 
-def test_series_plan_hands_out_tuples():
-    # every caller shares the cached tables, so none can change them: the
-    # level-1 entries, each level's parents and weighted rows, each read-off
-    # row's parents and columns, the denominators, and the Schur plan's
-    # partitions, signed table and prefix levels
-    for r in (2, 3, 4):
-        plan = grassmann._series_plan(r, r + 3, 4)
-        tables = [*_containers(plan), *_containers(grassmann._schur_plan(r))]
-        assert all(type(table) is tuple for table in tables)
-        first, levels, readoff, dens = plan
-        assert len(first) == len(dens) == 5 and len(levels) == r - 2
-        assert [len(columns) for _, columns in readoff] == [5, 5]
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
+def test_expansion_plan_hands_out_tuples_of_bounded_size(r):
+    # every caller shares the cached plan, so none can change it; it holds
+    # the level-1 minors, one row per (j, m, d) and the denominators, and
+    # visits at most 2^(r+1) column sets with at most (r + 1) 2^r terms
+    d_max = 4
+    plan = grassmann._expansion_plan(r, r + 3, d_max)
+    assert all(type(table) is tuple for table in _containers(plan))
+    levels, first, rows, dens = plan
+    assert len(levels) == len(rows) == r - 1 and len(dens) == d_max + 1
+    assert [len(by_d) for by_d in rows] == [d_max + 1] * (r - 1)
+    # a term's dot product at degree d runs over its row's d + 1 entries
+    assert all(len(row) == d + 1 for by_d in rows for d, by_m in enumerate(by_d) for row in by_m)
+    assert len(first) == r + 1
+    integer_rows = [t for t in _containers((first, rows, dens)) if all(type(c) is int for c in t)]
+    assert len(integer_rows) <= r * (r + 1) * (d_max + 1)
+    states = r + 1 + sum(len(columns) // j for j, (columns, _, _) in enumerate(levels, 2))
+    assert states <= 2 ** (r + 1)
+    assert sum(len(columns) for columns, _, _ in levels) <= (r + 1) * 2**r
 
 
-def test_series_plan_holds_a_bounded_set(cold_schur_plan):
-    bound = grassmann._series_plan.cache_info().maxsize
+def test_expansion_plan_holds_a_bounded_set(cold_plan):
+    bound = grassmann._expansion_plan.cache_info().maxsize
     assert bound is not None
     for n in range(5, 5 + bound + 3):
         hv_iseries(GrassmannianSpec(2, n), 3)
-    assert grassmann._series_plan.cache_info().currsize <= bound
+    assert grassmann._expansion_plan.cache_info().currsize <= bound
 
 
 def test_grassmannian_duality():
