@@ -357,7 +357,7 @@ def eisenstein_weight2(level: int, order: int) -> PowerSeries:
     return PowerSeries.from_numerators(level - 1, nums)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReportRow:
     lam: Fraction
     candidate: str

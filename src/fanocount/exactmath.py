@@ -13,7 +13,11 @@ so equal values compare (and, where the type hashes, hash) equal, and a
 with a `TypeError` naming the value; a `from_numerators` or `from_layers`
 takes integer numerators over a denominator of either sign and refuses a
 zero one with `ZeroDivisionError`.  `_over_one_denominator` and
-`_lowest_terms` below do that conversion and normalization for all five.
+`_lowest_terms` below do that conversion and normalization for all five;
+`_lowest_terms` hands the numerators back as they came when the gcd is 1.
+One writer skips them: `grassmann.hv_iseries` reduces each degree part of
+the residue sum with one gcd of its three integers and stores it through
+`ChernPolynomial._from_lowest_terms`, which checks nothing.
 
 Three containers here cover the series and polynomial needs:
 
@@ -94,14 +98,17 @@ def _over_one_denominator(values: Iterable, names: Iterable) -> tuple[int, tuple
 
 
 def _lowest_terms(den: int, nums: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    """den and nums divided by their gcd, signed so that den is positive;
-    a zero den is refused."""
+    """den and nums divided by their gcd, signed so that den is positive,
+    with nums as the tuple it came as when there is nothing to divide; a
+    zero den is refused."""
     if not den:
         raise ZeroDivisionError("a denominator must not be zero")
     nums = tuple(nums)
     g = gcd(den, *nums)
     if den < 0:
         g = -g
+    if g == 1:
+        return den, nums
     return den // g, tuple([c // g for c in nums])
 
 
@@ -239,6 +246,17 @@ class ChernPolynomial:
         length nvars."""
         poly = cls.__new__(cls)
         poly._store(nvars, degree_bound, den, nums)
+        return poly
+
+    @classmethod
+    def _from_lowest_terms(
+        cls, nvars: int, degree_bound: int, den: int, nums: dict[Exponent, int]
+    ) -> ChernPolynomial:
+        """The polynomial of fields already in the stored format: den > 0,
+        gcd(den, *nums) = 1, no zero numerator and no term above
+        degree_bound.  Nothing is checked and `nums` is kept, not copied."""
+        poly = cls.__new__(cls)
+        poly.__dict__.update(nvars=nvars, degree_bound=degree_bound, den=den, nums=nums)
         return poly
 
     def _store(self, nvars: int, degree_bound: int, den: int, nums: Mapping[Exponent, int]) -> None:

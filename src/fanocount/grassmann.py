@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter, mul, neg
 
 from .exactmath import ChernPolynomial, NonExactDivision, PowerSeries
@@ -248,20 +248,30 @@ def _expansion_plan(r: int, n: int, d_max: int):
 def hv_iseries(spec: GrassmannianSpec, d_max: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total
     degree 1 in the Chern roots, c_() + c_(1) (x_1 + .. + x_r), from one
-    Laplace expansion as integer dot products over the cached plan."""
+    Laplace expansion as integer dot products over the cached plan.
+
+    Each part is written in the stored format in one pass: the signed
+    denominator and c_(), c_(1) are divided by their one gcd, negated with
+    a negative denominator, and a zero coefficient drops its monomials, so
+    no part goes through the generic normalization of `ChernPolynomial`."""
     r, n = spec.r, spec.n
     if r < 2:
         raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     levels, first, rows, dens = _expansion_plan(r, n, d_max)
-    coeffs = _expand(levels, first, rows)
-    # c_() at the monomial 1 and c_(1) at each x_i
-    monomials = [((0,) * r, 0)] + [(tuple(int(k == i) for k in range(r)), 1) for i in range(r)]
+    const, lin = _expand(levels, first, rows)
+    one, units = (0,) * r, [tuple(int(k == i) for k in range(r)) for i in range(r)]
     out = []
-    for d, den in enumerate(dens):
-        nums = {e: coeffs[k][d] for e, k in monomials}
-        out.append(ChernPolynomial.from_numerators(r, 1, den, nums))
+    for den, c0, c1 in zip(dens, const, lin):
+        g = gcd(den, c0, c1)
+        if den < 0:
+            g = -g
+        # c_() at the monomial 1 and c_(1) at each x_i
+        nums = {one: c0 // g} if c0 else {}
+        if c1:
+            nums.update(zip(units, repeat(c1 // g)))
+        out.append(ChernPolynomial._from_lowest_terms(r, 1, den // g, nums))
     return out
 
 

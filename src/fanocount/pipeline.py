@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import ceil, factorial, lcm, lgamma, log, log10
 from pathlib import Path
 
@@ -184,12 +184,15 @@ def _residue_work(ambient: GrassmannianSpec, order: int, digits: Fraction) -> in
     return work
 
 
+@lru_cache(maxsize=16)
 def _coefficient_digits(ambient: GrassmannianSpec, order: int) -> Fraction:
     """Estimated decimal digits of the largest integer the series of G(r, n)
     prints through q^(order-1), with r = min(r, n - r): the coefficients of
     q^d have denominators dividing (d!)^n lcm(1..d), and their size stays
     below (10n)^r on every G(r, n) the tests measure.  n and r multiply the
-    exact integer ratios of the logs, so an n or r past the float range is sized too."""
+    exact integer ratios of the logs, so an n or r past the float range is
+    sized too.  A pure function of its arguments, kept per process for the
+    16 most recently used, like the residue sum's plans."""
     n, r = ambient.n, min(ambient.r, ambient.n - ambient.r)
     logs = factorial(order - 1), 10 * n, lcm(*range(1, order))
     (a, p), (b, q), (c, s) = (log10(x).as_integer_ratio() for x in logs)
@@ -248,9 +251,25 @@ def _guarded(stage: str, fn, *args):
         raise StageError(stage, exc) from exc
 
 
-def _stage(name: str):
-    """A run attribute computed once, on first access, inside the stage guard."""
-    return lambda compute: cached_property(lambda run: _guarded(name, compute, run))
+class _stage:
+    """`@_stage(name)`: a run attribute computed once, on first access,
+    inside the guard of stage `name`.  A non-data descriptor: the value is
+    stored in the run's `__dict__`, which later lookups read first, with no
+    lock (a run belongs to one thread); a failing stage stores nothing and
+    raises again on every access."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __call__(self, compute):
+        self.compute, self.attr = compute, compute.__name__
+        return self
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            return self
+        value = run.__dict__[self.attr] = _guarded(self.name, self.compute, run)
+        return value
 
 
 class PipelineRun:
@@ -285,8 +304,10 @@ class PipelineRun:
         self.config = config
         self.order = order
         self.verified = config.in_catalog
-        self._operators: dict[Fraction, DifferentialOperator] = {}
-        self._solutions: dict[Fraction, PowerSeries] = {}
+        # keyed by (numerator, denominator), which hash in C for an int
+        # and a Fraction shift alike
+        self._operators: dict[tuple[int, int], DifferentialOperator] = {}
+        self._solutions: dict[tuple[int, int], PowerSeries] = {}
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
@@ -329,17 +350,19 @@ class PipelineRun:
 
     def operator_at(self, lam: Rational) -> DifferentialOperator:
         """The pencil operator at shift lam, built at most once per run."""
-        op = self._operators.get(lam)
+        key = lam.numerator, lam.denominator
+        op = self._operators.get(key)
         if op is None:
-            op = self._operators[lam] = pencil_operator(self.matrix, lam)
+            op = self._operators[key] = pencil_operator(self.matrix, lam)
         return op
 
     def solution_at(self, lam: Rational) -> PowerSeries:
         """The normalized solution of the operator at shift lam through
         t^(order-1), solved at most once per run."""
-        solution = self._solutions.get(lam)
+        key = lam.numerator, lam.denominator
+        solution = self._solutions.get(key)
         if solution is None:
-            solution = self._solutions[lam] = frobenius_solve(self.operator_at(lam), self.order)
+            solution = self._solutions[key] = frobenius_solve(self.operator_at(lam), self.order)
         return solution
 
     @_stage("d3")
@@ -373,7 +396,7 @@ class PipelineRun:
     def complete(self) -> "PipelineRun":
         """Compute every stage, as the full report needs."""
         for name, attr in vars(PipelineRun).items():
-            if isinstance(attr, cached_property):
+            if isinstance(attr, _stage):
                 getattr(self, name)
         return self
 
@@ -678,7 +701,7 @@ _FLAGGED: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerifyRow:
     label: str
     derived: str

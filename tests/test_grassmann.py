@@ -14,10 +14,11 @@ from helpers import (
     truncated_product,
 )
 from fanocount import grassmann, pipeline
-from fanocount.exactmath import ChernPolynomial, NonExactDivision
+from fanocount.exactmath import ChernPolynomial, NonExactDivision, PowerSeries
 from fanocount.grassmann import (
     AsymmetricSeries,
     GrassmannianSpec,
+    HSeriesPair,
     extract_h_pair,
     harmonic_numerators,
     hv_iseries,
@@ -297,6 +298,48 @@ def test_expansion_plan_holds_a_bounded_set(cold_plan):
     for n in range(5, 5 + bound + 3):
         hv_iseries(GrassmannianSpec(2, n), 3)
     assert grassmann._expansion_plan.cache_info().currsize <= bound
+
+
+def _largest_admitted_order(ambient):
+    """The largest order <= MAX_ORDER at which the job limits admit a run
+    on a hyperplane section of `ambient`."""
+    top = 0
+    for order in range(1, MAX_ORDER + 1):
+        try:
+            pipeline.PipelineRun(pipeline.VarietyConfig(ambient, (1,)), order)
+        except pipeline.ConfigError:
+            break
+        top = order
+    return top
+
+
+@pytest.mark.parametrize("r, n", [(2, 5), (3, 6), (4, 8), (5, 10), (6, 12), (7, 14)])
+def test_degree_parts_are_written_in_lowest_terms(r, n):
+    # each part is written in the stored format in one pass, and equals the
+    # generic constructor applied to the unreduced expansion over the plan's
+    # signed denominators
+    spec = GrassmannianSpec(r, n)
+    d_max = _largest_admitted_order(spec) - 1
+    assert d_max >= 4
+    parts = hv_iseries(spec, d_max)
+    levels, first, rows, dens = grassmann._expansion_plan(r, n, d_max)
+    const, lin = grassmann._expand(levels, first, rows)
+    one = (0,) * r
+    units = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    assert len(parts) == d_max + 1
+    for d, part in enumerate(parts):
+        assert (part.nvars, part.degree_bound) == (r, 1)
+        assert part.den > 0
+        assert math.gcd(part.den, *part.nums.values()) == 1
+        assert all(part.nums.values())
+        assert set(part.nums) <= {one, *units}
+        nums = {one: const[d], **{e: lin[d] for e in units}}
+        assert part == ChernPolynomial.from_numerators(r, 1, dens[d], nums)
+    expected = HSeriesPair(
+        PowerSeries([F(c, den) for c, den in zip(const, dens)]),
+        PowerSeries([F(c, den) for c, den in zip(lin, dens)]),
+    )
+    assert extract_h_pair(parts) == expected
 
 
 def test_grassmannian_duality():

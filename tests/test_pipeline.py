@@ -514,6 +514,88 @@ def test_subcommand_views_compute_only_the_stages_they_print():
     assert "matrix" in vars(run) and "operator" not in vars(run)
 
 
+STAGES = (
+    "ambient_pair", "geometry", "alpha", "variety_pair", "matrix", "periods", "disc",
+    "operator", "solution", "modularity",
+)
+
+
+def _spy(monkeypatch, *names):
+    """Count the calls of each named pipeline binding, those of
+    `pencil_operator` per shift."""
+    calls = {}
+    for name in names:
+        original = getattr(pipeline, name)
+
+        def spy(*args, _name=name, _original=original):
+            key = (_name, args[1]) if _name == "pencil_operator" else _name
+            calls[key] = calls.get(key, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    return calls
+
+
+def test_each_stage_is_computed_once_per_run(monkeypatch):
+    calls = _spy(
+        monkeypatch, "ambient_series", "ci_geometry", "lefschetz_shift", "quantum_lefschetz",
+        "recover_matrix", "forward_periods", "discriminant", "pencil_operator",
+        "frobenius_solve", "modularity_report",
+    )
+    run = PipelineRun(CATALOG["V10"])
+    assert run.complete() is run
+    # complete() computes every stage and stores each in the run
+    assert {name for name in vars(run) if name in vars(PipelineRun)} == set(STAGES)
+    first = dict(calls)
+    for _ in range(3):
+        for name in STAGES:
+            getattr(run, name)
+        run.complete()
+    assert calls == first
+    alpha = run.alpha
+    assert first == {
+        "ambient_series": 1, "ci_geometry": 1, "lefschetz_shift": 1, "quantum_lefschetz": 1,
+        "recover_matrix": 1, "forward_periods": 1, "discriminant": 1, "modularity_report": 1,
+        # the operator and solution stages at shift 0, modularity at 0, +alpha, -alpha
+        "frobenius_solve": 3, ("pencil_operator", 0): 1, ("pencil_operator", alpha): 1,
+        ("pencil_operator", -alpha): 1,
+    }
+    # an int and a Fraction shift of one value share the run's operator and solution
+    assert run.operator_at(F(0)) is run.operator_at(0) is run.operator
+    assert run.solution_at(F(0)) is run.solution_at(0) is run.solution
+    assert run.operator_at(F(alpha)) is run.operator_at(int(alpha))
+    assert calls == first
+
+
+def test_a_failing_stage_raises_on_every_access_and_caches_nothing(monkeypatch):
+    attempts = 0
+
+    def failing(*args):
+        nonlocal attempts
+        attempts += 1
+        raise ArithmeticError("no matrix")
+
+    original = pipeline.recover_matrix
+    monkeypatch.setattr(pipeline, "recover_matrix", failing)
+    run = PipelineRun(CATALOG["V14"])
+    for attempt in range(1, 4):
+        with pytest.raises(StageError, match="^stage solver: ArithmeticError: no matrix$") as info:
+            run.matrix
+        assert info.value.stage == "solver" and isinstance(info.value.original, ArithmeticError)
+        assert attempts == attempt
+        assert "matrix" not in vars(run)
+    # a d3 stage that reads it fails under the failing stage's name
+    with pytest.raises(StageError) as info:
+        run.operator
+    assert info.value.stage == "solver" and attempts == 4
+    assert "operator" not in vars(run)
+    # the stages it read stay computed, and the next access retries
+    assert "variety_pair" in vars(run)
+    monkeypatch.setattr(pipeline, "recover_matrix", original)
+    assert run.matrix == run_pipeline(CATALOG["V14"]).matrix
+    assert "matrix" in vars(run)
+
+
 def test_run_pipeline_builds_one_operator_per_shift(monkeypatch):
     import fanocount.pipeline as pipeline
 
