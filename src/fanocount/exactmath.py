@@ -45,11 +45,11 @@ over one denominator, from an integer form of the polynomial that it
 computes once; the solver stage calls it on a counting matrix's
 numerators, and ``evaluate`` wraps it for a point of ``Fraction``s and
 builds one ``Fraction``, the result.  The series kernels elsewhere work
-on ``PowerSeries`` numerators the same way: the residue sum
-and ``extract_h_pair``, ``projective_iseries``, the Euler factors and
-regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
-``factorial_transform``, ``eisenstein_weight2`` and ``first_mismatch`` in
-``d3``.  ``EntryPolynomial`` keeps a coefficient that already is a
+on ``PowerSeries`` numerators the same way: the residue sum, projective
+space included as its one-root case, and ``extract_h_pair``, the Euler
+factors and regrading of ``lefschetz``, and ``frobenius_solve``,
+``apply_operator``, ``factorial_transform``, ``eisenstein_weight2`` and
+``first_mismatch`` in ``d3``.  ``EntryPolynomial`` keeps a coefficient that already is a
 ``Fraction``; its ring arithmetic stays on ``Fraction`` coefficients.
 """
 

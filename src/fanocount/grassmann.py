@@ -1,4 +1,5 @@
-"""I-series of Grassmannians G(r, n) from the residue sum over Chern roots.
+"""I-series of Grassmannians G(r, n) from the residue sum over Chern roots;
+projective space P^(n-1) is G(1, n), the sum over one root.
 
 The degree-d part of the series is (Hori-Vafa; proved by Bertram,
 Ciocan-Fontanine and Kim, Duke Math. J. 2005)
@@ -35,10 +36,13 @@ is M_1({m})[d] = [x^m] U_(d,r-1) and
                 sum_{a<=d} C(d, a)^n M_(j-1)(S - {i})[a] [x^i] U_(d-a,r-j),
 
 where C(d, a)^n lifts the integer numerators' denominators (a!)^n and
-((d-a)!)^n to (d!)^n.  Only subsets of the two column sets are visited,
-fewer than 2^(r+1), where the Leibniz sums have 2 r! terms.  Coefficients
-are integers over one denominator per degree, (d!)^n * lcm(1..d_max)^(r^2),
-as in FLINT's `fmpq_poly`, with the sign (-1)^((r-1)d) on the denominator.
+((d-a)!)^n to (d!)^n.  Only subsets of the two column sets are visited:
+their j terms per state number (3r + 1) 2^r / 4 - (r + 1) past level 1,
+where the Leibniz sums have 2 r! terms.  At r = 1 there is no level past
+the first, and c_(), c_(1) are the minors [x^0] and [x^1] of S_d.
+Coefficients are integers over one denominator per degree,
+(d!)^n * lcm(1..d_max)^(r^2), as in FLINT's `fmpq_poly`, with the sign
+(-1)^((r-1)d) on the denominator.
 The expansion trusts its entries: a product missing from T still gives a
 symmetric series, so the tests compare with the sum over compositions.
 `_expansion_plan` caches, per (r, n, d_max), everything but the minors and
@@ -248,15 +252,14 @@ def _expansion_plan(r: int, n: int, d_max: int):
 def hv_iseries(spec: GrassmannianSpec, d_max: int) -> list[ChernPolynomial]:
     """Degree parts d = 0..d_max of the G(r, n) I-series through total
     degree 1 in the Chern roots, c_() + c_(1) (x_1 + .. + x_r), from one
-    Laplace expansion as integer dot products over the cached plan.
+    Laplace expansion as integer dot products over the cached plan; any
+    r >= 1 that the spec admits, r = 1 being P^(n-1).
 
     Each part is written in the stored format in one pass: the signed
     denominator and c_(), c_(1) are divided by their one gcd, negated with
     a negative denominator, and a zero coefficient drops its monomials, so
     no part goes through the generic normalization of `ChernPolynomial`."""
     r, n = spec.r, spec.n
-    if r < 2:
-        raise ValueError("the residue sum needs r >= 2; use projective_iseries for r = 1")
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     levels, first, rows, dens = _expansion_plan(r, n, d_max)
@@ -276,20 +279,9 @@ def hv_iseries(spec: GrassmannianSpec, d_max: int) -> list[ChernPolynomial]:
 
 
 def projective_iseries(n: int, d_max: int) -> HSeriesPair:
-    """I-series of P^(n-1) mod H^2: sum_d q^d prod_{i=1}^{d} (H + i)^(-n).
-
-    The degree-d coefficient is (1 - n H_d H) / (d!)^n, so c0 sits over
-    (d_max!)^n and c1 over (d_max!)^n lcm(1..d_max).
-    """
-    if n < 2:
-        raise ValueError("projective space needs n >= 2")
-    lift = [1] * (d_max + 1)  # (d_max! / d!)^n
-    for d in range(d_max, 0, -1):
-        lift[d - 1] = lift[d] * d**n
-    hden, hnums = harmonic_numerators(d_max)
-    c0 = PowerSeries.from_numerators(lift[0], lift)
-    c1 = PowerSeries.from_numerators(lift[0] * hden, [-n * h * x for h, x in zip(hnums, lift)])
-    return HSeriesPair(c0, c1)
+    """I-series of P^(n-1) mod H^2 through q^d_max, sum_d q^d
+    prod_{i=1}^{d} (H + i)^(-n): the residue sum of G(1, n)."""
+    return extract_h_pair(hv_iseries(GrassmannianSpec(1, n), d_max))
 
 
 def extract_h_pair(parts: list[ChernPolynomial]) -> HSeriesPair:

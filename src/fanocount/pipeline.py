@@ -33,13 +33,7 @@ from .d3 import (
     pencil_operator,
 )
 from .exactmath import ENTRY_VARS, PowerSeries, Rational, ratio_str
-from .grassmann import (
-    GrassmannianSpec,
-    HSeriesPair,
-    extract_h_pair,
-    hv_iseries,
-    projective_iseries,
-)
+from .grassmann import GrassmannianSpec, HSeriesPair, extract_h_pair, hv_iseries
 from .lefschetz import CompleteIntersectionSpec, ci_geometry, lefschetz_shift, quantum_lefschetz
 from .relations import ENTRY_LAYOUT
 from .solver import (
@@ -48,8 +42,10 @@ from .solver import (
 
 # Bound here only so that the benchmark's tracer (perfbench/tracer.py) can
 # patch them at this site.  No stage calls them: `pencil_operator` writes
-# the operator in closed form, and this chain is the reference for it.
+# the operator in closed form, and this chain is the reference for it; the
+# ambient series of projective space is the residue sum of G(1, n).
 from .d3 import build_pencil, left_divide_by_D, right_determinant  # noqa: F401
+from .grassmann import projective_iseries  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -142,6 +138,8 @@ def parse_config(raw: object) -> VarietyConfig:
     n = _integer(_required(ambient_raw, "n", "ambient."), "ambient.n")
     if kind == "grassmannian":
         r = _integer(_required(ambient_raw, "r", "ambient."), "ambient.r")
+    elif n < 1:
+        raise ConfigError(f"field 'ambient.n' must be at least 1 for projective space, got {n}")
     else:
         r, n = 1, n + 1
     degrees_raw = _required(raw, "degrees")
@@ -158,30 +156,24 @@ def parse_config(raw: object) -> VarietyConfig:
 
 
 # Job-size limits, checked before any stage runs in this order.  Cold
-# `ambient_series` (2-vCPU Xeon, Python 3.11.7) takes 0.006-0.08 s on the
-# largest job MAX_RESIDUE_WORK admits for each r = 4..7 (0.14-0.37 s when
-# the limit was set); no lower multiple of 10^7 admits G(2,30000) at order
-# 13 without a digit limit.
+# `ambient_series` (2-vCPU Xeon, Python 3.11.7) takes 0.03-0.11 s on the
+# slowest job MAX_RESIDUE_WORK admits for each r = 4..11, and no lower
+# multiple of 10^7 admits G(2,30000) at order 13 without a digit limit.
 MAX_ORDER = 30
-MAX_RESIDUE_WORK = 9 * 10**7
+MAX_RESIDUE_WORK = 10**8
 
 
 def _residue_work(ambient: GrassmannianSpec, order: int, digits: Fraction) -> int:
-    """r! (order^2 (D + 300) + 100 r^2), r = min(r, n - r), D = `digits`.
-    Set on a Leibniz sum of 2 r! terms and kept, so that the jobs it admits
-    stay the same, it over-counts the Laplace expansion `hv_iseries` runs:
-    at most (r + 1) 2^r terms (4, 16, 47 at r = 2..4) of order (order+1)/2
-    products each, within 1.6 r! order^2 at r <= 4 and below r! order^2
-    past it, in C dot products far cheaper than 300 digits per product,
-    and a sign check at one point.  The factorial stops past
-    MAX_RESIDUE_WORK, so a huge r costs one step."""
-    r = min(ambient.r, ambient.n - ambient.r)
-    work = order * order * (ceil(digits) + 300) + 100 * r * r
-    for i in range(2, r + 1):
-        if work > MAX_RESIDUE_WORK:
-            break
-        work *= i
-    return work
+    """(T m(m+1)/2 + m)(D + 300), r = min(r, n - r), m = `order`, D =
+    `digits`: the T = (3r + 1) 2^r / 4 - (r + 1) terms past level 1 of the
+    Laplace expansion `hv_iseries` runs, each a dot product over the
+    m(m+1)/2 degree pairs a <= d < m, and the m degree parts written out,
+    on integers of up to D digits, 300 standing for the interpreter's cost
+    per product.  T passes 2^r, so r is capped at the limit's bit length
+    and a huge r costs one step."""
+    r = min(ambient.r, ambient.n - ambient.r, MAX_RESIDUE_WORK.bit_length())
+    terms = ((3 * r + 1) << r) // 4 - r - 1
+    return (terms * order * (order + 1) // 2 + order) * (ceil(digits) + 300)
 
 
 @lru_cache(maxsize=16)
@@ -233,11 +225,9 @@ def ambient_series(ambient: GrassmannianSpec, order: int) -> HSeriesPair:
     """Hyperplane-class I-series of the ambient space through q^(order-1).
 
     G(r, n) and G(n - r, n) are the same variety, so the residue sum runs
-    over the smaller of r and n - r roots, and G(n - 1, n) is projective.
+    over the smaller of r and n - r roots; projective space is G(1, n).
     """
     r = min(ambient.r, ambient.n - ambient.r)
-    if r == 1:
-        return projective_iseries(ambient.n, order - 1)
     return extract_h_pair(hv_iseries(GrassmannianSpec(r, ambient.n), order - 1))
 
 

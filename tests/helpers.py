@@ -145,6 +145,13 @@ def root_difference(nvars: int, i: int, j: int, shift: int = 0) -> dict:
     return {unit[0]: 1, unit[1]: -1, (0,) * nvars: shift}
 
 
+def projective_closed_form(n: int, order: int) -> HSeriesPair:
+    """The I-series of P^(n-1) mod H^2 through q^(order-1) in `Fraction`s:
+    1/(d!)^n at H^0 and -n harmonic(d)/(d!)^n at H^1."""
+    c0 = [Fraction(1, factorial(d) ** n) for d in range(order)]
+    return HSeriesPair(PowerSeries(c0), PowerSeries([-n * harmonic(d) * c for d, c in enumerate(c0)]))
+
+
 def closed_form_constant(n: int, d: int) -> Fraction:
     """Constant term of the degree-d part for G(2, n), in closed form.
 

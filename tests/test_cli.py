@@ -337,13 +337,13 @@ def test_oversize_residue_sum_is_refused_before_it_runs(capsys, tmp_path, monkey
 
     monkeypatch.setattr(pipeline, "hv_iseries", spy)
     config = write_config(
-        tmp_path, {"ambient": {"type": "grassmannian", "r": 8, "n": 16}, "degrees": [1]}
+        tmp_path, {"ambient": {"type": "grassmannian", "r": 12, "n": 24}, "degrees": [1]}
     )
     code, out, err = run(capsys, "iseries", "--variety", config, "--order", "5")
     assert code == 2
     assert out == ""
     assert err == (
-        "error: stage config: ConfigError: residue-sum work for G(8,16) at "
+        "error: stage config: ConfigError: residue-sum work for G(12,24) at "
         f"order 5 exceeds the limit MAX_RESIDUE_WORK = {pipeline.MAX_RESIDUE_WORK}\n"
     )
 
@@ -434,7 +434,7 @@ def test_series_checks_size_the_order_the_stages_compute(
 
     monkeypatch.setattr(pipeline, "quantum_lefschetz", spy)
     if command != "lefschetz":  # that job's ambient series is admitted and computes
-        monkeypatch.setattr(pipeline, "projective_iseries", spy)
+        monkeypatch.setattr(pipeline, "hv_iseries", spy)
     config = write_config(tmp_path, payload)
     code, out, err = run(capsys, command, "--variety", config, "--order", "1")
     assert (code, out) == (2, "")

@@ -25,7 +25,7 @@ INDEX_TWO_PLUS = {
     "B5": {"ambient": {"type": "grassmannian", "r": 2, "n": 5}, "degrees": [1, 1, 1]},
 }
 # Hyperplane sections of G(r, 2r) for r = 3..7, whose iseries runs the residue
-# sum over r roots, G(5,10) at order 5 right at the job-size limit.
+# sum over r roots.
 GRASSMANNIAN_JOBS = {
     "G36": ({"ambient": {"type": "grassmannian", "r": 3, "n": 6}, "degrees": [1]}, "13"),
     "G48": ({"ambient": {"type": "grassmannian", "r": 4, "n": 8}, "degrees": [1]}, "17"),
@@ -74,6 +74,12 @@ CASES = [
     (f"iseries-{name}-order{order}-json",
      ["iseries", "--variety", f"<{name} config>", "--order", order, "--format", "json"])
     for name, (_, order) in GRASSMANNIAN_JOBS.items()
+] + [
+    # the P^4 ambient of B3 through q^29, recorded from the closed form of
+    # the projective series before the residue sum over one root replaced it
+    (f"iseries-B3-order30-{fmt}",
+     ["iseries", "--variety", "<B3 config>", "--order", "30", "--format", fmt])
+    for fmt in ("text", "json")
 ]
 
 # case id -> (exit code, sha256 of stdout)
@@ -156,6 +162,8 @@ PINNED = {
     "iseries-G510-order5-json": (0, "13060f95e9227b7c05a5189fdd8c729b0b564d1874191ef5ead2895ff14a1e48"),
     "iseries-G612-order13-json": (0, "702310aadb31030442003ae43496a7696e3ad720842262f144a4fcba3cb70904"),
     "iseries-G714-order5-json": (0, "5bf765c3b66ed14d85796478aae17f97719db705d8ee28056f59138c7a287a7f"),
+    "iseries-B3-order30-text": (0, "d5cc82dec609ec271fdb8b491e4cff37e1435c073cab622b50f9d3912884b1a4"),
+    "iseries-B3-order30-json": (0, "5d7a437805ebf15840a4165c9cc55926da07c1beec971426f145e61af1247b26"),
 }
 
 
@@ -211,6 +219,11 @@ ERROR_CASES = {
     "order-0": (
         ["iseries", "--variety", "V10", "--order", "0"],
         "error: stage config: ConfigError: --order must be positive",
+    ),
+    "projective-n-0": (
+        ["iseries", "--variety", {"ambient": {"type": "projective", "n": 0}, "degrees": []}],
+        "error: stage config: ConfigError: field 'ambient.n' must be at least 1 for projective "
+        "space, got 0",
     ),
 }
 

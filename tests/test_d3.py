@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -35,7 +36,7 @@ from fanocount.d3 import (
     right_determinant,
 )
 from fanocount.pipeline import CATALOG, run_pipeline
-from fanocount.solver import CountingMatrix
+from fanocount.solver import CountingMatrix, forward_periods
 
 F = Fraction
 D = DifferentialOperator({(0, 1): F(1)})
@@ -587,6 +588,21 @@ def test_frobenius_solution_is_factorial_transform_of_series():
         F(math.factorial(m)) * c for m, c in enumerate(golden.SERIES_V10_C0)
     )
     assert solution.coeffs == expected
+
+
+def test_period_map_is_the_operator_solution_over_factorials():
+    # forward_periods(M) is y_m / m! for m = 2..6, y the Frobenius solution
+    # of the shift-0 operator, read off the operator's closed form with no
+    # step of the relation engine
+    matrices = [run_pipeline(CATALOG[name]).matrix for name in ("V10", "V14")]
+    rng = random.Random(20261020)
+    for _ in range(300):
+        entries = {name: F(rng.randint(-50, 50), rng.randint(1, 6)) for name in ENTRY_VARS}
+        matrices.append(CountingMatrix(deg=rng.randint(1, 30), **entries))
+    for matrix in matrices:
+        y = frobenius_solve(pencil_operator(matrix, 0), 7)
+        periods = forward_periods(matrix).as_tuple()
+        assert periods == tuple(y[m] / factorial(m) for m in range(2, 7))
 
 
 def test_eisenstein_e2_expansion():

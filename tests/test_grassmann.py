@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     closed_form_constant,
     harmonic,
+    projective_closed_form,
     reference_divide_by_vandermonde,
     root_difference,
     truncated_product,
@@ -106,11 +107,6 @@ def test_harmonic_numbers():
     assert den == math.lcm(*range(1, 41))
     for m in range(41):
         assert F(nums[m], den) == harmonic(m)
-
-
-def test_hv_degree_part_requires_two_rows():
-    with pytest.raises(ValueError):
-        hv_iseries(GrassmannianSpec(1, 5), 1)
 
 
 @pytest.mark.parametrize("d_max", [-1, -5])
@@ -352,15 +348,20 @@ def test_grassmannian_duality():
 
 
 def test_g34_is_projective_space():
-    # G(3, 4) is P^3, whose I-series has a closed form
-    assert extract_h_pair(hv_iseries(GrassmannianSpec(3, 4), 5)) == projective_iseries(4, 5)
+    # G(1, n) and G(n - 1, n) are P^(n-1), whose I-series has a closed form;
+    # the sum over one root and the sum over n - 1 roots both give it
+    for n in (2, 3, 4, 5, 6):
+        expected = projective_closed_form(n, MAX_ORDER)
+        for r in (1, n - 1):
+            assert extract_h_pair(hv_iseries(GrassmannianSpec(r, n), MAX_ORDER - 1)) == expected
+        assert projective_iseries(n, MAX_ORDER - 1) == expected
 
 
 @pytest.mark.parametrize("r, n", [(4, 6), (5, 6), (5, 7)])
 def test_ambient_series_sums_over_the_smaller_dual(monkeypatch, r, n):
     # G(r, n) and G(n - r, n) are the same variety, so the pipeline sums over
-    # min(r, n - r) roots, G(n - 1, n) through the projective closed form,
-    # and gets the series the sum over all r roots gives
+    # min(r, n - r) roots, G(n - 1, n) over one, and gets the series the sum
+    # over all r roots gives
     direct = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), 2))
     calls = []
 
@@ -370,8 +371,7 @@ def test_ambient_series_sums_over_the_smaller_dual(monkeypatch, r, n):
 
     monkeypatch.setattr(pipeline, "hv_iseries", spy)
     assert ambient_series(GrassmannianSpec(r, n), 3) == direct
-    dual = n - r
-    assert calls == ([] if dual == 1 else [GrassmannianSpec(dual, n)])
+    assert calls == [GrassmannianSpec(n - r, n)]
 
 
 def test_hv_iseries_published_constants_g25():

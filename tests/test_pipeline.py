@@ -143,6 +143,9 @@ G25 = {"type": "grassmannian", "r": 2, "n": 5}
             {"ambient": {**G25, "r": True, "n": 5.9}, "degrees": [1.7, "1", 2], "bogus": 1},
             "'bogus'",
         ),
+        # projective space needs n >= 1, and the message names the config's field
+        ({"ambient": {"type": "projective", "n": 0}, "degrees": []}, "'ambient.n'"),
+        ({"ambient": {"type": "projective", "n": -3}, "degrees": [1]}, "'ambient.n'"),
     ],
 )
 def test_parse_config_is_strict(raw, field):
@@ -625,34 +628,35 @@ def grassmannian(r, n):
 
 @pytest.mark.parametrize(
     ("r", "n", "order", "work"),
-    [(10**6, 2 * 10**6, 5, 100000251543850), (8, 16, 5, 601776000), (6, 12, 5, 8550000),
-     (5, 10, 5, 1275000), (3, 6, 7, 100950), (2, 5, 13, 119776), (1, 5, 30, 422200)],
+    [(10**6, 2 * 10**6, 5, 415268217508657530), (8, 16, 5, 8139670), (6, 12, 5, 1476260),
+     (5, 10, 5, 596375), (3, 6, 7, 147875), (2, 5, 13, 132704), (1, 5, 30, 14070)],
 )
 def test_residue_work_figures(r, n, order, work):
-    # r! (order^2 (D + 300) + 100 r^2), D the rounded-up digit estimate:
-    # G(6,12) at order 5 has D = 31, so 720 (25 * 331 + 3600) = 8550000.
-    # Past the limit the factorial stops: G(10^6,2*10^6) is 25 (D + 300) + 100 r^2
+    # (T order (order + 1) / 2 + order) (D + 300), D the rounded-up digit
+    # estimate: G(6,12) at order 5 has T = 297 and D = 31, so
+    # (297 * 15 + 5) * 331 = 1476260.  P^4 runs no term past level 1 and
+    # counts its 30 degree parts only.  r is capped at the limit's bit
+    # length: G(10^6,2*10^6) counts the T = 2751463396 terms of r = 27
     digits = _coefficient_digits(GrassmannianSpec(r, n), order)
     assert _residue_work(GrassmannianSpec(r, n), order, digits) == work
     assert _residue_work(GrassmannianSpec(n - r, n), order, digits) == work
 
 
 @pytest.mark.parametrize(
-    ("r", "order"), [(2, 6), (3, 7), (4, 5), (5, 5), (6, 5), (6, 16), (7, 5), (7, 6)]
+    ("r", "order"),
+    [(1, 5), (1, 30), (2, 6), (3, 7), (4, 5), (5, 5), (6, 5), (6, 16), (7, 5), (7, 6), (8, 5),
+     (9, 5), (10, 5), (11, 5), (12, 5)],
 )
 def test_residue_work_counts_the_plan_the_sum_runs(r, order):
-    # the model's r! order^2 products bound the expansion `hv_iseries` runs:
-    # each term of `_cofactors(r)` is a dot product of up to order entries
-    # per degree, order (order + 1) / 2 products in all.  The terms number
-    # 4, 16 and 47 at r = 2..4, within a factor 1.6 of the model from the
-    # series order 5 on, and from r = 5 on the model over-counts them
+    # the model's closed form (3r + 1) 2^r / 4 - (r + 1) counts the terms
+    # of `_cofactors(r)`, the levels past the first that `hv_iseries` runs,
+    # each a dot product over order (order + 1) / 2 degree pairs, and adds
+    # one write-out per degree part; with the (r + 1) level-1 states they
+    # number (3r + 1) 2^(r-2)
     terms = sum(len(columns) for columns, _, _ in _cofactors(r))
-    assert terms <= (r + 1) * 2**r
-    products = terms * order * (order + 1) // 2
-    bound = factorial(r) * order**2
-    assert products <= bound if r >= 5 else 5 * products <= 8 * bound
+    assert 4 * (terms + r + 1) == (3 * r + 1) * 2**r
     spec = GrassmannianSpec(r, 2 * r + 1)
-    assert _residue_work(spec, order, 0) == factorial(r) * (300 * order**2 + 100 * r * r)
+    assert _residue_work(spec, order, 0) == (terms * order * (order + 1) // 2 + order) * 300
 
 
 def test_job_limits_admit_the_benchmarked_jobs():
@@ -689,7 +693,9 @@ def test_jobs_the_composition_count_admitted_stay_admitted():
 
 
 @pytest.mark.parametrize(
-    ("r", "n", "order"), [(4, 124, 30), (5, 472, 13), (6, 12, 16), (7, 141, 5), (7, 19, 6)]
+    ("r", "n", "order"),
+    [(4, 137, 30), (5, 252, 19), (6, 177, 16), (7, 988, 8), (7, 21, 20), (8, 2791, 5),
+     (9, 1106, 5), (10, 365, 5), (11, 38, 5)],
 )
 def test_residue_work_limit_admits_and_refuses_on_either_side(r, n, order):
     # the largest n the work limit admits for each r at these orders
@@ -698,10 +704,19 @@ def test_residue_work_limit_admits_and_refuses_on_either_side(r, n, order):
         PipelineRun(grassmannian(r, n + 1), order)
 
 
+@pytest.mark.parametrize(
+    ("r", "n", "order"), [(8, 16, 5), (8, 16, 7), (7, 14, 9), (10, 20, 5), (6, 12, 30)]
+)
+def test_jobs_the_expansion_runs_in_milliseconds_are_admitted(r, n, order):
+    # refused while the limit counted r! Leibniz terms; cold, each takes
+    # 0.007-0.08 s on the Laplace expansion
+    PipelineRun(grassmannian(r, n), order)
+
+
 def test_oversize_jobs_are_refused_at_set_up():
     with pytest.raises(ConfigError, match="MAX_ORDER"):
         PipelineRun(CATALOG["V10"], MAX_ORDER + 1)
-    for config, order in ((grassmannian(8, 16), 5), (grassmannian(6, 12), MAX_ORDER)):
+    for config, order in ((grassmannian(12, 24), 5), (grassmannian(7, 14), MAX_ORDER)):
         with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
             run_pipeline(config, order)
 
@@ -781,9 +796,12 @@ def test_coefficients_past_the_string_limit_are_refused_at_set_up(monkeypatch):
     # every threefold, up to MAX_ORDER, stays admitted
     for config in threefold_presentations():
         PipelineRun(config, MAX_ORDER)
-    # an interpreter without the limit admits them all
+    # an interpreter without the limit admits them all, and the work limit
+    # still refuses P^(10^8 - 1), whose one root runs no term past level 1
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     PipelineRun(VarietyConfig(GrassmannianSpec(2, 30000), (1,)), 13)
+    with pytest.raises(ConfigError, match="MAX_RESIDUE_WORK"):
+        PipelineRun(VarietyConfig(GrassmannianSpec(1, 10**8), (1,)), 5)
 
 
 def variety_digits(config, order, alpha):
