@@ -11,10 +11,14 @@ run on any Fano complete intersection; every subcommand that reads the
 counting matrix refuses one that is not a threefold, with exit code 2.
 
 The argument parser is built once per process, on the first `main` call,
-and reused by every later call.  So is the plan of the residue sum per
-(r, n, d_max): the cofactors of its Laplace expansion of c_() and c_(1),
-the weighted rows its dot products run over and its denominators, of which
-the 16 most recently used are kept.  No pipeline result outlives its call.
+and reused by every later call.  So are the tables that depend on the job
+and not on its numbers, each for the 16 most recently used keys: the plan
+of the residue sum per (r, n, d_max) (the cofactors of its Laplace
+expansion of c_() and c_(1), the weighted rows its dot products run over
+and its denominators), the Euler factors per (degrees, order), the digit
+estimate per (ambient, order), and the modularity table's weight-2
+Eisenstein numerators per (level, order) and factorials per order.  No
+pipeline result outlives its call.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 internal math error.  All numeric output is exact: integers bare,

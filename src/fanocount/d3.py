@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import comb, lcm
 
@@ -350,6 +350,15 @@ def eisenstein_weight2(level: int, order: int) -> PowerSeries:
     """(N E_2(q^N) - E_2(q)) / (N - 1), normalized to 1 at q = 0, over N - 1."""
     if not isinstance(level, int) or level < 2:
         raise InvalidLevel(f"level must be an integer >= 2, got {level!r}")
+    return _eisenstein_weight2(level, order)
+
+
+@lru_cache(maxsize=16)
+def _eisenstein_weight2(level: int, order: int) -> PowerSeries:
+    """`eisenstein_weight2` past its level check: it depends on the level
+    and the order only, so it is built once per process for the 16 most
+    recently used pairs.  The check stays outside the cache, since a
+    `Fraction` or float equal to an int hashes and compares equal to it."""
     e2 = eisenstein_e2(order).nums
     nums = [-c for c in e2]
     for m in range(0, order, level):
@@ -380,11 +389,19 @@ def first_mismatch(a: PowerSeries, b: PowerSeries) -> int | None:
     return None
 
 
+@lru_cache(maxsize=16)
+def _factorials(order: int) -> tuple[int, ...]:
+    """0!, 1!, .., (order-1)!, built once per process for the 16 most
+    recently used orders."""
+    fact = [1]
+    for m in range(1, order):
+        fact.append(fact[-1] * m)
+    return tuple(fact)
+
+
 def factorial_transform(series: PowerSeries) -> PowerSeries:
     """The series sum_m m! c_m q^m."""
-    fact = [1]
-    for m in range(1, series.order):
-        fact.append(fact[-1] * m)
+    fact = _factorials(series.order)
     return PowerSeries.from_numerators(series.den, [f * c for f, c in zip(fact, series.nums)])
 
 

@@ -42,9 +42,12 @@ The hot kernels compute in integers over shared denominators, as FLINT's
 ``fmpq_poly`` does: ``exp_twist``, ``exp_twist_pair`` and
 ``EntryPolynomial.evaluate_numerators`` build no ``Fraction``.  The last evaluates at a point given as numerators
 over one denominator, from an integer form of the polynomial that it
-computes once; the solver stage calls it on a counting matrix's
-numerators, and ``evaluate`` wraps it for a point of ``Fraction``s and
-builds one ``Fraction``, the result.  The series kernels elsewhere work
+computes once; ``evaluate`` wraps it for a point of ``Fraction``s and
+builds one ``Fraction``, the result.  No stage of a run calls either: the
+solver writes the relations it checks as closed forms, and only its
+staged inverse, ``solver.invert_periods``, evaluates its solved entries
+through ``evaluate``; the tests use both as the reference for those
+closed forms.  The series kernels elsewhere work
 on ``PowerSeries`` numerators the same way: the residue sum, projective
 space included as its one-root case, and ``extract_h_pair``, the Euler
 factors and regrading of ``lefschetz``, and ``frobenius_solve``,

@@ -234,7 +234,8 @@ def _expansion_plan(r: int, n: int, d_max: int):
                 f"cofactor expansion of c_{name} gives {value} at x = (1, .., {r}), not {want}"
             )
     big, series = _root_series(n, d_max, r)
-    weights = _binomial_powers(n, d_max)
+    # only the levels j >= 2 read the weights, so r = 1 builds none
+    weights = _binomial_powers(n, d_max) if r > 1 else ()
     first = tuple(zip(*(_shifted(s, k, r - 1) for k, s in enumerate(series))))
     rows = []
     for j in range(2, r + 1):

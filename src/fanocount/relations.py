@@ -43,6 +43,11 @@ compute an invariant <...> returns the EntryPolynomial f with <...> = deg*f,
 so deg never needs a symbol of its own.  Every insertion validity rule is
 funneled through `entry`, whose structural zeros kill out-of-range H-powers;
 tests exercise that by overriding `entry` and watching outputs move.
+
+The period map and the H^1 checks, relations of degree <= 6, are written
+out in `solver` as integer closed forms, which the tests check against
+this engine; in the package only `solver.invert_periods` asks it, for the
+polynomials of its staged elimination.
 """
 
 from __future__ import annotations

@@ -3,24 +3,32 @@
 A `CountingMatrix` is its degree and its five entries, and a `PeriodVector`
 its five periods, each in the stored format of the `exactmath` docstring.
 
-`recover_matrix` reads the five independent entries off a variety's
-hyperplane series through q^4 by inverting the symbolic I-series relations
-triangularly, in the series' numerators over one denominator, then checks
-the two redundant H^1 relations at q^3, q^4 by cross-multiplying.
+The I-series relations at degrees <= 6 are fixed polynomials in the five
+entries, so this module writes them out as integer polynomials in the
+matrix numerators, weighted as in `_weighted`, and evaluates no
+`EntryPolynomial` for them.  `relations.one_point_relation` derives them
+and the tests check them against it.
 
-`forward_periods` evaluates the constant-term relations at degrees 2..6
-on the matrix numerators, giving the period vector (d_2..d_6), and
-`discriminant` is one integer polynomial in the period numerators over
-den^4.  Off the discriminant the inverse is rational.  `invert_periods`
-reads a01 = 4 d_2 and a11 = N / (2 * discriminant), with N = 280 d2^3 d3
-- 1000 d2^2 d5 - 168 d2 d3 d4 + 729 d3^3 - 3888 d3 d6 + 3000 d4 d5, and
-stages only a12, a02 and a03 by linear elimination:
+`recover_matrix` reads the five independent entries off a variety's
+hyperplane series through q^4 by inverting those relations triangularly,
+in the series' numerators over one denominator, then checks the two
+redundant H^1 relations at q^3, q^4 (`_redundant_h1`) by cross-multiplying.
+
+`forward_periods` is the period vector (d_2..d_6), five closed forms in
+the matrix numerators, and `discriminant` is one integer polynomial in the
+period numerators over den^4.  Off the discriminant the inverse is
+rational.  `invert_periods` reads a01 = 4 d_2 and a11 = N / (2 *
+discriminant), with N = 280 d2^3 d3 - 1000 d2^2 d5 - 168 d2 d3 d4 + 729
+d3^3 - 3888 d3 d6 + 3000 d4 d5, and stages only a12, a02 and a03 by linear
+elimination on the relation engine's polynomials, the one caller of the
+engine in the package:
 
     a02 from the d_3 relation given a11; a03 from the d_4 relation given
     a11 and a12; a12 from the d_5 relation, or from d_6 where d_3 = 0 drops
     a12 from d_5.
 
-One exact check of all five relations then confirms the matrix.
+One exact check of all five periods, by `forward_periods`, then confirms
+the matrix.
 
 `rational_roots` is not part of either direction: no stage calls it.  It
 stays only for its tests and for the benchmark tracer, which binds it.  It
@@ -193,8 +201,7 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
         + 24 * x2 * y1 * y1,
     )
     matrix = CountingMatrix.from_numerators(deg, sq * den, nums)
-    for d in (3, 4):
-        got, got_den = one_point_relation(d - 1, d).evaluate_numerators(matrix.den, matrix.nums)
+    for d, (got, got_den) in zip((3, 4), _redundant_h1(matrix)):
         if got * den != y[d] * got_den:
             raise ConsistencyCheckFailed(
                 f"redundant H^1 relation at q^{d}: series gives {Fraction(y[d], den)}, "
@@ -203,20 +210,79 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     return matrix
 
 
-def _periods_of(matrix: CountingMatrix) -> PeriodVector:
-    """The constant-term relations at degrees 2..6, evaluated on the matrix
-    numerators and put over the lcm of their denominators."""
-    values = [
-        one_point_relation(d - 2, d).evaluate_numerators(matrix.den, matrix.nums)
-        for d in range(2, 7)
-    ]
-    den = lcm(*(q for _, q in values))
-    return PeriodVector.from_numerators(den, [p * (den // q) for p, q in values])
+def _weighted(matrix: CountingMatrix) -> tuple[int, ...]:
+    """The matrix numerators scaled to their weights, a01 2, a11 1, a02 3,
+    a12 2 and a03 4: over the matrix denominator D, a numerator x of
+    weight w becomes x * D^(w-1), so a polynomial in them that is
+    weighted-homogeneous of weight k is the value times D^k."""
+    den = matrix.den
+    a01, a11, a02, a12, a03 = matrix.nums
+    sq = den * den
+    return a01 * den, a11, a02 * sq, a12 * den, a03 * sq * den
+
+
+def _redundant_h1(matrix: CountingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The H^1 coefficients at q^3 and q^4 that the entries determine, as
+    (numerator, positive denominator), not reduced, in the numerators of
+    `_weighted` over the matrix denominator D:
+
+        (-8 a02 + 27 a11 a12 + 18 a11^3 + 15 a01 a11) / (324 D^3),
+        (-27 a03 + 27 a12^2 + 68 a11 a02 + 216 a11^2 a12 + 72 a11^4
+         + 156 a01 a11^2 - 162 a01^2) / (6912 D^4).
+    """
+    a01, a11, a02, a12, a03 = _weighted(matrix)
+    den = matrix.den
+    cube = den * den * den
+    a11_2 = a11 * a11
+    q3 = a11 * (27 * a12 + 18 * a11_2 + 15 * a01) - 8 * a02
+    q4 = (
+        27 * (a12 * a12 - a03) + 68 * a11 * a02 + a11_2 * (216 * a12 + 72 * a11_2)
+        + a01 * (156 * a11_2 - 162 * a01)
+    )
+    return (q3, 324 * cube), (q4, 6912 * cube * den)
 
 
 def forward_periods(matrix: CountingMatrix) -> PeriodVector:
-    """Constant terms d_2..d_6 of the I-series determined by the matrix."""
-    return _periods_of(matrix)
+    """Constant terms d_2..d_6 of the I-series determined by the matrix:
+    d_k = P_k / (C_k D^k) in the numerators of `_weighted` over the matrix
+    denominator D, with C = 4, 54, 2304, 216000, 6220800 and
+
+        P2 = a01,
+        P3 = 2 a02 + 3 a01 a11,
+        P4 = 9 a03 + 28 a11 a02 + 18 a01 a12 + 24 a01 a11^2 + 36 a01^2,
+        P5 = 192 a02 a12 + 243 a11 a03 + 564 a11^2 a02 + 1040 a01 a02
+             + 774 a01 a11 a12 + 360 a01 a11^3 + 1020 a01^2 a11,
+        P6 = 450 a12 a03 + 1600 a02^2 + 2808 a11 a02 a12 + 1332 a11^2 a03
+             + 2736 a11^3 a02 + 2175 a01 a03 + 900 a01 a12^2
+             + 11460 a01 a11 a02 + 5976 a01 a11^2 a12 + 1440 a01 a11^4
+             + 3750 a01^2 a12 + 5880 a01^2 a11^2 + 2700 a01^3,
+
+    all put over 31104000 D^6; 31104000 = lcm(C_k) = 5 * 6220800, since
+    216000 carries 5^3.
+    """
+    a01, a11, a02, a12, a03 = _weighted(matrix)
+    den = matrix.den
+    sq = den * den
+    a11_2 = a11 * a11
+    p3 = 2 * a02 + 3 * a01 * a11
+    p4 = 9 * a03 + 28 * a11 * a02 + a01 * (18 * a12 + 24 * a11_2 + 36 * a01)
+    p5 = (
+        a02 * (192 * a12 + 564 * a11_2 + 1040 * a01) + 243 * a11 * a03
+        + a01 * a11 * (774 * a12 + 360 * a11_2 + 1020 * a01)
+    )
+    p6 = (
+        a03 * (450 * a12 + 1332 * a11_2 + 2175 * a01)
+        + a02 * (1600 * a02 + a11 * (2808 * a12 + 2736 * a11_2 + 11460 * a01))
+        + a01 * (
+            900 * a12 * a12 + a11_2 * (5976 * a12 + 1440 * a11_2)
+            + a01 * (3750 * a12 + 5880 * a11_2 + 2700 * a01)
+        )
+    )
+    nums = (
+        7_776_000 * sq * sq * a01, 576_000 * sq * den * p3, 13_500 * sq * p4,
+        144 * den * p5, 5 * p6,
+    )
+    return PeriodVector.from_numerators(31_104_000 * sq * sq * sq, nums)
 
 
 def discriminant(v: PeriodVector) -> Fraction:
@@ -451,6 +517,6 @@ def invert_periods(v: PeriodVector, deg: int) -> CountingMatrix:
     values["a02"] = a02.evaluate(values)
     values["a03"] = a03.evaluate(values)
     matrix = CountingMatrix(deg=deg, **values)
-    if _periods_of(matrix) != v:
+    if forward_periods(matrix) != v:
         raise NoRationalSolution(f"no rational matrix has periods {v}")
     return matrix

@@ -215,7 +215,7 @@ def symbolic_iseries(
     return out
 
 
-def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_relation) -> CountingMatrix:
+def reference_recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
     """`recover_matrix` in `Fraction`s: the q^1 constant checked, the entries
     read off the series coefficients triangularly, then the redundant H^1
     relations at q^3 and q^4, evaluated at the entries, compared with the
@@ -239,7 +239,7 @@ def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_rel
     matrix = CountingMatrix(deg=deg, a01=a01, a11=a11, a02=a02, a12=a12, a03=a03)
     values = matrix.entries()
     for d, expected in ((3, c1[3]), (4, c1[4])):
-        got = relation(d - 1, d).evaluate(values)
+        got = one_point_relation(d - 1, d).evaluate(values)
         if got != expected:
             raise ConsistencyCheckFailed(
                 f"redundant H^1 relation at q^{d}: series gives {expected}, "
@@ -248,11 +248,11 @@ def reference_recover_matrix(pair: HSeriesPair, deg: int, relation=one_point_rel
     return matrix
 
 
-def reference_forward_periods(matrix: CountingMatrix, relation=one_point_relation) -> PeriodVector:
+def reference_forward_periods(matrix: CountingMatrix) -> PeriodVector:
     """The constant-term relations at degrees 2..6, evaluated at the
     `Fraction` entries."""
     values = matrix.entries()
-    return PeriodVector(*(relation(d - 2, d).evaluate(values) for d in range(2, 7)))
+    return PeriodVector(*(one_point_relation(d - 2, d).evaluate(values) for d in range(2, 7)))
 
 
 def reference_discriminant(v: PeriodVector) -> Fraction:

@@ -691,6 +691,35 @@ def test_eisenstein_invalid_levels():
         eisenstein_weight2(F(5, 2), 5)
 
 
+def test_eisenstein_level_is_checked_before_the_cached_table():
+    # Fraction(5) and 5.0 hash and compare equal to 5, so a cache on the
+    # public function would serve them the level-5 series; the check runs
+    # first, and only a level that passes it reaches the per-process table
+    assert eisenstein_weight2(5, 9) == reference_eisenstein_weight2(5, 9)
+    assert d3._eisenstein_weight2.cache_info().currsize > 0
+    for level in (F(5), 5.0, True, "5"):
+        with pytest.raises(InvalidLevel, match="level must be an integer >= 2"):
+            eisenstein_weight2(level, 9)
+
+
+@pytest.mark.parametrize("order", [7, 13])
+@pytest.mark.parametrize("level", [5, 7])
+def test_modularity_report_rows_are_the_same_cold_and_warm(level, order):
+    # the Eisenstein series and the factorials depend on (level, order) and
+    # the order only, and are built once per process
+    for matrix, variety in ((M10, "V10"), (M14, "V14")):
+        series = constant_terms(matrix, order)
+        alpha = golden.ALPHA[variety]
+        d3._eisenstein_weight2.cache_clear()
+        d3._factorials.cache_clear()
+        cold = modularity_report(series, alpha, level, solutions(matrix, order))
+        warm = modularity_report(series, alpha, level, solutions(matrix, order))
+        assert d3._eisenstein_weight2.cache_info().hits == 1
+        assert d3._factorials.cache_info().hits > 0
+        assert warm.rows == cold.rows and warm == cold
+        assert eisenstein_weight2(level, order) == reference_eisenstein_weight2(level, order)
+
+
 def solutions(matrix, order):
     """The pencil solutions through t^(order-1), as `modularity_report` reads them."""
     return lambda lam: frobenius_solve(pencil_operator(matrix, lam), order)

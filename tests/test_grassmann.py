@@ -259,6 +259,27 @@ def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_
     assert parts[2] != reference_degree_part(spec, 2)
 
 
+def test_only_plans_past_one_root_build_binomial_weights(monkeypatch, cold_plan):
+    # no level past the first reads C(d, a)^n, so the r = 1 plan builds
+    # none, and every r >= 2 plan builds them once and sums as before
+    calls = []
+    weights = grassmann._binomial_powers
+
+    def spy(n, top):
+        calls.append((n, top))
+        return weights(n, top)
+
+    monkeypatch.setattr(grassmann, "_binomial_powers", spy)
+    levels, first, rows, dens = grassmann._expansion_plan(1, 138, 29)
+    assert calls == [] and levels == rows == ()
+    assert projective_iseries(6, 9) == projective_closed_form(6, 10)
+    assert calls == []
+    for r, n in [(2, 5), (3, 6), (4, 8)]:
+        spec = GrassmannianSpec(r, n)
+        assert hv_iseries(spec, 3) == [reference_degree_part(spec, d) for d in range(4)]
+    assert calls == [(5, 3), (6, 3), (8, 3)]
+
+
 def _containers(table):
     """Every container in a nested table, itself first."""
     yield table

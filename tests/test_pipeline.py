@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from helpers import TamperedEngine, constant_terms, reference_coefficient_digits
-from fanocount import pipeline
+from helpers import (
+    TamperedEngine,
+    constant_terms,
+    reference_coefficient_digits,
+    reference_forward_periods,
+    reference_recover_matrix,
+)
+from fanocount import pipeline, solver
 from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _cofactors
 from fanocount.pipeline import (
@@ -38,8 +44,8 @@ from fanocount.pipeline import (
     serialize_report,
     verify_golden,
 )
-from fanocount.relations import RelationEngine
-from fanocount.solver import CountingMatrix
+from fanocount.relations import RelationEngine, one_point_relation
+from fanocount.solver import CountingMatrix, forward_periods, invert_periods
 
 F = Fraction
 
@@ -329,18 +335,48 @@ def test_relation_series_of_the_matrix_is_the_lefschetz_series():
         assert tampered != run.variety_pair.c0.truncate(13)
 
 
-def test_run_pipeline_asks_no_relation_past_the_periods(monkeypatch):
+def test_run_pipeline_asks_the_relation_engine_nothing(monkeypatch):
+    # the period map and the H^1 checks are closed forms and the modularity
+    # stage reads the run's series, so neither a report nor `verify` asks
+    # the engine anything; only the staged inverse does
     asked = []
-    original = RelationEngine.one_point_relation
 
-    def spy(self, k, d):
-        asked.append(d)
-        return original(self, k, d)
+    def spied(name):
+        original = getattr(RelationEngine, name)
 
-    monkeypatch.setattr(RelationEngine, "one_point_relation", spy)
-    run_pipeline(CATALOG["V14"], 30)
-    # q^3, q^4 closure checks and the periods d_2..d_6; none for the table
-    assert sorted(set(asked)) == [2, 3, 4, 5, 6]
+        def spy(self, *key):
+            asked.append((name, key))
+            return original(self, *key)
+
+        return spy
+
+    for name in ("one_point_relation", "_one_point", "_two_point"):
+        monkeypatch.setattr(RelationEngine, name, spied(name))
+    index_two = VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 1))
+    for config in (CATALOG["V10"], CATALOG["V14"], index_two):
+        for order in (1, 7, 30):
+            serialize_report(run_pipeline(config, order), "json")
+    assert verify_golden()[0] == 0
+    assert asked == []
+    # positive control: the spy sees the engine where it is asked
+    run = run_pipeline(CATALOG["V10"], 7)
+    assert invert_periods(run.periods, run.matrix.deg) == run.matrix
+    assert asked
+
+
+def test_closed_forms_match_the_engine_on_every_fano_threefold():
+    # the solver's period map and H^1 checks against the engine's `Fraction`
+    # reference, on the matrices the pipeline recovers
+    configs = [CATALOG["V10"], CATALOG["V14"], *fano_threefolds()]
+    for config in configs:
+        run = PipelineRun(config, 7)
+        matrix, deg = run.matrix, run.matrix.deg
+        assert forward_periods(matrix) == reference_forward_periods(matrix), config
+        assert reference_recover_matrix(run.variety_pair, deg) == matrix, config
+        values = matrix.entries()
+        assert [F(*x) for x in solver._redundant_h1(matrix)] == [
+            one_point_relation(d - 1, d).evaluate(values) for d in (3, 4)
+        ], config
 
 
 def test_serialize_report_json_is_deterministic():

@@ -430,6 +430,15 @@ def test_forward_periods_and_discriminant_match_fraction_reference(matrix):
         assert type(disc) is Fraction and disc == reference_discriminant(v)
 
 
+def engine_series(matrix, order):
+    """The constant and H^1 coefficients through q^(order-1) of the I-series
+    the matrix determines, from the engine's relations, as two lists."""
+    values = matrix.entries()
+    c0 = [F(1), F(0)] + [one_point_relation(d - 2, d).evaluate(values) for d in range(2, order)]
+    c1 = [F(0)] + [one_point_relation(d - 1, d).evaluate(values) for d in range(1, order)]
+    return c0, c1
+
+
 @st.composite
 def series_pairs(draw):
     """The series pair a random matrix determines through q^(order-1), or
@@ -438,9 +447,7 @@ def series_pairs(draw):
     off the series (the triangular part)."""
     matrix = draw(rational_matrices)
     order = draw(st.sampled_from([5, 6, 7, 8, 4]))
-    values = matrix.entries()
-    c0 = [F(1), F(0)] + [one_point_relation(d - 2, d).evaluate(values) for d in range(2, order)]
-    c1 = [F(0)] + [one_point_relation(d - 1, d).evaluate(values) for d in range(1, order)]
+    c0, c1 = engine_series(matrix, order)
     corruptions = st.sampled_from(["c1[3]", "c1[4]", "c0[0]", "c1[0]", "c0[1]", "c0[3]", "c1[2]"])
     which = draw(st.one_of(st.none(), corruptions))
     if which is not None:
@@ -468,20 +475,74 @@ def test_recover_matrix_prints_the_fractions_it_compared():
     )
 
 
+# the relations the solver states in closed form: d_2..d_6, then the H^1
+# coefficients at q^3 and q^4 that `recover_matrix` checks
+STATED = [(d - 2, d) for d in range(2, 7)] + [(2, 3), (3, 4)]
+
+
+def closed_forms(matrix):
+    """The values of the STATED relations at the matrix, from the solver."""
+    return forward_periods(matrix).as_tuple() + tuple(F(*x) for x in solver._redundant_h1(matrix))
+
+
+def engine_values(matrix, relation=one_point_relation):
+    """The values of the STATED relations at the matrix, from the engine."""
+    values = matrix.entries()
+    return tuple(relation(k, d).evaluate(values) for k, d in STATED)
+
+
+# numerators up to 10^6 over denominators up to 10^4
+tall_entries = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+tall_matrices = st.builds(
+    CountingMatrix, st.integers(1, 10**6), tall_entries, tall_entries, tall_entries,
+    tall_entries, tall_entries,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_matrices, st.sampled_from([None, 3, 4]), tall_entries.filter(bool))
+def test_closed_forms_match_the_engine_on_tall_matrices(matrix, bumped, bump):
+    # the period map and the H^1 checks are written out as integer
+    # polynomials; the engine's relations, evaluated in `Fraction`s, are
+    # their reference, through `forward_periods` and through `recover_matrix`
+    # on the series the engine gives, intact or with c1[3] or c1[4] moved
+    assert forward_periods(matrix) == reference_forward_periods(matrix)
+    assert closed_forms(matrix) == engine_values(matrix)
+    c0, c1 = engine_series(matrix, 5)
+    if bumped is not None:
+        c1[bumped] += bump
+    pair = HSeriesPair(PowerSeries(c0), PowerSeries(c1))
+    recovered = outcome(recover_matrix, pair, matrix.deg)
+    assert recovered == outcome(reference_recover_matrix, pair, matrix.deg)
+    assert (recovered == matrix) == (bumped is None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    series_pairs(),
-    rational_matrices,
+    st.lists(rational_matrices, min_size=2, max_size=2),
     st.sampled_from([(0, 2), (2, 3), (2, 2), (3, 3), (1, 1), (0, 1)]),
     st.integers(-3, 7),
 )
-def test_solver_stage_matches_fraction_reference_on_a_tampered_engine(case, matrix, where, value):
-    pair, deg = case
+def test_a_tampered_engine_moves_off_the_closed_forms(drawn, where, value):
+    # negative control: the closed forms read no engine, so a tampered entry
+    # that changes any relation they state must make the engine's reference
+    # disagree with them on some matrix (V10 alone catches every tamper
+    # sampled here but a11 = 5, which V14 carries, so it catches that one),
+    # and a tamper that changes none must leave them equal.  The staged
+    # inverse does read the engine: under the tamper it refuses, or the
+    # matrix it returns maps forward to the periods exactly.
     relation = TamperedEngine(where, value).one_point_relation
+    changed = any(relation(k, d) != one_point_relation(k, d) for k, d in STATED)
+    matrices = [M10, M14, *drawn]
+    assert any(closed_forms(m) != engine_values(m, relation) for m in matrices) == changed
     with mock.patch.object(solver, "one_point_relation", relation):
-        recovered = outcome(recover_matrix, pair, deg)
-        assert recovered == outcome(reference_recover_matrix, pair, deg, relation)
-        assert forward_periods(matrix) == reference_forward_periods(matrix, relation)
+        for m in matrices:
+            periods = forward_periods(m)
+            got = outcome(invert_periods, periods, m.deg)
+            if isinstance(got, CountingMatrix):
+                assert forward_periods(got) == periods
+            else:
+                assert issubclass(got[0], ArithmeticError), got
 
 
 def test_rational_roots_simple_cubic():
