@@ -10,7 +10,7 @@ numerators over one shared denominator, the format of `exactmath`.
 From a counting matrix A and a shift lam the pencil is the 4x4 matrix
 D*E - M, where M has entries (a_kl + lam*delta_kl) * (Dt)^(l-k+1) on and
 above the subdiagonal, (Dt) being multiply-by-t followed by D.  Every
-pencil has the layout `relations.ENTRY_LAYOUT`, so its operator
+pencil has the layout `exactmath.ENTRY_LAYOUT`, so its operator
 D^(-1) * det(D*E - M) is one fixed formula in a01, a11, a02, a12, a03 and
 lam, which `pencil_operator` evaluates in integers:
 
@@ -46,7 +46,8 @@ from itertools import combinations, permutations
 from math import comb, lcm
 
 from .exactmath import (
-    PowerSeries, Rational, _lowest_terms, _over_one_denominator, exp_twist_pair, ratio_str,
+    ENTRY_WEIGHTS, PowerSeries, Rational, _lowest_terms, _over_one_denominator, exp_twist_pair,
+    ratio_str,
 )
 
 _ZERO = Fraction(0)
@@ -221,15 +222,15 @@ def pencil_operator(matrix, lam: Rational) -> DifferentialOperator:
     """The third-order operator D^(-1) * det(D*E - M) of the pencil at shift
     lam, written layer by layer from the closed form in the module docstring.
 
-    The scalar of t^k is weighted-homogeneous of weight k when a11 and lam
-    weigh 1, a01 and a12 weigh 2, a02 weighs 3 and a03 weighs 4.  So with d
-    the lcm of the matrix denominator and lam's, each input x of weight w,
-    read off the matrix numerators, becomes the integer x * d^w, the scalar
-    of t^k is an integer over d^k, and every layer is written over d^4.
+    The scalar of t^k is weighted-homogeneous of weight k when the entries
+    weigh their `ENTRY_WEIGHTS` and lam weighs 1.  So with d the lcm of the
+    matrix denominator and lam's, each input x of weight w, read off the
+    matrix numerators, becomes the integer x * d^w, the scalar of t^k is an
+    integer over d^k, and every layer is written over d^4.
     """
     den = matrix.den
     d = lcm(den, lam.denominator)
-    a01, a11, a02, a12, a03 = (x * (d**w // den) for x, w in zip(matrix.nums, (2, 1, 3, 2, 4)))
+    a01, a11, a02, a12, a03 = (x * (d**w // den) for x, w in zip(matrix.nums, ENTRY_WEIGHTS))
     lam = lam.numerator * (d // lam.denominator)
     b = a11 + 2 * lam
     c = 2 * a01 - a11**2 - 6 * a11 * lam + a12 - 6 * lam**2

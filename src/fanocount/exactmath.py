@@ -33,34 +33,32 @@ Three containers here cover the series and polynomial needs:
 * ``EntryPolynomial`` -- a sparse polynomial in the five independent
   counting-matrix entries a01, a11, a02, a12, a03, with the ring arithmetic,
   substitution and evaluation that the relation engine and the period
-  inversion use.
+  inversion use.  ``ENTRY_VARS``, ``ENTRY_LAYOUT`` and ``ENTRY_WEIGHTS``
+  beside it state the entries' names, their places in the 4x4 matrix and
+  their weights, for every module that reads them.
 
 Truncation orders are explicit everywhere: no coefficient at or beyond a
 container's truncation bound is ever reported.
 
 The hot kernels compute in integers over shared denominators, as FLINT's
-``fmpq_poly`` does: ``exp_twist``, ``exp_twist_pair`` and
-``EntryPolynomial.evaluate_numerators`` build no ``Fraction``.  The last evaluates at a point given as numerators
-over one denominator, from an integer form of the polynomial that it
-computes once; ``evaluate`` wraps it for a point of ``Fraction``s and
-builds one ``Fraction``, the result.  No stage of a run calls either: the
-solver writes the relations it checks as closed forms, and only its
-staged inverse, ``solver.invert_periods``, evaluates its solved entries
-through ``evaluate``; the tests use both as the reference for those
-closed forms.  The series kernels elsewhere work
-on ``PowerSeries`` numerators the same way: the residue sum, projective
-space included as its one-root case, and ``extract_h_pair``, the Euler
-factors and regrading of ``lefschetz``, and ``frobenius_solve``,
-``apply_operator``, ``factorial_transform``, ``eisenstein_weight2`` and
-``first_mismatch`` in ``d3``.  ``EntryPolynomial`` keeps a coefficient that already is a
-``Fraction``; its ring arithmetic stays on ``Fraction`` coefficients.
+``fmpq_poly`` does: ``exp_twist`` and ``exp_twist_pair`` build no
+``Fraction``.  The series kernels elsewhere work on ``PowerSeries``
+numerators the same way: the residue sum, projective space included as
+its one-root case, and ``extract_h_pair``, the Euler factors and
+regrading of ``lefschetz``, and ``frobenius_solve``, ``apply_operator``,
+``factorial_transform``, ``eisenstein_weight2`` and ``first_mismatch`` in
+``d3``.  ``EntryPolynomial`` is not a kernel: it keeps a coefficient that
+already is a ``Fraction``, and its ring arithmetic and ``evaluate`` stay
+on ``Fraction``s.  No stage of a run evaluates one but the staged
+elimination of ``solver.invert_periods``, which builds each polynomial it
+evaluates afresh on each call; the solver writes the relations it checks
+as closed forms, and the tests hold those against ``evaluate``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import count
 from math import factorial, gcd, lcm
@@ -86,15 +84,21 @@ def ratio_str(num: int, den: int) -> str:
 _EXACT_TYPES = frozenset({int, Fraction})
 
 
-def _over_one_denominator(values: Iterable, names: Iterable) -> tuple[int, tuple[int, ...]]:
-    """(den, numerators) of `int` and `Fraction` values over the lcm of their
-    denominators, which is in lowest terms since each value is; a bool,
-    float, str or any other type is refused, under its name in `names`."""
-    values = tuple(values)
+def _check_exact(values: Sequence, names: Iterable) -> None:
+    """Refuse a bool, float, str or any other type than `int` and `Fraction`
+    among values, under its name in `names`."""
     if not set(map(type, values)) <= _EXACT_TYPES:
         for name, x in zip(names, values):
             if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
+def _over_one_denominator(values: Iterable, names: Iterable) -> tuple[int, tuple[int, ...]]:
+    """(den, numerators) of `int` and `Fraction` values over the lcm of their
+    denominators, which is in lowest terms since each value is; other
+    values are refused by `_check_exact`."""
+    values = tuple(values)
+    _check_exact(values, names)
     ratios = [x.as_integer_ratio() for x in values]
     den = lcm(*[q for _, q in ratios])
     return den, tuple([p * (den // q) for p, q in ratios])
@@ -343,13 +347,26 @@ def divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
 # ---------------------------------------------------------------------------
 
 ENTRY_VARS: tuple[str, ...] = ("a01", "a11", "a02", "a12", "a03")
+# a_ij for i, j in 0..3, as the rules of the `relations` docstring state it:
+# 0, 1, or the name of the independent entry it equals.  The relation
+# engine's `entry`, `CountingMatrix.rows` and the printed matrix read it.
+ENTRY_LAYOUT: tuple[tuple[int | str, ...], ...] = (
+    (0, "a01", "a02", "a03"),
+    (1, "a11", "a12", "a02"),
+    (0, 1, "a11", "a01"),
+    (0, 0, 1, 0),
+)
+# The weight j - i + 1 of a_ij, in the order of ENTRY_VARS: every relation
+# the package writes in the entries is weighted-homogeneous for it.
+ENTRY_WEIGHTS: tuple[int, ...] = (2, 1, 3, 2, 4)
 _VAR_INDEX = {name: k for k, name in enumerate(ENTRY_VARS)}
 _NV = len(ENTRY_VARS)
 
 
 @dataclass
 class EntryPolynomial:
-    """Sparse exact polynomial in the entries a01, a11, a02, a12, a03."""
+    """Sparse exact polynomial in the entries a01, a11, a02, a12, a03; a
+    coefficient that is not an `int` or a `Fraction` is refused."""
 
     terms: dict[tuple[int, ...], Fraction]
 
@@ -359,6 +376,7 @@ class EntryPolynomial:
             if len(e) != _NV:
                 raise ValueError("exponent arity mismatch")
             if not isinstance(c, Fraction):
+                _check_exact((c,), (f"the coefficient of {tuple(e)}",))
                 c = Fraction(c)
             if c != 0:
                 out[tuple(e)] = c
@@ -370,7 +388,7 @@ class EntryPolynomial:
 
     @classmethod
     def const(cls, value: Rational) -> "EntryPolynomial":
-        return cls({(0,) * _NV: Fraction(value)})
+        return cls({(0,) * _NV: value})
 
     @classmethod
     def variable(cls, name: str) -> "EntryPolynomial":
@@ -399,52 +417,25 @@ class EntryPolynomial:
         return EntryPolynomial(out)
 
     def scale(self, c: Rational) -> "EntryPolynomial":
-        c = Fraction(c)
+        _check_exact((c,), ("the scale factor",))
         return EntryPolynomial({e: c * v for e, v in self.terms.items()})
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(exps), _ZERO)
 
-    @cached_property
-    def _integer_form(self) -> tuple[int, int, tuple[tuple[int, int, tuple], ...]]:
-        """(d, top, terms): the coefficients over their one denominator d, the
-        top total degree, and per term (numerator, top - degree, the nonzero
-        (variable index, power) pairs).  Built on the first evaluation; the
-        ring operations build new polynomials and never read it."""
-        cden, nums = _over_one_denominator(self.terms.values(), self.terms)
-        top = max(map(sum, self.terms), default=0)
-        form = tuple(
-            (c, top - sum(e), tuple((k, p) for k, p in enumerate(e) if p))
-            for e, c in zip(self.terms, nums)
-        )
-        return cden, top, form
-
-    def evaluate_numerators(self, den: int, nums: Sequence[int]) -> tuple[int, int]:
-        """The value at the point nums[k] / den, the entries in the order of
-        `ENTRY_VARS`, as (numerator, denominator) with a positive
-        denominator, not reduced; for a positive den.
-
-        With the coefficients over one denominator d, a monomial of total
-        degree k is padded by den^(top - k), so the whole sum is one
-        integer over d * den^top and no `Fraction` is built.
-        """
-        cden, top, form = self._integer_form
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * den)
-        total = 0
-        for c, pad, factors in form:
-            prod = c * powers[pad]
-            for k, p in factors:
-                prod *= nums[k] ** p
-            total += prod
-        return total, cden * powers[top]
-
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
-        """The value at a rational point: `evaluate_numerators` at the
-        values over their one denominator, read as one `Fraction`."""
-        point = _over_one_denominator([values[name] for name in ENTRY_VARS], ENTRY_VARS)
-        return Fraction(*self.evaluate_numerators(*point))
+        """The value at a rational point, summed term by term on the
+        values as given; a value that is not an `int` or a `Fraction` is
+        refused under its entry's name."""
+        point = [values[name] for name in ENTRY_VARS]
+        _check_exact(point, ENTRY_VARS)
+        total = _ZERO
+        for e, c in self.terms.items():
+            for x, p in zip(point, e):
+                if p:
+                    c *= x**p
+            total += c
+        return total
 
     def variables(self) -> set[str]:
         present: set[str] = set()

@@ -32,10 +32,9 @@ from .d3 import (
     modularity_report,
     pencil_operator,
 )
-from .exactmath import ENTRY_VARS, PowerSeries, Rational, ratio_str
+from .exactmath import ENTRY_LAYOUT, ENTRY_VARS, PowerSeries, Rational, ratio_str
 from .grassmann import GrassmannianSpec, HSeriesPair, extract_h_pair, hv_iseries
 from .lefschetz import CompleteIntersectionSpec, ci_geometry, lefschetz_shift, quantum_lefschetz
-from .relations import ENTRY_LAYOUT
 from .solver import (
     CountingMatrix, PeriodVector, discriminant, forward_periods, invert_periods, recover_matrix,
 )

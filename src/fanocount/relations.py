@@ -47,26 +47,19 @@ tests exercise that by overriding `entry` and watching outputs move.
 The period map and the H^1 checks, relations of degree <= 6, are written
 out in `solver` as integer closed forms, which the tests check against
 this engine; in the package only `solver.invert_periods` asks it, for the
-polynomials of its staged elimination.
+polynomials of its staged elimination.  The matrix layout that `entry`
+reads, `exactmath.ENTRY_LAYOUT`, lives beside the entries' names, so
+only `solver` and the package's `__init__` import this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import EntryPolynomial
+from .exactmath import ENTRY_LAYOUT, EntryPolynomial
 
 H_TOP = 3  # top power of the hyperplane class on a threefold
 
-# a_ij for i, j in 0..3, as the rules above state it: 0, 1, or the name of
-# the independent entry it equals.  `RelationEngine.entry` and
-# `CountingMatrix.rows` both read this table.
-ENTRY_LAYOUT: tuple[tuple[int | str, ...], ...] = (
-    (0, "a01", "a02", "a03"),
-    (1, "a11", "a12", "a02"),
-    (0, 1, "a11", "a01"),
-    (0, 0, 1, 0),
-)
 _ONE = Fraction(1)
 
 

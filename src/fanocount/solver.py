@@ -44,9 +44,11 @@ from math import gcd as int_gcd
 from math import isqrt, lcm
 from typing import Iterable
 
-from .exactmath import ENTRY_VARS, EntryPolynomial, _lowest_terms, _over_one_denominator
+from .exactmath import (
+    ENTRY_LAYOUT, ENTRY_VARS, ENTRY_WEIGHTS, EntryPolynomial, _lowest_terms, _over_one_denominator,
+)
 from .grassmann import HSeriesPair
-from .relations import ENTRY_LAYOUT, one_point_relation
+from .relations import one_point_relation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -114,7 +116,7 @@ class CountingMatrix:
         return {name: Fraction(c, self.den) for name, c in zip(ENTRY_VARS, self.nums)}
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Full matrix in the layout `relations.ENTRY_LAYOUT` states."""
+        """Full matrix in the layout `exactmath.ENTRY_LAYOUT` states."""
         values = {0: _ZERO, 1: _ONE, **self.entries()}
         return tuple(tuple(values[a] for a in row) for row in ENTRY_LAYOUT)
 
@@ -211,14 +213,12 @@ def recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
 
 
 def _weighted(matrix: CountingMatrix) -> tuple[int, ...]:
-    """The matrix numerators scaled to their weights, a01 2, a11 1, a02 3,
-    a12 2 and a03 4: over the matrix denominator D, a numerator x of
-    weight w becomes x * D^(w-1), so a polynomial in them that is
-    weighted-homogeneous of weight k is the value times D^k."""
+    """The matrix numerators scaled to their `ENTRY_WEIGHTS`: over the
+    matrix denominator D, a numerator x of weight w becomes x * D^(w-1),
+    so a polynomial in them that is weighted-homogeneous of weight k is
+    the value times D^k."""
     den = matrix.den
-    a01, a11, a02, a12, a03 = matrix.nums
-    sq = den * den
-    return a01 * den, a11, a02 * sq, a12 * den, a03 * sq * den
+    return tuple([x * den ** (w - 1) for x, w in zip(matrix.nums, ENTRY_WEIGHTS)])
 
 
 def _redundant_h1(matrix: CountingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:

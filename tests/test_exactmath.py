@@ -363,22 +363,21 @@ def reference_evaluate(p, values):
     return total
 
 
-@given(entry_polys(), entry_values)
-def test_entry_polynomial_evaluate_matches_fraction_reference(p, values):
-    assert p.evaluate(values) == reference_evaluate(p, values)
-    for const in (EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3))):
-        assert const.evaluate(values) == reference_evaluate(const, values)
-
-
-@given(entry_polys(), st.integers(1, 60), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
-def test_entry_polynomial_integer_kernel_matches_fraction_reference(p, den, nums):
-    # the kernel that `evaluate` and the solver stage share: numerators over
-    # one denominator in, one integer over a positive denominator out
-    for poly in (p, one_point_relation(3, 5), EntryPolynomial.zero()):
-        num, out_den = poly.evaluate_numerators(den, nums)
-        assert type(num) is int and type(out_den) is int and out_den > 0
-        values = {name: F(c, den) for name, c in zip(ENTRY_VARS, nums)}
-        assert F(num, out_den) == reference_evaluate(poly, values) == poly.evaluate(values)
+@given(
+    entry_polys(),
+    entry_values,
+    st.integers(1, 60),
+    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+)
+def test_entry_polynomial_evaluate_matches_fraction_reference(p, values, den, nums):
+    # at Fraction values and at a point over one shared denominator, for a
+    # fresh polynomial, a memoized relation, the zero polynomial and a constant
+    shared = {name: F(c, den) for name, c in zip(ENTRY_VARS, nums)}
+    polys = (p, one_point_relation(3, 5), EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3)))
+    for poly in polys:
+        for point in (values, shared):
+            got = poly.evaluate(point)
+            assert type(got) is Fraction and got == reference_evaluate(poly, point)
 
 
 mixed_values = st.fixed_dictionaries(
@@ -387,22 +386,50 @@ mixed_values = st.fixed_dictionaries(
 
 
 @given(entry_polys(), st.lists(mixed_values, min_size=2, max_size=4), st.integers(3, 6))
-def test_entry_polynomial_cached_form_serves_every_point(p, points, d):
-    # the integer form is built on the first evaluate and read by every later
-    # one, for a fresh polynomial and for a memoized relation alike, at int
-    # and Fraction values mixed
+def test_entry_polynomial_evaluate_serves_every_point(p, points, d):
+    # one polynomial evaluated at several points, a fresh one and a memoized
+    # relation alike, at int and Fraction values mixed
     relation = one_point_relation(d - 2, d)
     assert one_point_relation(d - 2, d) is relation
     for values in points:
         assert p.evaluate(values) == reference_evaluate(p, values)
         assert relation.evaluate(values) == reference_evaluate(relation, values)
-    # ==, + and * read the terms alone, never the cache
+    # ==, + and * read the terms alone
     fresh = EntryPolynomial(dict(p.terms))
     assert fresh == p and p == fresh
     for other in (relation, EntryPolynomial.variable("a11")):
         assert p + other == fresh + other and other + p == other + fresh
         assert p * other == fresh * other and other * p == other * fresh
         assert (p * other).evaluate(points[0]) == reference_evaluate(fresh * other, points[0])
+
+
+def test_entry_polynomial_evaluate_reads_the_terms_at_the_call():
+    p = EntryPolynomial.variable("a11")
+    values = {**dict.fromkeys(ENTRY_VARS, F(0)), "a11": F(1, 2)}
+    assert p.evaluate(values) == F(1, 2)
+    p.terms[(0, 1, 0, 0, 0)] = F(3)
+    assert p.evaluate(values) == F(3, 2)
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, "1"])
+def test_entry_polynomial_evaluate_refuses_inexact_values(bad):
+    message = re.escape(f"must be an int or a Fraction, got {bad!r}")
+    for name in ENTRY_VARS:
+        values = {**dict.fromkeys(ENTRY_VARS, F(1)), name: bad}
+        for p in (EntryPolynomial.zero(), EntryPolynomial.variable(name)):
+            with pytest.raises(TypeError, match=f"^{name} {message}$"):
+                p.evaluate(values)
+
+
+@pytest.mark.parametrize("bad", [True, 0.1, "1"])
+def test_entry_polynomial_refuses_inexact_coefficients(bad):
+    message = re.escape(f"must be an int or a Fraction, got {bad!r}")
+    with pytest.raises(TypeError, match=message):
+        EntryPolynomial({(1, 0, 0, 0, 0): bad})
+    with pytest.raises(TypeError, match=message):
+        EntryPolynomial.const(bad)
+    with pytest.raises(TypeError, match=message):
+        EntryPolynomial.variable("a01").scale(bad)
 
 
 @given(entry_polys(), entry_polys(), entry_values)
