@@ -363,21 +363,21 @@ def reference_evaluate(p, values):
     return total
 
 
-@given(
-    entry_polys(),
-    entry_values,
-    st.integers(1, 60),
-    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
-)
-def test_entry_polynomial_evaluate_matches_fraction_reference(p, values, den, nums):
-    # at Fraction values and at a point over one shared denominator, for a
-    # fresh polynomial, a memoized relation, the zero polynomial and a constant
-    shared = {name: F(c, den) for name, c in zip(ENTRY_VARS, nums)}
-    polys = (p, one_point_relation(3, 5), EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3)))
-    for poly in polys:
-        for point in (values, shared):
-            got = poly.evaluate(point)
-            assert type(got) is Fraction and got == reference_evaluate(poly, point)
+@given(entry_polys(), entry_values)
+def test_entry_polynomial_evaluate_matches_fraction_reference(p, values):
+    assert p.evaluate(values) == reference_evaluate(p, values)
+    for const in (EntryPolynomial.zero(), EntryPolynomial.const(F(-7, 3))):
+        assert const.evaluate(values) == reference_evaluate(const, values)
+
+
+@given(entry_polys(), st.integers(1, 60), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+def test_entry_polynomial_evaluate_over_one_denominator_matches_fraction_reference(p, den, nums):
+    # at a point of integer numerators over one shared denominator, for a
+    # fresh polynomial, a memoized relation and the zero polynomial
+    values = {name: F(c, den) for name, c in zip(ENTRY_VARS, nums)}
+    for poly in (p, one_point_relation(3, 5), EntryPolynomial.zero()):
+        got = poly.evaluate(values)
+        assert type(got) is Fraction and got == reference_evaluate(poly, values)
 
 
 mixed_values = st.fixed_dictionaries(
