@@ -19,24 +19,26 @@ gates on a threefold:
     <tau_k H^m>_d        needs k + m = d + 1,
     <H^p, tau_k H^m>_d   needs p + k + m = d + 2,
 
-with gate-violating keys denoting the zero invariant.
+with gate-violating keys denoting the zero invariant.  The string
+(fundamental-class) axiom <tau_k H^m>_d = <1, tau_(k+1) H^m>_d makes every
+one-pointed invariant a two-pointed one, so both reductions act on the keys
+(a, k, b, d) of <H^a, tau_k H^b>_d; with k = 0 that is the prime symbol.
 
-(1) The divisor axiom, iterated to put one H insertion in front:
+(1) A first slot H^0 with descendants left on the other point: the divisor
+    axiom, iterated, puts one H insertion in front,
 
-    <tau_k H^m>_d = (1/d) * sum_{i=0..k} (-1)^i/d^i * <H, tau_(k-i) H^(m+i)>_d.
+    <1, tau_k H^b>_d = (1/d) * sum_{i=0..k-1} (-1)^i/d^i * <H, tau_(k-1-i) H^(b+i)>_d.
 
-(2) A two-point recursion that trades one descendant level for a degree
-    splitting, with the exponents of every term fixed by the gates:
+(2) A first slot H^a with a >= 1: a two-point recursion that trades one
+    descendant level for a degree splitting, with the exponents of every
+    term fixed by the gates:
 
     <H^a, tau_k H^b>_d = (1/d) * (
         sum_{d1=1..d} a_(d1-d+1+a),a * <H^(d1-d+1+a), tau_(k-1) H^b>_d1
         - <H^a, tau_(k-1) H^(b+1)>_d ).
 
     The d1 = d term carries weight 1 (a subdiagonal entry) and simply raises
-    the first exponent.  A first slot H^0 with descendants left on the other
-    point reduces through the fundamental-class axiom to the one-pointed
-    invariant <tau_(k-1) H^b>_d, which feeds back into reduction (1); without
-    descendants it vanishes.
+    the first exponent.
 
 All returned polynomials are normalized by deg: a function documented to
 compute an invariant <...> returns the EntryPolynomial f with <...> = deg*f,
@@ -71,7 +73,7 @@ class RelationEngine:
     """Memoized rewriting of descendant invariants into entry polynomials."""
 
     def __init__(self) -> None:
-        # (k, m, d) for <tau_k H^m>_d, (a, k, b, d) for <H^a, tau_k H^b>_d
+        # (a, k, b, d) for <H^a, tau_k H^b>_d
         self._memo: dict[tuple[int, ...], EntryPolynomial] = {}
 
     # -- structural layer ---------------------------------------------------
@@ -103,43 +105,21 @@ class RelationEngine:
     def one_point_relation(self, k: int, d: int) -> EntryPolynomial:
         """<tau_k H^m>_d / deg with m = d + 1 - k forced by the gate.
 
-        Raises GateViolation when the forced insertion H^m does not exist on
-        a threefold (m outside 0..3) or when d < 1.
+        Raises GateViolation when d < 1, when k < 0, or when the forced
+        insertion H^m does not exist on a threefold (m outside 0..3).
         """
         m = d + 1 - k
         if d < 1 or k < 0 or not 0 <= m <= H_TOP:
-            raise GateViolation(
-                f"one-pointed key (k={k}, d={d}) forces H^{m}, outside 0..{H_TOP}"
-            )
-        return self._one_point(k, m, d)
+            why = "d < 1" if d < 1 else "k < 0" if k < 0 else f"H^{m} outside 0..{H_TOP}"
+            raise GateViolation(f"one-pointed key (k={k}, d={d}) is refused: {why}")
+        # string axiom: <tau_k H^m>_d = <1, tau_(k+1) H^m>_d
+        return self._two_point(0, k + 1, m, d)
 
     # -- reduction rules ----------------------------------------------------
 
-    def _one_point(self, k: int, m: int, d: int) -> EntryPolynomial:
-        """<tau_k H^m>_d / deg via the iterated divisor axiom."""
-        if d < 1 or k < 0:
-            return EntryPolynomial.zero()
-        if k + m != d + 1:
-            return EntryPolynomial.zero()
-        key = (k, m, d)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        total = EntryPolynomial.zero()
-        for i in range(k + 1):
-            term = self._two_point(1, k - i, m + i, d)
-            if term.is_zero():
-                continue
-            total = total + term.scale(Fraction((-1) ** i, d**i))
-        result = total.scale(Fraction(1, d))
-        self._memo[key] = result
-        return result
-
     def _two_point(self, a: int, k: int, b: int, d: int) -> EntryPolynomial:
-        """<H^a, tau_k H^b>_d / deg via the descendant-trading recursion."""
-        if d < 1 or k < 0 or a < 0:
-            return EntryPolynomial.zero()
-        if a + k + b != d + 2:
+        """<H^a, tau_k H^b>_d / deg via reductions (1) and (2)."""
+        if d < 1 or k < 0 or a < 0 or a + k + b != d + 2:
             return EntryPolynomial.zero()
         key = (a, k, b, d)
         cached = self._memo.get(key)
@@ -148,8 +128,12 @@ class RelationEngine:
         if k == 0:
             result = self.two_point_symbol(a, b, d)
         elif a == 0:
-            # fundamental class: <1, tau_k H^b>_d = <tau_(k-1) H^b>_d
-            result = self._one_point(k - 1, b, d)
+            total = EntryPolynomial.zero()
+            for i in range(k):
+                term = self._two_point(1, k - 1 - i, b + i, d)
+                if not term.is_zero():
+                    total = total + term.scale(Fraction((-1) ** i, d**i))
+            result = total.scale(Fraction(1, d))
         else:
             total = self._two_point(a, k - 1, b + 1, d).scale(-_ONE)
             for d1 in range(1, d + 1):

@@ -207,11 +207,13 @@ def symbolic_iseries(
     """Pairs (constant, H^1 coefficient) of the I-series degree parts.
 
     The coefficient of H^j in the degree-d part equals
-    <tau_(d+j-2) H^(3-j)>_d / deg, read from the engine's reductions.
+    <tau_(d+j-2) H^(3-j)>_d / deg, the engine's `one_point_relation(d+j-2, d)`;
+    the constant of the degree-1 part has level -1 and is zero.
     """
     out = [(EntryPolynomial.const(Fraction(1)), EntryPolynomial.zero())]
     for d in range(1, d_max + 1):
-        out.append((engine._one_point(d - 2, 3, d), engine._one_point(d - 1, 2, d)))
+        c0 = engine.one_point_relation(d - 2, d) if d >= 2 else EntryPolynomial.zero()
+        out.append((c0, engine.one_point_relation(d - 1, d)))
     return out
 
 

@@ -350,7 +350,7 @@ def test_run_pipeline_asks_the_relation_engine_nothing(monkeypatch):
 
         return spy
 
-    for name in ("one_point_relation", "_one_point", "_two_point"):
+    for name in ("one_point_relation", "_two_point"):
         monkeypatch.setattr(RelationEngine, name, spied(name))
     index_two = VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 1))
     for config in (CATALOG["V10"], CATALOG["V14"], index_two):

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import golden
-from helpers import TamperedEngine, symbolic_iseries
-from fanocount.exactmath import EntryPolynomial
+from helpers import TamperedEngine, harmonic, symbolic_iseries
+from fanocount.d3 import pencil_operator
+from fanocount.exactmath import ENTRY_VARS, EntryPolynomial
 from fanocount.relations import (
     GateViolation,
     RelationEngine,
@@ -76,14 +79,17 @@ def test_two_point_symbol_gate_gives_zero():
 
 
 def test_one_point_relation_gate_violations():
-    with pytest.raises(GateViolation):
-        one_point_relation(0, 0)
-    with pytest.raises(GateViolation):
-        one_point_relation(5, 1)
-    with pytest.raises(GateViolation):
-        one_point_relation(0, 4)
-    with pytest.raises(GateViolation):
-        one_point_relation(-1, 1)
+    # each refusal names the condition that failed: d < 1, k < 0, or the
+    # forced power H^m outside 0..3
+    for k, d, why in (
+        (-1, 1, "k < 0"),
+        (0, 0, "d < 1"),
+        (0, 4, "H^5 outside 0..3"),
+        (5, 1, "H^-3 outside 0..3"),
+    ):
+        with pytest.raises(GateViolation) as info:
+            one_point_relation(k, d)
+        assert str(info.value) == f"one-pointed key (k={k}, d={d}) is refused: {why}"
 
 
 def test_symbolic_iseries_low_degrees():
@@ -154,3 +160,51 @@ def test_engine_memoization_is_per_instance():
     b = TamperedEngine((2, 3), 7)
     assert a.one_point_relation(0, 2) != b.one_point_relation(0, 2)
     assert a.one_point_relation(0, 2) == RelationEngine().one_point_relation(0, 2)
+
+
+def _at(poly, s):
+    """(R(s), R'(s)) for the integer polynomial R with ascending coefficients."""
+    value = slope = 0
+    for c in reversed(poly):
+        slope = slope * s + value
+        value = value * s + c
+    return value, slope
+
+
+def dual_frobenius(op, order):
+    """Pairs (c_m, c_m') for m < order: the Frobenius recursion of the operator
+    at exponent n + eps, c_0 = 1, carried in dual numbers a + b*eps over its
+    layers, so c_m' is the eps-derivative of c_m at eps = 0."""
+    layers = op.layers
+    out = [(F(1), F(0))]
+    for m in range(1, order):
+        a = b = F(0)
+        for j, poly in layers.items():
+            if 1 <= j <= m:
+                r, dr = _at(poly, m - j)
+                c, dc = out[m - j]
+                a -= r * c
+                b -= r * dc + dr * c
+        p, dp = _at(layers[0], m)
+        out.append((a / p, (b - a * dp / p) / p))
+    return out
+
+
+def test_h1_relations_are_the_eps_derivative_of_the_operator_solution():
+    # an independent check of the engine's one- and two-pointed reductions:
+    # the shift-0 operator of a random matrix, solved at n + eps, gives
+    # c_m = m! d_m and c_m' = m! (c1_m + H_m d_m), with d_m and c1_m the
+    # engine's constant-term and H^1 relations at the matrix
+    rng = random.Random(20261021)
+    for _ in range(100):
+        entries = {name: F(rng.randint(-50, 50), rng.randint(1, 6)) for name in ENTRY_VARS}
+        matrix = CountingMatrix(deg=rng.randint(1, 30), **entries)
+        values = matrix.entries()
+        solution = dual_frobenius(pencil_operator(matrix, 0), 7)
+        for m in range(1, 7):
+            d_m = one_point_relation(m - 2, m).evaluate(values) if m >= 2 else F(0)
+            c1_m = one_point_relation(m - 1, m).evaluate(values)
+            assert solution[m] == (
+                factorial(m) * d_m,
+                factorial(m) * (c1_m + harmonic(m) * d_m),
+            ), (matrix, m)
