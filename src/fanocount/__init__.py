@@ -1,5 +1,7 @@
 """Exact counting matrices and D3 operators for rank-1 Fano threefolds."""
 
+from types import ModuleType as _Module
+
 from .exactmath import (
     ChernPolynomial,
     EntryPolynomial,
@@ -70,4 +72,7 @@ from .pipeline import (
     verify_golden,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _Module)
+]

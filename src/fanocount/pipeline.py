@@ -395,7 +395,7 @@ def run_pipeline(config: VarietyConfig, order: int = 7) -> PipelineRun:
     return PipelineRun(config, order).complete()
 
 
-# -- projections: each view returns one subcommand's JSON dict and text lines --
+# -- projections: each view builds one subcommand's JSON dict, then its text from it --
 
 
 View = tuple[dict, list[str]]
@@ -466,8 +466,8 @@ def matrix_dict(matrix: CountingMatrix) -> dict:
     return {"deg": matrix.deg, "entries": entries, "rows": rows}
 
 
-def matrix_lines(matrix: CountingMatrix) -> list[str]:
-    rows = matrix_dict(matrix)["rows"]
+def matrix_lines(rows: list[list[str]]) -> list[str]:
+    """The rows of `matrix_dict`, right-aligned to the widest entry."""
     width = max(len(x) for row in rows for x in row)
     return ["  ".join(x.rjust(width) for x in row) for row in rows]
 
@@ -498,40 +498,42 @@ def modularity_lines(data: dict) -> list[str]:
     return lines
 
 
-def _pair_view(pair: HSeriesPair, order: int) -> View:
-    c0, c1 = _numerator_strs(pair.c0.truncate(order)), _numerator_strs(pair.c1.truncate(order))
-    return {"c0": c0, "c1": c1}, ["c0: " + " ".join(c0), "c1: " + " ".join(c1)]
+def _pair_dict(pair: HSeriesPair, order: int) -> dict:
+    c0, c1 = pair.c0.truncate(order), pair.c1.truncate(order)
+    return {"c0": _numerator_strs(c0), "c1": _numerator_strs(c1)}
+
+
+def _pair_lines(data: dict) -> list[str]:
+    return ["c0: " + " ".join(data["c0"]), "c1: " + " ".join(data["c1"])]
 
 
 def iseries_view(run: PipelineRun) -> View:
     ambient = run.config.ambient
-    data, lines = _pair_view(run.ambient_pair, run.order)
+    data = _pair_dict(run.ambient_pair, run.order)
     data["ambient"] = {"r": ambient.r, "n": ambient.n}
-    return data, [f"ambient G({ambient.r},{ambient.n})"] + lines
+    return data, [f"ambient G({ambient.r},{ambient.n})"] + _pair_lines(data)
 
 
 def lefschetz_view(run: PipelineRun) -> View:
     # the variety series first: its stage refuses a series, alpha included,
     # too long to print
-    data, lines = _pair_view(run.variety_pair, run.order)
+    data = _pair_dict(run.variety_pair, run.order)
     alpha = data["alpha"] = str(run.alpha)
-    return data, [f"shift alpha = {alpha}"] + lines
+    return data, [f"shift alpha = {alpha}"] + _pair_lines(data)
 
 
 def matrix_view(run: PipelineRun) -> View:
-    return matrix_dict(run.matrix), [f"deg = {run.matrix.deg}"] + matrix_lines(run.matrix)
+    data = matrix_dict(run.matrix)
+    return data, [f"deg = {data['deg']}"] + matrix_lines(data["rows"])
+
+
+def _periods_lines(data: dict) -> list[str]:
+    return ["d2..d6: " + " ".join(data["periods"]), f"discriminant: {data['discriminant']}"]
 
 
 def periods_view(run: PipelineRun) -> View:
-    periods = run.periods
-    data = {
-        "periods": _numerator_strs(periods),
-        "discriminant": str(run.disc),
-    }
-    return data, [
-        "d2..d6: " + " ".join(data["periods"]),
-        f"discriminant: {data['discriminant']}",
-    ]
+    data = {"periods": _numerator_strs(run.periods), "discriminant": str(run.disc)}
+    return data, _periods_lines(data)
 
 
 def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int | None = None) -> View:
@@ -542,9 +544,10 @@ def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int 
     recovered = _guarded("solver", invert_periods, vector, deg)
     data = matrix_dict(recovered)
     data["periods"] = _numerator_strs(vector)
-    lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg}"] + matrix_lines(recovered)
+    lines = ["periods: " + " ".join(data["periods"]), f"deg = {deg}"] + matrix_lines(data["rows"])
     if periods is None:
-        data["roundtrip_ok"] = recovered == run.matrix
+        # the entries only: the periods do not read `deg`, which labels the output
+        data["roundtrip_ok"] = (recovered.den, recovered.nums) == (run.matrix.den, run.matrix.nums)
         lines.append(f"roundtrip ok: {data['roundtrip_ok']}")
     return data, lines
 
@@ -593,8 +596,8 @@ def report_dict(report: PipelineRun) -> dict:
             "anticanonical_degree": str(cfg.anticanonical_degree),
         },
         "alpha": str(report.alpha),
-        "ambient_series": _pair_view(report.ambient_pair, report.order)[0],
-        "variety_series": _pair_view(report.variety_pair, report.order)[0],
+        "ambient_series": _pair_dict(report.ambient_pair, report.order),
+        "variety_series": _pair_dict(report.variety_pair, report.order),
         "matrix": matrix_dict(report.matrix),
         **periods_view(report)[0],
         "d3": {"operator": str(report.operator), "solution": _numerator_strs(report.solution)},
@@ -603,41 +606,36 @@ def report_dict(report: PipelineRun) -> dict:
     }
 
 
-def report_lines(report: PipelineRun) -> list[str]:
-    """Every stage of a completed run as the text report, the same strings
-    as `report_dict`."""
-    cfg = report.config
-    ambient_lines = _pair_view(report.ambient_pair, report.order)[1]
-    variety_lines = _pair_view(report.variety_pair, report.order)[1]
-    periods_lines = periods_view(report)[1]
-    tag = "verified catalog entry" if report.verified else "unverified"
-    m = modularity_dict(report.modularity)
+def report_lines(data: dict) -> list[str]:
+    """The text report, formatted from the dict `report_dict` returns."""
+    ambient, geometry, m = data["ambient"], data["geometry"], data["modularity"]
+    tag = "verified catalog entry" if data["verified"] else "unverified"
+    periods = _periods_lines(data)
     return [
-        f"variety {cfg.name or '(unnamed)'} [{tag}]",
-        f"  ambient G({cfg.ambient.r},{cfg.ambient.n}), degrees {tuple(cfg.degrees)}",
-        f"  dimension {cfg.dimension}, index {cfg.fano_index}, "
-        f"ambient degree {cfg.ambient.plucker_degree}, "
-        f"anticanonical degree {cfg.anticanonical_degree}",
-        f"  shift alpha = {report.alpha!s}",
-        *("  ambient " + line for line in ambient_lines),
-        *("  variety " + line for line in variety_lines),
+        f"variety {data['name'] or '(unnamed)'} [{tag}]",
+        f"  ambient G({ambient['r']},{ambient['n']}), degrees {tuple(data['degrees'])}",
+        f"  dimension {geometry['dimension']}, index {geometry['fano_index']}, "
+        f"ambient degree {geometry['ambient_plucker_degree']}, "
+        f"anticanonical degree {geometry['anticanonical_degree']}",
+        f"  shift alpha = {data['alpha']}",
+        *("  ambient " + line for line in _pair_lines(data["ambient_series"])),
+        *("  variety " + line for line in _pair_lines(data["variety_series"])),
         "  counting matrix:",
-        *("    " + row for row in matrix_lines(report.matrix)),
-        "  periods " + periods_lines[0],
-        "  " + periods_lines[1],
-        f"  operator (shift 0): {report.operator!s}",
-        f"  solution: {' '.join(_numerator_strs(report.solution))}",
+        *("    " + row for row in matrix_lines(data["matrix"]["rows"])),
+        "  periods " + periods[0],
+        "  " + periods[1],
+        f"  operator (shift 0): {data['d3']['operator']}",
+        f"  solution: {' '.join(data['d3']['solution'])}",
         f"  modularity level {m['level']}, order {m['order']}:",
         *("    " + line for line in modularity_lines(m)),
-        *(f"  note: {note}" for note in report.notes),
+        *(f"  note: {note}" for note in data["notes"]),
     ]
 
 
 def serialize_report(report: PipelineRun, format: str = "text") -> str:
-    """The report in one format, building only what that format prints."""
-    if format == "json":
-        return render(report_dict(report), [], format)
-    return render({}, report_lines(report), format)
+    """The report in one format; the text is formatted from the JSON dict."""
+    data = report_dict(report)
+    return render(data, report_lines(data) if format == "text" else [], format)
 
 
 # -- golden verification -------------------------------------------------------
@@ -779,11 +777,11 @@ def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int
         return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)
     label_w = max(len(r.label) for r in rows)
     val_w = max(max(len(r.derived), len(r.expected)) for r in rows)
-    lines = [
-        f"{'entry'.ljust(label_w)}  {'derived'.rjust(val_w)}  "
-        f"{'expected'.rjust(val_w)}  status"
-    ]
+    header = f"{'entry'.ljust(label_w)}  {'derived'.rjust(val_w)}  {'expected'.rjust(val_w)}"
+    lines = [header + "  status"]
+    counts = {"ok": 0, "mismatch": 0, "flagged": 0}
     for r in rows:
+        counts[r.status] += 1
         line = (
             f"{r.label.ljust(label_w)}  {r.derived.rjust(val_w)}  "
             f"{r.expected.rjust(val_w)}  {r.status}"
@@ -791,11 +789,5 @@ def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int
         if r.note:
             line += f"  ({r.note})"
         lines.append(line)
-    counts = {"ok": 0, "mismatch": 0, "flagged": 0}
-    for r in rows:
-        counts[r.status] += 1
-    lines.append(
-        f"{counts['ok']} ok, {counts['flagged']} flagged, "
-        f"{counts['mismatch']} mismatched"
-    )
+    lines.append(f"{counts['ok']} ok, {counts['flagged']} flagged, {counts['mismatch']} mismatched")
     return render({}, lines, format)

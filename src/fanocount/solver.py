@@ -69,8 +69,8 @@ class NoRationalSolution(ArithmeticError):
 class AmbiguousSolution(ArithmeticError):
     """More than one rational counting matrix maps to the period vector.
 
-    `invert_periods` no longer raises it: off the discriminant the period
-    map is birational.  The class stays public for callers that catch it.
+    Off the discriminant the inverse is unique, and on it `invert_periods`
+    raises `DegenerateLocus`; the class stays public for callers that catch it.
     """
 
 

@@ -1,10 +1,11 @@
 """Closed forms and symbolic expansions that only the tests use, the
 plain `Fraction` definitions the integer series kernels, the Vandermonde
 division, the solver stage and the ambient digit estimate are checked
-against, and the tests' name for the operator product of the D3 reference
-chain."""
+against, the quantum Pieri oracle for the ambient series, and the tests'
+name for the operator product of the D3 reference chain."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, lcm, log10, prod
 
 from fanocount.d3 import _multiply
@@ -150,6 +151,66 @@ def projective_closed_form(n: int, order: int) -> HSeriesPair:
     1/(d!)^n at H^0 and -n harmonic(d)/(d!)^n at H^1."""
     c0 = [Fraction(1, factorial(d) ** n) for d in range(order)]
     return HSeriesPair(PowerSeries(c0), PowerSeries([-n * harmonic(d) * c for d, c in enumerate(c0)]))
+
+
+def quantum_pieri(r: int, n: int, lam: tuple[int, ...]):
+    """sigma_1 * sigma_lam in the small quantum cohomology of G(r, n)
+    (Bertram, Adv. Math. 128, 1997; Buch, Compositio Math. 137, 2003), as
+    (the partitions lam plus one box inside the r x (n - r) box, the
+    partition of the q-term or None).  The q-term is q sigma_(lam_2 - 1, ..,
+    lam_r - 1, 0), there only when lam_1 = n - r and lam_r >= 1."""
+    k = n - r
+    boxes = [
+        lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+        for i in range(r)
+        if lam[i] < k and (i == 0 or lam[i - 1] > lam[i])
+    ]
+    q_term = tuple(p - 1 for p in lam[1:]) + (0,) if lam[0] == k and lam[-1] >= 1 else None
+    return boxes, q_term
+
+
+def quantum_pieri_pair(r: int, n: int, order: int, rule=quantum_pieri):
+    """The ambient series (c0, c1) of G(r, n) through q^(order-1) from the
+    quantum D-module, two tuples of `Fraction`s; shares no code with the
+    residue sum.
+
+    Each Schubert class lam carries w_lam = e^(H log q) sum_d q^d w_(lam,d)
+    mod H^2, with D w_lam = sum_mu [sigma_1 * sigma_lam]_mu w_mu for
+    D = q d/dq and w_(lam,0) = sigma_lam mod degree >= 2 (1 at lam = (),
+    H at lam = (1)).  Degree d solves (d + H) w_(lam,d) = sum over the
+    classical terms w_(mu,d) plus the q-term's w_(mu,d-1), from the largest
+    partition down, and (c0, c1) is w_().  Every Grassmannian has index
+    n >= 2, so its J and I functions agree (Givental).  Degree d is kept
+    scaled by (d!)^(r(n-r)+2), so each division by d + H, that is
+    (1 - H/d)/d mod H^2, divides exactly by d.  `rule` gives the product
+    sigma_1 * sigma_lam as `quantum_pieri` does."""
+    top = r * (n - r)
+    # partitions in the box from the r-subsets of 0..n-1, the largest first
+    classes = sorted(
+        (tuple(sorted((c - i for i, c in enumerate(cols)), reverse=True))
+         for cols in combinations(range(n), r)),
+        key=sum, reverse=True,
+    )
+    steps = [(lam, *rule(r, n, lam)) for lam in classes]
+    empty, box = (0,) * r, (1,) + (0,) * (r - 1)
+    w = {lam: (int(lam == empty), int(lam == box)) for lam in classes}
+    c0, c1, scale = [Fraction(1)], [Fraction(0)], 1
+    for d in range(1, order):
+        lift = d ** (top + 2)
+        scale *= lift
+        new = {}
+        for lam, boxes, q_term in steps:
+            a = sum(new[mu][0] for mu in boxes)
+            b = sum(new[mu][1] for mu in boxes)
+            if q_term is not None:
+                a += lift * w[q_term][0]
+                b += lift * w[q_term][1]
+            assert a % d == 0 and (b - a // d) % d == 0
+            new[lam] = a // d, (b - a // d) // d
+        w = new
+        c0.append(Fraction(w[empty][0], scale))
+        c1.append(Fraction(w[empty][1], scale))
+    return tuple(c0[:order]), tuple(c1[:order])
 
 
 def closed_form_constant(n: int, d: int) -> Fraction:

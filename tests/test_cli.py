@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -211,6 +212,23 @@ def test_invert_roundtrip_default(capsys):
     payload = json.loads(out)
     assert payload["roundtrip_ok"] is True
     assert payload["entries"]["a03"] == "33120"
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+@pytest.mark.parametrize("variety", ["V10", "V14"])
+def test_invert_roundtrip_ignores_the_output_degree(capsys, variety, format):
+    # --deg labels the output matrix; the periods do not read it, so the
+    # variety's own periods still invert to its own entries
+    code, out, _ = run(capsys, "invert", "--variety", variety, "--deg", "3", "--format", format)
+    assert code == 0
+    if format == "json":
+        payload = json.loads(out)
+        assert (payload["deg"], payload["roundtrip_ok"]) == (3, True)
+        own = json.loads(run(capsys, "matrix", "--variety", variety, "--format", "json")[1])
+        assert payload["entries"] == own["entries"] and own["deg"] != 3
+    else:
+        lines = out.splitlines()
+        assert lines[1] == "deg = 3" and lines[-1] == "roundtrip ok: True"
 
 
 def test_invert_explicit_periods(capsys):
@@ -664,6 +682,14 @@ PUBLIC_ERRORS = sorted(
     key=lambda cls: cls.__name__,
 )
 STAGE_ERRORS = [cls for cls in PUBLIC_ERRORS if cls is not fanocount.StageError]
+
+
+def test_all_lists_no_submodule():
+    # the package imports bind its submodules beside the re-exported names;
+    # only the names are public
+    assert [n for n in fanocount.__all__ if isinstance(getattr(fanocount, n), ModuleType)] == []
+    assert len(fanocount.__all__) == 55
+    assert {"PipelineRun", "CountingMatrix", "hv_iseries", "serialize_report"} <= set(fanocount.__all__)
 
 
 def test_public_errors_are_input_or_math_errors():

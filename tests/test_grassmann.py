@@ -10,6 +10,8 @@ from helpers import (
     closed_form_constant,
     harmonic,
     projective_closed_form,
+    quantum_pieri,
+    quantum_pieri_pair,
     reference_divide_by_vandermonde,
     root_difference,
     truncated_product,
@@ -183,7 +185,7 @@ def cold_plan():
     ],
     ids=["2-5", "3-6", "4-8"],
 )
-def test_flipped_schur_table_sign_breaks_exact_division(
+def test_plan_fill_refuses_a_flipped_cofactor_sign(
     monkeypatch, cold_plan, r, n, level, term, message
 ):
     # with one cofactor sign wrong, the expansion over the scalar rows x_j^m
@@ -226,7 +228,7 @@ def _symbolic_minors(r):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-def test_schur_table_holds_the_schur_polynomials(r):
+def test_laplace_expansion_minors_give_s_empty_and_s_1(r):
     # a second route beside the plan's one-point check: the expansion's
     # cofactor table over the symbolic rows x_j^m gives the bialternants,
     # which divided by the Vandermonde are s_() = 1 and s_(1) = x_1 + .. + x_r
@@ -240,10 +242,13 @@ def test_schur_table_holds_the_schur_polynomials(r):
     assert schurs == [{(0,) * r: 1}, dict.fromkeys(units, 1)]
 
 
-def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_plan):
+def test_dropped_convolution_term_is_caught_by_reference_and_quantum_pieri(
+    monkeypatch, cold_plan
+):
     # the expansion writes a symmetric series whatever its entries hold, so
     # a sum missing one product still passes the symmetry check of
-    # extract_h_pair.  Only the comparison with the reference sees it.
+    # extract_h_pair.  The comparisons with the reference and with the
+    # quantum Pieri oracle see it.
     weights = grassmann._binomial_powers
 
     def dropped(n, top):
@@ -254,9 +259,12 @@ def test_dropped_convolution_term_is_only_caught_by_reference(monkeypatch, cold_
     monkeypatch.setattr(grassmann, "_binomial_powers", dropped)
     spec = GrassmannianSpec(2, 5)
     parts = hv_iseries(spec, 2)
-    extract_h_pair(parts)
+    pair = extract_h_pair(parts)
     assert parts[:2] == [reference_degree_part(spec, d) for d in range(2)]
     assert parts[2] != reference_degree_part(spec, 2)
+    c0, c1 = quantum_pieri_pair(2, 5, 3)
+    assert (pair.c0.coeffs[:2], pair.c1.coeffs[:2]) == (c0[:2], c1[:2])
+    assert (pair.c0[2], pair.c1[2]) != (c0[2], c1[2])
 
 
 def test_only_plans_past_one_root_build_binomial_weights(monkeypatch, cold_plan):
@@ -357,6 +365,47 @@ def test_degree_parts_are_written_in_lowest_terms(r, n):
         PowerSeries([F(c, den) for c, den in zip(lin, dens)]),
     )
     assert extract_h_pair(parts) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(r + 1, 9), st.integers(1, 13))
+))
+def test_ambient_series_matches_quantum_pieri(case):
+    # quantum Pieri rests on the quantum cohomology ring, not on the residue
+    # sum over Chern roots, so a mistake in either formula shows here
+    r, n, order = case
+    pair = ambient_series(GrassmannianSpec(r, n), order)
+    assert (pair.c0.coeffs, pair.c1.coeffs) == quantum_pieri_pair(r, n, order)
+
+
+@pytest.mark.parametrize("r, n, order", [(6, 12, 30), (7, 14, 9)], ids=["6-12-30", "7-14-9"])
+def test_deep_ambient_series_match_quantum_pieri(r, n, order):
+    pair = ambient_series(GrassmannianSpec(r, n), order)
+    assert (pair.c0.coeffs, pair.c1.coeffs) == quantum_pieri_pair(r, n, order)
+
+
+def _dropped_edge(r, n, lam):
+    """Quantum Pieri without the classical edge from (1) to (2)."""
+    boxes, q_term = quantum_pieri(r, n, lam)
+    return [mu for mu in boxes if (lam[0], mu[0]) != (1, 2)], q_term
+
+
+def _shifted_q_term(r, n, lam):
+    """Quantum Pieri with the q-term landing on (lam_2, .., lam_r, 0)."""
+    boxes, q_term = quantum_pieri(r, n, lam)
+    return boxes, None if q_term is None else lam[1:] + (0,)
+
+
+@pytest.mark.parametrize("rule", [_dropped_edge, _shifted_q_term])
+@pytest.mark.parametrize("r, n", [(2, 4), (2, 5), (2, 6), (3, 6)])
+def test_quantum_pieri_negative_controls_break_at_q1(r, n, rule):
+    # the oracle is sharp: a wrong ring in it departs from the residue sum
+    # at the first degree
+    pair = ambient_series(GrassmannianSpec(r, n), 5)
+    c0, c1 = quantum_pieri_pair(r, n, 5, rule)
+    assert (c0[0], c1[0]) == (pair.c0[0], pair.c1[0])
+    assert (c0[1], c1[1]) != (pair.c0[1], pair.c1[1])
 
 
 def test_grassmannian_duality():

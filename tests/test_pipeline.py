@@ -40,6 +40,7 @@ from fanocount.pipeline import (
     parse_config,
     render,
     render_verify_table,
+    report_lines,
     run_pipeline,
     serialize_report,
     verify_golden,
@@ -400,6 +401,41 @@ def test_serialize_report_rejects_unknown_format():
     report = run_pipeline(CATALOG["V10"], order=5)
     with pytest.raises(ConfigError):
         serialize_report(report, "yaml")
+
+
+@pytest.mark.parametrize(
+    "config, order",
+    [
+        (CATALOG["V10"], 7),
+        (CATALOG["V10"], 13),
+        (CATALOG["V14"], 7),
+        (CATALOG["V14"], 13),
+        (VarietyConfig(GrassmannianSpec(1, 4), (), "P3"), 7),
+        (VarietyConfig(GrassmannianSpec(2, 5), (1, 1, 1), "B5"), 7),
+    ],
+    ids=["V10-7", "V10-13", "V14-7", "V14-13", "P3-7", "B5-7"],
+)
+def test_text_report_is_formatted_from_the_json_report(config, order):
+    # the text reads nothing but the JSON dict, so it survives a round trip
+    # through the JSON bytes
+    run = run_pipeline(config, order)
+    data = json.loads(serialize_report(run, "json"))
+    assert serialize_report(run, "text") == "\n".join(report_lines(data)) + "\n"
+
+
+def test_report_of_a_section_past_dimension_three_is_refused_in_both_formats():
+    # a hyperplane section of G(3, 6) has dimension 8: both formats stop at
+    # the matrix stage, before either is written
+    run = PipelineRun(VarietyConfig(GrassmannianSpec(3, 6), (1,)), 7)
+    errors = []
+    for format in ("json", "text"):
+        with pytest.raises(StageError) as err:
+            serialize_report(run, format)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == (
+        "stage solver: ValueError: complete intersection has dimension 8, "
+        "not 3; a counting matrix needs a threefold"
+    )
 
 
 # every code point, lone surrogates and control characters included
