@@ -421,6 +421,8 @@ class EntryPolynomial:
         return EntryPolynomial({e: c * v for e, v in self.terms.items()})
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
+        if len(exps) != _NV:
+            raise ValueError("exponent arity mismatch")
         return self.terms.get(tuple(exps), _ZERO)
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
@@ -462,12 +464,9 @@ class EntryPolynomial:
         return [EntryPolynomial(b) for b in buckets]
 
     def substitute(self, name: str, replacement: "EntryPolynomial") -> "EntryPolynomial":
-        coeffs = self.coefficients_in(name)
-        out = EntryPolynomial.zero()
-        power = EntryPolynomial.const(_ONE)
-        for p, coeff in enumerate(coeffs):
-            if p > 0:
-                power = power * replacement
-            if not coeff.is_zero():
-                out = out + coeff * power
+        """The polynomial with name replaced, by Horner's rule in name:
+        from the top coefficient down, out = out * replacement + coeff."""
+        *lower, out = self.coefficients_in(name)
+        for coeff in reversed(lower):
+            out = out * replacement + coeff
         return out

@@ -1,8 +1,9 @@
 """Closed forms and symbolic expansions that only the tests use, the
 plain `Fraction` definitions the integer series kernels, the Vandermonde
-division, the solver stage and the ambient digit estimate are checked
-against, the quantum Pieri oracle for the ambient series, and the tests'
-name for the operator product of the D3 reference chain."""
+division, the solver stage, the entry polynomials' substitution and the
+ambient digit estimate are checked against, the quantum Pieri oracle for
+the ambient series, and the tests' name for the operator product of the
+D3 reference chain."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ from math import comb, factorial, lcm, log10, prod
 
 from fanocount.d3 import _multiply
 from fanocount.exactmath import (
+    ENTRY_VARS,
     ChernPolynomial,
     EntryPolynomial,
     NonExactDivision,
@@ -229,6 +231,21 @@ def closed_form_constant(n: int, d: int) -> Fraction:
             n * (d - 2 * m) * (harmonic(m) - harmonic(d - m)) + 2
         )
     return Fraction((-1) ** d, 2) * acc / Fraction(factorial(d)) ** n
+
+
+def reference_substitute(
+    p: EntryPolynomial, name: str, replacement: EntryPolynomial
+) -> EntryPolynomial:
+    """p with the entry `name` replaced, as a power sum over p's terms: each
+    term's power of `name` becomes that many products of `replacement`."""
+    k = ENTRY_VARS.index(name)
+    total = EntryPolynomial.zero()
+    for e, c in p.terms.items():
+        term = EntryPolynomial({e[:k] + (0,) + e[k + 1 :]: c})
+        for _ in range(e[k]):
+            term = term * replacement
+        total = total + term
+    return total
 
 
 _ENGINE = RelationEngine()

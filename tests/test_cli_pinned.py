@@ -53,6 +53,16 @@ CASES = [
     ("d3-V10-order3", ["d3", "--variety", "V10", "--order", "3"]),
     ("modularity-V10-order9", ["modularity", "--variety", "V10", "--order", "9"]),
     ("invert-V10-explicit", ["invert", "--variety", "V10", "--periods", "1,1,1,1,1", "--deg", "1"]),
+] + [
+    # d_3 = 0, so a12 comes from the d_6 relation; and a tall vector
+    (f"invert-V10-{name}-{fmt}",
+     ["invert", "--variety", "V10", "--periods", periods, "--deg", "1", "--format", fmt])
+    for name, periods in (
+        ("d3-zero", "1,0,1,1,1"),
+        ("tall", "123456789012/7,-98765432109/13,5/3,271828182845/999,-314159265358/17"),
+    )
+    for fmt in ("text", "json")
+] + [
     ("report-V10-order5", ["report", "--variety", "V10", "--order", "5"]),
     ("report-V10-order4", ["report", "--variety", "V10", "--order", "4"]),
     ("matrix-quartic-text", ["matrix", "--variety", QUARTIC_PATH]),
@@ -122,6 +132,10 @@ PINNED = {
     "d3-V10-order3": (0, "6f1a4b53ca297633f6e1e3ec5e6d1f15656eab5e9fda73f7418969b35c54de1c"),
     "modularity-V10-order9": (0, "128d4bd8f637687c720c9e777743864d9b3268c2e998b789edb1a80fa6f95c4f"),
     "invert-V10-explicit": (0, "b14bde77a20255bd98b54e07d09c60d21160eac10120368526295b33108fca24"),
+    "invert-V10-d3-zero-text": (0, "7acf28176f5a173bc2d41f94a8e3b3ca71ad07c560b95e2e143c25adfd61971e"),
+    "invert-V10-d3-zero-json": (0, "d22ce6f4cb13cfe956143c69c19655721bd4fe521485a22529271e363c7afc90"),
+    "invert-V10-tall-text": (0, "1760b6a339004f0f877912e11f8b34da38bfd857c7ebe106e64d947572568e72"),
+    "invert-V10-tall-json": (0, "92c36a5a45dc947758ae7b5687f3a01d633b6c13f4d4be68ff7cfaf6909ef9eb"),
     "report-V10-order5": (0, "79ae5b843e4b6321c036a6caab0acdd79ba1fdd6e510e91a9051c9c63623b329"),
     "report-V10-order4": (0, "7cede405c0aeb410f870e1a184cdc85d4663252aa319d58d270387cfa9e665af"),
     "matrix-quartic-text": (0, "6a9742b9440023530322abf6d75df6f714cb51cfa250f603fbd22e91e16716c9"),

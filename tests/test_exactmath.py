@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     exp_linear,
     reference_divide_by_vandermonde,
+    reference_substitute,
     root_difference,
     series_product,
     truncated_product,
@@ -438,13 +439,29 @@ def test_entry_polynomial_evaluate_is_ring_map(p, q, values):
     assert (p * q).evaluate(values) == p.evaluate(values) * q.evaluate(values)
 
 
-@given(entry_polys(), entry_values)
-def test_entry_polynomial_substitute_commutes_with_evaluate(p, values):
-    replacement = EntryPolynomial.variable("a11") + EntryPolynomial.const(F(1))
-    substituted = p.substitute("a03", replacement)
+replacements = st.one_of(
+    st.just(EntryPolynomial.zero()), small_fractions.map(EntryPolynomial.const), entry_polys()
+)
+
+
+@given(entry_polys(), st.sampled_from(ENTRY_VARS), replacements, entry_values)
+def test_entry_polynomial_substitute_commutes_with_evaluate(p, name, replacement, values):
+    # any entry replaced by zero, a constant, or a polynomial that may hold
+    # the replaced entry itself
+    substituted = p.substitute(name, replacement)
+    assert substituted == reference_substitute(p, name, replacement)
     shifted = dict(values)
-    shifted["a03"] = values["a11"] + 1
+    shifted[name] = replacement.evaluate(values)
     assert substituted.evaluate(values) == p.evaluate(shifted)
+    assert p.substitute(name, EntryPolynomial.variable(name)) == p
+
+
+def test_entry_polynomial_coefficient_refuses_a_wrong_arity():
+    p = EntryPolynomial.variable("a01")
+    assert p.coefficient((1, 0, 0, 0, 0)) == 1
+    for exps in ((1,), (), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^exponent arity mismatch$"):
+            p.coefficient(exps)
 
 
 # -- the stored format, shared by every container ------------------------------
