@@ -6,9 +6,11 @@ series, `lefschetz` the twisted variety series, `matrix` the counting
 matrix, `periods` and `invert` the period map in both directions, `d3` the
 third-order operator and its normalized solution, `modularity` the
 candidate table, and `report` every stage.  `verify` recomputes everything
-and diffs it against the embedded golden values.  `iseries` and `lefschetz`
-run on any Fano complete intersection; every subcommand that reads the
-counting matrix refuses one that is not a threefold, with exit code 2.
+and diffs it against the embedded golden values; like every view it prints
+one dict, and its exit status is the `status` that dict holds.  `iseries`
+and `lefschetz` run on any Fano complete intersection; every subcommand
+that reads the counting matrix refuses one that is not a threefold, with
+exit code 2.
 
 The argument parser is built once per process, on the first `main` call,
 and reused by every later call.  So are the tables that depend on the job
@@ -154,9 +156,9 @@ def _parse_periods(text: str) -> PeriodVector:
 def _run_command(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "verify":
-        status, rows = verify_golden(args.variety, corrupt=args.corrupt)
-        sys.stdout.write(render_verify_table(rows, args.format, status))
-        return status
+        data = verify_golden(args.variety, corrupt=args.corrupt)
+        sys.stdout.write(render_verify_table(data, args.format))
+        return data["status"]
 
     config = load_config(args.variety)
     order = _integer(args.order, "--order")

@@ -366,7 +366,8 @@ _NV = len(ENTRY_VARS)
 @dataclass
 class EntryPolynomial:
     """Sparse exact polynomial in the entries a01, a11, a02, a12, a03; a
-    coefficient that is not an `int` or a `Fraction` is refused."""
+    coefficient that is not an `int` or a `Fraction`, or an exponent that is
+    not an `int` >= 0, is refused."""
 
     terms: dict[tuple[int, ...], Fraction]
 
@@ -375,12 +376,22 @@ class EntryPolynomial:
         for e, c in self.terms.items():
             if len(e) != _NV:
                 raise ValueError("exponent arity mismatch")
+            if not all(type(p) is int and p >= 0 for p in e):
+                raise ValueError(f"exponents must be ints >= 0, got {tuple(e)!r}")
             if not isinstance(c, Fraction):
                 _check_exact((c,), (f"the coefficient of {tuple(e)}",))
                 c = Fraction(c)
             if c != 0:
                 out[tuple(e)] = c
         self.terms = out
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], Fraction]) -> "EntryPolynomial":
+        """The nonzero terms of a ring result, unchecked: its exponents are
+        sums of checked ones and its coefficients `Fraction`s."""
+        poly = object.__new__(cls)
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     @classmethod
     def zero(cls) -> "EntryPolynomial":
@@ -403,7 +414,7 @@ class EntryPolynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, _ZERO) + c
-        return EntryPolynomial(out)
+        return EntryPolynomial._of(out)
 
     def __sub__(self, other: "EntryPolynomial") -> "EntryPolynomial":
         return self + other.scale(-_ONE)
@@ -414,11 +425,11 @@ class EntryPolynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, _ZERO) + c1 * c2
-        return EntryPolynomial(out)
+        return EntryPolynomial._of(out)
 
     def scale(self, c: Rational) -> "EntryPolynomial":
         _check_exact((c,), ("the scale factor",))
-        return EntryPolynomial({e: c * v for e, v in self.terms.items()})
+        return EntryPolynomial._of({e: c * v for e, v in self.terms.items()})
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         if len(exps) != _NV:
@@ -461,7 +472,7 @@ class EntryPolynomial:
             p = reduced[k]
             reduced[k] = 0
             buckets[p][tuple(reduced)] = buckets[p].get(tuple(reduced), _ZERO) + c
-        return [EntryPolynomial(b) for b in buckets]
+        return [EntryPolynomial._of(b) for b in buckets]
 
     def substitute(self, name: str, replacement: "EntryPolynomial") -> "EntryPolynomial":
         """The polynomial with name replaced, by Horner's rule in name:

@@ -7,11 +7,14 @@ projections print the stages each subcommand reads.
 The built-in catalog holds the two section varieties the library is
 checked against; any other configuration runs through the same stages but
 its report is marked unverified.  `verify_golden` recomputes every golden
-quantity from scratch and diffs it against the embedded table, with one
-documented exception: the degree-3 constant term of the second catalog
-variety, where the derived value 52 disagrees with a published table entry
-of 2; the derived value is the one consistent with the counting matrix, so
-the row is flagged rather than matched.
+quantity from scratch and diffs it against the embedded table, which is
+keyed by the family of a run's values that holds each one (the matrix,
+alpha, a series), and returns the dict `verify` prints: one row per value
+and the exit status read off those rows.  One row is a documented
+exception: the degree-3 constant term of the second catalog variety, where
+the derived value 52 disagrees with a published table entry of 2; the
+derived value is the one consistent with the counting matrix, so the row
+is flagged rather than matched.
 """
 
 from __future__ import annotations
@@ -642,104 +645,76 @@ def serialize_report(report: PipelineRun, format: str = "text") -> str:
 
 _F = Fraction
 
-_GOLDEN: dict[str, dict[str, Fraction]] = {
+# Per variety, the golden values by the family a run holds them in: the
+# matrix entries in `ENTRY_VARS` order, alpha, the ambient c0 from q^1, and
+# the variety series' c0 from q^2 and c1 from q^1.
+_GOLDEN: dict[str, dict[str, tuple[Fraction, ...]]] = {
     "V10": {
-        "matrix.a01": _F(156),
-        "matrix.a11": _F(10),
-        "matrix.a02": _F(3600),
-        "matrix.a12": _F(380),
-        "matrix.a03": _F(33120),
-        "alpha": _F(6),
-        "ambient.c0[1]": _F(3),
-        "ambient.c0[2]": _F(19, 32),
-        "ambient.c0[3]": _F(49, 2592),
-        "ambient.c0[4]": _F(139, 884736),
-        "series.c0[2]": _F(39),
-        "series.c0[3]": _F(220),
-        "series.c0[4]": _F(6291, 4),
-        "series.c1[1]": _F(10),
-        "series.c1[2]": _F(67, 2),
-        "series.c1[3]": _F(3200, 9),
-        "series.c1[4]": _F(89387, 48),
+        "matrix": (_F(156), _F(10), _F(3600), _F(380), _F(33120)),
+        "alpha": (_F(6),),
+        "ambient.c0": (_F(3), _F(19, 32), _F(49, 2592), _F(139, 884736)),
+        "series.c0": (_F(39), _F(220), _F(6291, 4)),
+        "series.c1": (_F(10), _F(67, 2), _F(3200, 9), _F(89387, 48)),
     },
     "V14": {
-        "matrix.a01": _F(64),
-        "matrix.a11": _F(5),
-        "matrix.a02": _F(924),
-        "matrix.a12": _F(140),
-        "matrix.a03": _F(5936),
-        "alpha": _F(4),
-        "ambient.c0[1]": _F(4),
-        "ambient.c0[2]": _F(3, 4),
-        "ambient.c0[3]": _F(95, 5832),
-        "ambient.c0[4]": _F(865, 11943936),
-        "series.c0[2]": _F(16),
-        "series.c0[3]": _F(52),
-        "series.c0[4]": _F(230),
-        "series.c1[1]": _F(5),
-        "series.c1[2]": _F(31, 4),
-        "series.c1[3]": _F(1031, 18),
-        "series.c1[4]": _F(14863, 96),
+        "matrix": (_F(64), _F(5), _F(924), _F(140), _F(5936)),
+        "alpha": (_F(4),),
+        "ambient.c0": (_F(4), _F(3, 4), _F(95, 5832), _F(865, 11943936)),
+        "series.c0": (_F(16), _F(52), _F(230)),
+        "series.c1": (_F(5), _F(31, 4), _F(1031, 18), _F(14863, 96)),
     },
 }
+# the index into each family's numerators of its first golden value
+_FIRST = {"matrix": 0, "alpha": 0, "ambient.c0": 1, "series.c0": 2, "series.c1": 1}
 
 _FLAGGED: dict[str, str] = {
     "V14:series.c0[3]": "derived 52; a published table prints 2; matrix-consistent",
 }
 
 
-@dataclass
-class VerifyRow:
-    label: str
-    derived: str
-    expected: str
-    status: str
-    note: str | None = None
+def _golden_row(variety: str, family: str, index: int, golden: Fraction) -> tuple:
+    """(label, family, index into the family's numerators, golden value, the
+    value as `str` prints it, note)."""
+    if family == "matrix":
+        label = f"{variety}:matrix.{ENTRY_VARS[index]}"
+    elif family == "alpha":
+        label = f"{variety}:alpha"
+    else:
+        label = f"{variety}:{family}[{index}]"
+    return label, family, index, golden, str(golden), _FLAGGED.get(label)
 
 
-def _where(key: str) -> tuple[str, str | None, int]:
-    if key == "alpha":
-        return "alpha", None, 0
-    if key.startswith("matrix."):
-        return "matrix", None, ENTRY_VARS.index(key.split(".", 1)[1])
-    family, index = key.split("[", 1)
-    stage = "ambient_pair" if family == "ambient.c0" else "variety_pair"
-    return stage, family[-2:], int(index.rstrip("]"))
-
-
-# per variety, each golden row as (label, where, golden value, the value as
-# `str` prints it, note), built once at import; `where` locates the derived
-# value in a run as (stage, series or None, index into the numerators)
+# per variety, each golden row, built once at import
 _GOLDEN_ROWS: dict[str, tuple[tuple, ...]] = {
     variety: tuple(
-        (f"{variety}:{key}", _where(key), golden, str(golden), _FLAGGED.get(f"{variety}:{key}"))
-        for key, golden in entries.items()
+        _golden_row(variety, family, index, golden)
+        for family, values in families.items()
+        for index, golden in enumerate(values, _FIRST[family])
     )
-    for variety, entries in _GOLDEN.items()
+    for variety, families in _GOLDEN.items()
 }
 
 
-def _derived_value(report: PipelineRun, where: tuple[str, str | None, int]) -> tuple[int, int]:
-    """The derived quantity at `where` as (numerator, positive denominator),
-    read off the stored numerators."""
-    stage, part, index = where
-    if stage == "alpha":
-        return report.alpha.numerator, report.alpha.denominator
-    value = getattr(report, stage)
-    if part is not None:
-        value = getattr(value, part)
-    return value.nums[index], value.den
+def _golden_family(run: PipelineRun, family: str) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) that a golden family is read from in a run."""
+    if family == "matrix":
+        return run.matrix.den, run.matrix.nums
+    if family == "alpha":
+        return run.alpha.denominator, (run.alpha.numerator,)
+    pair = run.ambient_pair if family == "ambient.c0" else run.variety_pair
+    series = pair.c1 if family == "series.c1" else pair.c0
+    return series.den, series.nums
 
 
-def verify_golden(
-    name: str = "all", corrupt: str | None = None
-) -> tuple[int, list[VerifyRow]]:
+def verify_golden(name: str = "all", corrupt: str | None = None) -> dict:
     """Recompute all golden quantities from scratch and diff them.
 
-    Returns (exit status, table).  Status 1 when any row mismatches; the
-    optional `corrupt` argument replaces one golden entry ("V10:matrix.a01"
-    style label) with a wrong value, as a negative control.  A label that
-    names no entry of the selected varieties is refused before any stage runs.
+    Returns the dict that `verify --format json` prints: the rows, each with
+    its label, derived and expected value, status and note, and the exit
+    status, 1 exactly when a row mismatches.  The optional `corrupt`
+    argument replaces one golden entry ("V10:matrix.a01" style label) with a
+    wrong value, as a negative control.  A label that names no entry of the
+    selected varieties is refused before any stage runs.
     """
     if name == "all":
         targets = list(_GOLDEN_ROWS)
@@ -751,43 +726,48 @@ def verify_golden(
         row[0] == corrupt for variety in targets for row in _GOLDEN_ROWS[variety]
     ):
         raise ConfigError(f"no golden entry labelled {corrupt!r} for variety {name!r}")
-    rows: list[VerifyRow] = []
-    status = 0
+    rows = []
     for variety in targets:
-        report = run_pipeline(CATALOG[variety], order=7)
-        for label, where, expected, printed, note in _GOLDEN_ROWS[variety]:
+        run = run_pipeline(CATALOG[variety], order=7)
+        for label, family, index, expected, printed, note in _GOLDEN_ROWS[variety]:
             if label == corrupt:
                 expected = expected + 1
                 printed = str(expected)
-            num, den = _derived_value(report, where)
+            den, nums = _golden_family(run, family)
+            num = nums[index]
             if num * expected.denominator == expected.numerator * den:
                 verdict = "flagged" if note else "ok"
             else:
-                verdict, status = "mismatch", 1
-            rows.append(VerifyRow(label, ratio_str(num, den), printed, verdict, note))
-    return status, rows
+                verdict = "mismatch"
+            rows.append({
+                "label": label, "derived": ratio_str(num, den), "expected": printed,
+                "status": verdict, "note": note,
+            })
+    status = int(any(row["status"] == "mismatch" for row in rows))
+    return {"status": status, "rows": rows}
 
 
-def render_verify_table(rows: list[VerifyRow], format: str = "text", status: int = 0) -> str:
-    """The verify table as text, or as JSON beside the exit status that
-    `verify_golden` returned with the rows; the text lines are built only
-    for text."""
-    if format == "json":
-        # vars() is the row's own field dict; render only reads it
-        return render({"status": status, "rows": [vars(r) for r in rows]}, [], format)
-    label_w = max(len(r.label) for r in rows)
-    val_w = max(max(len(r.derived), len(r.expected)) for r in rows)
+def _verify_lines(rows: list[dict]) -> list[str]:
+    """The verify table, formatted from the rows `verify_golden` returns."""
+    label_w = max(len(r["label"]) for r in rows)
+    val_w = max(max(len(r["derived"]), len(r["expected"])) for r in rows)
     header = f"{'entry'.ljust(label_w)}  {'derived'.rjust(val_w)}  {'expected'.rjust(val_w)}"
     lines = [header + "  status"]
     counts = {"ok": 0, "mismatch": 0, "flagged": 0}
     for r in rows:
-        counts[r.status] += 1
+        counts[r["status"]] += 1
         line = (
-            f"{r.label.ljust(label_w)}  {r.derived.rjust(val_w)}  "
-            f"{r.expected.rjust(val_w)}  {r.status}"
+            f"{r['label'].ljust(label_w)}  {r['derived'].rjust(val_w)}  "
+            f"{r['expected'].rjust(val_w)}  {r['status']}"
         )
-        if r.note:
-            line += f"  ({r.note})"
+        if r["note"]:
+            line += f"  ({r['note']})"
         lines.append(line)
     lines.append(f"{counts['ok']} ok, {counts['flagged']} flagged, {counts['mismatch']} mismatched")
-    return render({}, lines, format)
+    return lines
+
+
+def render_verify_table(data: dict, format: str = "text") -> str:
+    """The dict `verify_golden` returns, as JSON or as the text table
+    formatted from its rows; the text lines are built only for text."""
+    return render(data, _verify_lines(data["rows"]) if format == "text" else [], format)

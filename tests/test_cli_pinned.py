@@ -69,6 +69,15 @@ CASES = [
     ("matrix-quartic-json", ["matrix", "--variety", QUARTIC_PATH, "--format", "json"]),
     ("verify-text", ["verify"]),
     ("verify-json", ["verify", "--format", "json"]),
+] + [
+    # the negative controls, which exit 1: a matrix entry, and the flagged row
+    (f"verify-{name}-{fmt}", [*argv, "--format", fmt])
+    for name, argv in (
+        ("corrupt-V10-a01", ["verify", "--corrupt", "V10:matrix.a01"]),
+        ("V14-corrupt-flagged", ["verify", "--variety", "V14", "--corrupt", "V14:series.c0[3]"]),
+    )
+    for fmt in ("text", "json")
+] + [
     ("lefschetz-V14-order13", ["lefschetz", "--variety", "V14", "--order", "13"]),
 ] + [
     # the deep benchmark workload's catalog items
@@ -142,6 +151,10 @@ PINNED = {
     "matrix-quartic-json": (0, "980679372524446fb9e21cad7cbbbfbbfcb4c5f2bc750bcad1a3fc86f3440b6d"),
     "verify-text": (0, "55a2a250fd1e18b295314a50501644e2a431c1721977c4551e2e6cf72dc97d10"),
     "verify-json": (0, "f42b2fa35c0c74e9ba5958c6e9fe69f20955945236406cb9fc74f81b477b5ae1"),
+    "verify-corrupt-V10-a01-text": (1, "72aa597c8e128ed9c37d005131941f2b432dd164b352093cb2c37a309d2142a3"),
+    "verify-corrupt-V10-a01-json": (1, "82cc5833188c87b448c8a1cb3d0e4f5093f3f03a34a508adcfff6994ea78cc5f"),
+    "verify-V14-corrupt-flagged-text": (1, "01e4846d399d4f509d96e806bac6cdc4aedc9c40a59636783168d7257ca8460b"),
+    "verify-V14-corrupt-flagged-json": (1, "9b227c5a3dc25d20b3ec2619f59953c24a7a6a800961b88ad9e5c33fbf660eb9"),
     "lefschetz-V14-order13": (0, "d172ab551908d6db3a6fbabd5cdf6628f2592915f0c02fa7b4244fe58976f60d"),
     "report-V10-order13-json": (0, "e5b06c3bcaee7265b61dd100667c47bf0240f2fff4e47c650f1c7fa2626ff450"),
     "report-V14-order13-json": (0, "ad54f6a2429815c39f5d355e934abd597806605e62424365570ac95a2df4007b"),

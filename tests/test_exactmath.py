@@ -433,6 +433,27 @@ def test_entry_polynomial_refuses_inexact_coefficients(bad):
         EntryPolynomial.variable("a01").scale(bad)
 
 
+@pytest.mark.parametrize("bad", [0.5, -1, True, 1.0])
+def test_entry_polynomial_refuses_exponents_that_are_not_natural_numbers(bad):
+    # 0.5 and -1 would evaluate to a float (2.0 and 0.25 at every entry 4)
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        EntryPolynomial({(bad, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="exponents must be ints >= 0"):
+        EntryPolynomial({(0, 0, 0, 1, 0): 1, (0, 0, 0, 0, bad): 1})
+
+
+def test_entry_polynomial_ring_results_equal_their_checked_rebuild():
+    # the ring operations build their results unchecked; rebuilding each
+    # through the checked constructor changes nothing
+    a01, a11 = EntryPolynomial.variable("a01"), EntryPolynomial.variable("a11")
+    p = a01 * a01 * a11 + a11.scale(F(-2, 3)) + EntryPolynomial.const(5)
+    results = [p + p, p - p, p * p, p.scale(0), p.scale(F(7, 2)), *p.coefficients_in("a01"),
+               p.substitute("a11", a01 + EntryPolynomial.const(1))]
+    for result in results:
+        assert EntryPolynomial(dict(result.terms)).terms == result.terms
+        assert all(type(c) is F and c for c in result.terms.values())
+
+
 @given(entry_polys(), entry_polys(), entry_values)
 def test_entry_polynomial_evaluate_is_ring_map(p, q, values):
     assert (p + q).evaluate(values) == p.evaluate(values) + q.evaluate(values)

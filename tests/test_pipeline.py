@@ -357,7 +357,7 @@ def test_run_pipeline_asks_the_relation_engine_nothing(monkeypatch):
     for config in (CATALOG["V10"], CATALOG["V14"], index_two):
         for order in (1, 7, 30):
             serialize_report(run_pipeline(config, order), "json")
-    assert verify_golden()[0] == 0
+    assert verify_golden()["status"] == 0
     assert asked == []
     # positive control: the spy sees the engine where it is asked
     run = run_pipeline(CATALOG["V10"], 7)
@@ -479,53 +479,54 @@ def test_render_refuses_what_json_dumps_would_convert(data):
 
 
 def test_verify_golden_all_green():
-    status, rows = verify_golden()
-    assert status == 0
+    data = verify_golden()
+    rows = data["rows"]
+    assert data["status"] == 0
     assert len(rows) == 34
-    counts = {s: sum(1 for r in rows if r.status == s) for s in ("ok", "flagged", "mismatch")}
+    counts = {s: sum(1 for r in rows if r["status"] == s) for s in ("ok", "flagged", "mismatch")}
     assert counts == {"ok": 33, "flagged": 1, "mismatch": 0}
 
 
 def test_verify_golden_flag_is_visible_not_silent():
-    _, rows = verify_golden("V14")
-    flagged = [r for r in rows if r.status == "flagged"]
+    rows = verify_golden("V14")["rows"]
+    flagged = [r for r in rows if r["status"] == "flagged"]
     assert len(flagged) == 1
-    assert flagged[0].label == "V14:series.c0[3]"
-    assert flagged[0].note is not None
+    assert flagged[0]["label"] == "V14:series.c0[3]"
+    assert flagged[0]["note"] is not None
 
 
 def test_verify_golden_single_variety_and_unknown():
-    status, rows = verify_golden("V10")
-    assert status == 0
-    assert len(rows) == 17
+    data = verify_golden("V10")
+    assert data["status"] == 0
+    assert len(data["rows"]) == 17
     with pytest.raises(ConfigError):
         verify_golden("V9")
 
 
 def test_verify_golden_corrupt_negative_control():
-    status, rows = verify_golden(corrupt="V10:matrix.a01")
-    assert status == 1
-    mismatched = [r.label for r in rows if r.status == "mismatch"]
+    data = verify_golden(corrupt="V10:matrix.a01")
+    assert data["status"] == 1
+    mismatched = [r["label"] for r in data["rows"] if r["status"] == "mismatch"]
     assert mismatched == ["V10:matrix.a01"]
     with pytest.raises(ConfigError):
         verify_golden(corrupt="V10:matrix.bogus")
 
 
 def test_render_verify_table_summary_line():
-    _, rows = verify_golden("V10")
-    table = render_verify_table(rows)
+    table = render_verify_table(verify_golden("V10"))
     assert table.splitlines()[-1] == "17 ok, 0 flagged, 0 mismatched"
 
 
 def test_render_verify_table_builds_text_lines_only_for_text():
-    status, rows = verify_golden("V14")
-    payload = json.loads(render_verify_table(rows, "json", status))
-    assert payload == {"status": 0, "rows": [vars(r) for r in rows]}
-    text = render_verify_table(rows, "text", status).splitlines()
-    assert len(text) == len(rows) + 2
+    data = verify_golden("V14")
+    payload = json.loads(render_verify_table(data, "json"))
+    assert payload == data
+    assert payload["status"] == 0
+    text = render_verify_table(data, "text").splitlines()
+    assert len(text) == len(data["rows"]) + 2
     assert text[-1] == "16 ok, 1 flagged, 0 mismatched"
     with pytest.raises(ConfigError, match="unknown format 'yaml'"):
-        render_verify_table(rows, "yaml", status)
+        render_verify_table(data, "yaml")
 
 
 def fraction_read(report, key):
@@ -545,18 +546,21 @@ def test_verify_reads_the_numerators_as_the_fractions_print(variety):
     # they agree with the Fraction reads, and each corrupted label, alone,
     # mismatches with the same derived value
     report = run_pipeline(CATALOG[variety], order=7)
-    _, rows = verify_golden(variety)
+    data = verify_golden(variety)
+    assert data["status"] == 0
     derived = {}
-    for row in rows:
-        value = fraction_read(report, row.label.split(":", 1)[1])
-        assert row.derived == str(value)
-        assert (row.status == "mismatch") == (str(value) != row.expected)
-        derived[row.label] = row.derived
+    for row in data["rows"]:
+        value = fraction_read(report, row["label"].split(":", 1)[1])
+        assert row["derived"] == str(value)
+        assert (row["status"] == "mismatch") == (str(value) != row["expected"])
+        derived[row["label"]] = row["derived"]
     for label in derived:
-        status, corrupted = verify_golden(variety, corrupt=label)
-        assert status == 1
-        assert [r.label for r in corrupted if r.status == "mismatch"] == [label]
-        assert {r.label: r.derived for r in corrupted} == derived
+        corrupted = verify_golden(variety, corrupt=label)
+        mismatched = [r["label"] for r in corrupted["rows"] if r["status"] == "mismatch"]
+        assert mismatched == [label]
+        # the status is 1 exactly when a row mismatches
+        assert corrupted["status"] == int(bool(mismatched)) == 1
+        assert {r["label"]: r["derived"] for r in corrupted["rows"]} == derived
 
 
 def test_run_pipeline_solves_once_per_shift(monkeypatch):
