@@ -44,7 +44,7 @@ Coefficients are integers over one denominator per degree,
 (d!)^n * lcm(1..d_max)^(r^2), as in FLINT's `fmpq_poly`, with the sign
 (-1)^((r-1)d) on the denominator.
 The expansion trusts its entries: a product missing from T still gives a
-symmetric series, so the tests compare with the sum over compositions.
+symmetric series, so the tests compare with the quantum D-module of G(r, n).
 `_expansion_plan` caches, per (r, n, d_max), everything but the minors and
 checks the cofactor signs at one point; `_expand` runs the dot products.
 

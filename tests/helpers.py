@@ -1,9 +1,9 @@
 """Closed forms and symbolic expansions that only the tests use, the
-plain `Fraction` definitions the integer series kernels, the Vandermonde
-division, the solver stage, the entry polynomials' substitution and the
-ambient digit estimate are checked against, the quantum Pieri oracle for
-the ambient series, and the tests' name for the operator product of the
-D3 reference chain."""
+plain `Fraction` definitions the integer series kernels, the solver stage,
+the entry polynomials' substitution and the ambient digit estimate are
+checked against, the product that multiplies Vandermonde quotients back,
+the quantum Pieri oracle for the ambient series, and the tests' name for
+the operator product of the D3 reference chain."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -14,7 +14,6 @@ from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
     EntryPolynomial,
-    NonExactDivision,
     PowerSeries,
 )
 from fanocount.grassmann import GrassmannianSpec, HSeriesPair
@@ -98,48 +97,6 @@ def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial
                     out[e] = out.get(e, 0) + c1 * c2
         terms = out
     return ChernPolynomial(nvars, bound, terms)
-
-
-def divide_by_root_difference(terms: dict, i: int, j: int) -> tuple[dict, dict]:
-    """Long division of sum c_e x^e by (x_i - x_j) in the variable x_i, in
-    `Fraction`s, leading x_i power first: each term c x^e that holds x_i
-    puts c x^e / x_i in the quotient and leaves c x^e x_j / x_i, one x_i
-    power lower; what is left is free of x_i and is the remainder.
-    Returns (quotient, remainder), without zero terms."""
-    rest = {e: Fraction(c) for e, c in terms.items() if c}
-    quotient: dict = {}
-    for power in range(max((e[i] for e in rest), default=0), 0, -1):
-        for e in [e for e in rest if e[i] == power]:
-            c = rest.pop(e)
-            lower = list(e)
-            lower[i] -= 1
-            quotient[tuple(lower)] = quotient.get(tuple(lower), 0) + c
-            lower[j] += 1
-            rest[tuple(lower)] = rest.get(tuple(lower), 0) + c
-    return {e: c for e, c in quotient.items() if c}, {e: c for e, c in rest.items() if c}
-
-
-def reference_divide_by_vandermonde(poly: ChernPolynomial) -> ChernPolynomial:
-    """Division by prod_{i<j}(x_i - x_j) of the `Fraction` terms, one root
-    difference at a time by `divide_by_root_difference`."""
-    r = poly.nvars
-    v = r * (r - 1) // 2
-    if poly.degree_bound < v:
-        raise NonExactDivision(
-            f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
-        )
-    terms = poly.terms
-    low = min(map(sum, terms), default=v)
-    if low < v:
-        raise NonExactDivision(
-            f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
-        )
-    for i in range(r):
-        for j in range(i + 1, r):
-            terms, rem = divide_by_root_difference(terms, i, j)
-            if rem:
-                raise NonExactDivision(f"nonzero remainder dividing by (x{i + 1} - x{j + 1})")
-    return ChernPolynomial(r, poly.degree_bound - v, terms)
 
 
 def root_difference(nvars: int, i: int, j: int, shift: int = 0) -> dict:

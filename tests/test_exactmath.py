@@ -1,6 +1,7 @@
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import count, product
+from itertools import combinations, count, product
 from math import gcd
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     exp_linear,
-    reference_divide_by_vandermonde,
     reference_substitute,
     root_difference,
     series_product,
     truncated_product,
 )
+from fanocount import exactmath
 from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
@@ -234,8 +235,9 @@ def test_divide_by_vandermonde_rejects_a_remainder_after_a_pair_that_divides():
 @st.composite
 def vandermonde_division_cases(draw):
     """A polynomial in 2-4 roots: the Vandermonde times f, plus h, over
-    mixed denominators and at a degree bound from v - 1 to v + 2; it divides
-    exactly when h = 0 and the bound reaches v."""
+    mixed denominators and at a degree bound from v - 1 to v + 2.  Whether
+    it divides is for the factor theorem to decide: an h that vanishes
+    wherever two roots meet, an alternating one for example, divides too."""
     nvars = draw(st.integers(2, 4))
     extra = draw(st.integers(-1, 2))
     bound = nvars * (nvars - 1) // 2 + extra
@@ -253,19 +255,65 @@ def vandermonde_division_cases(draw):
     return ChernPolynomial(nvars, bound, total)
 
 
+def predicted_refusal(poly: ChernPolynomial) -> str | None:
+    """The message `divide_by_vandermonde` must refuse poly with, in its
+    check order, or None when poly divides.  The Vandermonde has degree v
+    and, by the factor theorem, divides a polynomial whose terms all have
+    degree v or more exactly when it vanishes at x_i = x_j for every pair."""
+    r = poly.nvars
+    v = r * (r - 1) // 2
+    if poly.degree_bound < v:
+        return f"degree bound {poly.degree_bound} below Vandermonde degree {v}"
+    low = min(map(sum, poly.nums), default=v)
+    if low < v:
+        return f"component of degree {low} cannot be divisible by degree-{v} Vandermonde"
+    for i, j in combinations(range(r), 2):
+        met = Counter()
+        for e, c in poly.nums.items():
+            met[tuple(0 if k == i else a + e[i] * (k == j) for k, a in enumerate(e))] += c
+        if any(met.values()):
+            return f"nonzero remainder dividing by (x{i + 1} - x{j + 1})"
+    return None
+
+
+def multiplied_back(quotient: ChernPolynomial, bound: int) -> ChernPolynomial:
+    """The Vandermonde times a quotient, through total degree bound."""
+    r = quotient.nvars
+    return truncated_product(r, bound, vandermonde(r, bound).terms, quotient.terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(vandermonde_division_cases())
-def test_divide_by_vandermonde_matches_fraction_reference(poly):
-    # the integer division reads nums and den; the reference reads the
-    # Fraction terms.  Same quotient, or the same refusal.
-    try:
-        expected = reference_divide_by_vandermonde(poly)
-    except NonExactDivision as err:
-        with pytest.raises(NonExactDivision) as got:
-            divide_by_vandermonde(poly)
-        assert str(got.value) == str(err)
+def test_divide_by_vandermonde_multiplies_back_or_refuses_by_the_factor_theorem(poly):
+    # the quotient times the Vandermonde gives the input back, and only the
+    # quotient of the right degree bound can; a refusal carries the message
+    # the factor theorem predicts
+    refusal = predicted_refusal(poly)
+    if refusal is None:
+        quotient = divide_by_vandermonde(poly)
+        v = poly.nvars * (poly.nvars - 1) // 2
+        assert quotient.degree_bound == poly.degree_bound - v
+        assert multiplied_back(quotient, poly.degree_bound) == poly
     else:
-        assert divide_by_vandermonde(poly) == expected
+        with pytest.raises(NonExactDivision) as err:
+            divide_by_vandermonde(poly)
+        assert str(err.value) == refusal
+
+
+def test_a_dropped_quotient_term_fails_the_multiply_back(monkeypatch):
+    # the negative control of the check above: a division by x_1 - x_2 that
+    # loses one term of its quotient no longer gives the input back
+    real = exactmath._divide_linear_difference
+
+    def lossy(terms, i, j):
+        quotient, remainder = real(terms, i, j)
+        del quotient[min(quotient)]
+        return quotient, remainder
+
+    monkeypatch.setattr(exactmath, "_divide_linear_difference", lossy)
+    poly = multiplied_back(ChernPolynomial(2, 2, {(0, 0): F(1, 2), (1, 1): 3, (0, 2): -1}), 3)
+    assert predicted_refusal(poly) is None
+    assert multiplied_back(divide_by_vandermonde(poly), 3) != poly
 
 
 @st.composite

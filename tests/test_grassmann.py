@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,6 @@ from helpers import (
     projective_closed_form,
     quantum_pieri,
     quantum_pieri_pair,
-    reference_divide_by_vandermonde,
-    root_difference,
-    truncated_product,
 )
 from fanocount import grassmann, pipeline
 from fanocount.exactmath import ChernPolynomial, NonExactDivision, PowerSeries
@@ -31,37 +29,6 @@ from fanocount.lefschetz import CompleteIntersectionSpec
 from fanocount.pipeline import MAX_ORDER, ambient_series
 
 F = Fraction
-
-
-def reference_degree_part(spec, d):
-    """The residue sum through total degree 1 as one multivariate product
-    of Fraction series per composition.
-
-    The reference for the integer kernel: every factor
-    (x_i - x_j + d_i - d_j) and (x_i + l)^(-n) is a full polynomial, and
-    the sum is divided by the Vandermonde with the tests' own long division.
-    """
-    r, n = spec.r, spec.n
-    bound = 1 + r * (r - 1) // 2
-    sign = (-1) ** ((r - 1) * d)
-    total = {}
-    for comp in product(range(d + 1), repeat=r):
-        if sum(comp) != d:
-            continue
-        factors = [
-            root_difference(r, i, j, comp[i] - comp[j]) for i in range(r) for j in range(i + 1, r)
-        ]
-        for i in range(r):
-            for l in range(1, comp[i] + 1):
-                # (x_i + l)^(-n) = sum_m C(n+m-1, m) (-1)^m x_i^m / l^(n+m)
-                factors.append({
-                    tuple(m if k == i else 0 for k in range(r)):
-                    F((-1) ** m * math.comb(n + m - 1, m), l ** (n + m))
-                    for m in range(bound + 1)
-                })
-        for e, c in truncated_product(r, bound, *factors).terms.items():
-            total[e] = total.get(e, 0) + sign * c
-    return reference_divide_by_vandermonde(ChernPolynomial(r, bound, total))
 
 
 def test_spec_validation():
@@ -126,33 +93,23 @@ def test_hv_constant_terms_match_closed_form():
             assert parts[d].constant_term() == closed_form_constant(n, d)
 
 
-# at the depths the pipeline runs, G(2,5) and G(2,6) at order 13 and G(3,6)
-# at order 7, and over five roots
+def _kernel_pair(r, n, order):
+    """The ambient series of G(r, n) through q^(order-1) from the residue
+    sum over all r roots, as two tuples, the shape of `quantum_pieri_pair`."""
+    pair = extract_h_pair(hv_iseries(GrassmannianSpec(r, n), order - 1))
+    return pair.c0.coeffs, pair.c1.coeffs
+
+
+# the kernel's degree parts against quantum Pieri at the depths the pipeline
+# runs, G(2,5) and G(2,6) at order 13 and G(3,6) at order 7, and over five
+# roots, which `ambient_series` never takes
 @pytest.mark.parametrize(
     "r, n, d_max",
     [(2, 5, 12), (2, 6, 12), (3, 6, 6), (5, 7, 2)],
     ids=["2-5-12", "2-6-12", "3-6-6", "5-7-2"],
 )
 def test_kernel_matches_multivariate_product(r, n, d_max):
-    spec = GrassmannianSpec(r, n)
-    expected = [reference_degree_part(spec, d) for d in range(d_max + 1)]
-    assert hv_iseries(spec, d_max) == expected
-
-
-@st.composite
-def residue_sums(draw):
-    r = draw(st.integers(2, 4))
-    n = draw(st.integers(r + 1, r + 4))
-    d = draw(st.integers(0, {2: 6, 3: 3, 4: 2}[r]))
-    return GrassmannianSpec(r, n), d
-
-
-@settings(max_examples=100, deadline=None)
-@given(residue_sums())
-def test_kernel_matches_reference_property(case):
-    spec, d = case
-    expected = [reference_degree_part(spec, k) for k in range(d + 1)]
-    assert hv_iseries(spec, d) == expected
+    assert _kernel_pair(r, n, d_max + 1) == quantum_pieri_pair(r, n, d_max + 1)
 
 
 def _flipped(monkeypatch, level, term):
@@ -227,44 +184,72 @@ def _symbolic_minors(r):
     return minors
 
 
+def _alternant(exponents):
+    """sum_s sgn(s) x_1^exponents[s(1)] .. x_r^exponents[s(r)] over the
+    permutations s, term by term (Leibniz)."""
+    terms = {}
+    for perm in permutations(range(len(exponents))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        terms[tuple(exponents[p] for p in perm)] = (-1) ** inversions
+    return terms
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_laplace_expansion_minors_give_s_empty_and_s_1(r):
     # a second route beside the plan's one-point check: the expansion's
-    # cofactor table over the symbolic rows x_j^m gives the bialternants,
-    # which divided by the Vandermonde are s_() = 1 and s_(1) = x_1 + .. + x_r
-    alternants = _symbolic_minors(r)
-    assert len(alternants) == 2
-    bound = 1 + r * (r - 1) // 2
-    schurs = [
-        reference_divide_by_vandermonde(ChernPolynomial(r, bound, a)).terms for a in alternants
-    ]
-    units = [tuple(int(k == i) for k in range(r)) for i in range(r)]
-    assert schurs == [{(0,) * r: 1}, dict.fromkeys(units, 1)]
+    # cofactor table over the symbolic rows x_j^m gives the alternants of
+    # lam + delta, delta = (r - 1, .., 0), at lam = () and (1).  By Jacobi's
+    # bialternant formula these are the Vandermonde times s_() = 1 and
+    # s_(1) = x_1 + .. + x_r, so nothing is divided.
+    delta = tuple(range(r - 1, -1, -1))
+    assert _symbolic_minors(r) == [_alternant(delta), _alternant((r,) + delta[1:])]
 
 
-def test_dropped_convolution_term_is_caught_by_reference_and_quantum_pieri(
-    monkeypatch, cold_plan
-):
-    # the expansion writes a symmetric series whatever its entries hold, so
-    # a sum missing one product still passes the symmetry check of
-    # extract_h_pair.  The comparisons with the reference and with the
-    # quantum Pieri oracle see it.
-    weights = grassmann._binomial_powers
+# Faults in the kernel's tables, each as a stand-in for the grassmann
+# function it replaces, which it is handed as `real`.
+def _without_convolution_term(real, n, top):
+    # degree 2 split as 1 + 1, the composition (1, 1), left out of the sum
+    rows = [list(row) for row in real(n, top)]
+    rows[2][1] = 0
+    return tuple(map(tuple, rows))
 
-    def dropped(n, top):
-        rows = [list(row) for row in weights(n, top)]
-        rows[2][1] = 0  # degree 2 split as 1 + 1, the composition (1, 1)
-        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(grassmann, "_binomial_powers", dropped)
-    spec = GrassmannianSpec(2, 5)
-    parts = hv_iseries(spec, 2)
-    pair = extract_h_pair(parts)
-    assert parts[:2] == [reference_degree_part(spec, d) for d in range(2)]
-    assert parts[2] != reference_degree_part(spec, 2)
-    c0, c1 = quantum_pieri_pair(2, 5, 3)
-    assert (pair.c0.coeffs[:2], pair.c1.coeffs[:2]) == (c0[:2], c1[:2])
-    assert (pair.c0[2], pair.c1[2]) != (c0[2], c1[2])
+def _without_root_sign(real, n, top, bound):
+    # (x + l)^(-n) expanded without its sign (-1)^b is (l - x)^(-n), so
+    # every S_k(x) becomes S_k(-x)
+    big, rows = real(n, top, bound)
+    return big, [[(-1) ** m * c for m, c in enumerate(row)] for row in rows]
+
+
+def _without_denominator_sign(real, r, n, d_max):
+    # the sign (-1)^((r-1)d) is 1 at every d when r is odd, so this fault
+    # shows only at even r
+    *tables, dens = real(r, n, d_max)
+    return (*tables, tuple(map(abs, dens)))
+
+
+@pytest.mark.parametrize("name, fault, first", [
+    pytest.param("_binomial_powers", _without_convolution_term, 2, id="dropped-convolution"),
+    pytest.param("_root_series", _without_root_sign, 1, id="root-sign"),
+    # (x + k)^(r-j+1) in place of (x + k)^(r-j)
+    pytest.param("_shifted", lambda real, s, k, e: real(s, k, e + 1), 0, id="shift-power"),
+    # C(d, a)^(n-1) in place of C(d, a)^n
+    pytest.param("_binomial_powers", lambda real, n, top: real(n - 1, top), 2, id="n-1"),
+    pytest.param("_expansion_plan", _without_denominator_sign, 1, id="denominator-sign"),
+])
+def test_kernel_faults_break_quantum_pieri(monkeypatch, cold_plan, name, fault, first):
+    # the expansion writes a symmetric series whatever its tables hold, so a
+    # faulty kernel still passes the symmetry check of extract_h_pair.  The
+    # quantum Pieri oracle sees each fault from the degree `first` on, over
+    # two roots and over four.
+    real = getattr(grassmann, name)
+    for r, n, order in [(2, 5, 5), (2, 4, 5), (4, 8, 3)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(grassmann, name, partial(fault, real))
+            got = _kernel_pair(r, n, order)
+        want = quantum_pieri_pair(r, n, order)
+        assert [c[:first] for c in got] == [c[:first] for c in want]
+        assert (got[0][first], got[1][first]) != (want[0][first], want[1][first])
 
 
 def test_only_plans_past_one_root_build_binomial_weights(monkeypatch, cold_plan):
@@ -283,8 +268,7 @@ def test_only_plans_past_one_root_build_binomial_weights(monkeypatch, cold_plan)
     assert projective_iseries(6, 9) == projective_closed_form(6, 10)
     assert calls == []
     for r, n in [(2, 5), (3, 6), (4, 8)]:
-        spec = GrassmannianSpec(r, n)
-        assert hv_iseries(spec, 3) == [reference_degree_part(spec, d) for d in range(4)]
+        assert _kernel_pair(r, n, 4) == quantum_pieri_pair(r, n, 4)
     assert calls == [(5, 3), (6, 3), (8, 3)]
 
 
@@ -338,7 +322,7 @@ def _largest_admitted_order(ambient):
     return top
 
 
-@pytest.mark.parametrize("r, n", [(2, 5), (3, 6), (4, 8), (5, 10), (6, 12), (7, 14)])
+@pytest.mark.parametrize("r, n", [(2, 5), (3, 6), (4, 8), (5, 7), (5, 10), (6, 12), (7, 14)])
 def test_degree_parts_are_written_in_lowest_terms(r, n):
     # each part is written in the stored format in one pass, and equals the
     # generic constructor applied to the unreduced expansion over the plan's
@@ -367,16 +351,21 @@ def test_degree_parts_are_written_in_lowest_terms(r, n):
     assert extract_h_pair(parts) == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda r: st.tuples(st.just(r), st.integers(r + 1, 9), st.integers(1, 13))
 ))
 def test_ambient_series_matches_quantum_pieri(case):
     # quantum Pieri rests on the quantum cohomology ring, not on the residue
-    # sum over Chern roots, so a mistake in either formula shows here
+    # sum over Chern roots, so a mistake in either formula shows here.  The
+    # pipeline sums over min(r, n - r) roots; the kernel is also run over
+    # all r, and the oracle over the dual G(n - r, n), the same variety.
     r, n, order = case
+    expected = quantum_pieri_pair(r, n, order)
     pair = ambient_series(GrassmannianSpec(r, n), order)
-    assert (pair.c0.coeffs, pair.c1.coeffs) == quantum_pieri_pair(r, n, order)
+    assert (pair.c0.coeffs, pair.c1.coeffs) == expected
+    assert _kernel_pair(r, n, order) == expected
+    assert quantum_pieri_pair(n - r, n, order) == expected
 
 
 @pytest.mark.parametrize("r, n, order", [(6, 12, 30), (7, 14, 9)], ids=["6-12-30", "7-14-9"])
