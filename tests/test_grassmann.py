@@ -112,6 +112,26 @@ def test_kernel_matches_multivariate_product(r, n, d_max):
     assert _kernel_pair(r, n, d_max + 1) == quantum_pieri_pair(r, n, d_max + 1)
 
 
+@st.composite
+def residue_sums(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r + 1, r + 4))
+    d = draw(st.integers(0, {2: 6, 3: 3, 4: 2}[r]))
+    return GrassmannianSpec(r, n), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(residue_sums())
+def test_kernel_matches_reference_property(case):
+    # the reference is quantum Pieri: each degree part, every part below it
+    # and the kernel's own duality G(r, n) = G(n - r, n) over r roots
+    spec, d = case
+    r, n = spec.r, spec.n
+    expected = quantum_pieri_pair(r, n, d + 1)
+    assert _kernel_pair(r, n, d + 1) == expected
+    assert _kernel_pair(n - r, n, d + 1) == expected
+
+
 def _flipped(monkeypatch, level, term):
     """Make the cofactor expansion carry the wrong sign at one term of one
     level, level 0 being the level of the 2 x 2 minors."""
