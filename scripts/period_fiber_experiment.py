@@ -33,6 +33,14 @@ DEGENERATE_FAMILY = [
 ]
 
 
+def count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def random_matrix(rng: random.Random) -> CountingMatrix:
     entry = lambda: F(rng.randint(-30, 30), rng.randint(1, 8))
     return CountingMatrix(
@@ -81,7 +89,7 @@ def walk_degenerate_fiber() -> None:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--samples", type=count, default=200)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
     survey(args.samples, args.seed)

@@ -17,17 +17,19 @@ Run as: python3 scripts/shift_scan.py [--span K] [--order M]
 import argparse
 from fractions import Fraction
 
-from fanocount.d3 import (
-    eisenstein_weight2,
-    factorial_transform,
-    first_mismatch,
-    frobenius_solve,
-    pencil_operator,
-)
+from fanocount.d3 import eisenstein_weight2, factorial_transform, first_mismatch
 from fanocount.exactmath import exp_twist
 from fanocount.pipeline import CATALOG, run_pipeline
 
 F = Fraction
+
+
+def count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
 
 
 def scan(name: str, span: int, order: int) -> None:
@@ -42,7 +44,7 @@ def scan(name: str, span: int, order: int) -> None:
     print(f"{name}: deg = {matrix.deg}, alpha = {alpha}, level N = {level}")
     print(f"  {'lambda':>7}  {'twist':>12}  {'eisenstein':>12}")
     for lam in shifts:
-        solution = frobenius_solve(pencil_operator(matrix, lam), order)
+        solution = report.pencil(lam)[1]
         twist_m = first_mismatch(solution, factorial_transform(exp_twist(c0, lam)))
         eis_m = first_mismatch(solution, eisenstein)
         fmt = lambda m: "agrees" if m is None else f"differs@{m}"
@@ -54,7 +56,7 @@ def scan(name: str, span: int, order: int) -> None:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--span", type=int, default=7, help="scan lambda in [-span, span]")
-    parser.add_argument("--order", type=int, default=8, help="series truncation order")
+    parser.add_argument("--order", type=count, default=8, help="series truncation order")
     args = parser.parse_args(argv)
     for name in sorted(CATALOG):
         scan(name, args.span, args.order)

@@ -422,8 +422,8 @@ def modularity_report(
     and -alpha gets one row per candidate.
     The report records indices, never a verdict.  `solution_at(lam)`
     supplies the normalized solution of the pencil operator at shift lam
-    through the order of `series`, so a caller that already solved one
-    passes it in instead of solving it twice.  A level that is not an
+    through the order of `series`; a `PipelineRun` passes the solution half
+    of its `pencil(lam)`, so no shift is solved twice.  A level that is not an
     integer >= 2 raises `InvalidLevel`; a failure anywhere else propagates.
     """
     if level.denominator != 1:

@@ -298,8 +298,7 @@ class PipelineRun:
         self.verified = config.in_catalog
         # keyed by (numerator, denominator), which hash in C for an int
         # and a Fraction shift alike
-        self._operators: dict[tuple[int, int], DifferentialOperator] = {}
-        self._solutions: dict[tuple[int, int], PowerSeries] = {}
+        self._pencils: dict[tuple[int, int], tuple[DifferentialOperator, PowerSeries]] = {}
 
     @_stage("grassmann")
     def ambient_pair(self) -> HSeriesPair:
@@ -340,30 +339,23 @@ class PipelineRun:
     def disc(self) -> Fraction:
         return discriminant(self.periods)
 
-    def operator_at(self, lam: Rational) -> DifferentialOperator:
-        """The pencil operator at shift lam, built at most once per run."""
+    def pencil(self, lam: Rational) -> tuple[DifferentialOperator, PowerSeries]:
+        """The pencil operator at shift lam and its normalized solution
+        through t^(order-1), both built at most once per run."""
         key = lam.numerator, lam.denominator
-        op = self._operators.get(key)
-        if op is None:
-            op = self._operators[key] = pencil_operator(self.matrix, lam)
-        return op
-
-    def solution_at(self, lam: Rational) -> PowerSeries:
-        """The normalized solution of the operator at shift lam through
-        t^(order-1), solved at most once per run."""
-        key = lam.numerator, lam.denominator
-        solution = self._solutions.get(key)
-        if solution is None:
-            solution = self._solutions[key] = frobenius_solve(self.operator_at(lam), self.order)
-        return solution
+        pencil = self._pencils.get(key)
+        if pencil is None:
+            op = pencil_operator(self.matrix, lam)
+            pencil = self._pencils[key] = op, frobenius_solve(op, self.order)
+        return pencil
 
     @_stage("d3")
     def operator(self) -> DifferentialOperator:
-        return self.operator_at(0)
+        return self.pencil(0)[0]
 
     @_stage("d3")
     def solution(self) -> PowerSeries:
-        return self.solution_at(0)
+        return self.pencil(0)[1]
 
     @_stage("d3")
     def modularity(self) -> ModularityReport:
@@ -371,7 +363,7 @@ class PipelineRun:
         # which is deg/2 at index 1
         level = Fraction(self.matrix.deg, 2 * self.config.fano_index**2)
         series = self.variety_pair.c0.truncate(self.order)
-        return modularity_report(series, self.alpha, level, self.solution_at)
+        return modularity_report(series, self.alpha, level, lambda lam: self.pencil(lam)[1])
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -556,8 +548,7 @@ def invert_view(run: PipelineRun, periods: PeriodVector | None = None, deg: int 
 
 
 def d3_view(run: PipelineRun, lam: Fraction) -> View:
-    operator = _guarded("d3", run.operator_at, lam)
-    solution = _guarded("d3", run.solution_at, lam)
+    operator, solution = _guarded("d3", run.pencil, lam)
     residue = apply_operator(operator, solution)
     data = {
         "lambda": str(lam),

@@ -1,15 +1,16 @@
 """Closed forms and symbolic expansions that only the tests use, the
-plain `Fraction` definitions the integer series kernels, the solver stage,
-the entry polynomials' substitution and the ambient digit estimate are
-checked against, the product that multiplies Vandermonde quotients back,
-the quantum Pieri oracle for the ambient series, and the tests' name for
-the operator product of the D3 reference chain."""
+plain `Fraction` definitions the integer series kernels, the Frobenius
+recursion (with its eps-jet), the solver stage, the entry polynomials'
+substitution and the ambient digit estimate are checked against, the
+product that multiplies Vandermonde quotients back, the quantum Pieri
+oracle for the ambient series, and the tests' name for the operator
+product of the D3 reference chain."""
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, log10, prod
 
-from fanocount.d3 import _multiply
+from fanocount.d3 import ObstructedRecursion, _multiply
 from fanocount.exactmath import (
     ENTRY_VARS,
     ChernPolynomial,
@@ -82,6 +83,43 @@ def layer(op, b: int) -> list[Fraction]:
     """The D-power coefficients of the t^b layer of an operator, lowest first;
     b = 0 gives the indicial polynomial."""
     return [Fraction(c, op.den) for c in op.layers.get(b, ())]
+
+
+def _at(poly, s):
+    """(R(s), R'(s)) for the integer polynomial R with ascending coefficients."""
+    value = slope = 0
+    for c in reversed(poly):
+        slope = slope * s + value
+        value = value * s + c
+    return value, slope
+
+
+def dual_frobenius(op, order: int) -> list[tuple[Fraction, Fraction]]:
+    """Pairs (c_m, c_m') for m < order: the Frobenius recursion
+    P(m) c_m = -sum_b R_b(m - b) c_(m - b) of the operator at exponent
+    n + eps, c_0 = 1, carried in dual numbers a + b*eps over its layers, one
+    `Fraction` division per m, so c_m' is the eps-derivative of c_m at
+    eps = 0.  The layers' shared denominator cancels in the homogeneous
+    recursion.  Raises `ObstructedRecursion` where the indicial polynomial P
+    does not vanish at 0 or vanishes at some 0 < m < order."""
+    layers = op.layers
+    indicial = layers.get(0, ())
+    if _at(indicial, 0)[0] != 0:
+        raise ObstructedRecursion("the indicial polynomial does not vanish at 0")
+    out = [(Fraction(1), Fraction(0))]
+    for m in range(1, order):
+        p, dp = _at(indicial, m)
+        if p == 0:
+            raise ObstructedRecursion(f"the indicial polynomial vanishes at {m}")
+        a = b = Fraction(0)
+        for j, poly in layers.items():
+            if 1 <= j <= m:
+                r, dr = _at(poly, m - j)
+                c, dc = out[m - j]
+                a -= r * c
+                b -= r * dc + dr * c
+        out.append((a / p, (b - a * dp / p) / p))
+    return out
 
 
 def truncated_product(nvars: int, bound: int, *factors: dict) -> ChernPolynomial:
@@ -287,9 +325,8 @@ def reference_recover_matrix(pair: HSeriesPair, deg: int) -> CountingMatrix:
 
 def reference_forward_periods(matrix: CountingMatrix) -> PeriodVector:
     """The constant-term relations at degrees 2..6, evaluated at the
-    `Fraction` entries."""
-    values = matrix.entries()
-    return PeriodVector(*(one_point_relation(d - 2, d).evaluate(values) for d in range(2, 7)))
+    `Fraction` entries: d_2..d_6 of `constant_terms`."""
+    return PeriodVector(*constant_terms(matrix, 7).coeffs[2:])
 
 
 def reference_discriminant(v: PeriodVector) -> Fraction:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import golden
 from helpers import (
     constant_terms,
+    dual_frobenius,
     layer,
     reference_eisenstein_weight2,
     reference_factorial_transform,
@@ -17,7 +18,7 @@ from helpers import (
     weyl_multiply,
 )
 from fanocount import d3
-from fanocount.exactmath import ENTRY_VARS, PowerSeries
+from fanocount.exactmath import ENTRY_VARS, PowerSeries, exp_twist
 from fanocount.d3 import (
     DifferentialOperator,
     InvalidLevel,
@@ -35,7 +36,7 @@ from fanocount.d3 import (
     pencil_operator,
     right_determinant,
 )
-from fanocount.pipeline import CATALOG, run_pipeline
+from fanocount.pipeline import CATALOG, PipelineRun, run_pipeline
 from fanocount.solver import CountingMatrix, forward_periods
 
 F = Fraction
@@ -96,32 +97,6 @@ def reference_left_divide_by_D(op):
             if c != 0:
                 out[(b, i)] = c
     return DifferentialOperator(out)
-
-
-def reference_frobenius_solve(op, order):
-    """P(m) c_m = -sum_b R_b(m - b) c_(m - b), one `Fraction` division per m."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    layers = {b: layer(op, b) for b in range(t_degree(op) + 1)}
-
-    def layer_at(b, s):
-        acc = F(0)
-        for c in reversed(layers.get(b, [])):
-            acc = acc * s + c
-        return acc
-
-    if layer_at(0, 0) != 0:
-        raise ObstructedRecursion("the indicial polynomial does not vanish at 0")
-    coeffs = [F(1)]
-    for m in range(1, order):
-        p = layer_at(0, m)
-        if p == 0:
-            raise ObstructedRecursion(f"the indicial polynomial vanishes at {m}")
-        rhs = F(0)
-        for b in range(1, min(m, t_degree(op)) + 1):
-            rhs -= layer_at(b, m - b) * coeffs[m - b]
-        coeffs.append(rhs / p)
-    return PowerSeries(tuple(coeffs))
 
 
 def outcome(f, *args):
@@ -394,7 +369,10 @@ def recursion_operators(draw):
 @settings(max_examples=150, deadline=None)
 @given(recursion_operators(), st.integers(1, 9))
 def test_frobenius_solve_matches_fraction_reference(op, order):
-    assert outcome(frobenius_solve, op, order) == outcome(reference_frobenius_solve, op, order)
+    def reference(op, order):
+        return PowerSeries(c for c, _ in dual_frobenius(op, order))
+
+    assert outcome(frobenius_solve, op, order) == outcome(reference, op, order)
 
 
 @pytest.mark.parametrize(
@@ -462,6 +440,38 @@ def test_flagged_v14_constant_is_52():
     # verify flags this golden value: a published table prints 2 at q^3
     terms = [cooper_v14(n) for n in range(4)]
     assert untwisted_series(terms, golden.ALPHA["V14"], 4)[3] == 52
+
+
+shift_entries = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fixed_dictionaries({name: shift_entries for name in ENTRY_VARS}),
+    st.integers(1, 30),
+    st.one_of(st.just(F(0)), shift_entries),
+)
+def test_solution_at_a_shift_is_the_factorial_transform_of_the_twisted_series(entries, deg, lam):
+    # the constant terms come from the relation engine, which shares no code
+    # with the closed-form operator; at every shift, not only the modular one,
+    # the normalized solution is sum_m m! [q^m](e^(lam q) sum_d d_d q^d) t^m
+    matrix = CountingMatrix(deg=deg, **entries)
+    series = constant_terms(matrix, 9)
+    solution = frobenius_solve(pencil_operator(matrix, lam), 9)
+    assert solution == factorial_transform(exp_twist(series, lam))
+    # control: the t^1 coefficient is the shift itself, so the next shift's
+    # twist differs there
+    assert first_mismatch(solution, factorial_transform(exp_twist(series, lam + 1))) == 1
+
+
+@pytest.mark.parametrize("name", ["V10", "V14"])
+def test_catalog_pencils_are_the_twisted_variety_series(name):
+    run = PipelineRun(CATALOG[name])
+    series = run.variety_pair.c0.truncate(run.order)
+    for lam in (F(0), run.alpha, -run.alpha, F(1, 2), F(-7, 3)):
+        solution = run.pencil(lam)[1]
+        assert solution == factorial_transform(exp_twist(series, lam)), lam
+        assert first_mismatch(solution, factorial_transform(exp_twist(series, lam + 1))) == 1
 
 
 def test_left_divide_roundtrip():

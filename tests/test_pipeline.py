@@ -18,7 +18,6 @@ from helpers import (
     reference_recover_matrix,
 )
 from fanocount import pipeline, solver
-from fanocount.d3 import frobenius_solve
 from fanocount.grassmann import GrassmannianSpec, _cofactors
 from fanocount.pipeline import (
     CATALOG,
@@ -271,7 +270,7 @@ def test_projective_threefolds_match_their_closed_forms(config, deg, alpha, leve
     assert (run.matrix.deg, run.alpha, run.modularity.level) == (deg, alpha, level)
     if entries is not None:  # the nonzero entries of the index-2..4 models
         assert {k: v for k, v in run.matrix.entries().items() if v} == entries
-    solution = frobenius_solve(run.operator_at(run.alpha), 13)
+    solution = run.pencil(run.alpha)[1]
     assert solution.coeffs == tuple(0 if m % r else term(m // r) for m in range(13))
     # index >= 2 has alpha = 0, and one table row per candidate at that one shift
     assert len(run.modularity.rows) == (12 if alpha else 2)
@@ -640,9 +639,13 @@ def test_each_stage_is_computed_once_per_run(monkeypatch):
         ("pencil_operator", -alpha): 1,
     }
     # an int and a Fraction shift of one value share the run's operator and solution
-    assert run.operator_at(F(0)) is run.operator_at(0) is run.operator
-    assert run.solution_at(F(0)) is run.solution_at(0) is run.solution
-    assert run.operator_at(F(alpha)) is run.operator_at(int(alpha))
+    assert run.pencil(F(0)) is run.pencil(0)
+    assert run.pencil(0)[0] is run.operator
+    assert run.pencil(0)[1] is run.solution
+    assert run.pencil(F(alpha)) is run.pencil(int(alpha))
+    # the d3 view reads the pencils the completed run holds
+    d3_view(run, F(0))
+    d3_view(run, alpha)
     assert calls == first
 
 

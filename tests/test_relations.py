@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 import golden
-from helpers import TamperedEngine, harmonic, symbolic_iseries
+from helpers import TamperedEngine, dual_frobenius, harmonic, symbolic_iseries
 from fanocount.d3 import pencil_operator
 from fanocount.exactmath import ENTRY_VARS, EntryPolynomial
 from fanocount.relations import (
@@ -160,34 +160,6 @@ def test_engine_memoization_is_per_instance():
     b = TamperedEngine((2, 3), 7)
     assert a.one_point_relation(0, 2) != b.one_point_relation(0, 2)
     assert a.one_point_relation(0, 2) == RelationEngine().one_point_relation(0, 2)
-
-
-def _at(poly, s):
-    """(R(s), R'(s)) for the integer polynomial R with ascending coefficients."""
-    value = slope = 0
-    for c in reversed(poly):
-        slope = slope * s + value
-        value = value * s + c
-    return value, slope
-
-
-def dual_frobenius(op, order):
-    """Pairs (c_m, c_m') for m < order: the Frobenius recursion of the operator
-    at exponent n + eps, c_0 = 1, carried in dual numbers a + b*eps over its
-    layers, so c_m' is the eps-derivative of c_m at eps = 0."""
-    layers = op.layers
-    out = [(F(1), F(0))]
-    for m in range(1, order):
-        a = b = F(0)
-        for j, poly in layers.items():
-            if 1 <= j <= m:
-                r, dr = _at(poly, m - j)
-                c, dc = out[m - j]
-                a -= r * c
-                b -= r * dc + dr * c
-        p, dp = _at(layers[0], m)
-        out.append((a / p, (b - a * dp / p) / p))
-    return out
 
 
 def test_h1_relations_are_the_eps_derivative_of_the_operator_solution():

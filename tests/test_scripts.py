@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,3 +51,19 @@ def test_period_fiber_experiment_runs(capsys):
     out = capsys.readouterr().out
     assert "samples:            5" in out
     assert "inversion refused, as it must be" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "script,option",
+    [("scripts/period_fiber_experiment.py", "--samples"), ("scripts/shift_scan.py", "--order")],
+)
+def test_script_counts_below_one_are_usage_errors(script, option, value, capsys):
+    # --samples 0 divided by zero in the timing line and a negative count
+    # printed a negative time; --order 0 reached the pipeline's ConfigError
+    with pytest.raises(SystemExit) as info:
+        load(script).main([option, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: argument {option}: must be an integer >= 1, got {value}\n" in err
