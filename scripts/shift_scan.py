@@ -24,12 +24,16 @@ from fanocount.pipeline import CATALOG, run_pipeline
 F = Fraction
 
 
-def count(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def scan(name: str, span: int, order: int) -> None:
@@ -55,8 +59,8 @@ def scan(name: str, span: int, order: int) -> None:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--span", type=int, default=7, help="scan lambda in [-span, span]")
-    parser.add_argument("--order", type=count, default=8, help="series truncation order")
+    parser.add_argument("--span", type=at_least(0), default=7, help="scan lambda in [-span, span]")
+    parser.add_argument("--order", type=at_least(1), default=8, help="series truncation order")
     args = parser.parse_args(argv)
     for name in sorted(CATALOG):
         scan(name, args.span, args.order)

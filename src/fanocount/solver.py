@@ -42,13 +42,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import isqrt, lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .exactmath import (
     ENTRY_LAYOUT, ENTRY_VARS, ENTRY_WEIGHTS, EntryPolynomial, _lowest_terms, _over_one_denominator,
 )
-from .grassmann import HSeriesPair
 from .relations import one_point_relation
+
+if TYPE_CHECKING:
+    from .grassmann import HSeriesPair
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -685,8 +685,8 @@ STAGE_ERRORS = [cls for cls in PUBLIC_ERRORS if cls is not fanocount.StageError]
 
 
 def test_all_lists_no_submodule():
-    # the package imports bind its submodules beside the re-exported names;
-    # only the names are public
+    # the package binds its submodules beside the names it resolves on
+    # first use; only the names are public
     assert [n for n in fanocount.__all__ if isinstance(getattr(fanocount, n), ModuleType)] == []
     assert len(fanocount.__all__) == 55
     assert {"PipelineRun", "CountingMatrix", "hv_iseries", "serialize_report"} <= set(fanocount.__all__)

@@ -67,3 +67,19 @@ def test_script_counts_below_one_are_usage_errors(script, option, value, capsys)
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert f"error: argument {option}: must be an integer >= 1, got {value}\n" in err
+
+
+def test_shift_scan_negative_span_is_a_usage_error(capsys):
+    # range(-span, span + 1) was empty, so not even lambda = 0 was scanned
+    with pytest.raises(SystemExit) as info:
+        load("scripts/shift_scan.py").main(["--span", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "error: argument --span: must be an integer >= 0, got -1\n" in err
+
+
+def test_shift_scan_span_zero_scans_lambda_zero(capsys):
+    load("scripts/shift_scan.py").main(["--span", "0", "--order", "6"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows if row[1:2] == ["agrees"]] == ["-6", "0", "1/2", "6", "-4", "0", "1/2", "4"]
